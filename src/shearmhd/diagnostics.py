@@ -27,10 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import Grid, ProductWorkspace, shear_symbols, l2_norm
-from .unknowns import (MHDState, TailoredState, curl_t, hminus1_norm,
-                       ptilde_correction_symbol, tailored_to_state)
+from .unknowns import (MHDState, TailoredState, _inv_lambda, curl_t,
+                       hminus1_norm, ptilde_correction_symbol,
+                       tailored_to_state)
 from .weights import MultiplierSet, WeightParams
-from .dynamics import ptilde_coupling_symbol, quadratic_terms
+from .dynamics import linear_symbols, quadratic_terms
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +254,8 @@ def identity_sides(ts: TailoredState, params: WeightParams, alpha: float,
               + np.sum(mset.dtq_over_q[0, :] * AAt[0, :] * dens1d)) / g.Ly
     m_term = (np.sum(-mset.dtm_over_m * A**2 * dens2d)) / g.Ly  # m = 1 at k = 0
     # right side: linear pairing
-    S = ptilde_coupling_symbol(g, t, alpha, symbol_variant)
+    sym = shear_symbols(g, t)
+    _, S = linear_symbols(g.K, sym.u, alpha, symbol_variant)
     L_pair = _pair(g, [A * pt1], [S * (A * pt2)])
     # right side: nonlinear pairings in commutator form
     st = tailored_to_state(ts, alpha)
@@ -264,15 +266,13 @@ def identity_sides(ts: TailoredState, params: WeightParams, alpha: float,
     NL = (_pair(g, Av, A * nlv - _advect(g, b, Ab, t, ws) + _advect(g, v, Av, t, ws))
           + _pair(g, Ab, A * nlb - _advect(g, b, Av, t, ws) + _advect(g, v, Ab, t, ws)))
     # right side: tailored corrections
-    sym = shear_symbols(g, t)
     lam2 = np.where(sym.lam2 > 0, sym.lam2, 1.0)
     dyt_invlap = 1j * sym.u / lam2  # d_y^t Lambda_t^{-2}
     Wb = np.stack([dyt_invlap * b[0] / alpha, dyt_invlap * b[1] / alpha])
     nlv_neq = nlv.copy()
     nlv_neq[:, 0, :] = 0.0
     ONL1 = _pair(g, [A * Wb[0], A * Wb[1]], [A * nlv_neq[0], A * nlv_neq[1]])
-    inv_lam = np.where(sym.lam > 0, 1.0 / np.where(sym.lam > 0, sym.lam, 1.0), 0.0)
-    n2 = inv_lam * curl_t(g, nlb, t)
+    n2 = _inv_lambda(g, t) * curl_t(g, nlb, t)
     n2[0, :] = 0.0
     corr = ptilde_correction_symbol(g, alpha, t)
     ONL2 = _pair(g, [A * pt1], [A * (corr * n2)])

@@ -15,9 +15,9 @@ import numpy as np
 
 from . import io as sio
 from .diagnostics import (DiagnosticsRecord, MultiplierSet, bootstrap_monitor,
-                          dissipation_terms, gevrey_norm, growth_fit,
-                          make_record)
-from .dynamics import (VBIntegrator, dissipation_phase, evolve,
+                          dissipation_terms, growth_fit, make_record,
+                          state_gevrey_norm)
+from .dynamics import (VBIntegrator, dissipation_phase, evolve, linear_symbols,
                        norm_inflation_experiment)
 from .partition import nl_partition_check, partition_exactness_sample
 from .resonance import ChainConfig, chain_handoff_trajectory, chain_sweep_fit, chain_total_growth
@@ -138,18 +138,12 @@ def gevrey_random_data(grid: Grid, params: WeightParams, seed: int, eps: float,
     v = leray_project_t(grid, np.stack(tabs[:2]), 0.0)
     b = leray_project_t(grid, np.stack(tabs[2:]), 0.0)
     state = MHDState(grid, v, b, 0.0)
-    norm = state_gevrey_norm_at(state, lam1, params)
+    norm = state_gevrey_norm(state, lam1, params.s, params.N)
     if norm == 0:
         raise ValueError("degenerate random draw")
     state.v *= eps / norm
     state.b *= eps / norm
     return state
-
-
-def state_gevrey_norm_at(state: MHDState, lam: float, params: WeightParams) -> float:
-    return gevrey_norm(state.grid,
-                       [state.v[0], state.v[1], state.b[0], state.b[1]],
-                       lam, params.s, params.N)
 
 
 def single_mode_state(grid: Grid, k: int, eta_index: int, amplitude: float,
@@ -378,9 +372,7 @@ def oracle_linear_grid(grid: Grid, p1: np.ndarray, p2: np.ndarray, t0: float,
         zr = y[:2 * n].reshape(2, n)
         zi = y[2 * n:].reshape(2, n)
         z = zr + 1j * zi
-        u = ee - kk * t
-        lam2 = kk**2 + u**2
-        a = kk * u / lam2
+        a, _ = linear_symbols(kk, ee - kk * t, alpha)
         iak = 1j * alpha * kk
         d0 = a * z[0] + iak * z[1]
         d1 = -a * z[1] + iak * z[0]

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import hyp2f1
 
 
 @dataclass(frozen=True)
@@ -195,43 +194,25 @@ def mtilde_value(t, k, eta, params: WeightParams):
     return np.exp(log_mtilde(t, k, eta, params))
 
 
-def log_mtilde_grid(t, K, ETA, params: WeightParams):
-    """Grid-wide log mtilde with the k = 0 column set to 0 (mtilde = 1)."""
-    ksafe = np.where(K == 0, 1.0, K)
-    shift = ETA / ksafe
-    integral = _asinh_kernel_antiderivative(t - shift) - _asinh_kernel_antiderivative(-shift)
-    return np.where(K == 0, 0.0, integral / (params.alpha * np.abs(ksafe)))
-
-
 # ---------------------------------------------------------------------------
 # lambda(t)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=100000)
-def _lambda_integral(t: float, s: float) -> float:
+def _lambda_integral(t, s: float):
+    """int_0^t <tau>^{-p} dtau with p = 3/4 + s/2, elementwise.
+
+    Closed form t 2F1(1/2, p/2; 3/2; -t^2): the Euler integral (DLMF 15.6.1)
+    after the substitution tau = t x.
+    """
     p = 0.75 + 0.5 * s
-
-    def f(tau):
-        return (1.0 + tau * tau) ** (-0.5 * p)
-
-    split = 32.0
-    if t <= split:
-        val, _ = quad(f, 0.0, t, epsabs=1e-13, epsrel=1e-13, limit=200)
-        return val
-    head, _ = quad(f, 0.0, split, epsabs=1e-13, epsrel=1e-13, limit=200)
-    # log substitution keeps the slowly decaying tail well behaved
-    tail, _ = quad(lambda u: f(math.exp(u)) * math.exp(u),
-                   math.log(split), math.log(t), epsabs=1e-13, epsrel=1e-13,
-                   limit=200)
-    return head + tail
+    return t * hyp2f1(0.5, 0.5 * p, 1.5, -t * t)
 
 
 def lambda_of_t(t, params: WeightParams):
     """lambda(t) = lam0 - rho * int_0^t <tau>^{-(3/4 + s/2)} dtau."""
     tt = np.asarray(t, dtype=float)
-    vals = np.array([_lambda_integral(float(x), params.s) for x in np.atleast_1d(tt)])
-    out = params.lam0 - params.rho * vals
-    return out.reshape(tt.shape) if tt.ndim else float(out[0])
+    out = params.lam0 - params.rho * _lambda_integral(tt, params.s)
+    return out if tt.ndim else float(out)
 
 
 def dlambda_dt(t, params: WeightParams):

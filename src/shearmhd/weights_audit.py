@@ -252,12 +252,16 @@ def audit_j_commutator_small_time(params: WeightParams, eta_max: float, rng) -> 
         k = int(rng.integers(-20, 21))
         l = int(rng.integers(-20, 21))
         t = rng.uniform(0.0, 0.5 * min(math.sqrt(eta), math.sqrt(xi)))
-        lhs = abs(math.exp(float(log_j(t, k, eta, params))
-                           - float(log_j(t, l, xi, params))) - 1.0)
-        rhs = (math.hypot(1.0, np.hypot(eta - xi, k - l))
-               * math.exp(100.0 * params.rho * abs(eta - xi) ** 0.5)
-               / math.sqrt(eta + xi + abs(k) + abs(l)))
-        worst = max(worst, lhs / rhs)
+        gap = float(log_j(t, k, eta, params)) - float(log_j(t, l, xi, params))
+        # log |e^gap - 1| and the log of the claimed bound: the bound's
+        # exp(100 rho |eta - xi|^(1/2)) overflows a float once
+        # |eta - xi| > 2e4 at rho = 0.05
+        log_lhs = (max(gap, 0.0) + math.log(-math.expm1(-abs(gap)))
+                   if gap else -math.inf)
+        log_rhs = (math.log(math.hypot(1.0, math.hypot(eta - xi, k - l)))
+                   + 100.0 * params.rho * abs(eta - xi) ** 0.5
+                   - 0.5 * math.log(eta + xi + abs(k) + abs(l)))
+        worst = max(worst, math.exp(log_lhs - log_rhs))
         n += 1
     return AuditRow("J_commutator_small_time", n, worst, 0.0, np.isfinite(worst))
 

@@ -4,11 +4,11 @@ import pytest
 from shearmhd.dynamics import (EvolutionConfig, LinearModeSystem,
                                NumericalAbort, PtildeIntegrator, VBIntegrator,
                                dissipation_phase, evolve, lawson_rk4_step,
-                               linear_mode_propagate, linear_mode_trajectory,
-                               propagate_linear_grid, ptilde_coupling_symbol,
-                               route_equivalence_run, step)
+                               linear_mode_propagate, linear_symbols,
+                               propagate_linear_grid, route_equivalence_run,
+                               step)
 from shearmhd.experiments import dissipative_decay_check, gevrey_random_data
-from shearmhd.spectral import Grid, hermitian_defect
+from shearmhd.spectral import Grid, hermitian_defect, shear_symbols
 from shearmhd.unknowns import MHDState, divergence_residual, state_to_tailored
 from shearmhd.weights import WeightParams
 
@@ -138,39 +138,36 @@ class TestLinearModeSystem:
             c1 = np.exp(np.pi / 2)
             assert 1.0 / c1 <= np.linalg.norm(v) ** 2 <= c1
 
-    def test_trajectory_shape(self):
-        sys = LinearModeSystem(2, 3.0, 1.0, "p")
-        tr = linear_mode_trajectory(sys, [1.0, 0.5j], np.linspace(0, 3, 7))
-        assert tr.values.shape == (7, 2)
-        assert tr.times[0] == 0.0
-
     def test_grid_propagator_matches_scalar(self, grid16):
         p0 = np.zeros((2, 16, 16), complex)
         p0[0][2, 3] = 1.0 - 0.5j
-        out = propagate_linear_grid(grid16, p0, 0.0, 4.0, 1.0, coords="p",
-                                    dt=0.001)
-        sys = LinearModeSystem(2, grid16.eta[3], 1.0, "p")
+        out = propagate_linear_grid(grid16, p0, 0.0, 4.0, 1.0, dt=0.001)
+        sys = LinearModeSystem(2, grid16.eta[3], 1.0, "ptilde")
         ref = linear_mode_propagate(sys, [1.0 - 0.5j, 0.0], 0.0, 4.0, tol=1e-12)
         assert np.max(np.abs(out[:, 2, 3] - ref)) <= 1e-9
 
 
+def coupling_symbol(grid, t, alpha, variant):
+    return linear_symbols(grid.K, shear_symbols(grid, t).u, alpha, variant)[1]
+
+
 class TestPtildeSymbol:
     def test_variants_differ(self, grid16):
-        sd = ptilde_coupling_symbol(grid16, 1.0, 1.0, "derived")
-        st_ = ptilde_coupling_symbol(grid16, 1.0, 1.0, "mixed")
-        sl = ptilde_coupling_symbol(grid16, 1.0, 1.0, "flipped")
+        sd = coupling_symbol(grid16, 1.0, 1.0, "derived")
+        st_ = coupling_symbol(grid16, 1.0, 1.0, "mixed")
+        sl = coupling_symbol(grid16, 1.0, 1.0, "flipped")
         assert not np.allclose(sd, st_)
         assert np.allclose(sd, -sl)
 
     def test_derived_value(self, grid16):
-        s = ptilde_coupling_symbol(grid16, 0.0, 2.0, "derived")
+        s = coupling_symbol(grid16, 0.0, 2.0, "derived")
         # k=1, eta=0, t=0: -i k^3/(alpha lam^4) = -i/2
         assert np.isclose(s[1, 0], -0.5j)
 
     def test_magnitude_matches_mtilde_integrand(self, grid16):
         # |S| = (1/(alpha|k|)) (1 + (eta/k - t)^2)^{-2}
         t, alpha = 1.7, 0.8
-        s = ptilde_coupling_symbol(grid16, t, alpha, "derived")
+        s = coupling_symbol(grid16, t, alpha, "derived")
         K = grid16.K * np.ones(grid16.shape)
         ETA = grid16.ETA * np.ones(grid16.shape)
         nz = K != 0
@@ -183,6 +180,16 @@ class TestRouteEquivalence:
     def test_small_grid(self):
         st = small_state(16, seed=6)
         rep = route_equivalence_run(st, 1.0, t_end=2.0, dt=0.01)
+        assert rep["gap_tailored"] <= 1e-8
+        assert rep["gap_vb"] <= 1e-8
+
+    def test_unequal_dissipation(self):
+        # nu != kappa tells the channel layouts of the two integrators apart:
+        # vb damps (v1, v2, b1, b2) by (nu, nu, kappa, kappa), ptilde damps
+        # (ptilde1, ptilde2, v_eq, b_eq) by (nu, kappa, nu, kappa)
+        st = small_state(16, seed=6)
+        rep = route_equivalence_run(st, 1.0, t_end=2.0, dt=0.01,
+                                    nu=1e-3, kappa=3e-3)
         assert rep["gap_tailored"] <= 1e-8
         assert rep["gap_vb"] <= 1e-8
 

@@ -142,15 +142,30 @@ class TestRunner:
             stored = json.load(fh)
         assert stored["config_sha256"] == config_hash(cfg.to_dict())
 
+    @staticmethod
+    def csv_of_two_runs(tmp_path, data):
+        out = []
+        for name in ("r1", "r2"):
+            run(ExperimentConfig.from_dict(data), str(tmp_path / name))
+            out.append((tmp_path / name / "diagnostics.csv").read_bytes())
+        return out
+
     def test_byte_identical_outputs(self, tmp_path):
         data = {"experiment": "weights_audit",
                 "params": {"rho": 0.05, "lam0": 13.5},
                 "audit": {"eta_max": 500.0, "n_eta": 8, "seed": 3}}
-        run(ExperimentConfig.from_dict(data), str(tmp_path / "r1"))
-        run(ExperimentConfig.from_dict(data), str(tmp_path / "r2"))
-        b1 = (tmp_path / "r1" / "diagnostics.csv").read_bytes()
-        b2 = (tmp_path / "r2" / "diagnostics.csv").read_bytes()
+        b1, b2 = self.csv_of_two_runs(tmp_path, data)
         assert b1 == b2
+
+    def test_byte_identical_trajectory_outputs(self, tmp_path):
+        data = {"experiment": "nonlinear_ideal",
+                "grid": {"Nx": 16, "Ny": 16, "Ly": 1.0},
+                "evolution": {"dt": 0.02, "t_end": 5.0},
+                "initial": {"kind": "gevrey_random", "seed": 2, "eps": 1e-3,
+                            "lam1": 1.2}}
+        b1, b2 = self.csv_of_two_runs(tmp_path, data)
+        assert b1 == b2
+        assert len(b1.decode().splitlines()) > 10
 
     def test_nl_partition_runner(self, tmp_path):
         cfg = ExperimentConfig.from_dict({

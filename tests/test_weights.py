@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
-from shearmhd.weights import (MultiplierSet, WeightParams, a_multiplier,
-                              dlambda_dt, dtm_over_m, dtq_over_q, j_value,
-                              jtilde_value, lambda_of_t, log_a_multiplier,
-                              log_j, log_jtilde, log_mtilde, log_q, m_value,
-                              mtilde_value, q_endpoint, q_growth_ratio,
-                              q_slopes, q_value)
+from shearmhd.weights import (MultiplierSet, WeightParams, _lambda_integral,
+                              a_multiplier, dlambda_dt, dtm_over_m, dtq_over_q,
+                              j_value, jtilde_value, lambda_of_t,
+                              log_a_multiplier, log_j, log_jtilde, log_mtilde,
+                              log_q, m_value, mtilde_value, q_endpoint,
+                              q_growth_ratio, q_slopes, q_value)
+from shearmhd.weights_audit import audit_j_commutator_small_time
 
 RHO_HALF = WeightParams(rho=0.5, lam0=0.5 * (250 + 2 / 0.1), s=0.6)
 RHO_ONE = WeightParams(rho=1.0, lam0=270.0, s=0.6)
@@ -203,6 +205,34 @@ class TestLambdaOfT:
         num = (lambda_of_t(t + 1e-5, p) - lambda_of_t(t - 1e-5, p)) / 2e-5
         assert np.isclose(num, float(dlambda_dt(t, p)), rtol=1e-6)
 
+    @pytest.mark.parametrize("s", [0.51, 0.6, 0.8, 1.0])
+    def test_closed_form_matches_quadrature(self, s):
+        # reference: adaptive quadrature, with the slowly decaying tail past
+        # tau = 32 integrated in log tau
+        p = 0.75 + 0.5 * s
+
+        def f(tau):
+            return (1.0 + tau * tau) ** (-0.5 * p)
+
+        for t in (1e-3, 0.5, 5.0, 31.9, 32.1, 1e3, 1e5):
+            ref, _ = quad(f, 0.0, min(t, 32.0), epsabs=1e-13, epsrel=1e-13,
+                          limit=200)
+            if t > 32.0:
+                tail, _ = quad(lambda x: f(math.exp(x)) * math.exp(x),
+                               math.log(32.0), math.log(t), epsabs=1e-13,
+                               epsrel=1e-13, limit=200)
+                ref += tail
+            assert math.isclose(float(_lambda_integral(np.float64(t), s)), ref,
+                                rel_tol=1e-12)
+
+    def test_array_input(self):
+        p = WeightParams(rho=0.01, lam0=3.0, s=0.8)
+        ts = np.array([[0.0, 0.5], [31.9, 1e5]])
+        vals = lambda_of_t(ts, p)
+        assert vals.shape == ts.shape
+        assert all(vals[i, j] == lambda_of_t(float(ts[i, j]), p)
+                   for i in range(2) for j in range(2))
+
 
 class TestJ:
     P = WeightParams()
@@ -290,3 +320,38 @@ class TestMultiplierSet:
         b = MultiplierSet(grid16, 0.7, small_params)
         assert np.array_equal(a.log_A, b.log_A)
         assert np.array_equal(a.dtq_over_q, b.dtq_over_q)
+
+
+class TestJCommutatorAudit:
+    @staticmethod
+    def direct_row(params, eta_max, rng):
+        # the row evaluated with plain exponentials, valid while they fit a float
+        worst = 0.0
+        for _ in range(400):
+            eta = rng.uniform(9.0, eta_max)
+            xi = rng.uniform(9.0, eta_max)
+            k = int(rng.integers(-20, 21))
+            l = int(rng.integers(-20, 21))
+            t = rng.uniform(0.0, 0.5 * min(math.sqrt(eta), math.sqrt(xi)))
+            lhs = abs(math.exp(float(log_j(t, k, eta, params))
+                               - float(log_j(t, l, xi, params))) - 1.0)
+            rhs = (math.hypot(1.0, np.hypot(eta - xi, k - l))
+                   * math.exp(100.0 * params.rho * abs(eta - xi) ** 0.5)
+                   / math.sqrt(eta + xi + abs(k) + abs(l)))
+            worst = max(worst, lhs / rhs)
+        return worst
+
+    def test_matches_direct_evaluation(self):
+        p = WeightParams()
+        for seed in range(3):
+            row = audit_j_commutator_small_time(p, 1e4, np.random.default_rng(seed))
+            ref = self.direct_row(p, 1e4, np.random.default_rng(seed))
+            assert math.isclose(row.empirical_constant, ref, rel_tol=1e-12)
+
+    def test_finite_at_large_eta(self):
+        p = WeightParams()
+        with pytest.raises(OverflowError):
+            self.direct_row(p, 1e5, np.random.default_rng(0))
+        row = audit_j_commutator_small_time(p, 1e5, np.random.default_rng(0))
+        assert row.sample_count == 400
+        assert np.isfinite(row.empirical_constant) and row.passes
