@@ -203,19 +203,6 @@ def bootstrap_monitor(records, params: WeightParams, c_star: float = 1.0):
 # energy-derivative identity
 # ---------------------------------------------------------------------------
 
-def _advect(grid: Grid, a: np.ndarray, c: np.ndarray, t: float,
-            ws: ProductWorkspace) -> np.ndarray:
-    """(a . grad_t) c for vector tables a, c; dealiased exact product."""
-    sym = shear_symbols(grid, t)
-    a1, a2 = ws.phys(a[0]), ws.phys(a[1])
-    out = []
-    for i in (0, 1):
-        gx = ws.phys(sym.ikx * c[i])
-        gy = ws.phys(sym.idyt * c[i])
-        out.append(ws.spec(a1 * gx + a2 * gy))
-    return np.stack(out)
-
-
 def _pair(grid: Grid, x, y) -> float:
     """(1/Ly) Re sum conj(x) y accumulated over matching tables."""
     s = 0.0
@@ -261,20 +248,19 @@ def identity_sides(ts: TailoredState, params: WeightParams, alpha: float,
     st = tailored_to_state(ts, alpha)
     v, b = st.v, st.b
     nlv, nlb = quadratic_terms(g, v, b, t, ws)
-    Av = np.stack([A * v[0], A * v[1]])
-    Ab = np.stack([A * b[0], A * b[1]])
-    NL = (_pair(g, Av, A * nlv - _advect(g, b, Ab, t, ws) + _advect(g, v, Av, t, ws))
-          + _pair(g, Ab, A * nlb - _advect(g, b, Av, t, ws) + _advect(g, v, Ab, t, ws)))
-    # right side: tailored corrections
-    lam2 = np.where(sym.lam2 > 0, sym.lam2, 1.0)
-    dyt_invlap = 1j * sym.u / lam2  # d_y^t Lambda_t^{-2}
-    Wb = np.stack([dyt_invlap * b[0] / alpha, dyt_invlap * b[1] / alpha])
+    Av, Ab = A * v, A * b
+    adv_b = ws.advect(sym, b, np.concatenate([Ab, Av]))  # b.grad_t (Ab, Av)
+    adv_v = ws.advect(sym, v, np.concatenate([Av, Ab]))  # v.grad_t (Av, Ab)
+    NL = (_pair(g, Av, A * nlv - adv_b[:2] + adv_v[:2])
+          + _pair(g, Ab, A * nlb - adv_b[2:] + adv_v[2:]))
+    # right side: tailored corrections; corr is (1/alpha) d_y^t Lambda_t^{-2}
+    # off k = 0, and the k = 0 rows of both pairings vanish
+    corr = ptilde_correction_symbol(g, alpha, t)
     nlv_neq = nlv.copy()
     nlv_neq[:, 0, :] = 0.0
-    ONL1 = _pair(g, [A * Wb[0], A * Wb[1]], [A * nlv_neq[0], A * nlv_neq[1]])
+    ONL1 = _pair(g, A * (corr * b), A * nlv_neq)
     n2 = _inv_lambda(g, t) * curl_t(g, nlb, t)
     n2[0, :] = 0.0
-    corr = ptilde_correction_symbol(g, alpha, t)
     ONL2 = _pair(g, [A * pt1], [A * (corr * n2)])
     return {"lam_term": float(lam_term), "q_term": float(q_term),
             "m_term": float(m_term), "L_pair": float(L_pair),

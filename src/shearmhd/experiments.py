@@ -17,8 +17,8 @@ from . import io as sio
 from .diagnostics import (DiagnosticsRecord, MultiplierSet, bootstrap_monitor,
                           dissipation_terms, growth_fit, make_record,
                           state_gevrey_norm)
-from .dynamics import (VBIntegrator, dissipation_phase, evolve, linear_symbols,
-                       norm_inflation_experiment)
+from .dynamics import (SYMBOL_VARIANTS, VBIntegrator, dissipation_phase, evolve,
+                       linear_symbols, norm_inflation_experiment)
 from .partition import nl_partition_check, partition_exactness_sample
 from .resonance import ChainConfig, chain_handoff_trajectory, chain_sweep_fit, chain_total_growth
 from .spectral import Grid, l2_norm, random_hermitian_coeffs
@@ -47,7 +47,7 @@ class ExperimentConfig:
         "rho": 0.004, "lam0": 1.1, "s": 0.6, "N": 5, "alpha": 1.0,
         "c0": 0.05, "eps": 1e-3})
     evolution: dict = field(default_factory=lambda: {
-        "dt": 0.02, "t_end": 50.0, "form": "vb", "nu": 0.0, "kappa": 0.0,
+        "dt": 0.02, "t_end": 50.0, "nu": 0.0, "kappa": 0.0,
         "symbol_variant": "derived"})
     initial: dict = field(default_factory=lambda: {
         "kind": "gevrey_random", "seed": 7, "eps": 1e-3, "lam1": 1.2,
@@ -102,8 +102,10 @@ class ExperimentConfig:
         ev = self.evolution
         if ev["dt"] <= 0 or ev["t_end"] < 0:
             raise ConfigError("evolution.dt must be > 0 and t_end >= 0")
-        if ev.get("form", "vb") not in ("vb", "ptilde"):
-            raise ConfigError("evolution.form must be vb or ptilde")
+        if ev["symbol_variant"] not in SYMBOL_VARIANTS:
+            raise ConfigError(f"evolution.symbol_variant must be one of {SYMBOL_VARIANTS}")
+        if ev["symbol_variant"] != "derived" and self.experiment != "norm_inflation":
+            raise ConfigError("evolution.symbol_variant is read only by norm_inflation")
         if self.initial["kind"] not in ("gevrey_random", "single_mode", "file"):
             raise ConfigError("initial.kind must be gevrey_random, single_mode or file")
         if self.experiment in ("nonlinear_ideal", "dissipative", "norm_inflation"):
@@ -403,7 +405,7 @@ def run_norm_inflation(config: ExperimentConfig, outdir: str):
         state0, params.alpha, params.c0, float(config.initial["eps"]),
         float(ev["t_end"]), dt=float(ev["dt"]),
         sample_dt=float(config.monitor["sample_dt"]),
-        symbol_variant=ev.get("symbol_variant", "derived"))
+        symbol_variant=ev["symbol_variant"])
     cols = list(rows[0].keys())
     return [[r[c] for c in cols] for r in rows], {"columns": cols, **summary}
 

@@ -71,15 +71,10 @@ def omega_rem_nominal(k, eta, l, xi):
 def _pairing_fft(grid: Grid, A: np.ndarray, a1, a2, a3, t: float,
                  ws: ProductWorkspace) -> float:
     """(1/Ly) Re <A a1, A(a2.grad_t a3) - a2.grad_t(A a3)> via transforms."""
-    sym = shear_symbols(grid, t)
-    a2p = [ws.phys(a2[0]), ws.phys(a2[1])]
+    adv = ws.advect(shear_symbols(grid, t), a2, np.concatenate([a3, A * a3]))
     total = 0.0
     for j in (0, 1):
-        adv = ws.spec(a2p[0] * ws.phys(sym.ikx * a3[j])
-                      + a2p[1] * ws.phys(sym.idyt * a3[j]))
-        adv_w = ws.spec(a2p[0] * ws.phys(sym.ikx * (A * a3[j]))
-                        + a2p[1] * ws.phys(sym.idyt * (A * a3[j])))
-        total += float(np.sum((np.conj(A * a1[j]) * (A * adv - adv_w)).real))
+        total += float(np.sum((np.conj(A * a1[j]) * (A * adv[j] - adv[2 + j])).real))
     return total / grid.Ly
 
 
@@ -117,11 +112,9 @@ def _pairing_direct(grid: Grid, A: np.ndarray, a1, a2, a3, t: float):
             if not np.any(valid):
                 continue
             j2 = dn % grid.Ny
-            u_mid = (etas[:, None] - xis[None, :]) - dk * t
             labels = omega_labels(k, etas[:, None], l, xis[None, :])
             a2mid = [a2[c][i2, j2] for c in (0, 1)]
             dot = a2mid[0] * (1j * l) + a2mid[1] * (1j * (xis[None, :] - l * t))
-            del u_mid
             wdiff = Ak[:, None] - Al[None, :]
             for j in (0, 1):
                 summand = (left[j][:, None] * wdiff * dot

@@ -12,16 +12,22 @@ Conventions used throughout the package:
   i.e. ``phys = Nx*Ny * ifft2(coeffs)`` and ``coeffs = fft2(phys)/(Nx*Ny)``;
 * quadratic products are evaluated on a zero-padded grid (>= 3/2 rule per
   axis) so that the retained modes carry the exact convolution, then
-  truncated by the 2/3-rule mask |k| <= Nx/3, |eta*Ly| <= Ny/3;
+  truncated by the 2/3-rule mask |k| <= Nx/3, |eta*Ly| <= Ny/3; the one
+  padded advection kernel, :meth:`ProductWorkspace.advect`, serves the
+  solver, the energy identity and the partition check;
 * weighted norms are discretizations of sum_k integral d(eta):
   ``norm(f)^2 = (1/Ly) * sum_{k,eta} w(k,eta)^2 |fhat|^2``.
 
 Shear-frame derivative symbols: d_x -> i k, d_y^t -> i(eta - k t),
 Lambda_t = sqrt(k^2 + (eta - k t)^2), Delta_t^{-1} -> -1/Lambda_t^2.
+:func:`shear_symbols` keeps the tables of the last two (grid, t) pairs, which
+covers the stage times t, t + h/2, t + h of one Lawson-RK4 step; the tables
+are read-only because every caller shares them.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,8 +107,11 @@ class ShearSymbols:
         object.__setattr__(self, "lam2", lam2)
         object.__setattr__(self, "lam", np.sqrt(lam2))
         object.__setattr__(self, "inv_lap", inv)
+        for name in ("u", "ikx", "idyt", "lam2", "lam", "inv_lap"):
+            getattr(self, name).flags.writeable = False
 
 
+@functools.lru_cache(maxsize=2)
 def shear_symbols(grid: Grid, t: float) -> ShearSymbols:
     return ShearSymbols(grid, float(t))
 
@@ -210,6 +219,16 @@ class ProductWorkspace:
         if mask:
             c *= self.grid.dealias_keep
         return c
+
+    def advect(self, sym: ShearSymbols, a: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Dealiased (a . grad_t) c, at the time of ``sym``, for every table of c.
+
+        ``a`` is a vector table (2, Nx, Ny) and ``c`` any stack (n, Nx, Ny);
+        the cost is 2 + 2n inverse and n forward transforms.
+        """
+        a1, a2 = self.phys(a[0]), self.phys(a[1])
+        return np.stack([self.spec(a1 * self.phys(sym.ikx * ci)
+                                   + a2 * self.phys(sym.idyt * ci)) for ci in c])
 
 
 def nonlinear_product(f: SpectralField, g: SpectralField) -> SpectralField:

@@ -5,10 +5,11 @@ from shearmhd.dynamics import (EvolutionConfig, LinearModeSystem,
                                NumericalAbort, PtildeIntegrator, VBIntegrator,
                                dissipation_phase, evolve, lawson_rk4_step,
                                linear_mode_propagate, linear_symbols,
-                               propagate_linear_grid, route_equivalence_run,
-                               step)
+                               propagate_linear_grid, quadratic_terms,
+                               route_equivalence_run, step)
 from shearmhd.experiments import dissipative_decay_check, gevrey_random_data
-from shearmhd.spectral import Grid, hermitian_defect, shear_symbols
+from shearmhd.spectral import (Grid, ProductWorkspace, convolution_direct,
+                               hermitian_defect, shear_symbols)
 from shearmhd.unknowns import MHDState, divergence_residual, state_to_tailored
 from shearmhd.weights import WeightParams
 
@@ -62,11 +63,38 @@ class TestRhsVB:
             assert hermitian_defect(c) <= 1e-12
 
 
+class TestQuadraticTerms:
+    def test_matches_direct_convolution(self):
+        # independent of the transforms and of ShearSymbols:
+        # (a.grad_t) c = conv(a1, ik c) + conv(a2, i(eta - kt) c), masked
+        g, t = Grid(12, 12, 1.0), 0.7
+        st = gevrey_random_data(g, PAR, seed=5, eps=1e-3, lam1=1.5)
+        v, b = st.v, st.b
+        ik = 1j * g.K * np.ones(g.shape)
+        idy = 1j * (g.ETA - g.K * t)
+
+        def advect(a, c):
+            return np.stack([(convolution_direct(g, a[0], ik * ci)
+                              + convolution_direct(g, a[1], idy * ci)) * g.dealias_keep
+                             for ci in c])
+
+        nlv, nlb = quadratic_terms(g, v, b, t, ProductWorkspace(g))
+        for got, ref in ((nlv, advect(b, b) - advect(v, v)),
+                         (nlb, advect(b, v) - advect(v, b))):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_no_induction_without_b(self):
+        st = small_state(16, seed=2)
+        _, nlb = quadratic_terms(st.grid, st.v, 0.0 * st.b, 0.3,
+                                 ProductWorkspace(st.grid))
+        assert np.all(nlb == 0.0)
+
+
 class TestStepAPI:
     def test_zero_state_fixed(self, grid16):
         st = MHDState(grid16, np.zeros((2, 16, 16), complex),
                       np.zeros((2, 16, 16), complex), 0.0)
-        cfg = EvolutionConfig(dt=0.1, t_end=0.1)
+        cfg = EvolutionConfig(dt=0.1)
         out = step(st, cfg, alpha=1.0)
         assert out.t == 0.1
         assert np.all(out.v == 0) and np.all(out.b == 0)

@@ -48,6 +48,26 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"experiment": "dissipative"})
 
+    def test_symbol_variant_validated(self):
+        with pytest.raises(ConfigError, match="symbol_variant"):
+            ExperimentConfig.from_dict({"experiment": "norm_inflation",
+                                        "evolution": {"symbol_variant": "bogus"}})
+        cfg = ExperimentConfig.from_dict({"experiment": "norm_inflation",
+                                          "evolution": {"symbol_variant": "mixed"}})
+        assert cfg.evolution["symbol_variant"] == "mixed"
+
+    def test_symbol_variant_only_for_norm_inflation(self):
+        # every other experiment ignores the key, so a non-default value is refused
+        for exp in ("nonlinear_ideal", "linear_modes", "nl_partition"):
+            with pytest.raises(ConfigError, match="norm_inflation"):
+                ExperimentConfig.from_dict({"experiment": exp,
+                                            "evolution": {"symbol_variant": "flipped"}})
+
+    def test_evolution_form_rejected(self):
+        # every trajectory runner uses the vb integrator; the key is not accepted
+        with pytest.raises(ConfigError, match="unknown"):
+            ExperimentConfig.from_dict({"evolution": {"form": "ptilde"}})
+
 
 class TestInitialData:
     def test_gevrey_norm_exact(self):

@@ -186,3 +186,15 @@ class TestShearSymbols:
         assert sym.inv_lap[0, 0] == 0.0
         nz = sym.lam2 > 0
         assert np.allclose(sym.inv_lap[nz], -1.0 / sym.lam2[nz])
+
+    def test_cached_per_grid_and_time(self, grid16):
+        sym = shear_symbols(grid16, 0.7)
+        assert shear_symbols(Grid(16, 16, 1.0), 0.7) is sym
+        assert shear_symbols(grid16, 0.8) is not sym
+
+    def test_tables_read_only(self, grid16):
+        sym = shear_symbols(grid16, 0.7)
+        with pytest.raises(ValueError):
+            sym.u[1, 1] = 0.0
+        with pytest.raises(ValueError):
+            sym.ikx *= 2.0
