@@ -9,9 +9,9 @@ from .weights import (WeightParams, a_multiplier, j_value, jtilde_value,
 from .unknowns import (MHDState, TailoredState, curl_t, from_ptilde,
                        leray_project_t, to_p, to_ptilde, to_vtilde,
                        vorticity_current_norms)
-from .dynamics import (EvolutionConfig, LinearModeSystem, NumericalAbort,
-                       PtildeIntegrator, VBIntegrator, linear_mode_propagate,
-                       norm_inflation_experiment, route_equivalence_run, step)
+from .dynamics import (LinearModeSystem, NumericalAbort, PtildeIntegrator,
+                       VBIntegrator, linear_mode_propagate,
+                       norm_inflation_experiment, route_equivalence_run)
 from .resonance import (ChainConfig, chain_step_amplification,
                         chain_total_growth, integrate_two_mode,
                         qpm_closed_form)

@@ -211,16 +211,16 @@ def _pair(grid: Grid, x, y) -> float:
     return s / grid.Ly
 
 
-def identity_sides(ts: TailoredState, params: WeightParams, alpha: float,
+def identity_sides(ts: TailoredState, mset: MultiplierSet, alpha: float,
                    symbol_variant: str = "derived", ws: ProductWorkspace | None = None):
     """All analytic terms of the energy identity at the state's time.
 
-    Returns a dict with the left-side weight terms (lam_term, q_term, m_term)
-    and the right-side pairings (L_pair, NL, ONL); the identity reads
+    ``mset`` holds the multipliers at that time.  Returns a dict with the
+    left-side weight terms (lam_term, q_term, m_term) and the right-side
+    pairings (L_pair, NL, ONL); the identity reads
     dE/dt = -2*(lam_term + q_term + m_term) + 2*(L_pair + NL + ONL).
     """
-    g, t = ts.grid, ts.t
-    mset = MultiplierSet(g, t, params)
+    g, t, params = ts.grid, ts.t, mset.params
     if float(np.max(mset.log_A)) > 300.0:
         raise OverflowError("weights too large for direct pairing; reduce lam0/rho")
     if ws is None:
@@ -288,43 +288,37 @@ def energy_identity_residuals(ts0: TailoredState, params: WeightParams,
                               stride: int = 5, symbol_variant: str = "derived"):
     """Evolve the tailored form and measure the identity residual.
 
-    E is sampled every ``stride`` steps and differentiated with the 4th-order
-    5-point centered stencil; stencil windows containing a q branch corner of
-    any grid eta are skipped (E is only piecewise smooth there).  Returns the
-    list of (t, residual) pairs; residuals are relative to the identity scale.
+    E is sampled every ``stride`` fixed steps (at t0 + m * stride * dt) and
+    differentiated with the 4th-order 5-point centered stencil; stencil
+    windows containing a q branch corner of any grid eta are skipped (E is
+    only piecewise smooth there).  Returns the list of (t, residual) pairs;
+    residuals are relative to the identity scale.
     """
     from .dynamics import PtildeIntegrator, evolve
 
     g = ts0.grid
     integ = PtildeIntegrator(g, alpha, symbol_variant=symbol_variant)
-    ws = integ.ws
     samples = []
-
-    def cb(t, Y):
-        samples.append((t, integ.unpack(Y, t)))
-
-    evolve(integ, integ.pack(ts0), ts0.t, t_end, dt=dt, fixed_dt=True,
-           callback=cb, callback_every=stride)
     h = stride * dt
-    energies = []
-    for t, st in samples:
-        mset = MultiplierSet(g, t, params)
-        E, _ = energy_E(st, mset)
-        energies.append(E)
+    evolve(integ, integ.pack(ts0), ts0.t, t_end, dt=dt, cfl=None, sample_dt=h,
+           callback=lambda t, Y: samples.append((t, integ.unpack(Y, t))))
     corners = q_corner_times(g, t_end + h)
+    energies, terms = [], {}
+    for i, (t, st) in enumerate(samples):
+        mset = MultiplierSet(g, t, params)
+        energies.append(energy_E(st, mset)[0])
+        if 2 <= i < len(samples) - 2 and not np.any(
+                (corners > t - 2.5 * h) & (corners < t + 2.5 * h)):
+            terms[i] = identity_sides(st, mset, alpha, symbol_variant, integ.ws)
     out = []
-    for i in range(2, len(samples) - 2):
-        t_i = samples[i][0]
-        if corners.size and np.any((corners > t_i - 2.5 * h) & (corners < t_i + 2.5 * h)):
-            continue
+    for i, tm in terms.items():
         dE = (-energies[i + 2] + 8 * energies[i + 1]
               - 8 * energies[i - 1] + energies[i - 2]) / (12 * h)
-        terms = identity_sides(samples[i][1], params, alpha, symbol_variant, ws)
-        lhs = dE + 2 * (terms["lam_term"] + terms["q_term"] + terms["m_term"])
-        rhs = 2 * (terms["L_pair"] + terms["NL"] + terms["ONL"])
-        scale = max(abs(dE), 2 * abs(terms["lam_term"]) + 2 * abs(terms["q_term"])
-                    + 2 * abs(terms["m_term"]), abs(rhs), 1e-300)
-        out.append((t_i, abs(lhs - rhs) / scale))
+        lhs = dE + 2 * (tm["lam_term"] + tm["q_term"] + tm["m_term"])
+        rhs = 2 * (tm["L_pair"] + tm["NL"] + tm["ONL"])
+        scale = max(abs(dE), 2 * abs(tm["lam_term"]) + 2 * abs(tm["q_term"])
+                    + 2 * abs(tm["m_term"]), abs(rhs), 1e-300)
+        out.append((samples[i][0], abs(lhs - rhs) / scale))
     return out
 
 

@@ -26,9 +26,10 @@ padded advection kernel :meth:`ProductWorkspace.advect`.
 shear coefficient k u / Lambda_t^2, are written; the ptilde right-hand side,
 the per-mode systems, the energy identity and the DOP853 oracle all take
 them from there.  Both integrators share one skeleton
-(:class:`LawsonIntegrator`), and the grid-wide linear reference
-:func:`propagate_linear_grid` is a linear-only ptilde integrator advanced by
-the same :func:`lawson_rk4_step`.
+(:class:`LawsonIntegrator`), and :func:`evolve` is the one marching loop:
+every run, the grid-wide linear reference :func:`propagate_linear_grid` (a
+linear-only ptilde integrator) and the dissipative decay check step through
+it, and it samples on the time grid t0 + m * sample_dt.
 
 Dissipation nu*Delta_t / kappa*Delta_t is integrated exactly through
 per-mode integrating factors exp(-nu * int Lambda_t^2 dt) inside a Lawson
@@ -57,28 +58,6 @@ class NumericalAbort(RuntimeError):
     def __init__(self, t_last: float):
         super().__init__(f"non-finite state detected; last good time t = {t_last:.6g}")
         self.t_last = t_last
-
-
-@dataclass
-class EvolutionConfig:
-    """Settings of :func:`step`, one fixed step of ``dt`` in ``form``."""
-
-    dt: float = 0.02
-    form: str = "vb"  # or "ptilde"
-    nu: float = 0.0
-    kappa: float = 0.0
-    linear_only: bool = False
-    symbol_variant: str = "derived"
-
-    def __post_init__(self):
-        if self.form not in ("vb", "ptilde"):
-            raise ValueError("form must be 'vb' or 'ptilde'")
-        if self.symbol_variant not in SYMBOL_VARIANTS:
-            raise ValueError(f"symbol_variant must be one of {SYMBOL_VARIANTS}")
-        if self.nu < 0 or self.kappa < 0:
-            raise ValueError("nu, kappa must be nonnegative")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
 
 
 def dissipation_phase(grid: Grid, t0: float, t1: float) -> np.ndarray:
@@ -158,6 +137,8 @@ class LawsonIntegrator:
         self.kappa = kappa
         self.linear_only = linear_only
         self.ws = ProductWorkspace(grid)
+        self.keep = grid.dealias_keep & ~grid.nyquist
+        self.keep[0, 0] = False
 
     def decay_factors(self, t0: float, h: float):
         """(e_half, e_full / e_half, e_full) over [t0, t0 + h], or None if ideal."""
@@ -177,16 +158,8 @@ class LawsonIntegrator:
         return max(float(np.sum(np.abs(Y[i]))) for i in range(Y.shape[0]))
 
     def _clean_tables(self, Y: np.ndarray) -> np.ndarray:
-        """Hermitian-symmetrize each channel; zero Nyquist, dealiased and (0, 0) modes."""
-        g = self.grid
-        out = np.empty_like(Y)
-        for i, c in enumerate(Y):
-            c = 0.5 * (c + conj_flip(c))
-            c[g.nyquist] = 0.0
-            c[~g.dealias_keep] = 0.0
-            c[0, 0] = 0.0
-            out[i] = c
-        return out
+        """Hermitian-symmetrize every channel; zero Nyquist, dealiased and (0, 0) modes."""
+        return 0.5 * (Y + conj_flip(Y)) * self.keep
 
 
 class VBIntegrator(LawsonIntegrator):
@@ -320,50 +293,41 @@ def cfl_dt(integ, Y: np.ndarray, t: float, cfl: float = 0.5) -> float:
     return cfl / (abs(integ.alpha) * kmax + umax * symmax + 1e-30)
 
 
-def evolve(integ, Y0: np.ndarray, t0: float, t_end: float,
-           dt: float = 0.02, fixed_dt: bool = False, cfl: float = 0.5,
-           callback=None, callback_every: int = 1):
-    """March Y from t0 to t_end; returns (t, Y).
+def evolve(integ, Y0: np.ndarray, t0: float, t_end: float, dt: float = 0.02,
+           cfl: float | None = 0.5, callback=None, sample_dt: float | None = None):
+    """March Y from t0 to t_end; returns (t, Y) at t = t_end.
 
-    ``callback(t, Y)`` fires at t0, then after every ``callback_every``-th
-    accepted step, and at t_end.  With ``fixed_dt`` the step is exactly
-    ``dt`` (final step shortened to land on t_end); otherwise the step also
-    respects the CFL limit of the current state.
+    The sample times are t0 + m * ``sample_dt`` below t_end, then t_end
+    (only t_end when ``sample_dt`` is None); ``callback(t, Y)`` fires at t0
+    and at every sample time, with t exactly that time.  No step crosses a
+    sample time.  With ``cfl=None`` each interval between samples takes
+    ceil(length / dt) uniform steps; otherwise a step is ``dt``, also held
+    to the CFL limit of the current state, and a step clipped by the next
+    sample time lands on it exactly.
     """
     t, Y = float(t0), Y0.copy()
     if callback is not None:
         callback(t, Y)
-    steps = 0
-    while t < t_end - 1e-12:
-        h = dt if fixed_dt else min(dt, cfl_dt(integ, Y, t, cfl))
-        h = min(h, t_end - t)
-        Y = lawson_rk4_step(integ, Y, t, h)
-        t += h
-        Y = integ.cleanup(Y, t)
-        steps += 1
-        if not np.isfinite(Y.view(float)).all():
-            raise NumericalAbort(t - h)
-        if callback is not None and (steps % callback_every == 0 or t >= t_end - 1e-12):
+    # the 1e-9 relative slack keeps a span of exactly m samples (or steps) at m
+    m_end = 1 if sample_dt is None else int(np.ceil((t_end - t) / sample_dt * (1 - 1e-9)))
+    marks = [t + m * sample_dt for m in range(1, m_end)] + [float(t_end)]
+    for t_b in (marks if t_end > t else []):
+        t_a, i = t, 0
+        n = int(np.ceil((t_b - t_a) / dt * (1 - 1e-9)))
+        while t < t_b:
+            if cfl is None:
+                i += 1
+                t_next = t_b if i == n else t_a + i * (t_b - t_a) / n
+            else:
+                h = min(dt, cfl_dt(integ, Y, t, cfl))
+                t_next = t_b if t + h * (1 + 1e-9) >= t_b else t + h
+            Y = integ.cleanup(lawson_rk4_step(integ, Y, t, t_next - t), t_next)
+            if not np.isfinite(Y.view(float)).all():
+                raise NumericalAbort(t)
+            t = t_next
+        if callback is not None:
             callback(t, Y)
     return t, Y
-
-
-def step(state, config: EvolutionConfig, alpha: float):
-    """Advance a state by one config.dt step in the configured form."""
-    if config.form == "vb":
-        if not isinstance(state, MHDState):
-            raise TypeError("vb form expects an MHDState")
-        integ = VBIntegrator(state.grid, alpha, config.nu, config.kappa,
-                             config.linear_only)
-    else:
-        if not isinstance(state, TailoredState):
-            raise TypeError("ptilde form expects a TailoredState")
-        integ = PtildeIntegrator(state.grid, alpha, config.nu, config.kappa,
-                                 config.linear_only, config.symbol_variant)
-    Y = integ.pack(state)
-    t1, Y1 = evolve(integ, Y, state.t, state.t + config.dt, dt=config.dt,
-                    fixed_dt=True)
-    return integ.unpack(Y1, t1)
 
 
 # ---------------------------------------------------------------------------
@@ -432,19 +396,13 @@ def propagate_linear_grid(grid: Grid, Y0: np.ndarray, t0: float, t1: float,
                           dt: float = 0.004) -> np.ndarray:
     """Ideal linear ptilde flow of a whole (2, Nx, Ny) table from t0 to t1.
 
-    n = ceil((t1 - t0) / dt) uniform classical RK4 steps of a linear-only
-    :class:`PtildeIntegrator`; k = 0 rows are held fixed (they evolve
-    trivially in the linear system).
+    ceil((t1 - t0) / dt) uniform classical RK4 steps of a linear-only
+    :class:`PtildeIntegrator` through :func:`evolve`, so the table gets the
+    real-field cleanup after every step (k = 0 rows stay zero).
     """
     integ = PtildeIntegrator(grid, alpha, linear_only=True,
                              symbol_variant=symbol_variant)
-    n = max(1, int(np.ceil((t1 - t0) / dt)))
-    h = (t1 - t0) / n
-    Y, t = Y0, t0
-    for _ in range(n):
-        Y = lawson_rk4_step(integ, Y, t, h)
-        t += h
-    return Y
+    return evolve(integ, Y0, t0, t1, dt=dt, cfl=None)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +411,8 @@ def propagate_linear_grid(grid: Grid, Y0: np.ndarray, t0: float, t1: float,
 
 def norm_inflation_experiment(state0: MHDState, alpha: float, c0: float,
                               eps: float, t_end: float, dt: float = 0.02,
-                              sample_dt: float = 0.5, linear_only: bool = False,
-                              symbol_variant: str = "derived",
-                              lin_dt: float = 0.004):
+                              sample_dt: float = 0.5,
+                              symbol_variant: str = "derived"):
     """Co-evolve the full solution and the per-mode linear ptilde flow.
 
     Returns (rows, summary): rows carry per-sample norms and ratios, the
@@ -468,7 +425,7 @@ def norm_inflation_experiment(state0: MHDState, alpha: float, c0: float,
     if pt_in_l2 == 0:
         raise ValueError("initial tailored state vanishes")
 
-    integ = VBIntegrator(g, alpha, linear_only=linear_only)
+    integ = VBIntegrator(g, alpha)
     Y = integ.pack(state0)
     c1 = float(np.exp(np.pi / (2.0 * abs(alpha))))
     rows = []
@@ -477,7 +434,7 @@ def norm_inflation_experiment(state0: MHDState, alpha: float, c0: float,
     def sample(t, Yc):
         if t > state["t_lin"]:
             state["lin"] = propagate_linear_grid(g, state["lin"], state["t_lin"], t,
-                                                 alpha, symbol_variant, dt=lin_dt)
+                                                 alpha, symbol_variant)
             state["t_lin"] = t
         st = integ.unpack(Yc, t)
         ts = state_to_tailored(st, alpha)
@@ -503,8 +460,7 @@ def norm_inflation_experiment(state0: MHDState, alpha: float, c0: float,
             "wj_over_t": wj / np.hypot(1.0, t),
         })
 
-    n_cb = max(1, int(round(sample_dt / dt)))
-    evolve(integ, Y, state0.t, t_end, dt=dt, callback=sample, callback_every=n_cb)
+    evolve(integ, Y, state0.t, t_end, dt=dt, callback=sample, sample_dt=sample_dt)
 
     ratios = np.array([r["ratio_l2"] for r in rows])
     lin_ratios = np.array([r["ratio_lin_l2"] for r in rows])
@@ -535,9 +491,9 @@ def route_equivalence_run(state0: MHDState, alpha: float, t_end: float,
     g = state0.grid
     vb = VBIntegrator(g, alpha, nu, kappa)
     pt = PtildeIntegrator(g, alpha, nu, kappa, symbol_variant=symbol_variant)
-    _, Yvb = evolve(vb, vb.pack(state0), state0.t, t_end, dt=dt, fixed_dt=True)
+    _, Yvb = evolve(vb, vb.pack(state0), state0.t, t_end, dt=dt, cfl=None)
     ts0 = state_to_tailored(state0, alpha)
-    _, Ypt = evolve(pt, pt.pack(ts0), state0.t, t_end, dt=dt, fixed_dt=True)
+    _, Ypt = evolve(pt, pt.pack(ts0), state0.t, t_end, dt=dt, cfl=None)
 
     st_vb = vb.unpack(Yvb, t_end)
     ts_vb = state_to_tailored(st_vb, alpha)

@@ -135,11 +135,8 @@ class SpectralField:
 
 
 def conj_flip(coeffs: np.ndarray) -> np.ndarray:
-    """conj(f)(-k,-eta), the Hermitian partner table."""
-    out = np.conj(coeffs[::-1, ::-1])
-    out = np.roll(out, 1, axis=0)
-    out = np.roll(out, 1, axis=1)
-    return out
+    """conj(f)(-k,-eta), the Hermitian partner of each table on the last two axes."""
+    return np.roll(np.conj(coeffs[..., ::-1, ::-1]), (1, 1), axis=(-2, -1))
 
 
 def hermitian_defect(coeffs: np.ndarray) -> float:

@@ -165,7 +165,8 @@ class TestEnergyIdentity:
         st = gevrey_random_data(grid32, small_params, 11, 1e-3, 1.5)
         st.t = 1.8
         ts = state_to_tailored(st, small_params.alpha)
-        terms = identity_sides(ts, small_params, small_params.alpha)
+        terms = identity_sides(ts, MultiplierSet(grid32, st.t, small_params),
+                               small_params.alpha)
         for key in ("lam_term", "m_term", "L_pair", "NL"):
             assert terms[key] != 0.0
 
@@ -186,7 +187,7 @@ class TestEnergyIdentity:
         ts = TailoredState(grid16, np.zeros((2, 16, 16), complex),
                            np.zeros(16, complex), np.zeros(16, complex), 0.0)
         with pytest.raises(OverflowError):
-            identity_sides(ts, big, 1.0)
+            identity_sides(ts, MultiplierSet(grid16, 0.0, big), 1.0)
 
 
 class TestDissipationTerms:

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from shearmhd.dynamics import (EvolutionConfig, LinearModeSystem,
-                               NumericalAbort, PtildeIntegrator, VBIntegrator,
+from shearmhd import dynamics
+from shearmhd.dynamics import (LinearModeSystem, NumericalAbort,
+                               PtildeIntegrator, VBIntegrator, cfl_dt,
                                dissipation_phase, evolve, lawson_rk4_step,
                                linear_mode_propagate, linear_symbols,
                                propagate_linear_grid, quadratic_terms,
-                               route_equivalence_run, step)
+                               route_equivalence_run)
 from shearmhd.experiments import dissipative_decay_check, gevrey_random_data
 from shearmhd.spectral import (Grid, ProductWorkspace, convolution_direct,
                                hermitian_defect, shear_symbols)
@@ -50,14 +51,14 @@ class TestRhsVB:
     def test_divergence_preserved(self):
         st = small_state(16, seed=3, eps=1e-2)
         integ = VBIntegrator(st.grid, 1.0)
-        _, Y = evolve(integ, integ.pack(st), 0.0, 1.0, dt=0.02, fixed_dt=True)
+        _, Y = evolve(integ, integ.pack(st), 0.0, 1.0, dt=0.02, cfl=None)
         out = integ.unpack(Y, 1.0)
         assert divergence_residual(out) <= 1e-9
 
     def test_mean_and_hermitian_preserved(self):
         st = small_state(16, seed=4, eps=1e-2)
         integ = VBIntegrator(st.grid, 1.0)
-        _, Y = evolve(integ, integ.pack(st), 0.0, 1.0, dt=0.02, fixed_dt=True)
+        _, Y = evolve(integ, integ.pack(st), 0.0, 1.0, dt=0.02, cfl=None)
         for c in Y:
             assert c[0, 0] == 0.0
             assert hermitian_defect(c) <= 1e-12
@@ -92,26 +93,11 @@ class TestQuadraticTerms:
 
 class TestStepAPI:
     def test_zero_state_fixed(self, grid16):
-        st = MHDState(grid16, np.zeros((2, 16, 16), complex),
-                      np.zeros((2, 16, 16), complex), 0.0)
-        cfg = EvolutionConfig(dt=0.1)
-        out = step(st, cfg, alpha=1.0)
-        assert out.t == 0.1
-        assert np.all(out.v == 0) and np.all(out.b == 0)
-
-    def test_form_mismatch(self, grid16):
-        st = MHDState(grid16, np.zeros((2, 16, 16), complex),
-                      np.zeros((2, 16, 16), complex), 0.0)
-        with pytest.raises(TypeError):
-            step(st, EvolutionConfig(form="ptilde"), alpha=1.0)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            EvolutionConfig(form="bogus")
-        with pytest.raises(ValueError):
-            EvolutionConfig(symbol_variant="nope")
-        with pytest.raises(ValueError):
-            EvolutionConfig(nu=-1.0)
+        integ = VBIntegrator(grid16, 1.0)
+        t, Y = evolve(integ, np.zeros((4, 16, 16), complex), 0.0, 0.1, dt=0.1,
+                      cfl=None)
+        assert t == 0.1
+        assert np.all(Y == 0)
 
     def test_nan_abort(self, grid16):
         st = MHDState(grid16, np.zeros((2, 16, 16), complex),
@@ -121,6 +107,57 @@ class TestStepAPI:
         integ = VBIntegrator(grid16, 1.0)
         with pytest.raises(NumericalAbort):
             evolve(integ, integ.pack(st), 0.0, 0.2, dt=0.1)
+
+
+def record_run(monkeypatch, integ, Y0, t_end, **kwargs):
+    """Callback times and step sizes of one evolve run from t = 0."""
+    steps, times = [], []
+
+    def stepping(integ, Y, t, h):
+        steps.append(h)
+        return lawson_rk4_step(integ, Y, t, h)
+
+    monkeypatch.setattr(dynamics, "lawson_rk4_step", stepping)
+    evolve(integ, Y0, 0.0, t_end, callback=lambda t, Y: times.append(t), **kwargs)
+    return times, steps
+
+
+class TestTimeGrid:
+    def test_cfl_shortened_run_samples_on_grid(self, monkeypatch):
+        # l1 amplitude about 0.37: the CFL limit falls from 0.069 to 0.054
+        st = small_state(16, seed=3, eps=0.5)
+        integ = VBIntegrator(st.grid, 1.0)
+        limits = []
+
+        def recording_cfl(*args):
+            limits.append(cfl_dt(*args))
+            return limits[-1]
+
+        monkeypatch.setattr(dynamics, "cfl_dt", recording_cfl)
+        times, steps = record_run(monkeypatch, integ, 20.0 * integ.pack(st), 1.0,
+                                  dt=0.08, sample_dt=0.3)
+        assert min(limits) < 0.08
+        assert times == [m * 0.3 for m in range(4)] + [1.0]
+        assert max(steps) <= 0.08
+
+    def test_fixed_steps_land_on_sample_times(self, monkeypatch, grid16):
+        integ = VBIntegrator(grid16, 1.0)
+        times, steps = record_run(monkeypatch, integ,
+                                  np.zeros((4, 16, 16), complex), 1.0,
+                                  dt=0.1, cfl=None, sample_dt=0.3)
+        assert times == [m * 0.3 for m in range(4)] + [1.0]
+        assert times == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0], abs=1e-15)
+        assert len(steps) == 10
+
+    def test_sample_dt_not_a_multiple_of_dt(self, monkeypatch, grid16):
+        # zero state and a small alpha keep the CFL limit above dt
+        integ = VBIntegrator(grid16, 0.1)
+        for cfl in (None, 0.5):
+            times, steps = record_run(monkeypatch, integ,
+                                      np.zeros((4, 16, 16), complex), 1.5,
+                                      dt=0.3, cfl=cfl, sample_dt=0.5)
+            assert times == [0.0, 0.5, 1.0, 1.5]
+            assert len(steps) == 6  # two steps per interval of 0.5
 
 
 class TestLinearModeSystem:
@@ -169,6 +206,7 @@ class TestLinearModeSystem:
     def test_grid_propagator_matches_scalar(self, grid16):
         p0 = np.zeros((2, 16, 16), complex)
         p0[0][2, 3] = 1.0 - 0.5j
+        p0[0][-2, -3] = 1.0 + 0.5j  # Hermitian partner: the table is a real field
         out = propagate_linear_grid(grid16, p0, 0.0, 4.0, 1.0, dt=0.001)
         sys = LinearModeSystem(2, grid16.eta[3], 1.0, "ptilde")
         ref = linear_mode_propagate(sys, [1.0 - 0.5j, 0.0], 0.0, 4.0, tol=1e-12)
@@ -236,7 +274,7 @@ class TestOrderOfAccuracy:
         integ = VBIntegrator(st.grid, 1.0)
         outs = []
         for dt in (0.02, 0.01, 0.005):
-            _, Y = evolve(integ, integ.pack(st), 0.0, 1.0, dt=dt, fixed_dt=True)
+            _, Y = evolve(integ, integ.pack(st), 0.0, 1.0, dt=dt, cfl=None)
             outs.append(Y)
         e1 = np.sqrt(np.sum(np.abs(outs[0] - outs[1]) ** 2))
         e2 = np.sqrt(np.sum(np.abs(outs[1] - outs[2]) ** 2))

@@ -63,6 +63,28 @@ class TestConfig:
                 ExperimentConfig.from_dict({"experiment": exp,
                                             "evolution": {"symbol_variant": "flipped"}})
 
+    def test_negative_dissipation_rejected(self):
+        with pytest.raises(ConfigError, match=">= 0"):
+            ExperimentConfig.from_dict({"experiment": "dissipative",
+                                        "evolution": {"nu": -1.0, "kappa": 1.0}})
+
+    def test_dissipation_only_for_dissipative(self):
+        # the ideal runners build ideal integrators, so nonzero nu is refused
+        for exp in ("nonlinear_ideal", "norm_inflation", "linear_modes"):
+            with pytest.raises(ConfigError, match="dissipative"):
+                ExperimentConfig.from_dict({"experiment": exp,
+                                            "evolution": {"nu": 0.3}})
+
+    def test_snapshots_only_for_trajectories(self):
+        with pytest.raises(ConfigError, match="snapshots"):
+            ExperimentConfig.from_dict({"experiment": "norm_inflation",
+                                        "output": {"snapshots": 5}})
+
+    def test_sample_dt_positive(self):
+        for bad in (0.0, -0.5):
+            with pytest.raises(ConfigError, match="sample_dt"):
+                ExperimentConfig.from_dict({"monitor": {"sample_dt": bad}})
+
     def test_evolution_form_rejected(self):
         # every trajectory runner uses the vb integrator; the key is not accepted
         with pytest.raises(ConfigError, match="unknown"):

@@ -49,7 +49,8 @@ def test_quadratic_terms(counts, state):
 
 def test_identity_sides(counts, state):
     state.t = 0.4
-    identity_sides(state_to_tailored(state, PAR.alpha), PAR, PAR.alpha)
+    identity_sides(state_to_tailored(state, PAR.alpha),
+                   MultiplierSet(state.grid, 0.4, PAR), PAR.alpha)
     assert 0 < counts["phys"] + counts["spec"] <= 44
 
 
