@@ -27,9 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import Grid, ProductWorkspace, shear_symbols, l2_norm
-from .unknowns import (MHDState, TailoredState, _inv_lambda, curl_t,
-                       hminus1_norm, ptilde_correction_symbol,
-                       tailored_to_state)
+from .unknowns import (MHDState, TailoredState, curl_t, hminus1_norm,
+                       perp_grad_t, ptilde_correction_symbol, tailored_to_state)
 from .weights import MultiplierSet, WeightParams
 from .dynamics import linear_symbols, quadratic_terms
 
@@ -247,7 +246,11 @@ def identity_sides(ts: TailoredState, mset: MultiplierSet, alpha: float,
     # right side: nonlinear pairings in commutator form
     st = tailored_to_state(ts, alpha)
     v, b = st.v, st.b
-    nlv, nlb = quadratic_terms(g, v, b, t, ws)
+    # the projected pair; every pairing below meets it only through fields
+    # that are divergence-free mode by mode, which the projection leaves alone
+    c, E = quadratic_terms(g, v, b, t, ws)
+    nlv = perp_grad_t(g, -sym.inv_lap * c, t)
+    nlb = perp_grad_t(g, E, t)
     Av, Ab = A * v, A * b
     adv_b = ws.advect(sym, b, np.concatenate([Ab, Av]))  # b.grad_t (Ab, Av)
     adv_v = ws.advect(sym, v, np.concatenate([Av, Ab]))  # v.grad_t (Av, Ab)
@@ -259,7 +262,7 @@ def identity_sides(ts: TailoredState, mset: MultiplierSet, alpha: float,
     nlv_neq = nlv.copy()
     nlv_neq[:, 0, :] = 0.0
     ONL1 = _pair(g, A * (corr * b), A * nlv_neq)
-    n2 = _inv_lambda(g, t) * curl_t(g, nlb, t)
+    n2 = sym.lam * E  # Lambda_t^{-1} curl_t(nlb)
     n2[0, :] = 0.0
     ONL2 = _pair(g, [A * pt1], [A * (corr * n2)])
     return {"lam_term": float(lam_term), "q_term": float(q_term),
@@ -291,15 +294,22 @@ def energy_identity_residuals(ts0: TailoredState, params: WeightParams,
     E is sampled every ``stride`` fixed steps (at t0 + m * stride * dt) and
     differentiated with the 4th-order 5-point centered stencil; stencil
     windows containing a q branch corner of any grid eta are skipped (E is
-    only piecewise smooth there).  Returns the list of (t, residual) pairs;
+    only piecewise smooth there).  t_end - t0 must be a whole multiple of
+    stride * dt (within the 1e-9 relative slack of :func:`evolve`), since a
+    shorter last interval would break the uniform stencil; otherwise
+    ``ValueError`` is raised.  Returns the list of (t, residual) pairs;
     residuals are relative to the identity scale.
     """
     from .dynamics import PtildeIntegrator, evolve
 
     g = ts0.grid
+    h = stride * dt
+    n = (t_end - ts0.t) / h
+    if abs(n - round(n)) > 1e-9 * abs(n):
+        raise ValueError(f"t_end - t0 = {t_end - ts0.t:.6g} is not a whole multiple "
+                         f"of stride * dt = {h:.6g}")
     integ = PtildeIntegrator(g, alpha, symbol_variant=symbol_variant)
     samples = []
-    h = stride * dt
     evolve(integ, integ.pack(ts0), ts0.t, t_end, dt=dt, cfl=None, sample_dt=h,
            callback=lambda t, Y: samples.append((t, integ.unpack(Y, t))))
     corners = q_corner_times(g, t_end + h)

@@ -3,8 +3,9 @@
 Two equivalent formulations are evolved:
 
 * ``vb``: the (v, b) system with the shear-coupling terms -v2*e1 / +b2*e1,
-  the alpha*d_x exchange, quadratic transport, the explicit linear pressure
-  2 d_x Delta_t^{-1} grad_t v2, and Leray projection of the quadratic terms.
+  the alpha*d_x exchange, quadratic transport, and the explicit linear
+  pressure 2 d_x Delta_t^{-1} grad_t v2; the quadratic terms enter already
+  projected, as perpendicular gradients of the curl-form scalars.
   In the sheared frame d/dt(div_t v) = div_t(dv/dt) - d_x v2, so the linear
   pair (-v2*e1 + pressure) must NOT be projected: it supplies exactly the
   +d_x v2 divergence that keeps div_t v = 0 along the flow.
@@ -18,9 +19,12 @@ Two equivalent formulations are evolved:
   Lambda_t^4)); only the derived default is route-equivalent with the vb
   form.
 
-Both forms take the quadratic terms from :func:`quadratic_terms`, which
-evaluates them in Elsasser variables z+- = v +- b as two calls of the one
-padded advection kernel :meth:`ProductWorkspace.advect`.
+Both forms take the quadratic terms from :func:`quadratic_terms` in curl
+form: the scalars c = b.grad_t j - v.grad_t w and E = v1 b2 - v2 b1 (w, j
+the sheared curls).  For divergence-free (v, b) the projected pair is
+(perp_grad_t(c / Lambda_t^2), perp_grad_t E), so the vb right-hand side
+needs no Leray projection, and the ptilde forcings are Lambda_t^{-1} c and
+Lambda_t E.
 
 :func:`linear_symbols` is the one place these symbols, and the p-system
 shear coefficient k u / Lambda_t^2, are written; the ptilde right-hand side,
@@ -46,8 +50,9 @@ from scipy.integrate import solve_ivp
 
 from .spectral import Grid, ProductWorkspace, conj_flip, l2_norm, shear_symbols
 from .unknowns import (MHDState, TailoredState, _inv_lambda, curl_t,
-                       hminus1_norm, leray_project_t, ptilde_correction_symbol,
-                       state_to_tailored, tailored_to_state)
+                       hminus1_norm, leray_project_t, perp_grad_t,
+                       ptilde_correction_symbol, state_to_tailored,
+                       tailored_to_state)
 
 SYMBOL_VARIANTS = ("derived", "mixed", "flipped")
 
@@ -100,17 +105,20 @@ def linear_symbols(k, u, alpha: float, variant: str = "derived"):
 
 def quadratic_terms(grid: Grid, v: np.ndarray, b: np.ndarray, t: float,
                     ws: ProductWorkspace):
-    """Dealiased (b.grad_t b - v.grad_t v, b.grad_t v - v.grad_t b).
+    """Dealiased curl-form scalars (c, E) of a divergence-free pair (v, b).
 
-    Elsasser form: with z+- = v +- b, A = z+.grad_t z- and B = z-.grad_t z+
-    give nl_v = -(A + B)/2 and nl_b = (A - B)/2 (12 inverse and 4 forward
-    transforms; nl_b is exactly 0 when b = 0).
+    c = b.grad_t j - v.grad_t w, with w, j the sheared curls of v, b, is the
+    curl of b.grad_t b - v.grad_t v; E = v1 b2 - v2 b1 is the out-of-plane
+    v x b, whose perpendicular gradient is b.grad_t v - v.grad_t b.  The
+    projected pair is therefore (perp_grad_t(c / Lambda_t^2), perp_grad_t E).
+    One inverse transform of 8 tables and one forward of 2; E is exactly 0
+    when b = 0.
     """
     sym = shear_symbols(grid, t)
-    zp, zm = v + b, v - b
-    A = ws.advect(sym, zp, zm)
-    B = ws.advect(sym, zm, zp)
-    return -0.5 * (A + B), 0.5 * (A - B)
+    w, j = curl_t(grid, v, t), curl_t(grid, b, t)
+    v1, v2, b1, b2, wx, wy, jx, jy = ws.phys(np.stack(
+        [v[0], v[1], b[0], b[1], sym.ikx * w, sym.idyt * w, sym.ikx * j, sym.idyt * j]))
+    return ws.spec(np.stack([b1 * jx + b2 * jy - v1 * wx - v2 * wy, v1 * b2 - v2 * b1]))
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +198,10 @@ class VBIntegrator(LawsonIntegrator):
         db = np.stack([b[1] + self.alpha * ik * v[0],
                        self.alpha * ik * v[1]])
         if not self.linear_only:
-            nlv, nlb = quadratic_terms(g, v, b, t, self.ws)
-            dv += leray_project_t(g, nlv, t)
-            db += leray_project_t(g, nlb, t)
+            # the projected quadratic terms, already divergence-free
+            c, E = quadratic_terms(g, v, b, t, self.ws)
+            dv += perp_grad_t(g, -sym.inv_lap * c, t)
+            db += perp_grad_t(g, E, t)
         return np.concatenate([dv, db])
 
     def cleanup(self, Y: np.ndarray, t: float) -> np.ndarray:
@@ -243,17 +252,17 @@ class PtildeIntegrator(LawsonIntegrator):
             dY[0] += ((self.nu - self.kappa) / self.alpha) * sym.idyt * Y[1]
         if not self.linear_only:
             st = tailored_to_state(self.unpack(Y, t), self.alpha)
-            nlv, nlb = quadratic_terms(g, st.v, st.b, t, self.ws)
-            inv_lam = _inv_lambda(g, t)
-            n1 = inv_lam * curl_t(g, nlv, t)
-            n2 = inv_lam * curl_t(g, nlb, t)
+            c, E = quadratic_terms(g, st.v, st.b, t, self.ws)
+            n1 = _inv_lambda(g, t) * c
+            n2 = sym.lam * E
             n1[0, :] = 0.0
             n2[0, :] = 0.0
             corr = ptilde_correction_symbol(g, self.alpha, t)
             dY[0] += n1 + corr * n2
             dY[1] += n2
-            dY[2][0, :] = nlv[0][0, :]
-            dY[3][0, :] = nlb[0][0, :]
+            # k = 0 first components of perp_grad_t(c / Lambda_t^2) and perp_grad_t E
+            dY[2][0, :] = -sym.idyt[0] * sym.inv_lap[0] * c[0]
+            dY[3][0, :] = sym.idyt[0] * E[0]
         return dY
 
     def cleanup(self, Y: np.ndarray, t: float) -> np.ndarray:

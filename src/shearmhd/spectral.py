@@ -12,9 +12,10 @@ Conventions used throughout the package:
   i.e. ``phys = Nx*Ny * ifft2(coeffs)`` and ``coeffs = fft2(phys)/(Nx*Ny)``;
 * quadratic products are evaluated on a zero-padded grid (>= 3/2 rule per
   axis) so that the retained modes carry the exact convolution, then
-  truncated by the 2/3-rule mask |k| <= Nx/3, |eta*Ly| <= Ny/3; the one
-  padded advection kernel, :meth:`ProductWorkspace.advect`, serves the
-  solver, the energy identity and the partition check;
+  truncated by the 2/3-rule mask |k| <= Nx/3, |eta*Ly| <= Ny/3.  Every
+  padded transform is one batched real-FFT call over a stack of tables,
+  :meth:`ProductWorkspace.phys` (inverse) or :meth:`ProductWorkspace.spec`
+  (forward); fields are real, so products take Hermitian tables only;
 * weighted norms are discretizations of sum_k integral d(eta):
   ``norm(f)^2 = (1/Ly) * sum_{k,eta} w(k,eta)^2 |fhat|^2``.
 
@@ -171,72 +172,76 @@ def _pad_len(n: int) -> int:
     return m + (m % 2)
 
 
-def _pad(coeffs: np.ndarray, Mx: int, My: int) -> np.ndarray:
-    Nx, Ny = coeffs.shape
-    out = np.zeros((Mx, My), dtype=np.complex128)
-    hx, hy = Nx // 2, Ny // 2
-    out[:hx, :hy] = coeffs[:hx, :hy]
-    out[:hx, My - hy:] = coeffs[:hx, hy:]
-    out[Mx - hx:, :hy] = coeffs[hx:, :hy]
-    out[Mx - hx:, My - hy:] = coeffs[hx:, hy:]
-    return out
-
-
-def _unpad(coeffs: np.ndarray, Nx: int, Ny: int) -> np.ndarray:
-    Mx, My = coeffs.shape
-    out = np.zeros((Nx, Ny), dtype=np.complex128)
-    hx, hy = Nx // 2, Ny // 2
-    out[:hx, :hy] = coeffs[:hx, :hy]
-    out[:hx, hy:] = coeffs[:hx, My - hy:]
-    out[hx:, :hy] = coeffs[Mx - hx:, :hy]
-    out[hx:, hy:] = coeffs[Mx - hx:, My - hy:]
-    return out
-
-
 class ProductWorkspace:
-    """Reusable padded-transform pipeline for quadratic products.
+    """Reusable padded real-transform pipeline for quadratic products.
 
-    Inverse transforms of any number of factors are taken on the padded grid,
-    pointwise products formed there, and results transformed back and cut to
-    the 2/3-rule mask.  Padding >= 3/2 per axis makes the retained modes of a
-    quadratic product equal to the exact convolution (no aliased corner even
-    when Nx or Ny is divisible by 3).
+    Pointwise products are formed between ``phys`` and ``spec``.  Padding
+    >= 3/2 per axis makes the retained modes of a quadratic product equal to
+    the exact convolution (no aliased corner even when Nx or Ny is divisible
+    by 3).  Both transforms run along x over the Ny/2 columns eta >= 0 only:
+    the eta < 0 half of a real field is the conjugate of the other.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
         self.Mx = _pad_len(grid.Nx)
         self.My = _pad_len(grid.Ny)
+        self._neg_k = (-np.arange(grid.Nx)) % grid.Nx  # row of -k
 
     def phys(self, coeffs: np.ndarray) -> np.ndarray:
-        return np.fft.ifft2(_pad(coeffs, self.Mx, self.My)) * (self.Mx * self.My)
+        """Real padded samples of every Hermitian table of ``coeffs`` (..., Nx, Ny).
 
-    def spec(self, values: np.ndarray, mask: bool = True) -> np.ndarray:
-        c = _unpad(np.fft.fft2(values), self.grid.Nx, self.grid.Ny) / (self.Mx * self.My)
-        if mask:
-            c *= self.grid.dealias_keep
-        return c
+        Only the eta >= 0 columns are read; the eta < 0 columns are taken to
+        be their conjugate partners.
+        """
+        hx, hy = self.grid.Nx // 2, self.grid.Ny // 2
+        half = np.zeros(coeffs.shape[:-2] + (self.Mx, hy), dtype=np.complex128)
+        half[..., :hx, :] = coeffs[..., :hx, :hy]
+        half[..., self.Mx - hx:, :] = coeffs[..., hx:, :hy]
+        half = np.fft.ifft(half, axis=-2, norm="forward")
+        return np.fft.irfft(half, n=self.My, axis=-1, norm="forward")
+
+    def spec(self, values: np.ndarray) -> np.ndarray:
+        """Dealiased coefficient tables of every real stack entry of ``values``.
+
+        The eta < 0 columns are rebuilt as conjugates of the eta > 0 ones and
+        the eta = 0 column is averaged with its partner, so the output equals
+        its own :func:`conj_flip` exactly.
+        """
+        Nx, Ny = self.grid.shape
+        hx, hy = Nx // 2, Ny // 2
+        half = np.fft.rfft(values, axis=-1, norm="forward")[..., :hy]
+        half = np.fft.fft(half, axis=-2, norm="forward")
+        out = np.empty(values.shape[:-2] + (Nx, Ny), dtype=np.complex128)
+        out[..., :hx, :hy] = half[..., :hx, :]
+        out[..., hx:, :hy] = half[..., self.Mx - hx:, :]
+        col = out[..., 0]
+        out[..., 0] = 0.5 * (col + np.conj(col[..., self._neg_k]))
+        out[..., hy] = 0.0
+        out[..., hy + 1:] = np.conj(out[..., self._neg_k, hy - 1:0:-1])
+        out *= self.grid.dealias_keep
+        return out
 
     def advect(self, sym: ShearSymbols, a: np.ndarray, c: np.ndarray) -> np.ndarray:
         """Dealiased (a . grad_t) c, at the time of ``sym``, for every table of c.
 
         ``a`` is a vector table (2, Nx, Ny) and ``c`` any stack (n, Nx, Ny);
-        the cost is 2 + 2n inverse and n forward transforms.
+        one inverse transform of 2 + 2n tables and one forward of n.
         """
-        a1, a2 = self.phys(a[0]), self.phys(a[1])
-        return np.stack([self.spec(a1 * self.phys(sym.ikx * ci)
-                                   + a2 * self.phys(sym.idyt * ci)) for ci in c])
+        n = len(c)
+        p = self.phys(np.concatenate([a, sym.ikx * c, sym.idyt * c]))
+        return self.spec(p[0] * p[2:2 + n] + p[1] * p[2 + n:])
 
 
 def nonlinear_product(f: SpectralField, g: SpectralField) -> SpectralField:
-    """Dealiased pointwise product of two fields (exact convolution on the mask)."""
+    """Dealiased pointwise product of two real fields (exact convolution on the mask)."""
     if f.grid is not g.grid and f.grid != g.grid:
         raise ValueError("grid mismatch")
+    if not (f.reality and g.reality):
+        raise ValueError("nonlinear_product needs real fields (reality=True)")
     ws = ProductWorkspace(f.grid)
-    c = ws.spec(ws.phys(f.coeffs) * ws.phys(g.coeffs))
-    if f.reality and g.reality:
-        c = hermitize(c)
-    return SpectralField(f.grid, c, reality=f.reality and g.reality)
+    p = ws.phys(np.stack([f.coeffs, g.coeffs]))
+    return SpectralField(f.grid, ws.spec(p[0] * p[1]))
 
 
 def convolution_direct(grid: Grid, f: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -182,6 +182,17 @@ class TestEnergyIdentity:
         assert r1 <= 1e-6
         assert np.log2(r1 / r2) >= 3.0
 
+    def test_horizon_must_be_whole_sample_intervals(self, grid16, small_params):
+        # a short last interval would be differenced with the uniform stencil
+        st = gevrey_random_data(grid16, small_params, 11, 1e-3, 1.5)
+        ts0 = state_to_tailored(st, small_params.alpha)
+        with pytest.raises(ValueError, match="multiple"):
+            energy_identity_residuals(ts0, small_params, small_params.alpha,
+                                      t_end=0.404, dt=4e-3, stride=2)
+        res = energy_identity_residuals(ts0, small_params, small_params.alpha,
+                                        t_end=0.4, dt=4e-3, stride=2)
+        assert res and max(r for _, r in res) <= 1e-6
+
     def test_overflow_guard(self, grid16):
         big = WeightParams(rho=0.05, lam0=200.0, s=0.6)
         ts = TailoredState(grid16, np.zeros((2, 16, 16), complex),

@@ -11,7 +11,8 @@ from shearmhd.dynamics import (LinearModeSystem, NumericalAbort,
 from shearmhd.experiments import dissipative_decay_check, gevrey_random_data
 from shearmhd.spectral import (Grid, ProductWorkspace, convolution_direct,
                                hermitian_defect, shear_symbols)
-from shearmhd.unknowns import MHDState, divergence_residual, state_to_tailored
+from shearmhd.unknowns import (MHDState, divergence_residual, leray_project_t,
+                               state_to_tailored)
 from shearmhd.weights import WeightParams
 
 PAR = WeightParams(rho=0.004, lam0=1.2, s=0.6, alpha=1.0, c0=0.05, eps=1e-3)
@@ -65,30 +66,64 @@ class TestRhsVB:
 
 
 class TestQuadraticTerms:
-    def test_matches_direct_convolution(self):
-        # independent of the transforms and of ShearSymbols:
+    # the references use convolution_direct and plain symbol tables, so they
+    # are independent of the transforms and of ShearSymbols
+    G, T = Grid(12, 12, 1.0), 0.7
+
+    def symbols(self):
+        g, t = self.G, self.T
+        return 1j * g.K * np.ones(g.shape), 1j * (g.ETA - g.K * t)
+
+    def conv(self, f, h):
+        return convolution_direct(self.G, f, h) * self.G.dealias_keep
+
+    def advect(self, a, c):
         # (a.grad_t) c = conv(a1, ik c) + conv(a2, i(eta - kt) c), masked
-        g, t = Grid(12, 12, 1.0), 0.7
-        st = gevrey_random_data(g, PAR, seed=5, eps=1e-3, lam1=1.5)
-        v, b = st.v, st.b
-        ik = 1j * g.K * np.ones(g.shape)
-        idy = 1j * (g.ETA - g.K * t)
+        ik, idy = self.symbols()
+        return np.stack([self.conv(a[0], ik * ci) + self.conv(a[1], idy * ci)
+                         for ci in c])
 
-        def advect(a, c):
-            return np.stack([(convolution_direct(g, a[0], ik * ci)
-                              + convolution_direct(g, a[1], idy * ci)) * g.dealias_keep
-                             for ci in c])
+    def state(self, divergence_free_at_t=False):
+        st = gevrey_random_data(self.G, PAR, seed=5, eps=1e-3, lam1=1.5)
+        if divergence_free_at_t:
+            st.v = leray_project_t(self.G, st.v, self.T)
+            st.b = leray_project_t(self.G, st.b, self.T)
+        return st.v, st.b
 
-        nlv, nlb = quadratic_terms(g, v, b, t, ProductWorkspace(g))
-        for got, ref in ((nlv, advect(b, b) - advect(v, v)),
-                         (nlb, advect(b, v) - advect(v, b))):
+    def test_matches_direct_convolution(self):
+        g, t = self.G, self.T
+        v, b = self.state()
+        ik, idy = self.symbols()
+        w = ik * v[1] - idy * v[0]
+        j = ik * b[1] - idy * b[0]
+        c_ref = (self.conv(b[0], ik * j) + self.conv(b[1], idy * j)
+                 - self.conv(v[0], ik * w) - self.conv(v[1], idy * w))
+        e_ref = self.conv(v[0], b[1]) - self.conv(v[1], b[0])
+        c, E = quadratic_terms(g, v, b, t, ProductWorkspace(g))
+        for got, ref in ((c, c_ref), (E, e_ref)):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_projected_pair_matches_leray_of_advective_terms(self):
+        # on divergence-free data, perp_grad_t(c / Lambda_t^2) and
+        # perp_grad_t E are the Leray projections of the advective pair
+        g, t = self.G, self.T
+        v, b = self.state(divergence_free_at_t=True)
+        ik, idy = self.symbols()
+        lam2 = np.abs(ik) ** 2 + np.abs(idy) ** 2
+        lam2[0, 0] = 1.0
+        c, E = quadratic_terms(g, v, b, t, ProductWorkspace(g))
+        nlv = np.stack([idy * c / lam2, -ik * c / lam2])
+        nlb = np.stack([idy * E, -ik * E])
+        for got, adv in ((nlv, self.advect(b, b) - self.advect(v, v)),
+                         (nlb, self.advect(b, v) - self.advect(v, b))):
+            ref = leray_project_t(g, adv, t)
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_no_induction_without_b(self):
         st = small_state(16, seed=2)
-        _, nlb = quadratic_terms(st.grid, st.v, 0.0 * st.b, 0.3,
-                                 ProductWorkspace(st.grid))
-        assert np.all(nlb == 0.0)
+        _, E = quadratic_terms(st.grid, st.v, 0.0 * st.b, 0.3,
+                               ProductWorkspace(st.grid))
+        assert np.all(E == 0.0)
 
 
 class TestStepAPI:

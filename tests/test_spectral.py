@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shearmhd.spectral import (Grid, SpectralField, conj_flip, convolution_direct,
-                               dealias_mask, from_physical, hermitian_defect,
+from shearmhd.spectral import (Grid, ProductWorkspace, SpectralField, conj_flip,
+                               convolution_direct, dealias_mask, from_physical, hermitian_defect,
                                hermitize, l2_norm, lambda_t, nonlinear_product,
                                physical_l2_norm, random_hermitian_coeffs,
                                shear_symbols, sheared_gradient, to_physical)
@@ -178,6 +178,35 @@ class TestNonlinearProduct:
         f = random_hermitian_coeffs(grid16, rng)
         out = nonlinear_product(SpectralField(grid16, f), SpectralField(grid16, f))
         assert np.all(out.coeffs[~grid16.dealias_keep] == 0.0)
+
+    def test_complex_field_rejected(self, grid16, rng):
+        raw = rng.standard_normal(grid16.shape) + 1j * rng.standard_normal(grid16.shape)
+        real = SpectralField(grid16, random_hermitian_coeffs(grid16, rng))
+        with pytest.raises(ValueError, match="real"):
+            nonlinear_product(real, SpectralField(grid16, raw, reality=False))
+
+
+class TestProductWorkspace:
+    @pytest.mark.parametrize("shape", [(16, 16, 1.0), (12, 18, 1.7)])
+    def test_spec_exactly_hermitian(self, shape, rng):
+        ws = ProductWorkspace(Grid(*shape))
+        out = ws.spec(rng.standard_normal((3, ws.Mx, ws.My)))
+        assert np.any(out != 0.0)
+        assert np.array_equal(out, conj_flip(out))
+
+    def test_phys_matches_complex_inverse(self, rng):
+        # the real, pruned inverse equals the zero-padded complex ifft2
+        g = Grid(12, 16, 1.0)
+        ws = ProductWorkspace(g)
+        c = np.stack([random_hermitian_coeffs(g, rng) for _ in range(2)])
+        ref = np.zeros((2, ws.Mx, ws.My), dtype=complex)
+        kx, ky = np.meshgrid(g.k.astype(int), (g.eta * g.Ly).round().astype(int),
+                             indexing="ij")
+        ref[:, kx % ws.Mx, ky % ws.My] = c
+        ref = np.fft.ifft2(ref) * (ws.Mx * ws.My)
+        got = ws.phys(c)
+        assert got.dtype == float
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestShearSymbols:
