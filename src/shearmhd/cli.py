@@ -58,6 +58,8 @@ def main(argv=None) -> int:
         if args.command == "run":
             config = _load_config(args.config)
             if args.seed is not None:
+                if config.initial["kind"] == "file":
+                    raise ConfigError("--seed does not apply to initial.kind = 'file'")
                 config.initial["seed"] = args.seed
             if args.snapshots is not None:
                 config.output["snapshots"] = args.snapshots

@@ -247,13 +247,16 @@ def identity_sides(ts: TailoredState, mset: MultiplierSet, alpha: float,
     st = tailored_to_state(ts, alpha)
     v, b = st.v, st.b
     # the projected pair; every pairing below meets it only through fields
-    # that are divergence-free mode by mode, which the projection leaves alone
-    c, E = quadratic_terms(g, v, b, t, ws)
+    # that are divergence-free mode by mode, which the projection leaves alone;
+    # v, b are dealiased real fields and A is even, so packing drops nothing
+    lay, csym = ws.layout, shear_symbols(ws.layout, t)
+    cv, cb, cA = lay.pack(v), lay.pack(b), lay.pack(A)
+    c, E = lay.unpack(quadratic_terms(lay, cv, cb, t, ws))
     nlv = perp_grad_t(g, -sym.inv_lap * c, t)
     nlb = perp_grad_t(g, E, t)
     Av, Ab = A * v, A * b
-    adv_b = ws.advect(sym, b, np.concatenate([Ab, Av]))  # b.grad_t (Ab, Av)
-    adv_v = ws.advect(sym, v, np.concatenate([Av, Ab]))  # v.grad_t (Av, Ab)
+    adv_b = lay.unpack(ws.advect(csym, cb, cA * np.concatenate([cb, cv])))  # b.grad_t (Ab, Av)
+    adv_v = lay.unpack(ws.advect(csym, cv, cA * np.concatenate([cv, cb])))  # v.grad_t (Av, Ab)
     NL = (_pair(g, Av, A * nlv - adv_b[:2] + adv_v[:2])
           + _pair(g, Ab, A * nlb - adv_b[2:] + adv_v[2:]))
     # right side: tailored corrections; corr is (1/alpha) d_y^t Lambda_t^{-2}

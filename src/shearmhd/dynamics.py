@@ -35,6 +35,11 @@ every run, the grid-wide linear reference :func:`propagate_linear_grid` (a
 linear-only ptilde integrator) and the dissipative decay check step through
 it, and it samples on the time grid t0 + m * sample_dt.
 
+Both integrators step compact tables (``spectral.CompactLayout``, the
+independent modes only; ``pack``/``unpack`` convert at sample times).  The
+per-step cleanup projects (vb), averages each eta = 0 column with its -k
+partner and zeroes the mean.
+
 Dissipation nu*Delta_t / kappa*Delta_t is integrated exactly through
 per-mode integrating factors exp(-nu * int Lambda_t^2 dt) inside a Lawson
 (integrating-factor) RK4; the anisotropic cross term ((nu-kappa)/alpha)
@@ -48,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .spectral import Grid, ProductWorkspace, conj_flip, l2_norm, shear_symbols
+from .spectral import Grid, ProductWorkspace, l2_norm, shear_symbols
 from .unknowns import (MHDState, TailoredState, _inv_lambda, curl_t,
                        hminus1_norm, leray_project_t, perp_grad_t,
                        ptilde_correction_symbol, state_to_tailored,
@@ -66,7 +71,7 @@ class NumericalAbort(RuntimeError):
 
 
 def dissipation_phase(grid: Grid, t0: float, t1: float) -> np.ndarray:
-    """Exact per-mode integral of Lambda_t^2 over [t0, t1]."""
+    """Exact per-mode integral of Lambda_t^2 over [t0, t1] (grid or compact layout)."""
     K, ETA = grid.K, grid.ETA
     dt = t1 - t0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -107,6 +112,8 @@ def quadratic_terms(grid: Grid, v: np.ndarray, b: np.ndarray, t: float,
                     ws: ProductWorkspace):
     """Dealiased curl-form scalars (c, E) of a divergence-free pair (v, b).
 
+    ``grid`` is the compact layout of ``v``, ``b`` and of the output.
+
     c = b.grad_t j - v.grad_t w, with w, j the sheared curls of v, b, is the
     curl of b.grad_t b - v.grad_t v; E = v1 b2 - v2 b1 is the out-of-plane
     v x b, whose perpendicular gradient is b.grad_t v - v.grad_t b.  The
@@ -128,9 +135,9 @@ def quadratic_terms(grid: Grid, v: np.ndarray, b: np.ndarray, t: float,
 class LawsonIntegrator:
     """Skeleton shared by the Lawson-RK4 integrators.
 
-    Y stacks four (Nx, Ny) channels; ``DAMPING`` names, per channel, the
-    coefficient ("nu" or "kappa") whose exact integrating factor it carries.
-    Subclasses define ``pack``, ``unpack``, ``rhs`` and ``cleanup``.
+    Y stacks four compact tables (``self.layout``); ``DAMPING`` names, per
+    channel, the coefficient ("nu" or "kappa") whose exact integrating factor
+    it carries.  Subclasses define ``pack``, ``unpack``, ``rhs`` and ``cleanup``.
     """
 
     DAMPING: tuple = ()
@@ -140,13 +147,12 @@ class LawsonIntegrator:
         if alpha == 0:
             raise ValueError("alpha must be nonzero")
         self.grid = grid
+        self.layout = grid.compact
         self.alpha = alpha
         self.nu = nu
         self.kappa = kappa
         self.linear_only = linear_only
         self.ws = ProductWorkspace(grid)
-        self.keep = grid.dealias_keep & ~grid.nyquist
-        self.keep[0, 0] = False
 
     def decay_factors(self, t0: float, h: float):
         """(e_half, e_full / e_half, e_full) over [t0, t0 + h], or None if ideal."""
@@ -157,66 +163,72 @@ class LawsonIntegrator:
             decay = {"nu": np.exp(-self.nu * ph), "kappa": np.exp(-self.kappa * ph)}
             return np.stack([decay[c] for c in self.DAMPING])
 
-        e_half = stack(dissipation_phase(self.grid, t0, t0 + 0.5 * h))
-        e_full = stack(dissipation_phase(self.grid, t0, t0 + h))
+        e_half = stack(dissipation_phase(self.layout, t0, t0 + 0.5 * h))
+        e_full = stack(dissipation_phase(self.layout, t0, t0 + h))
         return e_half, e_full / e_half, e_full
 
     def max_speed(self, Y: np.ndarray) -> float:
-        # l1 coefficient norm bounds the physical sup norm
-        return max(float(np.sum(np.abs(Y[i]))) for i in range(Y.shape[0]))
+        # l1 norm of the full table (eta > 0 columns twice) bounds the sup norm
+        a = np.abs(Y)
+        return float(np.max(a[:, :, 0].sum(axis=-1) + 2.0 * a[:, :, 1:].sum(axis=(-2, -1))))
 
     def _clean_tables(self, Y: np.ndarray) -> np.ndarray:
-        """Hermitian-symmetrize every channel; zero Nyquist, dealiased and (0, 0) modes."""
-        return 0.5 * (Y + conj_flip(Y)) * self.keep
+        """In place: average every eta = 0 column with its -k partner, zero the means."""
+        col = Y[..., 0]
+        Y[..., 0] = 0.5 * (col + np.conj(col[..., self.layout.neg]))
+        Y[..., 0, 0] = 0.0
+        return Y
 
 
 class VBIntegrator(LawsonIntegrator):
     """Lawson-RK4 integrator for the (v, b) formulation.
 
-    The stacked layout is Y = [v1, v2, b1, b2] with shape (4, Nx, Ny).
+    The stacked layout is Y = [v1, v2, b1, b2], four compact tables.
     """
 
     form = "vb"
     DAMPING = ("nu", "nu", "kappa", "kappa")
 
-    @staticmethod
-    def pack(state: MHDState) -> np.ndarray:
-        return np.concatenate([state.v, state.b])
+    def pack(self, state: MHDState) -> np.ndarray:
+        return self.layout.pack(np.concatenate([state.v, state.b]))
 
     def unpack(self, Y: np.ndarray, t: float) -> MHDState:
-        return MHDState(self.grid, Y[:2].copy(), Y[2:].copy(), t)
+        full = self.layout.unpack(Y)
+        return MHDState(self.grid, full[:2], full[2:], t)
 
     def rhs(self, t: float, Y: np.ndarray) -> np.ndarray:
-        g = self.grid
-        sym = shear_symbols(g, t)
-        v, b = Y[:2], Y[2:]
+        sym = shear_symbols(self.layout, t)
+        v1, v2, b1, b2 = Y
         ik = sym.ikx
+        aik = self.alpha * ik
         # linear pressure 2 d_x Delta_t^{-1} grad_t v2 plus the shear pair
-        press = 2.0 * ik * sym.inv_lap * v[1]
-        dv = np.stack([-v[1] + ik * press + self.alpha * ik * b[0],
-                       sym.idyt * press + self.alpha * ik * b[1]])
-        db = np.stack([b[1] + self.alpha * ik * v[0],
-                       self.alpha * ik * v[1]])
+        press = 2.0 * ik * sym.inv_lap * v2
+        dY = np.empty_like(Y)
+        dY[0] = -v2 + ik * press + aik * b1
+        dY[1] = sym.idyt * press + aik * b2
+        dY[2] = b2 + aik * v1
+        dY[3] = aik * v2
         if not self.linear_only:
-            # the projected quadratic terms, already divergence-free
-            c, E = quadratic_terms(g, v, b, t, self.ws)
-            dv += perp_grad_t(g, -sym.inv_lap * c, t)
-            db += perp_grad_t(g, E, t)
-        return np.concatenate([dv, db])
+            # the projected quadratic terms: perp_grad_t of c / Lambda_t^2 and of E
+            q = quadratic_terms(self.layout, Y[:2], Y[2:], t, self.ws)
+            q[0] *= -sym.inv_lap
+            dY[0::2] += sym.idyt * q
+            dY[1::2] += -ik * q
+        return dY
 
     def cleanup(self, Y: np.ndarray, t: float) -> np.ndarray:
-        g = self.grid
-        return self._clean_tables(np.concatenate([leray_project_t(g, Y[:2], t),
-                                                  leray_project_t(g, Y[2:], t)]))
+        lay = self.layout
+        return self._clean_tables(np.concatenate([leray_project_t(lay, Y[:2], t),
+                                                  leray_project_t(lay, Y[2:], t)]))
 
 
 class PtildeIntegrator(LawsonIntegrator):
     """Lawson-RK4 integrator for the tailored formulation.
 
-    Stacked layout Y = [ptilde1, ptilde2, vq, bq] of shape (4, Nx, Ny); the
+    Stacked layout Y = [ptilde1, ptilde2, vq, bq] of four compact tables; the
     average channels vq, bq use only their k = 0 row.  With ``linear_only``
-    the right-hand side reads only the ptilde channels, so a (2, Nx, Ny)
-    ptilde table can be stepped on its own.
+    the right-hand side reads only the ptilde channels, so a stack of two
+    compact ptilde tables can be stepped on its own.
     """
 
     form = "ptilde"
@@ -229,35 +241,34 @@ class PtildeIntegrator(LawsonIntegrator):
         self.variant = symbol_variant
 
     def pack(self, ts: TailoredState) -> np.ndarray:
-        g = self.grid
-        Y = np.zeros((4, *g.shape), dtype=np.complex128)
-        Y[0], Y[1] = ts.ptilde
-        Y[2][0, :] = ts.v_eq
-        Y[3][0, :] = ts.b_eq
-        return Y
+        Y = np.zeros((4, *self.grid.shape), dtype=np.complex128)
+        Y[:2] = ts.ptilde
+        Y[2:, 0] = ts.v_eq, ts.b_eq
+        return self.layout.pack(Y)
 
     def unpack(self, Y: np.ndarray, t: float) -> TailoredState:
-        return TailoredState(self.grid, Y[:2].copy(), Y[2][0, :].copy(),
-                             Y[3][0, :].copy(), t)
+        full = self.layout.unpack(Y)  # copies: callers keep samples, not all of full
+        return TailoredState(self.grid, full[:2].copy(), *full[2:, 0].copy(), t)
 
     def rhs(self, t: float, Y: np.ndarray) -> np.ndarray:
-        g = self.grid
-        sym = shear_symbols(g, t)
-        iak = 1j * self.alpha * g.K
-        _, S = linear_symbols(g.K, sym.u, self.alpha, self.variant)
+        lay = self.layout
+        sym = shear_symbols(lay, t)
+        iak = 1j * self.alpha * lay.K
+        _, S = linear_symbols(lay.K, sym.u, self.alpha, self.variant)
         dY = np.zeros_like(Y)
         dY[0] = (iak + S) * Y[1]
         dY[1] = iak * Y[0]
         if self.nu != self.kappa:
             dY[0] += ((self.nu - self.kappa) / self.alpha) * sym.idyt * Y[1]
         if not self.linear_only:
-            st = tailored_to_state(self.unpack(Y, t), self.alpha)
-            c, E = quadratic_terms(g, st.v, st.b, t, self.ws)
-            n1 = _inv_lambda(g, t) * c
+            st = tailored_to_state(TailoredState(lay, Y[:2], Y[2][0], Y[3][0], t),
+                                   self.alpha)
+            c, E = quadratic_terms(lay, st.v, st.b, t, self.ws)
+            n1 = _inv_lambda(lay, t) * c
             n2 = sym.lam * E
             n1[0, :] = 0.0
             n2[0, :] = 0.0
-            corr = ptilde_correction_symbol(g, self.alpha, t)
+            corr = ptilde_correction_symbol(lay, self.alpha, t)
             dY[0] += n1 + corr * n2
             dY[1] += n2
             # k = 0 first components of perp_grad_t(c / Lambda_t^2) and perp_grad_t E
@@ -267,7 +278,7 @@ class PtildeIntegrator(LawsonIntegrator):
 
     def cleanup(self, Y: np.ndarray, t: float) -> np.ndarray:
         del t
-        out = self._clean_tables(Y)
+        out = self._clean_tables(Y.copy())
         out[:2, 0, :] = 0.0  # ptilde lives on k != 0
         out[2:, 1:, :] = 0.0  # averages live on k = 0
         return out
@@ -406,12 +417,13 @@ def propagate_linear_grid(grid: Grid, Y0: np.ndarray, t0: float, t1: float,
     """Ideal linear ptilde flow of a whole (2, Nx, Ny) table from t0 to t1.
 
     ceil((t1 - t0) / dt) uniform classical RK4 steps of a linear-only
-    :class:`PtildeIntegrator` through :func:`evolve`, so the table gets the
-    real-field cleanup after every step (k = 0 rows stay zero).
+    :class:`PtildeIntegrator` through :func:`evolve` on the packed table, so
+    it gets the real-field cleanup after every step (k = 0 rows stay zero).
     """
     integ = PtildeIntegrator(grid, alpha, linear_only=True,
                              symbol_variant=symbol_variant)
-    return evolve(integ, Y0, t0, t1, dt=dt, cfl=None)[1]
+    lay = integ.layout
+    return lay.unpack(evolve(integ, lay.pack(Y0), t0, t1, dt=dt, cfl=None)[1])
 
 
 # ---------------------------------------------------------------------------

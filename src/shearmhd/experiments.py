@@ -291,8 +291,8 @@ def dissipative_decay_check(grid: Grid, alpha: float, nu: float,
     errors = []
 
     def compare(t, Yd):
-        phase = np.exp(-2.0 * nu * dissipation_phase(grid, t0, t))
-        ei = ideal_energy.pop(0)  # |Y|^2 of the ideal run at the same time
+        phase = np.exp(-2.0 * nu * dissipation_phase(grid.compact, t0, t))
+        ei = ideal_energy.pop(0)  # |Y|^2 of the ideal run at the same time, compact
         ed = np.abs(Yd) ** 2
         sig = ei > (1e-12 * ei.max())
         ref = np.broadcast_to(phase, ei.shape)[sig]
@@ -354,7 +354,7 @@ def run_linear_modes(config: ExperimentConfig, outdir: str):
         nl = VBIntegrator(grid, alpha)
         Y0 = nl.pack(state0) * sc
         _, Ya = evolve(nl, Y0, 0.0, t_short, dt=0.01, cfl=None)
-        devs.append(float(np.sqrt(np.sum(np.abs(Ya - sc * Ylin) ** 2))))
+        devs.append(float(np.sqrt(np.sum(np.abs(grid.compact.unpack(Ya - sc * Ylin)) ** 2))))
     exponents = [math.log2(devs[i] / devs[i + 1]) for i in range(len(devs) - 1)]
     summary = {
         "max_rel_mode_error": worst,

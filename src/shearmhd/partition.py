@@ -71,7 +71,9 @@ def omega_rem_nominal(k, eta, l, xi):
 def _pairing_fft(grid: Grid, A: np.ndarray, a1, a2, a3, t: float,
                  ws: ProductWorkspace) -> float:
     """(1/Ly) Re <A a1, A(a2.grad_t a3) - a2.grad_t(A a3)> via transforms."""
-    adv = ws.advect(shear_symbols(grid, t), a2, np.concatenate([a3, A * a3]))
+    lay = ws.layout  # a2, a3 dealiased real fields, A even: packing drops nothing
+    adv = lay.unpack(ws.advect(shear_symbols(lay, t), lay.pack(a2),
+                               lay.pack(np.concatenate([a3, A * a3]))))
     total = 0.0
     for j in (0, 1):
         total += float(np.sum((np.conj(A * a1[j]) * (A * adv[j] - adv[2 + j])).real))

@@ -2,9 +2,12 @@
 
 The x-period is fixed to 2*pi, so the x-wavenumber k runs over the integers
 {-Nx/2, ..., Nx/2-1}.  The y-period is 2*pi*Ly, so the y-wavenumber eta runs
-over (1/Ly)*{-Ny/2, ..., Ny/2-1}.  Coefficient arrays have shape (Nx, Ny)
-with axis 0 indexing k and axis 1 indexing eta, both in standard FFT order.
-Nyquist rows/columns are kept identically zero.
+over (1/Ly)*{-Ny/2, ..., Ny/2-1}.  Full coefficient tables are (Nx, Ny), k
+by eta in FFT order, Nyquist rows/columns zero.  The integrators and the
+transforms use :class:`CompactLayout`, the independent modes of a real
+dealiased field: |k| <= Nx/3 in FFT order (row 0 is k = 0) by
+0 <= eta*Ly <= Ny/3.  It has a :class:`Grid`'s ``K``, ``ETA`` and ``shape``,
+so :func:`shear_symbols` and every symbol operator accept it as a grid.
 
 Conventions used throughout the package:
 
@@ -13,17 +16,16 @@ Conventions used throughout the package:
 * quadratic products are evaluated on a zero-padded grid (>= 3/2 rule per
   axis) so that the retained modes carry the exact convolution, then
   truncated by the 2/3-rule mask |k| <= Nx/3, |eta*Ly| <= Ny/3.  Every
-  padded transform is one batched real-FFT call over a stack of tables,
-  :meth:`ProductWorkspace.phys` (inverse) or :meth:`ProductWorkspace.spec`
-  (forward); fields are real, so products take Hermitian tables only;
+  padded transform is one batched real-FFT call over a stack of compact
+  tables, :meth:`ProductWorkspace.phys` or :meth:`ProductWorkspace.spec`;
 * weighted norms are discretizations of sum_k integral d(eta):
   ``norm(f)^2 = (1/Ly) * sum_{k,eta} w(k,eta)^2 |fhat|^2``.
 
 Shear-frame derivative symbols: d_x -> i k, d_y^t -> i(eta - k t),
 Lambda_t = sqrt(k^2 + (eta - k t)^2), Delta_t^{-1} -> -1/Lambda_t^2.
-:func:`shear_symbols` keeps the tables of the last two (grid, t) pairs, which
-covers the stage times t, t + h/2, t + h of one Lawson-RK4 step; the tables
-are read-only because every caller shares them.
+:func:`shear_symbols` keeps the tables of the last four (layout, t) pairs:
+the stage times t, t + h/2, t + h of a compact Lawson-RK4 step and a grid
+table of a sample between steps; they are read-only (every caller shares them).
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ class Grid:
         object.__setattr__(self, "dealias_keep", keep)
         nyq = (k[:, None] == -self.Nx // 2) | (n[None, :] == -self.Ny // 2)
         object.__setattr__(self, "nyquist", nyq)
+        object.__setattr__(self, "compact", CompactLayout(self))
 
     @property
     def shape(self):
@@ -68,26 +71,46 @@ class Grid:
         return np.zeros(self.shape, dtype=np.complex128)
 
 
-def dealias_mask(grid: Grid) -> np.ndarray:
-    """Boolean mask, true exactly for |k| <= Nx/3 and |eta*Ly| <= Ny/3."""
-    return grid.dealias_keep.copy()
+@dataclass(frozen=True)
+class CompactLayout:
+    """The retained half-spectrum of a grid: rows k = 0..Nx//3, -(Nx//3)..-1,
+    columns eta*Ly = 0..Ny//3.  ``rows`` holds the full-table row of every
+    row and ``neg`` the row of -k; the eta < 0 half is the conjugate."""
 
+    grid: Grid
 
-def lambda_t(k, eta, t):
-    """Half-Laplacian symbol sqrt(k^2 + (eta - k*t)^2); 0 only at (0,0)."""
-    return np.hypot(np.asarray(k, dtype=float), np.asarray(eta) - np.asarray(k) * t)
+    def __post_init__(self):
+        g = self.grid
+        k = np.r_[0:g.Nx // 3 + 1, -(g.Nx // 3):0]
+        object.__setattr__(self, "rows", k % g.Nx)
+        object.__setattr__(self, "neg", -np.arange(len(k)) % len(k))
+        object.__setattr__(self, "K", g.K[k % g.Nx])
+        object.__setattr__(self, "ETA", g.ETA[:, :g.Ny // 3 + 1])
+        object.__setattr__(self, "shape", (len(k), g.Ny // 3 + 1))
+
+    def pack(self, full: np.ndarray) -> np.ndarray:
+        """Compact copy of full tables (..., Nx, Ny); other modes are dropped."""
+        return full[..., self.rows, :self.shape[1]]
+
+    def unpack(self, comp: np.ndarray) -> np.ndarray:
+        """Full Hermitian tables of compact ones; modes not retained are 0."""
+        n_eta, Ny = self.shape[1], self.grid.Ny
+        out = np.zeros(comp.shape[:-2] + self.grid.shape, dtype=np.complex128)
+        out[..., self.rows, :n_eta] = comp
+        out[..., self.rows, Ny - n_eta + 1:] = np.conj(comp[..., self.neg, n_eta - 1:0:-1])
+        return out
 
 
 @dataclass(frozen=True)
 class ShearSymbols:
     """Per-mode sheared-frame derivative symbols at a fixed time.
 
-    Attributes are full (Nx, Ny) arrays: ``ikx`` = ik, ``idyt`` = i(eta-kt),
+    Attributes are arrays of the layout's shape: ``ikx`` = ik, ``idyt`` = i(eta-kt),
     ``u`` = eta - k*t, ``lam2`` = k^2+u^2, ``inv_lap`` = Delta_t^{-1} symbol
     -1/lam2 (0 at the (0,0) mode, where inversion is undefined).
     """
 
-    grid: Grid
+    grid: Grid | CompactLayout
     t: float
     ikx: np.ndarray = field(init=False)
     idyt: np.ndarray = field(init=False)
@@ -112,8 +135,8 @@ class ShearSymbols:
             getattr(self, name).flags.writeable = False
 
 
-@functools.lru_cache(maxsize=2)
-def shear_symbols(grid: Grid, t: float) -> ShearSymbols:
+@functools.lru_cache(maxsize=4)
+def shear_symbols(grid: Grid | CompactLayout, t: float) -> ShearSymbols:
     return ShearSymbols(grid, float(t))
 
 
@@ -128,11 +151,8 @@ class SpectralField:
     def __post_init__(self):
         if self.coeffs.shape != self.grid.shape:
             raise ValueError("coefficient shape does not match grid")
-        if self.reality:
-            check_hermitian(self.coeffs)
-
-    def copy(self):
-        return SpectralField(self.grid, self.coeffs.copy(), self.reality)
+        if self.reality and (d := hermitian_defect(self.coeffs)) > HERMITIAN_RTOL:
+            raise ValueError(f"field violates Hermitian symmetry (defect {d:.3e})")
 
 
 def conj_flip(coeffs: np.ndarray) -> np.ndarray:
@@ -146,12 +166,6 @@ def hermitian_defect(coeffs: np.ndarray) -> float:
     if scale == 0.0:
         return 0.0
     return float(np.max(np.abs(coeffs - conj_flip(coeffs))) / scale)
-
-
-def check_hermitian(coeffs: np.ndarray, rtol: float = HERMITIAN_RTOL):
-    d = hermitian_defect(coeffs)
-    if d > rtol:
-        raise ValueError(f"field violates Hermitian symmetry (defect {d:.3e})")
 
 
 def hermitize(coeffs: np.ndarray) -> np.ndarray:
@@ -175,58 +189,42 @@ def _pad_len(n: int) -> int:
 class ProductWorkspace:
     """Reusable padded real-transform pipeline for quadratic products.
 
-    Pointwise products are formed between ``phys`` and ``spec``.  Padding
+    Pointwise products are formed between ``phys`` and ``spec``, which take
+    and give stacks of compact tables (:class:`CompactLayout`).  Padding
     >= 3/2 per axis makes the retained modes of a quadratic product equal to
     the exact convolution (no aliased corner even when Nx or Ny is divisible
-    by 3).  Both transforms run along x over the Ny/2 columns eta >= 0 only:
-    the eta < 0 half of a real field is the conjugate of the other.
+    by 3).  Both transforms run along x over the retained columns eta >= 0
+    only: the eta < 0 half of a real field is the conjugate of the other.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
+        self.layout = grid.compact
         self.Mx = _pad_len(grid.Nx)
         self.My = _pad_len(grid.Ny)
-        self._neg_k = (-np.arange(grid.Nx)) % grid.Nx  # row of -k
+        self._rows = self.layout.K[:, 0].astype(int) % self.Mx  # padded row of each k
 
     def phys(self, coeffs: np.ndarray) -> np.ndarray:
-        """Real padded samples of every Hermitian table of ``coeffs`` (..., Nx, Ny).
-
-        Only the eta >= 0 columns are read; the eta < 0 columns are taken to
-        be their conjugate partners.
-        """
-        hx, hy = self.grid.Nx // 2, self.grid.Ny // 2
-        half = np.zeros(coeffs.shape[:-2] + (self.Mx, hy), dtype=np.complex128)
-        half[..., :hx, :] = coeffs[..., :hx, :hy]
-        half[..., self.Mx - hx:, :] = coeffs[..., hx:, :hy]
+        """Real padded samples of every compact table of ``coeffs``."""
+        half = np.zeros(coeffs.shape[:-2] + (self.Mx, coeffs.shape[-1]), dtype=np.complex128)
+        half[..., self._rows, :] = coeffs
         half = np.fft.ifft(half, axis=-2, norm="forward")
         return np.fft.irfft(half, n=self.My, axis=-1, norm="forward")
 
     def spec(self, values: np.ndarray) -> np.ndarray:
-        """Dealiased coefficient tables of every real stack entry of ``values``.
-
-        The eta < 0 columns are rebuilt as conjugates of the eta > 0 ones and
-        the eta = 0 column is averaged with its partner, so the output equals
-        its own :func:`conj_flip` exactly.
-        """
-        Nx, Ny = self.grid.shape
-        hx, hy = Nx // 2, Ny // 2
-        half = np.fft.rfft(values, axis=-1, norm="forward")[..., :hy]
-        half = np.fft.fft(half, axis=-2, norm="forward")
-        out = np.empty(values.shape[:-2] + (Nx, Ny), dtype=np.complex128)
-        out[..., :hx, :hy] = half[..., :hx, :]
-        out[..., hx:, :hy] = half[..., self.Mx - hx:, :]
+        """Compact dealiased tables of every real stack entry of ``values``; the
+        eta = 0 column is averaged with its -k partner (exactly Hermitian)."""
+        half = np.fft.rfft(values, axis=-1, norm="forward")[..., :self.layout.shape[1]]
+        out = np.fft.fft(half, axis=-2, norm="forward")[..., self._rows, :]
         col = out[..., 0]
-        out[..., 0] = 0.5 * (col + np.conj(col[..., self._neg_k]))
-        out[..., hy] = 0.0
-        out[..., hy + 1:] = np.conj(out[..., self._neg_k, hy - 1:0:-1])
-        out *= self.grid.dealias_keep
+        out[..., 0] = 0.5 * (col + np.conj(col[..., self.layout.neg]))
         return out
 
     def advect(self, sym: ShearSymbols, a: np.ndarray, c: np.ndarray) -> np.ndarray:
         """Dealiased (a . grad_t) c, at the time of ``sym``, for every table of c.
 
-        ``a`` is a vector table (2, Nx, Ny) and ``c`` any stack (n, Nx, Ny);
-        one inverse transform of 2 + 2n tables and one forward of n.
+        ``a`` is a compact vector table (2, ...) and ``c`` any compact stack
+        (n, ...); one inverse transform of 2 + 2n tables and one forward of n.
         """
         n = len(c)
         p = self.phys(np.concatenate([a, sym.ikx * c, sym.idyt * c]))
@@ -234,14 +232,14 @@ class ProductWorkspace:
 
 
 def nonlinear_product(f: SpectralField, g: SpectralField) -> SpectralField:
-    """Dealiased pointwise product of two real fields (exact convolution on the mask)."""
+    """Dealiased product of two real fields (exact convolution of their retained modes)."""
     if f.grid is not g.grid and f.grid != g.grid:
         raise ValueError("grid mismatch")
     if not (f.reality and g.reality):
         raise ValueError("nonlinear_product needs real fields (reality=True)")
     ws = ProductWorkspace(f.grid)
-    p = ws.phys(np.stack([f.coeffs, g.coeffs]))
-    return SpectralField(f.grid, ws.spec(p[0] * p[1]))
+    p = ws.phys(ws.layout.pack(np.stack([f.coeffs, g.coeffs])))
+    return SpectralField(f.grid, ws.layout.unpack(ws.spec(p[0] * p[1])))
 
 
 def convolution_direct(grid: Grid, f: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -271,12 +269,6 @@ def convolution_direct(grid: Grid, f: np.ndarray, g: np.ndarray) -> np.ndarray:
                         continue
                     out[index_x[ks], index_y[ns]] += a * g[i2, j2]
     return out
-
-
-def sheared_gradient(f: SpectralField, t: float):
-    """(d_x f, d_y^t f) as coefficient tables."""
-    sym = shear_symbols(f.grid, t)
-    return sym.ikx * f.coeffs, sym.idyt * f.coeffs
 
 
 def random_hermitian_coeffs(grid: Grid, rng: np.random.Generator,

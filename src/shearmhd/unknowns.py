@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Grid, shear_symbols, hermitian_defect, l2_norm
+from .spectral import Grid, shear_symbols, l2_norm
 
 
 @dataclass
@@ -37,14 +37,8 @@ class MHDState:
     b: np.ndarray
     t: float = 0.0
 
-    def copy(self):
-        return MHDState(self.grid, self.v.copy(), self.b.copy(), self.t)
-
     def norm(self) -> float:
         return l2_norm(self.grid, self.v[0], self.v[1], self.b[0], self.b[1])
-
-    def hermitian_defect(self) -> float:
-        return max(hermitian_defect(c) for c in (*self.v, *self.b))
 
 
 @dataclass
@@ -56,10 +50,6 @@ class TailoredState:
     v_eq: np.ndarray  # (Ny,) complex, first velocity component at k = 0
     b_eq: np.ndarray
     t: float = 0.0
-
-    def copy(self):
-        return TailoredState(self.grid, self.ptilde.copy(), self.v_eq.copy(),
-                             self.b_eq.copy(), self.t)
 
     def norm(self) -> float:
         return l2_norm(self.grid, self.ptilde[0], self.ptilde[1],

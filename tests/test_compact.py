@@ -1,0 +1,195 @@
+"""The compact half-spectrum layout against full-table references.
+
+The integrators step compact stacks (retained k by retained eta >= 0).  The
+references below are the full-table right-hand sides, transforms and cleanup
+that stepped (Nx, Ny) tables before the layout existed, kept here as oracles:
+unpacked compact results must equal them bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+from shearmhd.dynamics import PtildeIntegrator, VBIntegrator, linear_symbols
+from shearmhd.experiments import gevrey_random_data
+from shearmhd.spectral import (Grid, ProductWorkspace, conj_flip,
+                               random_hermitian_coeffs, shear_symbols)
+from shearmhd.unknowns import (TailoredState, _inv_lambda, curl_t,
+                               leray_project_t, perp_grad_t,
+                               ptilde_correction_symbol, state_to_tailored,
+                               tailored_to_state)
+from shearmhd.weights import WeightParams
+
+PAR = WeightParams(rho=0.004, lam0=1.1, s=0.6, N=5, alpha=1.0, c0=0.05, eps=1e-3)
+GRIDS = [(16, 16, 1.0), (64, 64, 1.0), (128, 128, 1.0), (12, 18, 1.7),
+         (24, 16, 1.0)]  # the last two have Nx divisible by 3
+T = 0.7
+
+
+class FullTableWorkspace:
+    """Padded real transforms of full (Nx, Ny) Hermitian tables."""
+
+    def __init__(self, grid):
+        self.grid = grid
+        ws = ProductWorkspace(grid)
+        self.Mx, self.My = ws.Mx, ws.My
+        self.neg_k = (-np.arange(grid.Nx)) % grid.Nx
+
+    def phys(self, coeffs):
+        hx, hy = self.grid.Nx // 2, self.grid.Ny // 2
+        half = np.zeros(coeffs.shape[:-2] + (self.Mx, hy), dtype=np.complex128)
+        half[..., :hx, :] = coeffs[..., :hx, :hy]
+        half[..., self.Mx - hx:, :] = coeffs[..., hx:, :hy]
+        half = np.fft.ifft(half, axis=-2, norm="forward")
+        return np.fft.irfft(half, n=self.My, axis=-1, norm="forward")
+
+    def spec(self, values):
+        Nx, Ny = self.grid.shape
+        hx, hy = Nx // 2, Ny // 2
+        half = np.fft.rfft(values, axis=-1, norm="forward")[..., :hy]
+        half = np.fft.fft(half, axis=-2, norm="forward")
+        out = np.empty(values.shape[:-2] + (Nx, Ny), dtype=np.complex128)
+        out[..., :hx, :hy] = half[..., :hx, :]
+        out[..., hx:, :hy] = half[..., self.Mx - hx:, :]
+        col = out[..., 0]
+        out[..., 0] = 0.5 * (col + np.conj(col[..., self.neg_k]))
+        out[..., hy] = 0.0
+        out[..., hy + 1:] = np.conj(out[..., self.neg_k, hy - 1:0:-1])
+        out *= self.grid.dealias_keep
+        return out
+
+
+def full_quadratic_terms(grid, v, b, t, ws):
+    sym = shear_symbols(grid, t)
+    w, j = curl_t(grid, v, t), curl_t(grid, b, t)
+    v1, v2, b1, b2, wx, wy, jx, jy = ws.phys(np.stack(
+        [v[0], v[1], b[0], b[1], sym.ikx * w, sym.idyt * w, sym.ikx * j, sym.idyt * j]))
+    return ws.spec(np.stack([b1 * jx + b2 * jy - v1 * wx - v2 * wy, v1 * b2 - v2 * b1]))
+
+
+def full_vb_rhs(grid, alpha, t, Y):
+    sym = shear_symbols(grid, t)
+    v, b = Y[:2], Y[2:]
+    ik = sym.ikx
+    press = 2.0 * ik * sym.inv_lap * v[1]
+    dv = np.stack([-v[1] + ik * press + alpha * ik * b[0],
+                   sym.idyt * press + alpha * ik * b[1]])
+    db = np.stack([b[1] + alpha * ik * v[0], alpha * ik * v[1]])
+    c, E = full_quadratic_terms(grid, v, b, t, FullTableWorkspace(grid))
+    dv += perp_grad_t(grid, -sym.inv_lap * c, t)
+    db += perp_grad_t(grid, E, t)
+    return np.concatenate([dv, db])
+
+
+def full_ptilde_rhs(grid, alpha, nu, kappa, t, Y):
+    sym = shear_symbols(grid, t)
+    iak = 1j * alpha * grid.K
+    _, S = linear_symbols(grid.K, sym.u, alpha, "derived")
+    dY = np.zeros_like(Y)
+    dY[0] = (iak + S) * Y[1]
+    dY[1] = iak * Y[0]
+    if nu != kappa:
+        dY[0] += ((nu - kappa) / alpha) * sym.idyt * Y[1]
+    ts = TailoredState(grid, Y[:2].copy(), Y[2][0, :].copy(), Y[3][0, :].copy(), t)
+    st = tailored_to_state(ts, alpha)
+    c, E = full_quadratic_terms(grid, st.v, st.b, t, FullTableWorkspace(grid))
+    n1 = _inv_lambda(grid, t) * c
+    n2 = sym.lam * E
+    n1[0, :] = 0.0
+    n2[0, :] = 0.0
+    corr = ptilde_correction_symbol(grid, alpha, t)
+    dY[0] += n1 + corr * n2
+    dY[1] += n2
+    dY[2][0, :] = -sym.idyt[0] * sym.inv_lap[0] * c[0]
+    dY[3][0, :] = sym.idyt[0] * E[0]
+    return dY
+
+
+def full_clean(grid, Y):
+    """Hermitian-symmetrize every table; zero Nyquist, dealiased and (0, 0) modes."""
+    keep = grid.dealias_keep & ~grid.nyquist
+    keep[0, 0] = False
+    return 0.5 * (Y + conj_flip(Y)) * keep
+
+
+def full_tailored_tables(ts):
+    Y = np.zeros((4, *ts.grid.shape), dtype=np.complex128)
+    Y[0], Y[1] = ts.ptilde
+    Y[2][0, :] = ts.v_eq
+    Y[3][0, :] = ts.b_eq
+    return Y
+
+
+def stability_state(shape):
+    # eps = 0.05 makes the quadratic terms far larger than roundoff
+    return gevrey_random_data(Grid(*shape), PAR, seed=104, eps=0.05, lam1=1.2)
+
+
+def random_full_tables(grid, n, seed=0):
+    rng = np.random.default_rng(seed)
+    return np.stack([random_hermitian_coeffs(grid, rng) * grid.dealias_keep
+                     for _ in range(n)])
+
+
+def random_compact(lay, n, seed=0):
+    # any complex values: the eta = 0 column is not Hermitian in k
+    rng = np.random.default_rng(seed)
+    shape = (n, *lay.shape)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("shape", GRIDS)
+def test_vb_rhs_matches_full_table(shape):
+    st = stability_state(shape)
+    g = st.grid
+    integ = VBIntegrator(g, PAR.alpha)
+    got = g.compact.unpack(integ.rhs(T, integ.pack(st)))
+    ref = full_vb_rhs(g, PAR.alpha, T, np.concatenate([st.v, st.b]))
+    assert np.max(np.abs(ref)) > 0
+    assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("shape", GRIDS)
+def test_ptilde_rhs_matches_full_table(shape):
+    st = stability_state(shape)
+    g = st.grid
+    ts = state_to_tailored(st, PAR.alpha)
+    integ = PtildeIntegrator(g, PAR.alpha, nu=1e-3, kappa=3e-3)
+    got = g.compact.unpack(integ.rhs(T, integ.pack(ts)))
+    ref = full_ptilde_rhs(g, PAR.alpha, 1e-3, 3e-3, T, full_tailored_tables(ts))
+    assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("shape", [(16, 16, 1.0), (12, 18, 1.7)])
+def test_cleanup_matches_full_table(shape):
+    g = Grid(*shape)
+    lay = g.compact
+    Y = random_compact(lay, 4)
+    X = lay.unpack(Y)
+    vb = VBIntegrator(g, PAR.alpha)
+    ref = full_clean(g, np.concatenate([leray_project_t(g, X[:2], T),
+                                        leray_project_t(g, X[2:], T)]))
+    assert np.array_equal(lay.unpack(vb.cleanup(Y, T)), ref)
+    ref = full_clean(g, X)
+    ref[:2, 0, :] = 0.0
+    ref[2:, 1:, :] = 0.0
+    out = PtildeIntegrator(g, PAR.alpha).cleanup(Y, T)
+    assert np.array_equal(lay.unpack(out), ref)
+    assert np.array_equal(Y, random_compact(lay, 4))  # the input is left alone
+
+
+@pytest.mark.parametrize("shape", GRIDS)
+def test_pack_unpack_roundtrip(shape):
+    g = Grid(*shape)
+    Y = random_full_tables(g, 4)
+    comp = g.compact.pack(Y)
+    assert comp.shape == (4, 2 * (g.Nx // 3) + 1, g.Ny // 3 + 1)
+    assert np.array_equal(g.compact.unpack(comp), Y)
+
+
+@pytest.mark.parametrize("shape", GRIDS)
+def test_max_speed_is_full_table_l1(shape):
+    g = Grid(*shape)
+    Y = random_full_tables(g, 4)
+    full_l1 = max(float(np.sum(np.abs(c))) for c in Y)
+    got = VBIntegrator(g, PAR.alpha).max_speed(g.compact.pack(Y))
+    assert abs(got - full_l1) <= 1e-15 * full_l1

@@ -23,11 +23,20 @@ def small_state(n=16, seed=1, eps=1e-3, lam1=1.5):
     return gevrey_random_data(g, PAR, seed=seed, eps=eps, lam1=lam1)
 
 
+def packed_tables(integ, tables):
+    """The integrator's compact stack of four full (Nx, Ny) tables."""
+    st = MHDState(integ.grid, tables[:2], tables[2:], 0.0)
+    return integ.pack(st)
+
+
+def zero_stack(integ):
+    return packed_tables(integ, np.zeros((4, *integ.grid.shape), complex))
+
+
 class TestRhsVB:
     def test_zero_state(self, grid16):
         integ = VBIntegrator(grid16, 1.0)
-        Y = np.zeros((4, 16, 16), complex)
-        assert np.all(integ.rhs(0.0, Y) == 0)
+        assert np.all(integ.rhs(0.0, zero_stack(integ)) == 0)
 
     def test_x_independent_b_is_linearly_steady(self, grid16):
         # divergence-free x-independent b has only a b1(y) profile; with
@@ -36,18 +45,19 @@ class TestRhsVB:
         Y = np.zeros((4, 16, 16), complex)
         Y[2][0, 2] = 1.0
         Y[2][0, -2 % 16] = 1.0
-        dY = integ.rhs(0.0, Y)
-        assert np.max(np.abs(dY[2])) <= 1e-14
-        assert np.max(np.abs(dY[0])) <= 1e-14
+        dY = integ.unpack(integ.rhs(0.0, packed_tables(integ, Y)), 0.0)
+        assert np.max(np.abs(dY.b[0])) <= 1e-14
+        assert np.max(np.abs(dY.v[0])) <= 1e-14
 
     def test_b2_e1_coupling(self, grid16):
         # mode with k != 0: db1 gets +b2 and dv1 gets -v2
         integ = VBIntegrator(grid16, 0.5, linear_only=True)
         Y = np.zeros((4, 16, 16), complex)
-        Y[3][1, 0] = 1.0  # b2 at (1, 0)
-        dY = integ.rhs(0.0, Y)
-        assert np.isclose(dY[2][1, 0], 1.0)  # +b2 e1
-        assert np.isclose(dY[1][1, 0], 0.5j)  # alpha d_x b2
+        Y[3][1, 0] = 1.0  # b2 at (1, 0) and its Hermitian partner
+        Y[3][-1, 0] = 1.0
+        dY = integ.unpack(integ.rhs(0.0, packed_tables(integ, Y)), 0.0)
+        assert np.isclose(dY.b[0][1, 0], 1.0)  # +b2 e1
+        assert np.isclose(dY.v[1][1, 0], 0.5j)  # alpha d_x b2
 
     def test_divergence_preserved(self):
         st = small_state(16, seed=3, eps=1e-2)
@@ -60,9 +70,17 @@ class TestRhsVB:
         st = small_state(16, seed=4, eps=1e-2)
         integ = VBIntegrator(st.grid, 1.0)
         _, Y = evolve(integ, integ.pack(st), 0.0, 1.0, dt=0.02, cfl=None)
-        for c in Y:
+        out = integ.unpack(Y, 1.0)
+        for c in (*out.v, *out.b):
             assert c[0, 0] == 0.0
             assert hermitian_defect(c) <= 1e-12
+
+
+def full_quadratic_terms(grid, v, b, t):
+    """quadratic_terms of full tables: packed in, unpacked out."""
+    lay = grid.compact
+    return lay.unpack(quadratic_terms(lay, lay.pack(v), lay.pack(b), t,
+                                      ProductWorkspace(grid)))
 
 
 class TestQuadraticTerms:
@@ -99,7 +117,7 @@ class TestQuadraticTerms:
         c_ref = (self.conv(b[0], ik * j) + self.conv(b[1], idy * j)
                  - self.conv(v[0], ik * w) - self.conv(v[1], idy * w))
         e_ref = self.conv(v[0], b[1]) - self.conv(v[1], b[0])
-        c, E = quadratic_terms(g, v, b, t, ProductWorkspace(g))
+        c, E = full_quadratic_terms(g, v, b, t)
         for got, ref in ((c, c_ref), (E, e_ref)):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -111,7 +129,7 @@ class TestQuadraticTerms:
         ik, idy = self.symbols()
         lam2 = np.abs(ik) ** 2 + np.abs(idy) ** 2
         lam2[0, 0] = 1.0
-        c, E = quadratic_terms(g, v, b, t, ProductWorkspace(g))
+        c, E = full_quadratic_terms(g, v, b, t)
         nlv = np.stack([idy * c / lam2, -ik * c / lam2])
         nlb = np.stack([idy * E, -ik * E])
         for got, adv in ((nlv, self.advect(b, b) - self.advect(v, v)),
@@ -121,16 +139,14 @@ class TestQuadraticTerms:
 
     def test_no_induction_without_b(self):
         st = small_state(16, seed=2)
-        _, E = quadratic_terms(st.grid, st.v, 0.0 * st.b, 0.3,
-                               ProductWorkspace(st.grid))
+        _, E = full_quadratic_terms(st.grid, st.v, 0.0 * st.b, 0.3)
         assert np.all(E == 0.0)
 
 
 class TestStepAPI:
     def test_zero_state_fixed(self, grid16):
         integ = VBIntegrator(grid16, 1.0)
-        t, Y = evolve(integ, np.zeros((4, 16, 16), complex), 0.0, 0.1, dt=0.1,
-                      cfl=None)
+        t, Y = evolve(integ, zero_stack(integ), 0.0, 0.1, dt=0.1, cfl=None)
         assert t == 0.1
         assert np.all(Y == 0)
 
@@ -177,8 +193,7 @@ class TestTimeGrid:
 
     def test_fixed_steps_land_on_sample_times(self, monkeypatch, grid16):
         integ = VBIntegrator(grid16, 1.0)
-        times, steps = record_run(monkeypatch, integ,
-                                  np.zeros((4, 16, 16), complex), 1.0,
+        times, steps = record_run(monkeypatch, integ, zero_stack(integ), 1.0,
                                   dt=0.1, cfl=None, sample_dt=0.3)
         assert times == [m * 0.3 for m in range(4)] + [1.0]
         assert times == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0], abs=1e-15)
@@ -188,8 +203,7 @@ class TestTimeGrid:
         # zero state and a small alpha keep the CFL limit above dt
         integ = VBIntegrator(grid16, 0.1)
         for cfl in (None, 0.5):
-            times, steps = record_run(monkeypatch, integ,
-                                      np.zeros((4, 16, 16), complex), 1.5,
+            times, steps = record_run(monkeypatch, integ, zero_stack(integ), 1.5,
                                       dt=0.3, cfl=cfl, sample_dt=0.5)
             assert times == [0.0, 0.5, 1.0, 1.5]
             assert len(steps) == 6  # two steps per interval of 0.5

@@ -279,6 +279,22 @@ class TestCLI:
             stored = json.load(fh)
         assert stored["config"]["initial"]["seed"] == 5
 
+    def test_seed_rejected_for_file_data(self, tmp_path, capsys):
+        # a snapshot file fixes the data, so a seed override would be ignored
+        g = Grid(16, 16, 1.0)
+        path = str(tmp_path / "snap.txt")
+        write_state_snapshot(path, single_mode_state(g, 1, 0, 1e-3, "v"))
+        cfile = tmp_path / "c.json"
+        cfile.write_text(json.dumps({
+            "experiment": "nonlinear_ideal",
+            "grid": {"Nx": 16, "Ny": 16, "Ly": 1.0},
+            "evolution": {"dt": 0.02, "t_end": 0.1},
+            "initial": {"kind": "file", "path": path}}))
+        assert cli.main(["run", "--config", str(cfile), "--seed", "5",
+                         "--out", str(tmp_path / "s5")]) == 1
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "s5").exists()
+
     def test_audit_subcommand(self, tmp_path):
         rc = cli.main(["audit", "--out", str(tmp_path / "aud"),
                        "--eta-max", "500", "--samples", "8"])

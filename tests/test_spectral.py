@@ -1,12 +1,14 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from shearmhd.spectral import (Grid, ProductWorkspace, SpectralField, conj_flip,
-                               convolution_direct, dealias_mask, from_physical, hermitian_defect,
-                               hermitize, l2_norm, lambda_t, nonlinear_product,
+                               convolution_direct, from_physical, hermitian_defect,
+                               hermitize, l2_norm, nonlinear_product,
                                physical_l2_norm, random_hermitian_coeffs,
-                               shear_symbols, sheared_gradient, to_physical)
+                               shear_symbols, to_physical)
 
 
 class TestGrid:
@@ -31,13 +33,13 @@ class TestGrid:
 
 class TestDealiasMask:
     def test_two_thirds_rule_12(self):
-        m = dealias_mask(Grid(12, 12, 1.0))
+        m = Grid(12, 12, 1.0).dealias_keep
         k = np.fft.fftfreq(12, 1 / 12)
         for i, kv in enumerate(k):
             assert m[i, 0] == (abs(kv) <= 4)
 
     def test_two_thirds_rule_6(self):
-        m = dealias_mask(Grid(6, 6, 1.0))
+        m = Grid(6, 6, 1.0).dealias_keep
         k = np.fft.fftfreq(6, 1 / 6)
         # Nx=6 is below the Grid minimum of 4? 6 >= 4, fine
         for i, kv in enumerate(k):
@@ -88,18 +90,40 @@ class TestHermitian:
         SpectralField(grid16, c, reality=False)
 
 
+@dataclass(frozen=True)
+class OneMode:
+    """A single (k, eta) mode with the K/ETA interface that shear_symbols reads."""
+
+    k: float
+    eta: float
+
+    @property
+    def K(self):
+        return np.array([[self.k]])
+
+    @property
+    def ETA(self):
+        return np.array([[self.eta]])
+
+
+def lambda_t(k, eta, t):
+    """Lambda_t of one mode, through shear_symbols."""
+    return shear_symbols(OneMode(float(k), float(eta)), t).lam[0, 0]
+
+
 class TestLambdaT:
-    def test_unit_mode(self):
-        assert lambda_t(1, 0.0, 0.0) == 1.0
+    def test_unit_mode(self, grid16):
+        assert shear_symbols(grid16, 0.0).lam[1, 0] == 1.0
 
-    def test_critical_time(self):
-        assert lambda_t(1, 5.0, 5.0) == 1.0
+    def test_critical_time(self, grid16):
+        assert grid16.eta[5] == 5.0
+        assert shear_symbols(grid16, 5.0).lam[1, 5] == 1.0
 
-    def test_arithmetic(self):
-        assert np.isclose(lambda_t(2, 3.0, 1.0), np.sqrt(5.0))
+    def test_arithmetic(self, grid16):
+        assert np.isclose(shear_symbols(grid16, 1.0).lam[2, 3], np.sqrt(5.0))
 
-    def test_zero_mode(self):
-        assert lambda_t(0, 0.0, 3.0) == 0.0
+    def test_zero_mode(self, grid16):
+        assert shear_symbols(grid16, 3.0).lam[0, 0] == 0.0
 
     @given(k=st.integers(-50, 50), eta=st.floats(-100, 100),
            t=st.floats(-20, 20))
@@ -116,23 +140,29 @@ class TestLambdaT:
         assert lambda_t(k, eta, t) >= abs(k) - 1e-12
 
 
+def sheared_gradient(grid, f, t):
+    """(d_x f, d_y^t f) of a coefficient table, from the shear_symbols tables."""
+    sym = shear_symbols(grid, t)
+    return sym.ikx * f, sym.idyt * f
+
+
 class TestShearedGradient:
     def test_single_mode_t0(self, grid16):
         f = grid16.zeros()
         f[1, 0] = 1.0
-        fx, fy = sheared_gradient(SpectralField(grid16, f, reality=False), 0.0)
+        fx, fy = sheared_gradient(grid16, f, 0.0)
         assert fx[1, 0] == 1j and fy[1, 0] == 0.0
 
     def test_critical_time(self, grid16):
         f = grid16.zeros()
         f[1, 2] = 1.0
-        fx, fy = sheared_gradient(SpectralField(grid16, f, reality=False), 2.0)
+        fx, fy = sheared_gradient(grid16, f, 2.0)
         assert fx[1, 2] == 1j and abs(fy[1, 2]) <= 1e-15
 
     def test_derived_mode(self, grid16):
         f = grid16.zeros()
         f[2, 1] = 1.0
-        fx, fy = sheared_gradient(SpectralField(grid16, f, reality=False), 3.0)
+        fx, fy = sheared_gradient(grid16, f, 3.0)
         assert fx[2, 1] == 2j and fy[2, 1] == -5j
 
 
@@ -178,6 +208,9 @@ class TestNonlinearProduct:
         f = random_hermitian_coeffs(grid16, rng)
         out = nonlinear_product(SpectralField(grid16, f), SpectralField(grid16, f))
         assert np.all(out.coeffs[~grid16.dealias_keep] == 0.0)
+        # only the retained modes of the operands enter the product
+        kept = SpectralField(grid16, f * grid16.dealias_keep)
+        assert np.array_equal(nonlinear_product(kept, kept).coeffs, out.coeffs)
 
     def test_complex_field_rejected(self, grid16, rng):
         raw = rng.standard_normal(grid16.shape) + 1j * rng.standard_normal(grid16.shape)
@@ -191,20 +224,24 @@ class TestProductWorkspace:
     def test_spec_exactly_hermitian(self, shape, rng):
         ws = ProductWorkspace(Grid(*shape))
         out = ws.spec(rng.standard_normal((3, ws.Mx, ws.My)))
-        assert np.any(out != 0.0)
-        assert np.array_equal(out, conj_flip(out))
+        assert out.shape == (3, *ws.layout.shape)
+        full = ws.layout.unpack(out)
+        assert np.any(full != 0.0)
+        assert np.array_equal(full, conj_flip(full))
 
     def test_phys_matches_complex_inverse(self, rng):
-        # the real, pruned inverse equals the zero-padded complex ifft2
+        # the real, pruned inverse of the retained modes (the compact tables
+        # phys reads) equals the zero-padded complex ifft2
         g = Grid(12, 16, 1.0)
         ws = ProductWorkspace(g)
-        c = np.stack([random_hermitian_coeffs(g, rng) for _ in range(2)])
+        c = np.stack([random_hermitian_coeffs(g, rng) * g.dealias_keep
+                      for _ in range(2)])
         ref = np.zeros((2, ws.Mx, ws.My), dtype=complex)
         kx, ky = np.meshgrid(g.k.astype(int), (g.eta * g.Ly).round().astype(int),
                              indexing="ij")
         ref[:, kx % ws.Mx, ky % ws.My] = c
         ref = np.fft.ifft2(ref) * (ws.Mx * ws.My)
-        got = ws.phys(c)
+        got = ws.phys(ws.layout.pack(c))
         assert got.dtype == float
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 

@@ -4,7 +4,9 @@ Every padded transform goes through ``ProductWorkspace.phys`` (inverse) or
 ``ProductWorkspace.spec`` (forward), each one batched call over a stack of
 tables.  Counting the calls and the tables they transform pins how much
 transform work the solver's quadratic terms, the energy identity and the
-partition pairing do, so a refactor cannot add transforms unnoticed.
+partition pairing do, so a refactor cannot add transforms unnoticed.  The
+integrators step the compact half-spectrum, so the stacks their right-hand
+sides hand to ``phys`` must have its shape, not the full table's.
 """
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 
 from shearmhd import dynamics
 from shearmhd.diagnostics import identity_sides
-from shearmhd.dynamics import VBIntegrator, quadratic_terms
+from shearmhd.dynamics import PtildeIntegrator, VBIntegrator, quadratic_terms
 from shearmhd.experiments import gevrey_random_data
 from shearmhd.partition import _pairing_fft
 from shearmhd.spectral import Grid, ProductWorkspace
@@ -23,7 +25,13 @@ PAR = WeightParams(rho=0.004, lam0=1.3, s=0.6, alpha=1.0, c0=0.05, eps=1e-3)
 
 
 @pytest.fixture
-def counts(monkeypatch):
+def phys_shapes():
+    """Table shape of every stack handed to ``phys``, filled by ``counts``."""
+    return []
+
+
+@pytest.fixture
+def counts(monkeypatch, phys_shapes):
     """Tables transformed by each call, per method: {"phys": [...], "spec": [...]}."""
     tally = {"phys": [], "spec": []}
 
@@ -32,6 +40,8 @@ def counts(monkeypatch):
 
         def wrapper(self, stack):
             tally[name].append(int(np.prod(stack.shape[:-2])))
+            if name == "phys":
+                phys_shapes.append(stack.shape[-2:])
             return original(self, stack)
         return wrapper
 
@@ -50,8 +60,9 @@ def state():
 
 
 def test_quadratic_terms(counts, state):
-    g = state.grid
-    quadratic_terms(g, state.v, state.b, 0.4, ProductWorkspace(g))
+    lay = state.grid.compact
+    quadratic_terms(lay, lay.pack(state.v), lay.pack(state.b), 0.4,
+                    ProductWorkspace(state.grid))
     assert counts == {"phys": [8], "spec": [2]}
 
 
@@ -64,6 +75,21 @@ def test_vb_rhs_projects_nothing(monkeypatch, counts, state):
     integ = VBIntegrator(state.grid, PAR.alpha)
     integ.rhs(0.4, integ.pack(state))
     assert counts == {"phys": [8], "spec": [2]}
+
+
+def compact_shape(grid):
+    # retained k in [-Nx/3, Nx/3], retained eta >= 0 up to Ny/3
+    return (2 * (grid.Nx // 3) + 1, grid.Ny // 3 + 1)
+
+
+def test_integrators_hand_compact_stacks_to_phys(counts, phys_shapes, state):
+    g = state.grid
+    vb = VBIntegrator(g, PAR.alpha)
+    vb.rhs(0.4, vb.pack(state))
+    pt = PtildeIntegrator(g, PAR.alpha)
+    pt.rhs(0.4, pt.pack(state_to_tailored(state, PAR.alpha)))
+    assert counts == {"phys": [8, 8], "spec": [2, 2]}
+    assert phys_shapes == [compact_shape(g)] * 2 == [(11, 6)] * 2
 
 
 def test_identity_sides(counts, state):
