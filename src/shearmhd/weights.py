@@ -11,11 +11,16 @@ fixed by continuity (1 + slope * half-interval-length = eta/k^2).  Outside
 the interval union q is extended by the constant plateau value 1, anchored
 at q(2|eta|) = 1.  For |eta| <= 1 there are no resonant intervals and q = 1.
 Branch corners use the right-derivative.
+
+q is evaluated over whole arrays with the branch index in closed form: t_k =
+eta(2k+1)/(2k(k+1)) decreases in k, so the k with t in [t_k, t_{k-1}) is the
+ceiling of the positive root of 2tk^2 + 2(t-eta)k - eta = 0, clipped to
+[1, floor(sqrt(|eta|))] and corrected by one against the endpoints t_k and
+t_{k-1} themselves, so the intervals stay right-open.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,58 +71,38 @@ def q_endpoint(k, eta):
                                               + eta / (k + 1.0)))
 
 
-def q_slopes(k, eta):
-    """Branch slopes (a_k, b_k) fixed by 1 + slope * |endpoint - eta/k| = eta/k^2.
-
-    For k >= 2 these agree with the closed forms 2(k+1)/k*(1-k^2/eta) and
-    2(k-1)/k*(1-k^2/eta); at k = 1 the closed b-form degenerates to 0, so
-    the continuity-defining value is used throughout.
-    """
-    k = np.asarray(k, dtype=float)
-    eta = np.abs(np.asarray(eta, dtype=float))
+def _log_q_and_rate(t, eta, rho):
+    """(log q, d_t log q) elementwise over broadcast t and eta."""
+    t, eta = np.broadcast_arrays(np.asarray(t, dtype=float),
+                                 np.abs(np.asarray(eta, dtype=float)))
+    resonant = eta > 1.0
+    eta = np.where(resonant, eta, 2.0)
+    k0 = np.floor(np.sqrt(eta))
+    t_low = 0.5 * (eta / k0 + eta / (k0 + 1.0))
+    active = resonant & (t >= t_low) & (t < 2.0 * eta)
+    # inactive points are evaluated at t_low, inside the range, and masked
+    t = np.where(active, t, t_low)
+    # t_k decreases in k, so t in [t_k, t_{k-1}) puts the positive root of
+    # 2 t k^2 + 2 (t - eta) k - eta = 0 in (k - 1, k]; the +-1 corrections
+    # settle roundoff against the endpoints themselves (right-open)
+    k = np.clip(np.ceil((eta - t + np.sqrt((t - eta) ** 2 + 2.0 * t * eta))
+                        / (2.0 * t)), 1.0, k0)
+    k += t < q_endpoint(k, eta)
+    k -= t >= q_endpoint(k - 1.0, eta)
+    tk, tk1 = q_endpoint(k, eta), q_endpoint(k - 1.0, eta)
     res = eta / k
     gain = eta / k**2 - 1.0
-    a = gain / (res - q_endpoint(k, eta))
-    b = gain / (q_endpoint(k - 1, eta) - res)
-    return a, b
-
-
-def _q_piece(t, eta, rho):
-    """(log q, d/dt log q) for scalar t and scalar |eta| > 1."""
-    eta = abs(eta)
-    k0 = int(math.floor(math.sqrt(eta)))
-    t_low = 0.5 * (eta / k0 + eta / (k0 + 1))
-    if t < t_low or t >= 2.0 * eta:
-        return 0.0, 0.0
-    # locate k with t in [t_k, t_{k-1}), right-open so corners take the
-    # right-derivative of the next branch
-    k_guess = int(math.floor(eta / t - 0.5)) if t > 0 else k0
-    for k in range(min(max(k_guess + 2, 1), k0), 0, -1):
-        tk = 0.5 * (eta / k + eta / (k + 1))
-        tk1 = 2.0 * eta if k == 1 else 0.5 * (eta / (k - 1) + eta / k)
-        if tk <= t < tk1:
-            res = eta / k
-            gain = eta / k**2 - 1.0
-            if t < res:  # approaching the resonance: q decreasing
-                a = gain / (res - tk)
-                z = 1.0 + a * (res - t)
-                return rho * (math.log(k**2 / eta) + math.log(z)), -rho * a / z
-            b = gain / (tk1 - res)
-            z = 1.0 + b * (t - res)
-            return rho * (math.log(k**2 / eta) + math.log(z)), rho * b / z
-    return 0.0, 0.0
-
-
-_q_piece_vec = np.vectorize(_q_piece, otypes=[float, float])
+    before = t < res  # approaching the resonance: q decreasing
+    slope = np.where(before, gain / (res - tk), gain / (tk1 - res))
+    z = 1.0 + slope * np.where(before, res - t, t - res)
+    lq = rho * (np.log(k**2 / eta) + np.log(z))
+    dq = np.where(before, -rho, rho) * slope / z
+    return np.where(active, lq, 0.0), np.where(active, dq, 0.0)
 
 
 def log_q(t, eta, params: WeightParams):
     """log q(t, eta); q = 1 for |eta| <= 1 and outside the construction range."""
-    t = np.asarray(t, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    small = np.abs(eta) <= 1.0
-    lq, _ = _q_piece_vec(t, np.where(small, 2.0, np.abs(eta)), params.rho)
-    return np.where(small, 0.0, lq)
+    return _log_q_and_rate(t, eta, params.rho)[0]
 
 
 def q_value(t, eta, params: WeightParams):
@@ -126,11 +111,7 @@ def q_value(t, eta, params: WeightParams):
 
 def dtq_over_q(t, eta, params: WeightParams):
     """Signed d_t q / q by analytic branch differentiation (right-derivative)."""
-    t = np.asarray(t, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    small = np.abs(eta) <= 1.0
-    _, dq = _q_piece_vec(t, np.where(small, 2.0, np.abs(eta)), params.rho)
-    return np.where(small, 0.0, dq)
+    return _log_q_and_rate(t, eta, params.rho)[1]
 
 
 def q_growth_ratio(t, eta, params: WeightParams):
@@ -292,7 +273,8 @@ class MultiplierSet:
         self.lam = float(lambda_of_t(self.t, params))
         K, ETA = grid.K, grid.ETA
         base = _log_sobolev_gevrey(K, ETA, self.lam, params.s, params.N)
-        lq = log_q(self.t, ETA, params) * np.ones_like(base)
+        lq, dq = _log_q_and_rate(self.t, ETA, params.rho)
+        lq = lq * np.ones_like(base)
         self.log_jtilde = 8.0 * params.rho * np.sqrt(np.abs(ETA)) - lq
         self.log_j = np.logaddexp(self.log_jtilde,
                                   8.0 * params.rho * np.sqrt(np.abs(K)) * np.ones_like(base))
@@ -302,7 +284,7 @@ class MultiplierSet:
         eta1 = grid.eta
         self.log_Alo = (log_j(self.t, 0.0, eta1, params)
                         + _log_sobolev_gevrey(0.0, eta1, self.lam, params.s, params.N - 1))
-        self.dtq_over_q = dtq_over_q(self.t, ETA, params) * np.ones_like(base)
+        self.dtq_over_q = dq * np.ones_like(base)
         self.dtm_over_m = dtm_over_m(self.t, K, ETA, params) * np.ones_like(base)
         self.dlam = float(dlambda_dt(self.t, params))
 

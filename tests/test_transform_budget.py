@@ -7,12 +7,16 @@ transform work the solver's quadratic terms, the energy identity and the
 partition pairing do, so a refactor cannot add transforms unnoticed.  The
 integrators step the compact half-spectrum, so the stacks their right-hand
 sides hand to ``phys`` must have its shape, not the full table's.
+
+The weight audit is budgeted the same way in calls of ``log_q``: each lemma
+row evaluates q over all its samples at once, so a loop of scalar calls
+cannot creep back unnoticed.
 """
 
 import numpy as np
 import pytest
 
-from shearmhd import dynamics
+from shearmhd import dynamics, weights, weights_audit
 from shearmhd.diagnostics import identity_sides
 from shearmhd.dynamics import PtildeIntegrator, VBIntegrator, quadratic_terms
 from shearmhd.experiments import gevrey_random_data
@@ -20,6 +24,7 @@ from shearmhd.partition import _pairing_fft
 from shearmhd.spectral import Grid, ProductWorkspace
 from shearmhd.unknowns import state_to_tailored
 from shearmhd.weights import MultiplierSet, WeightParams
+from shearmhd.weights_audit import run_weights_audit
 
 PAR = WeightParams(rho=0.004, lam0=1.3, s=0.6, alpha=1.0, c0=0.05, eps=1e-3)
 
@@ -104,3 +109,18 @@ def test_pairing_fft(counts, state):
     A = MultiplierSet(g, 0.4, PAR).A
     _pairing_fft(g, A, state.v, state.b, state.v, 0.4, ProductWorkspace(g))
     assert 0 < total_tables(counts) <= 14
+
+
+def test_weights_audit_log_q_calls(monkeypatch):
+    calls = []
+    original = weights.log_q
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    # weights_audit binds log_q by name; the J multipliers reach it in weights
+    for module in (weights, weights_audit):
+        monkeypatch.setattr(module, "log_q", counting)
+    run_weights_audit(WeightParams(), 1e4, 24, 0)
+    assert 0 < len(calls) <= 64

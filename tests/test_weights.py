@@ -1,20 +1,73 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from shearmhd.spectral import Grid
 from shearmhd.weights import (MultiplierSet, WeightParams, _lambda_integral,
                               a_multiplier, dlambda_dt, dtm_over_m, dtq_over_q,
                               j_value, jtilde_value, lambda_of_t,
                               log_a_multiplier, log_j, log_jtilde, log_mtilde,
                               log_q, m_value, mtilde_value, q_endpoint,
-                              q_growth_ratio, q_slopes, q_value)
-from shearmhd.weights_audit import audit_j_commutator_small_time
+                              q_growth_ratio, q_value)
+from shearmhd.weights_audit import audit_j_commutator_small_time, run_weights_audit
 
 RHO_HALF = WeightParams(rho=0.5, lam0=0.5 * (250 + 2 / 0.1), s=0.6)
 RHO_ONE = WeightParams(rho=1.0, lam0=270.0, s=0.6)
+
+
+def q_slopes(k, eta):
+    """Branch slopes (a_k, b_k) fixed by 1 + slope * |endpoint - eta/k| = eta/k^2.
+
+    For k >= 2 these agree with the closed forms 2(k+1)/k*(1-k^2/eta) and
+    2(k-1)/k*(1-k^2/eta); at k = 1 the closed b-form degenerates to 0, so
+    the continuity-defining value is used throughout.
+    """
+    k = np.asarray(k, dtype=float)
+    eta = np.abs(np.asarray(eta, dtype=float))
+    res = eta / k
+    gain = eta / k**2 - 1.0
+    a = gain / (res - q_endpoint(k, eta))
+    b = gain / (q_endpoint(k - 1, eta) - res)
+    return a, b
+
+
+def _q_piece(t, eta, rho):
+    """(log q, d/dt log q) for scalar t and scalar |eta| > 1."""
+    eta = abs(eta)
+    k0 = int(math.floor(math.sqrt(eta)))
+    t_low = 0.5 * (eta / k0 + eta / (k0 + 1))
+    if t < t_low or t >= 2.0 * eta:
+        return 0.0, 0.0
+    # locate k with t in [t_k, t_{k-1}), right-open so corners take the
+    # right-derivative of the next branch
+    k_guess = int(math.floor(eta / t - 0.5)) if t > 0 else k0
+    for k in range(min(max(k_guess + 2, 1), k0), 0, -1):
+        tk = 0.5 * (eta / k + eta / (k + 1))
+        tk1 = 2.0 * eta if k == 1 else 0.5 * (eta / (k - 1) + eta / k)
+        if tk <= t < tk1:
+            res = eta / k
+            gain = eta / k**2 - 1.0
+            if t < res:  # approaching the resonance: q decreasing
+                a = gain / (res - tk)
+                z = 1.0 + a * (res - t)
+                return rho * (math.log(k**2 / eta) + math.log(z)), -rho * a / z
+            b = gain / (tk1 - res)
+            z = 1.0 + b * (t - res)
+            return rho * (math.log(k**2 / eta) + math.log(z)), rho * b / z
+    return 0.0, 0.0
+
+
+def q_oracle(t, eta, rho):
+    """The scalar branch search elementwise; q = 1 for |eta| <= 1."""
+    t, eta = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(eta, dtype=float))
+    pairs = [(0.0, 0.0) if abs(e) <= 1.0 else _q_piece(float(tt), float(e), rho)
+             for tt, e in zip(t.ravel(), eta.ravel())]
+    lq, dq = np.array(pairs, dtype=float).reshape(-1, 2).T
+    return lq.reshape(t.shape), dq.reshape(t.shape)
 
 
 class TestWeightParams:
@@ -91,6 +144,63 @@ class TestQWeight:
     def test_range(self, t, eta):
         lq = float(log_q(t, eta, RHO_HALF))
         assert -RHO_HALF.rho * math.log(eta) - 1e-12 <= lq <= 1e-12
+
+
+class TestQBranchIndex:
+    """The closed-form branch index against the scalar interval search."""
+
+    ETAS = np.concatenate([
+        [1.0000001, 1.5, 2.0, 3.999999, 4.0, 4.000001, 37.0, 99.9, 1e4 + 0.5,
+         123456.789, 1e6],
+        np.arange(2.0, 41.0) ** 2,
+        np.random.default_rng(5).uniform(1.0, 2e5, 40),
+    ])
+
+    @staticmethod
+    def times(eta):
+        """Every t_k, its float neighbours, eta/k, 2|eta|, 0 and just below t_low."""
+        e = abs(eta)
+        k0 = math.floor(math.sqrt(e))
+        tk = q_endpoint(np.arange(k0 + 1), e)
+        t_low = float(tk[-1])
+        return np.concatenate([
+            tk, np.nextafter(tk, 0.0), np.nextafter(tk, np.inf),
+            e / np.arange(1.0, k0 + 1), [0.0, 2.0 * e, np.nextafter(t_low, 0.0)],
+            np.linspace(0.0, 2.2 * e, 97)])
+
+    def check(self, t, eta, rho=0.05):
+        params = WeightParams(rho=rho, lam0=270.0 * rho)
+        ref_lq, ref_dq = q_oracle(t, eta, rho)
+        dq = dtq_over_q(t, eta, params)
+        lq = log_q(t, eta, params)
+        assert dq.shape == lq.shape == ref_dq.shape
+        assert np.array_equal(dq, ref_dq)
+        assert np.max(np.abs(lq - ref_lq), initial=0.0) <= 1e-15
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_dense_times(self, sign):
+        for eta in self.ETAS:
+            self.check(self.times(eta), sign * eta)
+
+    def test_small_and_zero_eta(self):
+        t = np.linspace(0.0, 10.0, 41)
+        for eta in (0.0, 0.5, -0.5, 1.0, -1.0):
+            self.check(t, eta)
+            assert np.all(log_q(t, eta, WeightParams()) == 0.0)
+
+    def test_rho_one(self):
+        self.check(self.times(400.0), 400.0, rho=1.0)
+
+    def test_scalar_t_over_eta_table(self):
+        g = Grid(16, 16, 0.05)
+        for t in (0.0, 3.0, 17.5, 40.0, 125.0):
+            self.check(t, g.ETA)
+
+    def test_arrays_broadcast(self):
+        t = np.linspace(0.0, 300.0, 61)[:, None]
+        eta = np.concatenate([-self.ETAS[:12], self.ETAS[:12], [0.3]])[None, :]
+        self.check(t, eta)
+        self.check(np.full((3, 4), 7.0), np.array([2.0, 16.0, 50.0, -130.0]))
 
 
 class TestQGrowthRatio:
@@ -320,6 +430,57 @@ class TestMultiplierSet:
         b = MultiplierSet(grid16, 0.7, small_params)
         assert np.array_equal(a.log_A, b.log_A)
         assert np.array_equal(a.dtq_over_q, b.dtq_over_q)
+
+
+# criterion 7's rows, run_weights_audit(WeightParams(), 1e4, 24, 0), as the
+# scalar-loop audit computed them: (lemma_id, sample_count,
+# empirical_constant, max_violation_ratio, passes)
+GOLDEN_AUDIT = [
+    ("q_plateau_equality", 610, 0.0, 0.0, True),
+    ("q_resonance_dip", 610, 1.1102230246251565e-16, 1.1102230246251565e-06, True),
+    ("q_symmetry", 252, 0.0, 0.0, True),
+    ("q_growth_comparability", 662, 2.2686015651585456, 0.0, True),
+    ("q_dt_crosscheck", 662, 4.172580804465628e-08, 0.004172580804465628, True),
+    ("q_zero_time_asymptotics", 60, 8.732864413748826e+16, 1.4274493159624706, True),
+    ("q_ratio_exp_bound", 1170, 1.0, 0.0, True),
+    ("q_growth_frequency_change", 504, 0.36200106588432046, 0.0, True),
+    ("J_sandwich", 4383, 0.7391236023896639, 0.7391236023896639, True),
+    ("J_ratio_bound", 400, 0.017939302597981183, 0.017939302597981183, True),
+    ("J_vs_Jtilde_low_k", 300, 0.6188180814387689, 0.6188180814387689, True),
+    ("J_commutator_small_time", 400, 2.0923692845927863e-09, 0.0, True),
+    ("J_commutator_high_k", 400, 0.20596031527714126, 0.0, True),
+    ("m_bounds", 500, 0.0, 0.0, True),
+    ("m_bound_convention", 500, 0.9999918280042609, 0.0, True),
+    ("m_difference_bound", 392, 0.0004577704673131011, 0.0, True),
+    ("mtilde_bound", 400, 0.9999999999997622, 0.9999999999997622, True),
+    ("Atilde_triangle_bound", 300, 7.548034193743453e-06, 0.0, True),
+    ("average_weight_domination", 400, 23.847685435269817, 23.847685435269817, True),
+    ("average_weight_domination_m_stripped", 400, 1.093765569591641,
+     1.093765569591641, True),
+]
+
+
+class TestWeightsAudit:
+    def test_golden_rows(self):
+        # pins the random draws' order as well as the lemma values
+        rows, summary = run_weights_audit(WeightParams(), 1e4, 24, 0)
+        assert [r.lemma_id for r in rows] == [g[0] for g in GOLDEN_AUDIT]
+        for row, (name, count, const, ratio, passes) in zip(rows, GOLDEN_AUDIT):
+            assert row.sample_count == count, name
+            assert bool(row.passes) == passes, name
+            assert math.isclose(row.empirical_constant, const, rel_tol=1e-12), name
+            assert math.isclose(row.max_violation_ratio, ratio, rel_tol=1e-12), name
+        growth = next(r for r in rows if r.lemma_id == "q_growth_comparability")
+        assert "two-sided constants [0.844, 2.27]" in growth.note
+        assert summary["all_finite"] and not summary["hard_failures"]
+
+    @pytest.mark.parametrize("eta_max", [1e5, 1e6])
+    def test_no_warnings_at_large_eta(self, eta_max):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows, summary = run_weights_audit(WeightParams(), eta_max, 12, 0)
+        assert all(np.isfinite(r.empirical_constant) for r in rows)
+        assert summary["all_finite"] and not summary["hard_failures"]
 
 
 class TestJCommutatorAudit:
