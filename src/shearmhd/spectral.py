@@ -13,9 +13,11 @@ Conventions used throughout the package:
 
 * physical samples  f(x_j, y_m) = sum_{k,eta} fhat(k,eta) e^{i(k x_j + eta y_m)},
   i.e. ``phys = Nx*Ny * ifft2(coeffs)`` and ``coeffs = fft2(phys)/(Nx*Ny)``;
-* quadratic products are evaluated on a zero-padded grid (>= 3/2 rule per
-  axis) so that the retained modes carry the exact convolution, then
-  truncated by the 2/3-rule mask |k| <= Nx/3, |eta*Ly| <= Ny/3.  Every
+* quadratic products are evaluated on a zero-padded grid of M > 3K points
+  per axis, K = N//3 the largest retained index, so that the retained modes
+  carry the exact convolution, then truncated by the 2/3-rule mask
+  |k| <= Nx/3, |eta*Ly| <= Ny/3.  A product of retained modes reaches
+  |k| <= 2K, and its aliases k' +- M miss every retained |k'| <= K.  Every
   padded transform is one batched real-FFT call over a stack of compact
   tables, :meth:`ProductWorkspace.phys` or :meth:`ProductWorkspace.spec`;
 * weighted norms are discretizations of sum_k integral d(eta):
@@ -182,7 +184,13 @@ def from_physical(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 
 def _pad_len(n: int) -> int:
-    m = (3 * n) // 2
+    """Smallest even M > 3K, K = n//3: the alias bound for retained |k| <= K.
+
+    A product of two retained fields has modes |k| <= 2K; on M points its
+    mode k lands on k - M or k + M, which misses every retained |k'| <= K
+    exactly when M - 2K > K.  For n not divisible by 3 this is n itself.
+    """
+    m = 3 * (n // 3) + 1
     return m + (m % 2)
 
 
@@ -190,11 +198,13 @@ class ProductWorkspace:
     """Reusable padded real-transform pipeline for quadratic products.
 
     Pointwise products are formed between ``phys`` and ``spec``, which take
-    and give stacks of compact tables (:class:`CompactLayout`).  Padding
-    >= 3/2 per axis makes the retained modes of a quadratic product equal to
-    the exact convolution (no aliased corner even when Nx or Ny is divisible
-    by 3).  Both transforms run along x over the retained columns eta >= 0
-    only: the eta < 0 half of a real field is the conjugate of the other.
+    and give stacks of compact tables (:class:`CompactLayout`).  Each axis is
+    padded to the alias bound M > 3K of :func:`_pad_len`, K the largest
+    retained index, so no alias of a product mode lands on a retained mode
+    and those carry the exact convolution; when N is divisible by 3 this
+    takes M past N.  Both transforms run along x over the retained columns
+    eta >= 0 only: the eta < 0 half of a real field is the conjugate of the
+    other.
     """
 
     def __init__(self, grid: Grid):

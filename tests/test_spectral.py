@@ -220,6 +220,18 @@ class TestNonlinearProduct:
 
 
 class TestProductWorkspace:
+    # smallest even M >= 3*(N//3) + 1: no alias k' +- M of a product of
+    # retained modes lands on a retained |k'| <= N//3
+    @pytest.mark.parametrize("shape, padded", [
+        ((12, 12), (14, 14)), ((16, 16), (16, 16)), ((12, 18, 1.7), (14, 20)),
+        ((24, 16), (26, 16)), ((64, 64), (64, 64))],
+        ids=["12x12", "16x16", "12x18", "24x16", "64x64"])
+    def test_padded_to_alias_bound(self, shape, padded):
+        ws = ProductWorkspace(Grid(*shape))
+        assert (ws.Mx, ws.My) == padded
+        for n, m in zip(shape, padded):
+            assert m % 2 == 0 and m > 3 * (n // 3) and m - 2 <= 3 * (n // 3)
+
     @pytest.mark.parametrize("shape", [(16, 16, 1.0), (12, 18, 1.7)])
     def test_spec_exactly_hermitian(self, shape, rng):
         ws = ProductWorkspace(Grid(*shape))

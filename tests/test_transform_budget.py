@@ -4,9 +4,11 @@ Every padded transform goes through ``ProductWorkspace.phys`` (inverse) or
 ``ProductWorkspace.spec`` (forward), each one batched call over a stack of
 tables.  Counting the calls and the tables they transform pins how much
 transform work the solver's quadratic terms, the energy identity and the
-partition pairing do, so a refactor cannot add transforms unnoticed.  The
-integrators step the compact half-spectrum, so the stacks their right-hand
-sides hand to ``phys`` must have its shape, not the full table's.
+partition pairing do, so a refactor cannot add transforms unnoticed; the
+padded points per call pin the grid size, so padding past the alias bound
+cannot return unnoticed either.  The integrators step the compact
+half-spectrum, so the stacks their right-hand sides hand to ``phys`` must
+have its shape, not the full table's.
 
 The weight audit is budgeted the same way in calls of ``log_q``: each lemma
 row evaluates q over all its samples at once, so a loop of scalar calls
@@ -36,7 +38,14 @@ def phys_shapes():
 
 
 @pytest.fixture
-def counts(monkeypatch, phys_shapes):
+def points():
+    """Padded grid points transformed by each call (tables times
+    ``Mx * My``), per method, filled by ``counts``."""
+    return {"phys": [], "spec": []}
+
+
+@pytest.fixture
+def counts(monkeypatch, phys_shapes, points):
     """Tables transformed by each call, per method: {"phys": [...], "spec": [...]}."""
     tally = {"phys": [], "spec": []}
 
@@ -45,6 +54,7 @@ def counts(monkeypatch, phys_shapes):
 
         def wrapper(self, stack):
             tally[name].append(int(np.prod(stack.shape[:-2])))
+            points[name].append(tally[name][-1] * self.Mx * self.My)
             if name == "phys":
                 phys_shapes.append(stack.shape[-2:])
             return original(self, stack)
@@ -69,6 +79,16 @@ def test_quadratic_terms(counts, state):
     quadratic_terms(lay, lay.pack(state.v), lay.pack(state.b), 0.4,
                     ProductWorkspace(state.grid))
     assert counts == {"phys": [8], "spec": [2]}
+
+
+def test_quadratic_terms_padded_points(counts, points):
+    # 64 is not divisible by 3, so the alias bound pads 64^2 to itself
+    g = Grid(64, 64, 1.0)
+    st = gevrey_random_data(g, PAR, seed=3, eps=1e-3, lam1=1.5)
+    quadratic_terms(g.compact, g.compact.pack(st.v), g.compact.pack(st.b), 0.4,
+                    ProductWorkspace(g))
+    assert counts == {"phys": [8], "spec": [2]}
+    assert points == {"phys": [8 * 64 * 64], "spec": [2 * 64 * 64]}
 
 
 def test_vb_rhs_projects_nothing(monkeypatch, counts, state):
