@@ -31,9 +31,12 @@ shear coefficient k u / Lambda_t^2, are written; the ptilde right-hand side,
 the per-mode systems, the energy identity and the DOP853 oracle all take
 them from there.  Both integrators share one skeleton
 (:class:`LawsonIntegrator`), and :func:`evolve` is the one marching loop:
-every run, the grid-wide linear reference :func:`propagate_linear_grid` (a
-linear-only ptilde integrator) and the dissipative decay check step through
-it, and it samples on the time grid t0 + m * sample_dt.
+every run and the dissipative decay check step through it, and it samples
+on the time grid t0 + m * sample_dt.  The grid-wide linear reference
+:func:`propagate_linear_grid` does not: the linear ptilde flow is diagonal
+in modes, so it is a direct RK4 recurrence on the two packed ptilde tables,
+on the step times evolve would take, with no integrator, transforms or
+per-step cleanup.
 
 Both integrators step compact tables (``spectral.CompactLayout``, the
 independent modes only; ``pack``/``unpack`` convert at sample times).  The
@@ -53,7 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .spectral import Grid, ProductWorkspace, l2_norm, shear_symbols
+from .spectral import (CompactLayout, Grid, ProductWorkspace, l2_norm,
+                       shear_symbols)
 from .unknowns import (MHDState, TailoredState, _inv_lambda, curl_t,
                        hminus1_norm, leray_project_t, perp_grad_t,
                        ptilde_correction_symbol, state_to_tailored,
@@ -143,7 +147,7 @@ class LawsonIntegrator:
     DAMPING: tuple = ()
 
     def __init__(self, grid: Grid, alpha: float, nu: float = 0.0,
-                 kappa: float = 0.0, linear_only: bool = False):
+                 kappa: float = 0.0):
         if alpha == 0:
             raise ValueError("alpha must be nonzero")
         self.grid = grid
@@ -151,7 +155,6 @@ class LawsonIntegrator:
         self.alpha = alpha
         self.nu = nu
         self.kappa = kappa
-        self.linear_only = linear_only
         self.ws = ProductWorkspace(grid)
 
     def decay_factors(self, t0: float, h: float):
@@ -172,22 +175,29 @@ class LawsonIntegrator:
         a = np.abs(Y)
         return float(np.max(a[:, :, 0].sum(axis=-1) + 2.0 * a[:, :, 1:].sum(axis=(-2, -1))))
 
-    def _clean_tables(self, Y: np.ndarray) -> np.ndarray:
-        """In place: average every eta = 0 column with its -k partner, zero the means."""
-        col = Y[..., 0]
-        Y[..., 0] = 0.5 * (col + np.conj(col[..., self.layout.neg]))
-        Y[..., 0, 0] = 0.0
-        return Y
+
+def _clean_tables(lay: CompactLayout, Y: np.ndarray) -> np.ndarray:
+    """In place: average every eta = 0 column with its -k partner, zero the means."""
+    col = Y[..., 0]
+    Y[..., 0] = 0.5 * (col + np.conj(col[..., lay.neg]))
+    Y[..., 0, 0] = 0.0
+    return Y
 
 
 class VBIntegrator(LawsonIntegrator):
     """Lawson-RK4 integrator for the (v, b) formulation.
 
-    The stacked layout is Y = [v1, v2, b1, b2], four compact tables.
+    The stacked layout is Y = [v1, v2, b1, b2], four compact tables.  With
+    ``linear_only`` the quadratic terms are left out of the right-hand side.
     """
 
     form = "vb"
     DAMPING = ("nu", "nu", "kappa", "kappa")
+
+    def __init__(self, grid: Grid, alpha: float, nu: float = 0.0,
+                 kappa: float = 0.0, linear_only: bool = False):
+        super().__init__(grid, alpha, nu, kappa)
+        self.linear_only = linear_only
 
     def pack(self, state: MHDState) -> np.ndarray:
         return self.layout.pack(np.concatenate([state.v, state.b]))
@@ -218,26 +228,23 @@ class VBIntegrator(LawsonIntegrator):
 
     def cleanup(self, Y: np.ndarray, t: float) -> np.ndarray:
         lay = self.layout
-        return self._clean_tables(np.concatenate([leray_project_t(lay, Y[:2], t),
-                                                  leray_project_t(lay, Y[2:], t)]))
+        return _clean_tables(lay, np.concatenate([leray_project_t(lay, Y[:2], t),
+                                                 leray_project_t(lay, Y[2:], t)]))
 
 
 class PtildeIntegrator(LawsonIntegrator):
     """Lawson-RK4 integrator for the tailored formulation.
 
     Stacked layout Y = [ptilde1, ptilde2, vq, bq] of four compact tables; the
-    average channels vq, bq use only their k = 0 row.  With ``linear_only``
-    the right-hand side reads only the ptilde channels, so a stack of two
-    compact ptilde tables can be stepped on its own.
+    average channels vq, bq use only their k = 0 row.
     """
 
     form = "ptilde"
     DAMPING = ("nu", "kappa", "nu", "kappa")
 
     def __init__(self, grid: Grid, alpha: float, nu: float = 0.0,
-                 kappa: float = 0.0, linear_only: bool = False,
-                 symbol_variant: str = "derived"):
-        super().__init__(grid, alpha, nu, kappa, linear_only)
+                 kappa: float = 0.0, symbol_variant: str = "derived"):
+        super().__init__(grid, alpha, nu, kappa)
         self.variant = symbol_variant
 
     def pack(self, ts: TailoredState) -> np.ndarray:
@@ -260,25 +267,24 @@ class PtildeIntegrator(LawsonIntegrator):
         dY[1] = iak * Y[0]
         if self.nu != self.kappa:
             dY[0] += ((self.nu - self.kappa) / self.alpha) * sym.idyt * Y[1]
-        if not self.linear_only:
-            st = tailored_to_state(TailoredState(lay, Y[:2], Y[2][0], Y[3][0], t),
-                                   self.alpha)
-            c, E = quadratic_terms(lay, st.v, st.b, t, self.ws)
-            n1 = _inv_lambda(lay, t) * c
-            n2 = sym.lam * E
-            n1[0, :] = 0.0
-            n2[0, :] = 0.0
-            corr = ptilde_correction_symbol(lay, self.alpha, t)
-            dY[0] += n1 + corr * n2
-            dY[1] += n2
-            # k = 0 first components of perp_grad_t(c / Lambda_t^2) and perp_grad_t E
-            dY[2][0, :] = -sym.idyt[0] * sym.inv_lap[0] * c[0]
-            dY[3][0, :] = sym.idyt[0] * E[0]
+        st = tailored_to_state(TailoredState(lay, Y[:2], Y[2][0], Y[3][0], t),
+                               self.alpha)
+        c, E = quadratic_terms(lay, st.v, st.b, t, self.ws)
+        n1 = _inv_lambda(lay, t) * c
+        n2 = sym.lam * E
+        n1[0, :] = 0.0
+        n2[0, :] = 0.0
+        corr = ptilde_correction_symbol(lay, self.alpha, t)
+        dY[0] += n1 + corr * n2
+        dY[1] += n2
+        # k = 0 first components of perp_grad_t(c / Lambda_t^2) and perp_grad_t E
+        dY[2][0, :] = -sym.idyt[0] * sym.inv_lap[0] * c[0]
+        dY[3][0, :] = sym.idyt[0] * E[0]
         return dY
 
     def cleanup(self, Y: np.ndarray, t: float) -> np.ndarray:
         del t
-        out = self._clean_tables(Y.copy())
+        out = _clean_tables(self.layout, Y.copy())
         out[:2, 0, :] = 0.0  # ptilde lives on k != 0
         out[2:, 1:, :] = 0.0  # averages live on k = 0
         return out
@@ -416,14 +422,45 @@ def propagate_linear_grid(grid: Grid, Y0: np.ndarray, t0: float, t1: float,
                           dt: float = 0.004) -> np.ndarray:
     """Ideal linear ptilde flow of a whole (2, Nx, Ny) table from t0 to t1.
 
-    ceil((t1 - t0) / dt) uniform classical RK4 steps of a linear-only
-    :class:`PtildeIntegrator` through :func:`evolve` on the packed table, so
-    it gets the real-field cleanup after every step (k = 0 rows stay zero).
+    Classical RK4 on dp1/dt = (i alpha k + S) p2, dp2/dt = i alpha k p1 on
+    the packed compact tables, in the uniform steps of :func:`evolve` with
+    ``cfl=None``: n = ceil((t1 - t0) / dt) of them, the last ending on t1.
+    The stage coefficients C = [i alpha k + S, i alpha k] are built one step
+    at a time, and each stage is the product C * Y[::-1].  The flow is
+    diagonal in modes and commutes with the real-field cleanup, so that is
+    applied once, to the input (k = 0 rows zero).  Raises
+    ``NumericalAbort(t0)`` if the result is not finite.
     """
-    integ = PtildeIntegrator(grid, alpha, linear_only=True,
-                             symbol_variant=symbol_variant)
-    lay = integ.layout
-    return lay.unpack(evolve(integ, lay.pack(Y0), t0, t1, dt=dt, cfl=None)[1])
+    lay = grid.compact
+    Y = _clean_tables(lay, lay.pack(Y0))
+    Y[:, 0] = 0.0  # ptilde lives on k != 0
+    iak = 1j * alpha * lay.K
+
+    def coupling(s):
+        return iak + linear_symbols(lay.K, lay.ETA - lay.K * s, alpha, symbol_variant)[1]
+
+    C = np.empty((3, 2, *lay.shape), dtype=np.complex128)  # at t, t + h/2, t + h
+    C[:, 1] = iak
+    n = int(np.ceil((t1 - t0) / dt * (1 - 1e-9)))
+    t, t_end = t0, None
+    for i in range(1, n + 1):
+        t_next = t1 if i == n else t0 + i * (t1 - t0) / n
+        h = t_next - t
+        # the last step's final stage is this step's first when t + h hit t_next
+        C[0, 0] = C[2, 0] if t == t_end else coupling(t)
+        C[1, 0] = coupling(t + 0.5 * h)
+        t_end = t + h
+        C[2, 0] = coupling(t_end)
+        # lawson_rk4_step's arithmetic without dissipation, operation for operation
+        k1 = C[0] * Y[::-1]
+        k2 = C[1] * (Y + 0.5 * h * k1)[::-1]
+        k3 = C[1] * (Y + 0.5 * h * k2)[::-1]
+        k4 = C[2] * (Y + h * k3)[::-1]
+        Y = Y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        t = t_next
+    if not np.isfinite(Y.view(float)).all():
+        raise NumericalAbort(t0)
+    return lay.unpack(Y)
 
 
 # ---------------------------------------------------------------------------

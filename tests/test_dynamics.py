@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from shearmhd import dynamics
-from shearmhd.dynamics import (LinearModeSystem, NumericalAbort,
-                               PtildeIntegrator, VBIntegrator, cfl_dt,
+from shearmhd.dynamics import (SYMBOL_VARIANTS, LinearModeSystem,
+                               NumericalAbort, PtildeIntegrator,
+                               VBIntegrator, cfl_dt,
                                dissipation_phase, evolve, lawson_rk4_step,
                                linear_mode_propagate, linear_symbols,
                                propagate_linear_grid, quadratic_terms,
@@ -263,6 +264,90 @@ class TestLinearModeSystem:
         sys = LinearModeSystem(2, grid16.eta[3], 1.0, "ptilde")
         ref = linear_mode_propagate(sys, [1.0 - 0.5j, 0.0], 0.0, 4.0, tol=1e-12)
         assert np.max(np.abs(out[:, 2, 3] - ref)) <= 1e-9
+
+
+def rk4_mode(sys, z, t0, t1, dt):
+    """Classical RK4 of one mode system on the uniform step times of evolve."""
+    n = int(np.ceil((t1 - t0) / dt * (1 - 1e-9)))
+    t = t0
+    for i in range(1, n + 1):
+        t_next = t1 if i == n else t0 + i * (t1 - t0) / n
+        h = t_next - t
+        k1 = sys.matrix(t) @ z
+        k2 = sys.matrix(t + h / 2) @ (z + h / 2 * k1)
+        k3 = sys.matrix(t + h / 2) @ (z + h / 2 * k2)
+        k4 = sys.matrix(t + h) @ (z + h * k3)
+        z = z + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        t = t_next
+    return z
+
+
+def ptilde_table(grid, seed):
+    return state_to_tailored(small_state(grid.Nx, seed=seed, eps=1e-2), 1.0).ptilde
+
+
+class TestLinearGridRecurrence:
+    # (k, eta index): an eta = 0 mode, a k < 0 row, a generic mode
+    MODES = ((2, 0), (-3, 2), (1, 4))
+
+    @pytest.mark.parametrize("variant", SYMBOL_VARIANTS)
+    @pytest.mark.parametrize("alpha", (0.5, 2.0))
+    def test_matches_per_mode_rk4(self, grid16, alpha, variant):
+        rng = np.random.default_rng(5)
+        p0 = np.zeros((2, 16, 16), complex)
+        for k, j in self.MODES:
+            z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            p0[:, k, j] = z
+            p0[:, -k, -j] = np.conj(z)  # the Hermitian partner
+        t0, t1, dt = 0.3, 1.1, 0.01
+        out = propagate_linear_grid(grid16, p0, t0, t1, alpha, variant, dt=dt)
+        for k, j in self.MODES:
+            sys = LinearModeSystem(k, grid16.eta[j], alpha, "ptilde",
+                                   symbol_variant=variant)
+            ref = rk4_mode(sys, p0[:, k, j], t0, t1, dt)
+            assert np.max(np.abs(out[:, k, j] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_output_is_a_real_field_on_k_nonzero(self, grid16):
+        p0 = ptilde_table(grid16, 8)
+        p0[:, 2, 0] += 1e-3  # no partner at (-2, 0): the cleanup averages
+        p0[:, 0, 3] = p0[:, 0, -3] = 1e-3  # and zeroes the k = 0 row
+        out = propagate_linear_grid(grid16, p0, 0.2, 1.7, 1.0)
+        assert hermitian_defect(out) == 0.0
+        assert np.all(out[:, 0] == 0)
+
+    def test_empty_interval_returns_input(self, grid16):
+        p0 = ptilde_table(grid16, 9)
+        assert np.array_equal(propagate_linear_grid(grid16, p0, 0.6, 0.6, 1.0), p0)
+
+    def test_nan_input_aborts(self, grid16):
+        p0 = ptilde_table(grid16, 9)
+        p0[0, 1, 2] = np.nan
+        with pytest.raises(NumericalAbort) as err:
+            propagate_linear_grid(grid16, p0, 0.5, 1.0, 1.0)
+        assert err.value.t_last == 0.5
+
+
+class TestLinearBound:
+    """The linear ptilde propagator stays within C1 = exp(pi/(2 alpha)),
+    whatever the data: the sup over retained modes k != 0 and unit sample
+    times in [0, 20] of its 2x2 operator norm, from the images of the two
+    unit tables p = (1, 0) and (0, 1)."""
+
+    @staticmethod
+    def operator_norm_max(grid, alpha, t_end=20.0):
+        cols = np.zeros((2, 2, *grid.shape), complex)  # (column, channel, ...)
+        cols[0, 0] = cols[1, 1] = grid.K != 0
+        worst = 1.0
+        for t in range(int(t_end)):
+            cols = np.stack([propagate_linear_grid(grid, c, t, t + 1, alpha)
+                             for c in cols])
+            prop = np.moveaxis(grid.compact.pack(cols), (0, 1), (-1, -2))[1:]  # k != 0
+            worst = max(worst, float(np.linalg.norm(prop, ord=2, axis=(-2, -1)).max()))
+        return worst
+
+    @pytest.mark.parametrize("alpha", (0.5, 1.0, 2.0))
+    def test_operator_norm_within_c1(self, grid32, alpha):
+        assert self.operator_norm_max(grid32, alpha) <= np.exp(np.pi / (2 * alpha))
 
 
 def coupling_symbol(grid, t, alpha, variant):

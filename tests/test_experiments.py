@@ -209,6 +209,18 @@ class TestRunner:
         assert b1 == b2
         assert len(b1.decode().splitlines()) > 10
 
+    def test_byte_identical_norm_inflation_outputs(self, tmp_path):
+        # covers the linear ptilde reference as well as the vb stepping
+        data = {"experiment": "norm_inflation",
+                "grid": {"Nx": 16, "Ny": 16, "Ly": 1.0},
+                "evolution": {"dt": 0.02, "t_end": 3.0},
+                "monitor": {"sample_dt": 0.5},
+                "initial": {"kind": "gevrey_random", "seed": 2, "eps": 1e-3,
+                            "lam1": 1.2}}
+        b1, b2 = self.csv_of_two_runs(tmp_path, data)
+        assert b1 == b2
+        assert len(b1.decode().splitlines()) > 6
+
     def test_nl_partition_runner(self, tmp_path):
         cfg = ExperimentConfig.from_dict({
             "experiment": "nl_partition",

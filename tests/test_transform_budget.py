@@ -10,6 +10,10 @@ cannot return unnoticed either.  The integrators step the compact
 half-spectrum, so the stacks their right-hand sides hand to ``phys`` must
 have its shape, not the full table's.
 
+The grid-wide linear ptilde reference is diagonal in modes and has a
+budget of zero: no transform and no ``ShearSymbols`` build, so integrator
+work cannot creep back into it unnoticed.
+
 The weight audit is budgeted the same way in calls of ``log_q``: each lemma
 row evaluates q over all its samples at once, so a loop of scalar calls
 cannot creep back unnoticed.
@@ -20,10 +24,11 @@ import pytest
 
 from shearmhd import dynamics, weights, weights_audit
 from shearmhd.diagnostics import identity_sides
-from shearmhd.dynamics import PtildeIntegrator, VBIntegrator, quadratic_terms
+from shearmhd.dynamics import (PtildeIntegrator, VBIntegrator,
+                               propagate_linear_grid, quadratic_terms)
 from shearmhd.experiments import gevrey_random_data
 from shearmhd.partition import _pairing_fft
-from shearmhd.spectral import Grid, ProductWorkspace
+from shearmhd.spectral import Grid, ProductWorkspace, shear_symbols
 from shearmhd.unknowns import state_to_tailored
 from shearmhd.weights import MultiplierSet, WeightParams
 from shearmhd.weights_audit import run_weights_audit
@@ -115,6 +120,14 @@ def test_integrators_hand_compact_stacks_to_phys(counts, phys_shapes, state):
     pt.rhs(0.4, pt.pack(state_to_tailored(state, PAR.alpha)))
     assert counts == {"phys": [8, 8], "spec": [2, 2]}
     assert phys_shapes == [compact_shape(g)] * 2 == [(11, 6)] * 2
+
+
+def test_linear_reference_does_no_integrator_work(counts, state):
+    ptilde = state_to_tailored(state, PAR.alpha).ptilde
+    misses = shear_symbols.cache_info().misses
+    propagate_linear_grid(state.grid, ptilde, 0.1, 0.6, PAR.alpha)
+    assert counts == {"phys": [], "spec": []}
+    assert shear_symbols.cache_info().misses == misses
 
 
 def test_identity_sides(counts, state):
