@@ -54,7 +54,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .spectral import (CompactLayout, Grid, ProductWorkspace, l2_norm,
                        shear_symbols)
@@ -404,6 +403,7 @@ def _ivp_rhs(sys: LinearModeSystem):
 def linear_mode_propagate(sys: LinearModeSystem, p_init, t0: float, t1: float,
                           tol: float = 1e-10) -> np.ndarray:
     """Adaptive high-order integration of the 2x2 mode system."""
+    from scipy.integrate import solve_ivp
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
     z0 = np.asarray(p_init, dtype=np.complex128)

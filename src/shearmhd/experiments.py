@@ -12,6 +12,7 @@ import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; load it with the package
 
 from . import io as sio
 from .diagnostics import (DiagnosticsRecord, MultiplierSet, bootstrap_monitor,

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 
 @dataclass(frozen=True)
@@ -52,6 +51,7 @@ def resonant_interval(eta: float, k: int):
 def integrate_two_mode(c0: float, eta: float, k: int, p_init, t0: float,
                        t1: float, tol: float = 1e-12) -> np.ndarray:
     """Adaptive integration of the coupled pair over [t0, t1] in I_k."""
+    from scipy.integrate import solve_ivp
     res = eta / k
 
     def f(t, p):

@@ -213,13 +213,31 @@ class ProductWorkspace:
         self.Mx = _pad_len(grid.Nx)
         self.My = _pad_len(grid.Ny)
         self._rows = self.layout.K[:, 0].astype(int) % self.Mx  # padded row of each k
+        self._phys_buffers = {}  # stack shape -> (padded half, x-transformed, real)
 
     def phys(self, coeffs: np.ndarray) -> np.ndarray:
-        """Real padded samples of every compact table of ``coeffs``."""
-        half = np.zeros(coeffs.shape[:-2] + (self.Mx, coeffs.shape[-1]), dtype=np.complex128)
+        """Real padded samples of every compact table of ``coeffs``.
+
+        The result is this workspace's buffer for the stack shape
+        ``coeffs.shape[:-2]``: it stays valid until the next ``phys`` call with
+        the same stack shape, which overwrites it, so consume (or copy) it
+        before then.  Reusing the buffers keeps large temporaries from being
+        mapped and faulted in afresh on every call.
+        """
+        stack = coeffs.shape[:-2]
+        bufs = self._phys_buffers.get(stack)
+        if bufs is None:
+            # only the rows _rows of the padded half are ever written, so the
+            # others stay zero across calls
+            half_shape = stack + (self.Mx, coeffs.shape[-1])
+            bufs = (np.zeros(half_shape, dtype=np.complex128),
+                    np.empty(half_shape, dtype=np.complex128),
+                    np.empty(stack + (self.Mx, self.My)))
+            self._phys_buffers[stack] = bufs
+        half, mixed, out = bufs
         half[..., self._rows, :] = coeffs
-        half = np.fft.ifft(half, axis=-2, norm="forward")
-        return np.fft.irfft(half, n=self.My, axis=-1, norm="forward")
+        np.fft.ifft(half, axis=-2, norm="forward", out=mixed)
+        return np.fft.irfft(mixed, n=self.My, axis=-1, norm="forward", out=out)
 
     def spec(self, values: np.ndarray) -> np.ndarray:
         """Compact dealiased tables of every real stack entry of ``values``; the

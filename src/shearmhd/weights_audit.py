@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.ma  # np.unique imports it on first use; load it with the package
 
 from .weights import (WeightParams, dtq_over_q, log_a_multiplier, log_j,
                       log_jtilde, log_m, log_q, m_value, mtilde_value,

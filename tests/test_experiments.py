@@ -1,10 +1,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import shearmhd
 from shearmhd import cli
 from shearmhd.diagnostics import gevrey_norm
 from shearmhd.experiments import (ConfigError, ExperimentConfig,
@@ -312,3 +316,33 @@ class TestCLI:
                        "--eta-max", "500", "--samples", "8"])
         assert rc == 0
         assert (tmp_path / "aud" / "diagnostics.csv").exists()
+
+
+def test_runs_import_no_scipy(tmp_path):
+    # scipy is only the DOP853 oracles' integrator, imported when one is
+    # called; a fresh process that runs a trajectory and an audit never loads
+    # it (its import costs more than those runs at their benchmark sizes)
+    script = textwrap.dedent(f"""
+        import sys
+        import shearmhd
+        from shearmhd import dynamics, experiments
+        experiments.run(experiments.ExperimentConfig.from_dict({{
+            "experiment": "nonlinear_ideal",
+            "grid": {{"Nx": 16, "Ny": 16, "Ly": 1.0}},
+            "evolution": {{"dt": 0.01, "t_end": 0.1}},
+            "monitor": {{"sample_dt": 0.01}}}}), {str(tmp_path / "t")!r})
+        experiments.run(experiments.ExperimentConfig.from_dict({{
+            "experiment": "weights_audit",
+            "audit": {{"eta_max": 500.0, "n_eta": 8, "seed": 3}}}}), {str(tmp_path / "a")!r})
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        p = dynamics.linear_mode_propagate(
+            dynamics.LinearModeSystem(1, 0.0, 1.0, "p"), [1.0, 0.0], 0.0, 0.5)
+        print(bool(abs(p[0]) > 0), "scipy.integrate" in sys.modules)
+    """)
+    src = os.path.dirname(os.path.dirname(shearmhd.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    res = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["[]", "True True"]

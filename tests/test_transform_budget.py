@@ -14,10 +14,16 @@ The grid-wide linear ptilde reference is diagonal in modes and has a
 budget of zero: no transform and no ``ShearSymbols`` build, so integrator
 work cannot creep back into it unnoticed.
 
+``phys`` reuses one set of buffers per stack shape, so after its first
+call with a shape it allocates (almost) nothing: fresh temporaries of that
+size would be mapped and page-faulted anew on every call.
+
 The weight audit is budgeted the same way in calls of ``log_q``: each lemma
 row evaluates q over all its samples at once, so a loop of scalar calls
 cannot creep back unnoticed.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +34,8 @@ from shearmhd.dynamics import (PtildeIntegrator, VBIntegrator,
                                propagate_linear_grid, quadratic_terms)
 from shearmhd.experiments import gevrey_random_data
 from shearmhd.partition import _pairing_fft
-from shearmhd.spectral import Grid, ProductWorkspace, shear_symbols
+from shearmhd.spectral import (Grid, ProductWorkspace, random_hermitian_coeffs,
+                               shear_symbols)
 from shearmhd.unknowns import state_to_tailored
 from shearmhd.weights import MultiplierSet, WeightParams
 from shearmhd.weights_audit import run_weights_audit
@@ -110,6 +117,29 @@ def test_vb_rhs_projects_nothing(monkeypatch, counts, state):
 def compact_shape(grid):
     # retained k in [-Nx/3, Nx/3], retained eta >= 0 up to Ny/3
     return (2 * (grid.Nx // 3) + 1, grid.Ny // 3 + 1)
+
+
+def compact_stack(grid, depth, rng):
+    return grid.compact.pack(np.stack([random_hermitian_coeffs(grid, rng) * grid.dealias_keep
+                                       for _ in range(depth)]))
+
+
+def test_phys_reuses_buffers_exactly():
+    g = Grid(64, 64, 1.0)
+    rng = np.random.default_rng(5)
+    ws = ProductWorkspace(g)
+    for depth in (8, 10, 8):
+        c = compact_stack(g, depth, rng)
+        assert np.array_equal(ws.phys(c), ProductWorkspace(g).phys(c))
+    c = compact_stack(g, 8, rng)  # the loop's depth-8 calls were the warm-up
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ws.phys(c)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < ws.Mx * g.compact.shape[1] * 16 == 64 * 22 * 16
 
 
 def test_integrators_hand_compact_stacks_to_phys(counts, phys_shapes, state):

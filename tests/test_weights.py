@@ -315,16 +315,17 @@ class TestLambdaOfT:
         num = (lambda_of_t(t + 1e-5, p) - lambda_of_t(t - 1e-5, p)) / 2e-5
         assert np.isclose(num, float(dlambda_dt(t, p)), rtol=1e-6)
 
-    @pytest.mark.parametrize("s", [0.51, 0.6, 0.8, 1.0])
+    @pytest.mark.parametrize("s", [0.5001, 0.501, 0.51, 0.6, 0.8, 1.0])
     def test_closed_form_matches_quadrature(self, s):
         # reference: adaptive quadrature, with the slowly decaying tail past
-        # tau = 32 integrated in log tau
+        # tau = 32 integrated in log tau; s near 1/2 and t across the seam
+        # t = 1 of the two series are the hard cases
         p = 0.75 + 0.5 * s
 
         def f(tau):
             return (1.0 + tau * tau) ** (-0.5 * p)
 
-        for t in (1e-3, 0.5, 5.0, 31.9, 32.1, 1e3, 1e5):
+        for t in (1e-3, 0.5, 1 - 1e-12, 1.0, 1 + 1e-12, 5.0, 31.9, 32.1, 1e3, 1e5):
             ref, _ = quad(f, 0.0, min(t, 32.0), epsabs=1e-13, epsrel=1e-13,
                           limit=200)
             if t > 32.0:
@@ -337,11 +338,12 @@ class TestLambdaOfT:
 
     def test_array_input(self):
         p = WeightParams(rho=0.01, lam0=3.0, s=0.8)
-        ts = np.array([[0.0, 0.5], [31.9, 1e5]])
+        ts = np.array([[0.0, 0.5, 1.0], [-1.0, 31.9, 1e5]])
         vals = lambda_of_t(ts, p)
         assert vals.shape == ts.shape
         assert all(vals[i, j] == lambda_of_t(float(ts[i, j]), p)
-                   for i in range(2) for j in range(2))
+                   for i in range(2) for j in range(3))
+        assert np.array_equal(_lambda_integral(-ts, p.s), -_lambda_integral(ts, p.s))
 
 
 class TestJ:
