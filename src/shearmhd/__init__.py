@@ -1,7 +1,7 @@
 """shearmhd: pseudo-spectral simulation and verification suite for 2D MHD
 perturbations of Couette flow with a constant background magnetic field."""
 
-from .spectral import Grid, SpectralField, nonlinear_product, shear_symbols
+from .spectral import Grid, shear_symbols
 from .weights import (WeightParams, a_multiplier, j_value, jtilde_value,
                       lambda_of_t, m_value, mtilde_value, q_growth_ratio,
                       q_value, MultiplierSet)

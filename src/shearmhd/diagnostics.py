@@ -5,7 +5,8 @@ Exponentially weighted norms are accumulated with log-sum-exp; ``*_log``
 helpers return log-values for ranges where the plain value overflows.
 
 The energy-derivative identity implemented in :func:`identity_sides` is the
-exact time derivative of E = ||A (ptilde, v_eq, b_eq)||^2:
+exact time derivative of E = ||A ptilde||^2, the k = 0 rows of ptilde being
+the x-averages of v1 and b1 (:class:`~shearmhd.unknowns.TailoredState`):
 
     dE/dt + 2|dlam| ||Lambda^{s/2} A X||^2
           + 2 sum (d_t q / q) A Atilde |X|^2        (signed)
@@ -30,7 +31,7 @@ from .spectral import Grid, ProductWorkspace, shear_symbols, l2_norm
 from .unknowns import (MHDState, TailoredState, curl_t, hminus1_norm,
                        perp_grad_t, ptilde_correction_symbol, tailored_to_state)
 from .weights import MultiplierSet, WeightParams
-from .dynamics import linear_symbols, quadratic_terms
+from .dynamics import ptilde_coupling, quadratic_terms
 
 
 # ---------------------------------------------------------------------------
@@ -88,20 +89,12 @@ def state_gevrey_norm(state: MHDState, lam: float, s: float, N: int) -> float:
 # energies and bootstrap terms
 # ---------------------------------------------------------------------------
 
-def _tailored_tables(ts: TailoredState):
-    """(2d tables with their log-A, 1d average columns with their log-A)."""
-    return (ts.ptilde[0], ts.ptilde[1]), (ts.v_eq, ts.b_eq)
-
-
 def energy_E(ts: TailoredState, mset: MultiplierSet):
-    """(E, E0) of the run: A-weighted and Alo-weighted squared norms."""
+    """(E, E0) of the run: the A-weighted squared norm of ptilde and the
+    Alo-weighted one of its k = 0 rows, the averages."""
     g = ts.grid
-    two_d, one_d = _tailored_tables(ts)
-    logA0 = mset.log_A[0, :]
-    e_log = 2.0 * weighted_l2_log(g, mset.log_A, *two_d)
-    avg_log = 2.0 * weighted_l2_log(g, logA0, *one_d)
-    E = float(np.exp(_logsumexp(np.array([e_log, avg_log]))))
-    E0 = float(np.exp(2.0 * weighted_l2_log(g, mset.log_Alo, *one_d)))
+    E = float(np.exp(2.0 * weighted_l2_log(g, mset.log_A, *ts.ptilde)))
+    E0 = float(np.exp(2.0 * weighted_l2_log(g, mset.log_Alo, *ts.ptilde[:, 0])))
     return E, E0
 
 
@@ -113,21 +106,18 @@ def dissipation_terms(ts: TailoredState, mset: MultiplierSet):
     """
     g = ts.grid
     p = mset.params
-    two_d, one_d = _tailored_tables(ts)
+    avg = ts.ptilde[:, 0]
     mag2 = g.K**2 + g.ETA**2
     log_lam_s = 0.25 * p.s * np.log(np.where(mag2 > 0, mag2, 1.0))
-    log_lam_s1 = log_lam_s[0, :]
     adl = abs(mset.dlam)
-    t_lam = adl * (weighted_l2(g, mset.log_A + log_lam_s, *two_d) ** 2
-                   + weighted_l2(g, mset.log_A[0, :] + log_lam_s1, *one_d) ** 2)
+    t_lam = adl * weighted_l2(g, mset.log_A + log_lam_s, *ts.ptilde) ** 2
     absq = np.abs(mset.dtq_over_q)
     with np.errstate(divide="ignore"):
         log_sq = 0.5 * np.log(np.where(absq > 0, absq, 1.0))
     log_sq = np.where(absq > 0, log_sq, -np.inf)
-    t_q = (weighted_l2(g, mset.log_Atilde + log_sq, *two_d) ** 2
-           + weighted_l2(g, mset.log_Atilde[0, :] + log_sq[0, :], *one_d) ** 2)
-    t_lam_lo = adl * weighted_l2(g, mset.log_Alo + log_lam_s1, *one_d) ** 2
-    t_q_lo = weighted_l2(g, mset.log_Alo + log_sq[0, :], *one_d) ** 2
+    t_q = weighted_l2(g, mset.log_Atilde + log_sq, *ts.ptilde) ** 2
+    t_lam_lo = adl * weighted_l2(g, mset.log_Alo + log_lam_s[0], *avg) ** 2
+    t_q_lo = weighted_l2(g, mset.log_Alo + log_sq[0], *avg) ** 2
     return t_lam, t_q, t_lam_lo, t_q_lo
 
 
@@ -225,23 +215,19 @@ def identity_sides(ts: TailoredState, mset: MultiplierSet, alpha: float,
     if ws is None:
         ws = ProductWorkspace(g)
     A = mset.A
-    A0 = A[0, :]
     pt1, pt2 = ts.ptilde
-    # left-side weight terms
+    # left-side weight terms; the k = 0 rows (the averages) take no m term,
+    # nor any pairing through S or corr: all three vanish at k = 0
     mag2 = g.K**2 + g.ETA**2
     lam_s = mag2 ** (0.5 * params.s)
-    dens2d = np.abs(pt1) ** 2 + np.abs(pt2) ** 2
-    dens1d = np.abs(ts.v_eq) ** 2 + np.abs(ts.b_eq) ** 2
-    adl = abs(mset.dlam)
-    lam_term = adl * (np.sum(lam_s * A**2 * dens2d)
-                      + np.sum(lam_s[0, :] * A0**2 * dens1d)) / g.Ly
+    dens = np.abs(pt1) ** 2 + np.abs(pt2) ** 2
+    lam_term = abs(mset.dlam) * np.sum(lam_s * A**2 * dens) / g.Ly
     AAt = np.exp(mset.log_A + mset.log_Atilde)
-    q_term = (np.sum(mset.dtq_over_q * AAt * dens2d)
-              + np.sum(mset.dtq_over_q[0, :] * AAt[0, :] * dens1d)) / g.Ly
-    m_term = (np.sum(-mset.dtm_over_m * A**2 * dens2d)) / g.Ly  # m = 1 at k = 0
+    q_term = np.sum(mset.dtq_over_q * AAt * dens) / g.Ly
+    m_term = np.sum(-mset.dtm_over_m * A**2 * dens) / g.Ly
     # right side: linear pairing
     sym = shear_symbols(g, t)
-    _, S = linear_symbols(g.K, sym.u, alpha, symbol_variant)
+    S = ptilde_coupling(g.K, sym.u, alpha, symbol_variant)
     L_pair = _pair(g, [A * pt1], [S * (A * pt2)])
     # right side: nonlinear pairings in commutator form
     st = tailored_to_state(ts, alpha)
@@ -260,13 +246,10 @@ def identity_sides(ts: TailoredState, mset: MultiplierSet, alpha: float,
     NL = (_pair(g, Av, A * nlv - adv_b[:2] + adv_v[:2])
           + _pair(g, Ab, A * nlb - adv_b[2:] + adv_v[2:]))
     # right side: tailored corrections; corr is (1/alpha) d_y^t Lambda_t^{-2}
-    # off k = 0, and the k = 0 rows of both pairings vanish
+    # off k = 0 and 0 on it, so the k = 0 rows of both pairings vanish
     corr = ptilde_correction_symbol(g, alpha, t)
-    nlv_neq = nlv.copy()
-    nlv_neq[:, 0, :] = 0.0
-    ONL1 = _pair(g, A * (corr * b), A * nlv_neq)
+    ONL1 = _pair(g, A * (corr * b), A * nlv)
     n2 = sym.lam * E  # Lambda_t^{-1} curl_t(nlb)
-    n2[0, :] = 0.0
     ONL2 = _pair(g, [A * pt1], [A * (corr * n2)])
     return {"lam_term": float(lam_term), "q_term": float(q_term),
             "m_term": float(m_term), "L_pair": float(L_pair),

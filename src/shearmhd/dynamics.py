@@ -9,9 +9,10 @@ Two equivalent formulations are evolved:
   In the sheared frame d/dt(div_t v) = div_t(dv/dt) - d_x v2, so the linear
   pair (-v2*e1 + pressure) must NOT be projected: it supplies exactly the
   +d_x v2 divergence that keeps div_t v = 0 along the flow.
-* ``ptilde``: the tailored system in (ptilde_1, ptilde_2, v_eq, b_eq).  The
-  linear coupling on ptilde_2 carries, besides alpha*d_x, the symbol produced
-  by differentiating the change of unknowns in time,
+* ``ptilde``: the tailored system in (ptilde_1, ptilde_2), whose k = 0 rows
+  carry the first components of the x-averages of v and b.  The linear
+  coupling on ptilde_2 carries, besides alpha*d_x, the symbol produced by
+  differentiating the change of unknowns in time,
       S(k, eta, t) = -i k^3 / (alpha * Lambda_t^4),
   i.e. the operator +(1/(alpha d_x)) d_x^4 Delta_t^{-2}.  Two alternative
   sign/term variants of this symbol are selectable for comparison runs
@@ -26,13 +27,14 @@ the sheared curls).  For divergence-free (v, b) the projected pair is
 needs no Leray projection, and the ptilde forcings are Lambda_t^{-1} c and
 Lambda_t E.
 
-:func:`linear_symbols` is the one place these symbols, and the p-system
-shear coefficient k u / Lambda_t^2, are written; the ptilde right-hand side,
-the per-mode systems, the energy identity and the DOP853 oracle all take
-them from there.  Both integrators share one skeleton
-(:class:`LawsonIntegrator`), and :func:`evolve` is the one marching loop:
-every run and the dissipative decay check step through it, and it samples
-on the time grid t0 + m * sample_dt.  The grid-wide linear reference
+:func:`ptilde_coupling` is the one place these symbols are written, and
+:func:`p_shear_coefficient` the one place of the p-system coefficient
+k u / Lambda_t^2; the ptilde right-hand side, the per-mode systems, the
+energy identity and the DOP853 oracle all take them from there.  Both
+integrators share one skeleton (:class:`LawsonIntegrator`), and
+:func:`evolve` is the one marching loop: every run and the dissipative
+decay check step through it, and it samples on the time grid
+t0 + m * sample_dt.  The grid-wide linear reference
 :func:`propagate_linear_grid` does not: the linear ptilde flow is diagonal
 in modes, so it is a direct RK4 recurrence on the two packed ptilde tables,
 on the step times evolve would take, with no integrator, transforms or
@@ -83,28 +85,35 @@ def dissipation_phase(grid: Grid, t0: float, t1: float) -> np.ndarray:
     return phase * np.ones(grid.shape)
 
 
-def linear_symbols(k, u, alpha: float, variant: str = "derived"):
-    """(k u / Lambda^2, S): the p-system shear coefficient and the ptilde coupling.
-
-    Elementwise on broadcastable ``k`` and ``u = eta - k t`` with
-    Lambda^2 = k^2 + u^2; pass ``grid.K`` and ``shear_symbols(grid, t).u``
-    for whole tables.  In the p system dp1/dt = a p1 + i alpha k p2 and
-    dp2/dt = -a p2 + i alpha k p1 with a the first symbol; in the ptilde
-    system S multiplies ptilde_2 in the ptilde_1 equation (besides
-    i alpha k).  Both vanish at k = 0; Lambda^2 = 0 there when also u = 0,
-    and that entry is guarded.
-    """
+def _guarded_lam2(k, u):
+    """Lambda^2 = k^2 + u^2, with 1 where it vanishes (k = u = 0)."""
     lam2 = k * k + u * u
-    lam2 = np.where(lam2 == 0, 1.0, lam2)
+    return np.where(lam2 == 0, 1.0, lam2)
+
+
+def p_shear_coefficient(k, u):
+    """a = k u / Lambda^2 of the p system dp1/dt = a p1 + i alpha k p2,
+    dp2/dt = -a p2 + i alpha k p1.
+
+    Elementwise on broadcastable ``k`` and ``u = eta - k t``; pass ``grid.K``
+    and ``shear_symbols(grid, t).u`` for whole tables.  Vanishes at k = 0.
+    """
+    return k * u / _guarded_lam2(k, u)
+
+
+def ptilde_coupling(k, u, alpha: float, variant: str = "derived"):
+    """S, which multiplies ptilde_2 in the ptilde_1 equation besides i alpha k.
+
+    Elementwise as :func:`p_shear_coefficient`.  Vanishes at k = 0.
+    """
+    lam2 = _guarded_lam2(k, u)
     if variant == "derived":
-        s = -1j * k**3 / (alpha * lam2**2)
-    elif variant == "mixed":
-        s = 1j * k * (k * k - 2.0 * u * u) / (alpha * lam2**2)
-    elif variant == "flipped":
-        s = 1j * k**3 / (alpha * lam2**2)
-    else:
-        raise ValueError(f"unknown symbol variant {variant!r}")
-    return k * u / lam2, s
+        return -1j * k**3 / (alpha * lam2**2)
+    if variant == "mixed":
+        return 1j * k * (k * k - 2.0 * u * u) / (alpha * lam2**2)
+    if variant == "flipped":
+        return 1j * k**3 / (alpha * lam2**2)
+    raise ValueError(f"unknown symbol variant {variant!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +147,7 @@ def quadratic_terms(grid: Grid, v: np.ndarray, b: np.ndarray, t: float,
 class LawsonIntegrator:
     """Skeleton shared by the Lawson-RK4 integrators.
 
-    Y stacks four compact tables (``self.layout``); ``DAMPING`` names, per
+    Y stacks compact tables (``self.layout``); ``DAMPING`` names, per
     channel, the coefficient ("nu" or "kappa") whose exact integrating factor
     it carries.  Subclasses define ``pack``, ``unpack``, ``rhs`` and ``cleanup``.
     """
@@ -234,12 +243,13 @@ class VBIntegrator(LawsonIntegrator):
 class PtildeIntegrator(LawsonIntegrator):
     """Lawson-RK4 integrator for the tailored formulation.
 
-    Stacked layout Y = [ptilde1, ptilde2, vq, bq] of four compact tables; the
-    average channels vq, bq use only their k = 0 row.
+    Stacked layout Y = [ptilde1, ptilde2] of two compact tables, their k = 0
+    rows the averages vq, bq (:class:`TailoredState`); vq takes nu with
+    ptilde1, and bq kappa with ptilde2.
     """
 
     form = "ptilde"
-    DAMPING = ("nu", "kappa", "nu", "kappa")
+    DAMPING = ("nu", "kappa")
 
     def __init__(self, grid: Grid, alpha: float, nu: float = 0.0,
                  kappa: float = 0.0, symbol_variant: str = "derived"):
@@ -247,46 +257,39 @@ class PtildeIntegrator(LawsonIntegrator):
         self.variant = symbol_variant
 
     def pack(self, ts: TailoredState) -> np.ndarray:
-        Y = np.zeros((4, *self.grid.shape), dtype=np.complex128)
-        Y[:2] = ts.ptilde
-        Y[2:, 0] = ts.v_eq, ts.b_eq
-        return self.layout.pack(Y)
+        return self.layout.pack(ts.ptilde)
 
     def unpack(self, Y: np.ndarray, t: float) -> TailoredState:
-        full = self.layout.unpack(Y)  # copies: callers keep samples, not all of full
-        return TailoredState(self.grid, full[:2].copy(), *full[2:, 0].copy(), t)
+        return TailoredState(self.grid, self.layout.unpack(Y), t)
 
     def rhs(self, t: float, Y: np.ndarray) -> np.ndarray:
         lay = self.layout
         sym = shear_symbols(lay, t)
         iak = 1j * self.alpha * lay.K
-        _, S = linear_symbols(lay.K, sym.u, self.alpha, self.variant)
-        dY = np.zeros_like(Y)
+        S = ptilde_coupling(lay.K, sym.u, self.alpha, self.variant)
+        dY = np.empty_like(Y)
         dY[0] = (iak + S) * Y[1]
         dY[1] = iak * Y[0]
         if self.nu != self.kappa:
-            dY[0] += ((self.nu - self.kappa) / self.alpha) * sym.idyt * Y[1]
-        st = tailored_to_state(TailoredState(lay, Y[:2], Y[2][0], Y[3][0], t),
-                               self.alpha)
+            # k != 0 only: idyt does not vanish at k = 0, where Y[1] holds bq
+            cross = (self.nu - self.kappa) / self.alpha
+            dY[0, 1:] += cross * sym.idyt[1:] * Y[1, 1:]
+        st = tailored_to_state(TailoredState(lay, Y, t), self.alpha)
         c, E = quadratic_terms(lay, st.v, st.b, t, self.ws)
         n1 = _inv_lambda(lay, t) * c
         n2 = sym.lam * E
-        n1[0, :] = 0.0
-        n2[0, :] = 0.0
+        # k = 0: the first components of perp_grad_t(c / Lambda_t^2) and
+        # perp_grad_t E, the forcings of vq and bq (corr vanishes there)
+        n1[0] = -sym.idyt[0] * sym.inv_lap[0] * c[0]
+        n2[0] = sym.idyt[0] * E[0]
         corr = ptilde_correction_symbol(lay, self.alpha, t)
         dY[0] += n1 + corr * n2
         dY[1] += n2
-        # k = 0 first components of perp_grad_t(c / Lambda_t^2) and perp_grad_t E
-        dY[2][0, :] = -sym.idyt[0] * sym.inv_lap[0] * c[0]
-        dY[3][0, :] = sym.idyt[0] * E[0]
         return dY
 
     def cleanup(self, Y: np.ndarray, t: float) -> np.ndarray:
         del t
-        out = _clean_tables(self.layout, Y.copy())
-        out[:2, 0, :] = 0.0  # ptilde lives on k != 0
-        out[2:, 1:, :] = 0.0  # averages live on k = 0
-        return out
+        return _clean_tables(self.layout, Y.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -376,15 +379,18 @@ class LinearModeSystem:
             raise ValueError("k = 0 modes evolve trivially; use the identity map")
         if self.coords not in ("p", "ptilde"):
             raise ValueError("coords must be 'p' or 'ptilde'")
+        if self.symbol_variant not in SYMBOL_VARIANTS:
+            raise ValueError(f"unknown symbol variant {self.symbol_variant!r}")
 
     def matrix(self, t: float) -> np.ndarray:
         k, alpha = self.k, self.alpha
         u = self.eta - k * t
-        a, s = linear_symbols(k, u, alpha, self.symbol_variant)
         iak = 1j * alpha * k
         if self.coords == "p":
+            a = p_shear_coefficient(k, u)
             m = np.array([[a, iak], [iak, -a]], dtype=np.complex128)
         else:
+            s = ptilde_coupling(k, u, alpha, self.symbol_variant)
             m = np.array([[0.0, iak + s], [iak, 0.0]], dtype=np.complex128)
         if self.nu or self.kappa:
             lam2 = k * k + u * u
@@ -437,7 +443,7 @@ def propagate_linear_grid(grid: Grid, Y0: np.ndarray, t0: float, t1: float,
     iak = 1j * alpha * lay.K
 
     def coupling(s):
-        return iak + linear_symbols(lay.K, lay.ETA - lay.K * s, alpha, symbol_variant)[1]
+        return iak + ptilde_coupling(lay.K, lay.ETA - lay.K * s, alpha, symbol_variant)
 
     C = np.empty((3, 2, *lay.shape), dtype=np.complex128)  # at t, t + h/2, t + h
     C[:, 1] = iak
@@ -478,6 +484,7 @@ def norm_inflation_experiment(state0: MHDState, alpha: float, c0: float,
     """
     g = state0.grid
     ts0 = state_to_tailored(state0, alpha)
+    ts0.ptilde[:, 0] = 0.0  # the norms are of ptilde alone, not of the averages
     pt_in_l2 = l2_norm(g, ts0.ptilde[0], ts0.ptilde[1])
     pt_in_h1 = hminus1_norm(g, ts0.ptilde[0], ts0.ptilde[1])
     if pt_in_l2 == 0:
@@ -496,6 +503,7 @@ def norm_inflation_experiment(state0: MHDState, alpha: float, c0: float,
             state["t_lin"] = t
         st = integ.unpack(Yc, t)
         ts = state_to_tailored(st, alpha)
+        ts.ptilde[:, 0] = 0.0
         lin = state["lin"]
         pt_l2 = l2_norm(g, ts.ptilde[0], ts.ptilde[1])
         lin_l2 = l2_norm(g, lin[0], lin[1])
@@ -559,8 +567,7 @@ def route_equivalence_run(state0: MHDState, alpha: float, t_end: float,
     st_pt = tailored_to_state(ts_pt, alpha)
 
     scale_pt = max(ts_pt.norm(), ts_vb.norm())
-    gap_pt = l2_norm(g, *(ts_vb.ptilde - ts_pt.ptilde),
-                     ts_vb.v_eq - ts_pt.v_eq, ts_vb.b_eq - ts_pt.b_eq) / scale_pt
+    gap_pt = l2_norm(g, *(ts_vb.ptilde - ts_pt.ptilde)) / scale_pt
     scale_vb = max(st_pt.norm(), st_vb.norm())
     gap_vb = l2_norm(g, *(st_vb.v - st_pt.v), *(st_vb.b - st_pt.b)) / scale_vb
     return {"gap_tailored": float(gap_pt), "gap_vb": float(gap_vb),

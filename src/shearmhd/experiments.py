@@ -19,7 +19,7 @@ from .diagnostics import (DiagnosticsRecord, MultiplierSet, bootstrap_monitor,
                           dissipation_terms, growth_fit, make_record,
                           state_gevrey_norm)
 from .dynamics import (SYMBOL_VARIANTS, VBIntegrator, dissipation_phase, evolve,
-                       linear_symbols, norm_inflation_experiment)
+                       norm_inflation_experiment, p_shear_coefficient)
 from .partition import nl_partition_check, partition_exactness_sample
 from .resonance import ChainConfig, chain_handoff_trajectory, chain_sweep_fit, chain_total_growth
 from .spectral import Grid, l2_norm, random_hermitian_coeffs
@@ -384,7 +384,7 @@ def oracle_linear_grid(grid: Grid, p1: np.ndarray, p2: np.ndarray, t0: float,
         zr = y[:2 * n].reshape(2, n)
         zi = y[2 * n:].reshape(2, n)
         z = zr + 1j * zi
-        a, _ = linear_symbols(kk, ee - kk * t, alpha)
+        a = p_shear_coefficient(kk, ee - kk * t)
         iak = 1j * alpha * kk
         d0 = a * z[0] + iak * z[1]
         d1 = -a * z[1] + iak * z[0]

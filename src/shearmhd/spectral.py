@@ -37,8 +37,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-HERMITIAN_RTOL = 1e-12
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -142,32 +140,9 @@ def shear_symbols(grid: Grid | CompactLayout, t: float) -> ShearSymbols:
     return ShearSymbols(grid, float(t))
 
 
-@dataclass
-class SpectralField:
-    """Complex Fourier coefficient table plus a Hermitian-symmetry flag."""
-
-    grid: Grid
-    coeffs: np.ndarray
-    reality: bool = True
-
-    def __post_init__(self):
-        if self.coeffs.shape != self.grid.shape:
-            raise ValueError("coefficient shape does not match grid")
-        if self.reality and (d := hermitian_defect(self.coeffs)) > HERMITIAN_RTOL:
-            raise ValueError(f"field violates Hermitian symmetry (defect {d:.3e})")
-
-
 def conj_flip(coeffs: np.ndarray) -> np.ndarray:
     """conj(f)(-k,-eta), the Hermitian partner of each table on the last two axes."""
     return np.roll(np.conj(coeffs[..., ::-1, ::-1]), (1, 1), axis=(-2, -1))
-
-
-def hermitian_defect(coeffs: np.ndarray) -> float:
-    """Relative departure from fhat(-k,-eta) = conj(fhat(k,eta))."""
-    scale = np.max(np.abs(coeffs))
-    if scale == 0.0:
-        return 0.0
-    return float(np.max(np.abs(coeffs - conj_flip(coeffs))) / scale)
 
 
 def hermitize(coeffs: np.ndarray) -> np.ndarray:
@@ -257,17 +232,6 @@ class ProductWorkspace:
         n = len(c)
         p = self.phys(np.concatenate([a, sym.ikx * c, sym.idyt * c]))
         return self.spec(p[0] * p[2:2 + n] + p[1] * p[2 + n:])
-
-
-def nonlinear_product(f: SpectralField, g: SpectralField) -> SpectralField:
-    """Dealiased product of two real fields (exact convolution of their retained modes)."""
-    if f.grid is not g.grid and f.grid != g.grid:
-        raise ValueError("grid mismatch")
-    if not (f.reality and g.reality):
-        raise ValueError("nonlinear_product needs real fields (reality=True)")
-    ws = ProductWorkspace(f.grid)
-    p = ws.phys(ws.layout.pack(np.stack([f.coeffs, g.coeffs])))
-    return SpectralField(f.grid, ws.layout.unpack(ws.spec(p[0] * p[1])))
 
 
 def convolution_direct(grid: Grid, f: np.ndarray, g: np.ndarray) -> np.ndarray:

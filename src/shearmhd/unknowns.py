@@ -16,7 +16,9 @@ vtilde = v + (1/alpha) d_x^{-1} b_2 e_1.
 
 States are mean-free and divergence-free in the sheared frame at their own
 time tag; at k = 0 divergence-freeness forces the second components of the
-averages to vanish, so averages are carried as scalar eta-columns.
+averages to vanish.  ptilde is zero on k = 0, so a :class:`TailoredState`
+carries the first components of the averages of v and b in the k = 0 rows
+of its two tables.
 """
 
 from __future__ import annotations
@@ -43,17 +45,14 @@ class MHDState:
 
 @dataclass
 class TailoredState:
-    """(ptilde_1, ptilde_2) on k != 0 plus the scalar average columns."""
+    """(ptilde_1, ptilde_2) on k != 0; the k = 0 rows hold the x-averages."""
 
     grid: Grid
-    ptilde: np.ndarray  # (2, Nx, Ny) complex, k = 0 column zero
-    v_eq: np.ndarray  # (Ny,) complex, first velocity component at k = 0
-    b_eq: np.ndarray
+    ptilde: np.ndarray  # (2, Nx, Ny) complex; row k = 0 is (v1, b1) at k = 0
     t: float = 0.0
 
     def norm(self) -> float:
-        return l2_norm(self.grid, self.ptilde[0], self.ptilde[1],
-                       self.v_eq, self.b_eq)
+        return l2_norm(self.grid, *self.ptilde)
 
 
 def divergence_t(grid: Grid, u: np.ndarray, t: float) -> np.ndarray:
@@ -150,9 +149,9 @@ def to_vtilde(state: MHDState, alpha: float) -> np.ndarray:
 def state_to_tailored(state: MHDState, alpha: float) -> TailoredState:
     g, t = state.grid, state.t
     p1, p2 = to_p(state)
-    pt1, pt2 = to_ptilde(p1, p2, alpha, t, g)
-    return TailoredState(g, np.stack([pt1, pt2]),
-                         state.v[0][0, :].copy(), state.b[0][0, :].copy(), t)
+    pt = np.stack(to_ptilde(p1, p2, alpha, t, g))
+    pt[:, 0] = state.v[0][0], state.b[0][0]
+    return TailoredState(g, pt, t)
 
 
 def tailored_to_state(ts: TailoredState, alpha: float) -> MHDState:
@@ -160,8 +159,7 @@ def tailored_to_state(ts: TailoredState, alpha: float) -> MHDState:
     p1, p2 = from_ptilde(ts.ptilde[0], ts.ptilde[1], alpha, t, g)
     v = vector_from_scalar(g, p1, t)
     b = vector_from_scalar(g, p2, t)
-    v[0][0, :] = ts.v_eq
-    b[0][0, :] = ts.b_eq
+    v[0][0], b[0][0] = ts.ptilde[:, 0]
     return MHDState(g, v, b, t)
 
 
@@ -171,13 +169,8 @@ def hminus1_norm(grid: Grid, *tables: np.ndarray) -> float:
     s = 0.0
     for c in tables:
         cc = c.copy()
-        if cc.ndim == 2:
-            cc[0, 0] = 0.0
-            s += float(np.sum(w2 * np.abs(cc) ** 2))
-        else:
-            w1 = 1.0 / (1.0 + grid.eta**2)
-            cc[0] = 0.0
-            s += float(np.sum(w1 * np.abs(cc) ** 2))
+        cc[0, 0] = 0.0
+        s += float(np.sum(w2 * np.abs(cc) ** 2))
     return float(np.sqrt(s / grid.Ly))
 
 

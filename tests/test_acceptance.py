@@ -16,10 +16,9 @@ from shearmhd.partition import nl_partition_check
 from shearmhd.resonance import (ChainConfig, chain_step_lower_bound,
                                 chain_sweep_fit, closed_form_two_mode,
                                 integrate_two_mode, resonant_interval)
-from shearmhd.spectral import (Grid, SpectralField, convolution_direct,
-                               from_physical, l2_norm, nonlinear_product,
-                               physical_l2_norm, random_hermitian_coeffs,
-                               to_physical)
+from shearmhd.spectral import (Grid, ProductWorkspace, convolution_direct,
+                               from_physical, l2_norm, physical_l2_norm,
+                               random_hermitian_coeffs, to_physical)
 from shearmhd.unknowns import state_to_tailored
 from shearmhd.weights import WeightParams
 from shearmhd.weights_audit import run_weights_audit
@@ -41,6 +40,7 @@ def test_criterion_1_spectral_foundations():
     rng = np.random.default_rng(0)
     for n in (8, 12, 16):
         g = Grid(n, n, 1.0)
+        ws = ProductWorkspace(g)
         for _ in range(3):
             c = random_hermitian_coeffs(g, rng)
             back = from_physical(g, to_physical(g, c))
@@ -50,7 +50,9 @@ def test_criterion_1_spectral_foundations():
                                            - l2_norm(g, c)) / l2_norm(g, c))
             f = random_hermitian_coeffs(g, rng) * g.dealias_keep
             h = random_hermitian_coeffs(g, rng) * g.dealias_keep
-            prod = nonlinear_product(SpectralField(g, f), SpectralField(g, h)).coeffs
+            # the solver's product path: pack, phys, pointwise product, spec
+            p = ws.phys(ws.layout.pack(np.stack([f, h])))
+            prod = ws.layout.unpack(ws.spec(p[0] * p[1]))
             conv = convolution_direct(g, f, h) * g.dealias_keep
             worst_conv = max(worst_conv, float(np.max(np.abs(prod - conv))
                                                / np.max(np.abs(conv))))

@@ -9,14 +9,14 @@ unpacked compact results must equal them bit for bit.
 import numpy as np
 import pytest
 
-from shearmhd.dynamics import PtildeIntegrator, VBIntegrator, linear_symbols
+from shearmhd.dynamics import PtildeIntegrator, VBIntegrator
 from shearmhd.experiments import gevrey_random_data
 from shearmhd.spectral import (Grid, ProductWorkspace, conj_flip,
                                random_hermitian_coeffs, shear_symbols)
-from shearmhd.unknowns import (TailoredState, _inv_lambda, curl_t,
+from shearmhd.unknowns import (_inv_lambda, curl_t, from_ptilde,
                                leray_project_t, perp_grad_t,
                                ptilde_correction_symbol, state_to_tailored,
-                               tailored_to_state)
+                               vector_from_scalar)
 from shearmhd.weights import WeightParams
 
 PAR = WeightParams(rho=0.004, lam0=1.1, s=0.6, N=5, alpha=1.0, c0=0.05, eps=1e-3)
@@ -81,17 +81,21 @@ def full_vb_rhs(grid, alpha, t, Y):
 
 
 def full_ptilde_rhs(grid, alpha, nu, kappa, t, Y):
+    """Right-hand side of the four tables (ptilde1, ptilde2, vq, bq), the
+    averages vq, bq on their k = 0 rows and ptilde zero there."""
     sym = shear_symbols(grid, t)
     iak = 1j * alpha * grid.K
-    _, S = linear_symbols(grid.K, sym.u, alpha, "derived")
+    lam2 = grid.K**2 + sym.u**2
+    S = -1j * grid.K**3 / (alpha * np.where(lam2 == 0, 1.0, lam2) ** 2)
     dY = np.zeros_like(Y)
     dY[0] = (iak + S) * Y[1]
     dY[1] = iak * Y[0]
     if nu != kappa:
         dY[0] += ((nu - kappa) / alpha) * sym.idyt * Y[1]
-    ts = TailoredState(grid, Y[:2].copy(), Y[2][0, :].copy(), Y[3][0, :].copy(), t)
-    st = tailored_to_state(ts, alpha)
-    c, E = full_quadratic_terms(grid, st.v, st.b, t, FullTableWorkspace(grid))
+    p1, p2 = from_ptilde(Y[0], Y[1], alpha, t, grid)
+    v, b = vector_from_scalar(grid, p1, t), vector_from_scalar(grid, p2, t)
+    v[0][0], b[0][0] = Y[2][0], Y[3][0]
+    c, E = full_quadratic_terms(grid, v, b, t, FullTableWorkspace(grid))
     n1 = _inv_lambda(grid, t) * c
     n2 = sym.lam * E
     n1[0, :] = 0.0
@@ -112,11 +116,18 @@ def full_clean(grid, Y):
 
 
 def full_tailored_tables(ts):
+    """The four tables (ptilde1, ptilde2, vq, bq) of a two-table state."""
     Y = np.zeros((4, *ts.grid.shape), dtype=np.complex128)
-    Y[0], Y[1] = ts.ptilde
-    Y[2][0, :] = ts.v_eq
-    Y[3][0, :] = ts.b_eq
+    Y[:2, 1:] = ts.ptilde[:, 1:]
+    Y[2:, 0] = ts.ptilde[:, 0]
     return Y
+
+
+def fold_averages(Y):
+    """The two tables of four: vq, bq move into the k = 0 rows of ptilde."""
+    out = Y[:2].copy()
+    out[:, 0] = Y[2:, 0]
+    return out
 
 
 def stability_state(shape):
@@ -156,7 +167,8 @@ def test_ptilde_rhs_matches_full_table(shape):
     integ = PtildeIntegrator(g, PAR.alpha, nu=1e-3, kappa=3e-3)
     got = g.compact.unpack(integ.rhs(T, integ.pack(ts)))
     ref = full_ptilde_rhs(g, PAR.alpha, 1e-3, 3e-3, T, full_tailored_tables(ts))
-    assert np.array_equal(got, ref)
+    assert np.all(ref[:2, 0] == 0) and np.all(ref[2:, 1:] == 0)
+    assert np.array_equal(got, fold_averages(ref))
 
 
 @pytest.mark.parametrize("shape", [(16, 16, 1.0), (12, 18, 1.7)])
@@ -169,11 +181,8 @@ def test_cleanup_matches_full_table(shape):
     ref = full_clean(g, np.concatenate([leray_project_t(g, X[:2], T),
                                         leray_project_t(g, X[2:], T)]))
     assert np.array_equal(lay.unpack(vb.cleanup(Y, T)), ref)
-    ref = full_clean(g, X)
-    ref[:2, 0, :] = 0.0
-    ref[2:, 1:, :] = 0.0
-    out = PtildeIntegrator(g, PAR.alpha).cleanup(Y, T)
-    assert np.array_equal(lay.unpack(out), ref)
+    out = PtildeIntegrator(g, PAR.alpha).cleanup(Y[:2], T)
+    assert np.array_equal(lay.unpack(out), full_clean(g, X[:2]))
     assert np.array_equal(Y, random_compact(lay, 4))  # the input is left alone
 
 

@@ -69,17 +69,15 @@ class TestComparisonSandwich:
 
 class TestEnergy:
     def test_zero_state(self, grid16, small_params):
-        ts = TailoredState(grid16, np.zeros((2, 16, 16), complex),
-                           np.zeros(16, complex), np.zeros(16, complex), 0.0)
+        ts = TailoredState(grid16, np.zeros((2, 16, 16), complex), 0.0)
         mset = MultiplierSet(grid16, 0.0, small_params)
         assert energy_E(ts, mset) == (0.0, 0.0)
 
     def test_average_only_weight_ratio(self, grid16, small_params):
         # single average mode: E/E0 = <eta>^2 exactly (A vs Alo at k=0)
-        vq = np.zeros(16, complex)
-        vq[2] = 1e-3
-        ts = TailoredState(grid16, np.zeros((2, 16, 16), complex), vq,
-                           np.zeros(16, complex), 0.0)
+        pt = np.zeros((2, 16, 16), complex)
+        pt[0, 0, 2] = 1e-3  # the average of v1, in the k = 0 row
+        ts = TailoredState(grid16, pt, 0.0)
         mset = MultiplierSet(grid16, 0.0, small_params)
         E, E0 = energy_E(ts, mset)
         eta = grid16.eta[2]
@@ -89,10 +87,8 @@ class TestEnergy:
         pt = np.stack([random_hermitian_coeffs(grid16, rng),
                        random_hermitian_coeffs(grid16, rng)])
         pt[:, 0, :] = 0.0
-        ts_big = TailoredState(grid16, pt, np.zeros(16, complex),
-                               np.zeros(16, complex), 0.0)
-        ts_small = TailoredState(grid16, 0.5 * pt, np.zeros(16, complex),
-                                 np.zeros(16, complex), 0.0)
+        ts_big = TailoredState(grid16, pt, 0.0)
+        ts_small = TailoredState(grid16, 0.5 * pt, 0.0)
         mset = MultiplierSet(grid16, 0.0, small_params)
         assert energy_E(ts_small, mset)[0] < energy_E(ts_big, mset)[0]
 
@@ -195,8 +191,7 @@ class TestEnergyIdentity:
 
     def test_overflow_guard(self, grid16):
         big = WeightParams(rho=0.05, lam0=200.0, s=0.6)
-        ts = TailoredState(grid16, np.zeros((2, 16, 16), complex),
-                           np.zeros(16, complex), np.zeros(16, complex), 0.0)
+        ts = TailoredState(grid16, np.zeros((2, 16, 16), complex), 0.0)
         with pytest.raises(OverflowError):
             identity_sides(ts, MultiplierSet(grid16, 0.0, big), 1.0)
 

@@ -6,14 +6,14 @@ from shearmhd.dynamics import (SYMBOL_VARIANTS, LinearModeSystem,
                                NumericalAbort, PtildeIntegrator,
                                VBIntegrator, cfl_dt,
                                dissipation_phase, evolve, lawson_rk4_step,
-                               linear_mode_propagate, linear_symbols,
-                               propagate_linear_grid, quadratic_terms,
+                               linear_mode_propagate, propagate_linear_grid,
+                               ptilde_coupling, quadratic_terms,
                                route_equivalence_run)
 from shearmhd.experiments import dissipative_decay_check, gevrey_random_data
-from shearmhd.spectral import (Grid, ProductWorkspace, convolution_direct,
-                               hermitian_defect, shear_symbols)
-from shearmhd.unknowns import (MHDState, divergence_residual, leray_project_t,
-                               state_to_tailored)
+from shearmhd.spectral import (Grid, ProductWorkspace, conj_flip,
+                               convolution_direct, shear_symbols)
+from shearmhd.unknowns import (MHDState, TailoredState, divergence_residual,
+                               leray_project_t, state_to_tailored)
 from shearmhd.weights import WeightParams
 
 PAR = WeightParams(rho=0.004, lam0=1.2, s=0.6, alpha=1.0, c0=0.05, eps=1e-3)
@@ -74,7 +74,21 @@ class TestRhsVB:
         out = integ.unpack(Y, 1.0)
         for c in (*out.v, *out.b):
             assert c[0, 0] == 0.0
-            assert hermitian_defect(c) <= 1e-12
+            assert np.array_equal(c, conj_flip(c))
+
+
+class TestRhsPtilde:
+    def test_average_b_does_not_force_average_v(self, grid16):
+        # only bq, the k = 0 row of ptilde_2, is nonzero; the cross term
+        # ((nu - kappa)/alpha) d_y^t ptilde_2 acts on k != 0 only
+        pt = np.zeros((2, 16, 16), complex)
+        pt[1, 0, 2] = 1.0 + 0.5j
+        pt[1, 0, -2] = 1.0 - 0.5j
+        ts = TailoredState(grid16, pt, 0.3)
+        integ = PtildeIntegrator(grid16, 1.0, nu=1e-3, kappa=3e-3)
+        Y = integ.pack(ts)
+        assert np.array_equal(integ.unpack(Y, ts.t).ptilde, ts.ptilde)
+        assert np.all(integ.rhs(ts.t, Y)[0, 0] == 0)
 
 
 def full_quadratic_terms(grid, v, b, t):
@@ -218,6 +232,11 @@ class TestLinearModeSystem:
         with pytest.raises(ValueError):
             LinearModeSystem(0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("coords", ("p", "ptilde"))
+    def test_unknown_variant_rejected(self, coords):
+        with pytest.raises(ValueError, match="variant"):
+            LinearModeSystem(1, 1.0, 1.0, coords, symbol_variant="bogus")
+
     def test_oracle_vs_richardson(self):
         # (k=1, eta=0, alpha=1, p0=(1,0), t: 0 -> 1)
         sys = LinearModeSystem(1, 0.0, 1.0, "p")
@@ -283,7 +302,9 @@ def rk4_mode(sys, z, t0, t1, dt):
 
 
 def ptilde_table(grid, seed):
-    return state_to_tailored(small_state(grid.Nx, seed=seed, eps=1e-2), 1.0).ptilde
+    pt = state_to_tailored(small_state(grid.Nx, seed=seed, eps=1e-2), 1.0).ptilde
+    pt[:, 0] = 0.0  # the averages: ptilde itself is zero on k = 0
+    return pt
 
 
 class TestLinearGridRecurrence:
@@ -312,7 +333,7 @@ class TestLinearGridRecurrence:
         p0[:, 2, 0] += 1e-3  # no partner at (-2, 0): the cleanup averages
         p0[:, 0, 3] = p0[:, 0, -3] = 1e-3  # and zeroes the k = 0 row
         out = propagate_linear_grid(grid16, p0, 0.2, 1.7, 1.0)
-        assert hermitian_defect(out) == 0.0
+        assert np.array_equal(out, conj_flip(out))
         assert np.all(out[:, 0] == 0)
 
     def test_empty_interval_returns_input(self, grid16):
@@ -351,7 +372,7 @@ class TestLinearBound:
 
 
 def coupling_symbol(grid, t, alpha, variant):
-    return linear_symbols(grid.K, shear_symbols(grid, t).u, alpha, variant)[1]
+    return ptilde_coupling(grid.K, shear_symbols(grid, t).u, alpha, variant)
 
 
 class TestPtildeSymbol:
@@ -389,7 +410,8 @@ class TestRouteEquivalence:
     def test_unequal_dissipation(self):
         # nu != kappa tells the channel layouts of the two integrators apart:
         # vb damps (v1, v2, b1, b2) by (nu, nu, kappa, kappa), ptilde damps
-        # (ptilde1, ptilde2, v_eq, b_eq) by (nu, kappa, nu, kappa)
+        # (ptilde1, ptilde2) by (nu, kappa), their k = 0 rows (the averages
+        # of v1 and b1) included
         st = small_state(16, seed=6)
         rep = route_equivalence_run(st, 1.0, t_end=2.0, dt=0.01,
                                     nu=1e-3, kappa=3e-3)
