@@ -4,6 +4,10 @@ and growth-law fitting.
 Exponentially weighted norms are accumulated with log-sum-exp; ``*_log``
 helpers return log-values for ranges where the plain value overflows.
 
+Every norm, energy and pairing reads the multiplicity ``mult`` of its
+layout (:mod:`shearmhd.spectral`), so the same functions take the compact
+tables the runs sample and the full tables of the public API.
+
 The energy-derivative identity implemented in :func:`identity_sides` is the
 exact time derivative of E = ||A ptilde||^2, the k = 0 rows of ptilde being
 the x-averages of v1 and b1 (:class:`~shearmhd.unknowns.TailoredState`):
@@ -27,9 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Grid, ProductWorkspace, shear_symbols, l2_norm
-from .unknowns import (MHDState, TailoredState, curl_t, hminus1_norm,
-                       perp_grad_t, ptilde_correction_symbol, tailored_to_state)
+from .spectral import CompactLayout, Grid, ProductWorkspace, shear_symbols
+from .unknowns import (MHDState, TailoredState, perp_grad_t,
+                       ptilde_correction_symbol, tailored_to_state,
+                       vorticity_current_norms)
 from .weights import MultiplierSet, WeightParams
 from .dynamics import ptilde_coupling, quadratic_terms
 
@@ -38,39 +43,35 @@ from .dynamics import ptilde_coupling, quadratic_terms
 # weighted norms
 # ---------------------------------------------------------------------------
 
-def _logsumexp(vals: np.ndarray) -> float:
-    vals = vals[np.isfinite(vals)]
-    if vals.size == 0:
-        return -np.inf
-    m = float(np.max(vals))
-    return m + float(np.log(np.sum(np.exp(vals - m))))
-
-
-def weighted_l2_log(grid: Grid, log_weight: np.ndarray, *tables: np.ndarray) -> float:
-    """log of sqrt((1/Ly) sum exp(2*log_weight) |fhat|^2)."""
-    logs = []
+def weighted_l2_log(grid: Grid | CompactLayout, log_weight: np.ndarray,
+                    *tables: np.ndarray) -> float:
+    """log of sqrt((1/Ly) sum mult exp(2*log_weight) |fhat|^2), by log-sum-exp."""
+    logs, mults = [np.empty(0)], [np.empty(0)]  # no tables give -inf
     for c in tables:
         mag = np.abs(c)
         nz = mag > 0
-        if np.any(nz):
-            lw = np.broadcast_to(log_weight, c.shape)
-            logs.append((2.0 * lw[nz] + 2.0 * np.log(mag[nz])).ravel())
-    if not logs:
+        logs.append(2.0 * np.broadcast_to(log_weight, c.shape)[nz] + 2.0 * np.log(mag[nz]))
+        mults.append(np.broadcast_to(grid.mult, c.shape)[nz])
+    vals, mult = np.concatenate(logs), np.concatenate(mults)
+    keep = np.isfinite(vals)
+    if not np.any(keep):
         return -np.inf
-    total = _logsumexp(np.concatenate(logs))
+    m = float(np.max(vals[keep]))
+    total = m + float(np.log(np.sum(mult[keep] * np.exp(vals[keep] - m))))
     return 0.5 * (total - np.log(grid.Ly))
 
 
-def weighted_l2(grid: Grid, log_weight: np.ndarray, *tables: np.ndarray) -> float:
+def weighted_l2(grid: Grid | CompactLayout, log_weight: np.ndarray,
+                *tables: np.ndarray) -> float:
     return float(np.exp(weighted_l2_log(grid, log_weight, *tables)))
 
 
-def gevrey_log_weight(grid: Grid, lam: float, s: float, N: int) -> np.ndarray:
+def gevrey_log_weight(grid: Grid | CompactLayout, lam: float, s: float, N: int) -> np.ndarray:
     mag2 = grid.K**2 + grid.ETA**2
     return 0.5 * N * np.log1p(mag2) + lam * mag2 ** (0.5 * s)
 
 
-def gevrey_norm(grid: Grid, tables, lam: float, s: float, N: int) -> float:
+def gevrey_norm(grid: Grid | CompactLayout, tables, lam: float, s: float, N: int) -> float:
     """Gevrey norm sqrt((1/Ly) sum <k,eta>^{2N} e^{2 lam |k,eta|^s} |fhat|^2)."""
     if lam < 0:
         raise ValueError("lam must be nonnegative")
@@ -78,11 +79,6 @@ def gevrey_norm(grid: Grid, tables, lam: float, s: float, N: int) -> float:
     if isinstance(tables, np.ndarray) and tables.ndim == 2:
         tables = [tables]
     return weighted_l2(grid, lw, *tables)
-
-
-def state_gevrey_norm(state: MHDState, lam: float, s: float, N: int) -> float:
-    return gevrey_norm(state.grid, [state.v[0], state.v[1], state.b[0], state.b[1]],
-                       lam, s, N)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +90,7 @@ def energy_E(ts: TailoredState, mset: MultiplierSet):
     Alo-weighted one of its k = 0 rows, the averages."""
     g = ts.grid
     E = float(np.exp(2.0 * weighted_l2_log(g, mset.log_A, *ts.ptilde)))
-    E0 = float(np.exp(2.0 * weighted_l2_log(g, mset.log_Alo, *ts.ptilde[:, 0])))
+    E0 = float(np.exp(2.0 * weighted_l2_log(g, mset.log_Alo, *ts.ptilde[:, :1])))
     return E, E0
 
 
@@ -106,7 +102,7 @@ def dissipation_terms(ts: TailoredState, mset: MultiplierSet):
     """
     g = ts.grid
     p = mset.params
-    avg = ts.ptilde[:, 0]
+    avg = ts.ptilde[:, :1]
     mag2 = g.K**2 + g.ETA**2
     log_lam_s = 0.25 * p.s * np.log(np.where(mag2 > 0, mag2, 1.0))
     adl = abs(mset.dlam)
@@ -116,8 +112,8 @@ def dissipation_terms(ts: TailoredState, mset: MultiplierSet):
         log_sq = 0.5 * np.log(np.where(absq > 0, absq, 1.0))
     log_sq = np.where(absq > 0, log_sq, -np.inf)
     t_q = weighted_l2(g, mset.log_Atilde + log_sq, *ts.ptilde) ** 2
-    t_lam_lo = adl * weighted_l2(g, mset.log_Alo + log_lam_s[0], *avg) ** 2
-    t_q_lo = weighted_l2(g, mset.log_Alo + log_sq[0], *avg) ** 2
+    t_lam_lo = adl * weighted_l2(g, mset.log_Alo + log_lam_s[:1], *avg) ** 2
+    t_q_lo = weighted_l2(g, mset.log_Alo + log_sq[:1], *avg) ** 2
     return t_lam, t_q, t_lam_lo, t_q_lo
 
 
@@ -154,16 +150,12 @@ class DiagnosticsRecord:
 
 def make_record(state: MHDState, ts: TailoredState, mset: MultiplierSet,
                 lam2: float, integrals=(0.0, 0.0, 0.0, 0.0)) -> DiagnosticsRecord:
-    g = state.grid
-    w = curl_t(g, state.v, state.t)
-    j = curl_t(g, state.b, state.t)
+    l2_vb, l2_wj, hminus1_vb = vorticity_current_norms(state)
     E, E0 = energy_E(ts, mset)
     return DiagnosticsRecord(
-        t=state.t,
-        l2_vb=state.norm(),
-        hminus1_vb=hminus1_norm(g, state.v[0], state.v[1], state.b[0], state.b[1]),
-        l2_wj=l2_norm(g, w, j),
-        gevrey_vb=state_gevrey_norm(state, lam2, mset.params.s, mset.params.N),
+        t=state.t, l2_vb=l2_vb, hminus1_vb=hminus1_vb, l2_wj=l2_wj,
+        gevrey_vb=gevrey_norm(state.grid, [*state.v, *state.b], lam2, mset.params.s,
+                              mset.params.N),
         E=E, E0=E0,
         int_lam=integrals[0], int_q=integrals[1],
         int_lam_lo=integrals[2], int_q_lo=integrals[3],
@@ -192,11 +184,12 @@ def bootstrap_monitor(records, params: WeightParams, c_star: float = 1.0):
 # energy-derivative identity
 # ---------------------------------------------------------------------------
 
-def _pair(grid: Grid, x, y) -> float:
-    """(1/Ly) Re sum conj(x) y accumulated over matching tables."""
+def _pair(grid: Grid | CompactLayout, x, y) -> float:
+    """(1/Ly) Re sum mult conj(x) y accumulated over matching tables of real
+    fields."""
     s = 0.0
     for xc, yc in zip(x, y):
-        s += float(np.sum((np.conj(xc) * yc).real))
+        s += float(np.sum(grid.mult * (np.conj(xc) * yc).real))
     return s / grid.Ly
 
 
@@ -204,23 +197,28 @@ def identity_sides(ts: TailoredState, mset: MultiplierSet, alpha: float,
                    symbol_variant: str = "derived", ws: ProductWorkspace | None = None):
     """All analytic terms of the energy identity at the state's time.
 
-    ``mset`` holds the multipliers at that time.  Returns a dict with the
-    left-side weight terms (lam_term, q_term, m_term) and the right-side
-    pairings (L_pair, NL, ONL); the identity reads
+    ``mset`` holds the multipliers at that time, on the state's layout.
+    Returns a dict with the left-side weight terms (lam_term, q_term,
+    m_term) and the right-side pairings (L_pair, NL, ONL); the identity reads
     dE/dt = -2*(lam_term + q_term + m_term) + 2*(L_pair + NL + ONL).
+    A state on a full grid is packed (and its weights rebuilt) once.
     """
     g, t, params = ts.grid, ts.t, mset.params
+    if isinstance(g, Grid):
+        g = g.compact
+        ts = TailoredState(g, g.pack(ts.ptilde), t)
+        mset = MultiplierSet(g, t, params)
     if float(np.max(mset.log_A)) > 300.0:
         raise OverflowError("weights too large for direct pairing; reduce lam0/rho")
     if ws is None:
-        ws = ProductWorkspace(g)
+        ws = ProductWorkspace(g.grid)
     A = mset.A
     pt1, pt2 = ts.ptilde
     # left-side weight terms; the k = 0 rows (the averages) take no m term,
     # nor any pairing through S or corr: all three vanish at k = 0
     mag2 = g.K**2 + g.ETA**2
     lam_s = mag2 ** (0.5 * params.s)
-    dens = np.abs(pt1) ** 2 + np.abs(pt2) ** 2
+    dens = g.mult * (np.abs(pt1) ** 2 + np.abs(pt2) ** 2)
     lam_term = abs(mset.dlam) * np.sum(lam_s * A**2 * dens) / g.Ly
     AAt = np.exp(mset.log_A + mset.log_Atilde)
     q_term = np.sum(mset.dtq_over_q * AAt * dens) / g.Ly
@@ -233,16 +231,13 @@ def identity_sides(ts: TailoredState, mset: MultiplierSet, alpha: float,
     st = tailored_to_state(ts, alpha)
     v, b = st.v, st.b
     # the projected pair; every pairing below meets it only through fields
-    # that are divergence-free mode by mode, which the projection leaves alone;
-    # v, b are dealiased real fields and A is even, so packing drops nothing
-    lay, csym = ws.layout, shear_symbols(ws.layout, t)
-    cv, cb, cA = lay.pack(v), lay.pack(b), lay.pack(A)
-    c, E = lay.unpack(quadratic_terms(lay, cv, cb, t, ws))
+    # that are divergence-free mode by mode, which the projection leaves alone
+    c, E = quadratic_terms(g, v, b, t, ws)
     nlv = perp_grad_t(g, -sym.inv_lap * c, t)
     nlb = perp_grad_t(g, E, t)
     Av, Ab = A * v, A * b
-    adv_b = lay.unpack(ws.advect(csym, cb, cA * np.concatenate([cb, cv])))  # b.grad_t (Ab, Av)
-    adv_v = lay.unpack(ws.advect(csym, cv, cA * np.concatenate([cv, cb])))  # v.grad_t (Av, Ab)
+    adv_b = ws.advect(sym, b, np.concatenate([Ab, Av]))  # b.grad_t (Ab, Av)
+    adv_v = ws.advect(sym, v, np.concatenate([Av, Ab]))  # v.grad_t (Av, Ab)
     NL = (_pair(g, Av, A * nlv - adv_b[:2] + adv_v[:2])
           + _pair(g, Ab, A * nlb - adv_b[2:] + adv_v[2:]))
     # right side: tailored corrections; corr is (1/alpha) d_y^t Lambda_t^{-2}
@@ -295,13 +290,16 @@ def energy_identity_residuals(ts0: TailoredState, params: WeightParams,
         raise ValueError(f"t_end - t0 = {t_end - ts0.t:.6g} is not a whole multiple "
                          f"of stride * dt = {h:.6g}")
     integ = PtildeIntegrator(g, alpha, symbol_variant=symbol_variant)
+    lay = integ.layout
     samples = []
     evolve(integ, integ.pack(ts0), ts0.t, t_end, dt=dt, cfl=None, sample_dt=h,
-           callback=lambda t, Y: samples.append((t, integ.unpack(Y, t))))
+           callback=lambda t, Y: samples.append(TailoredState(lay, Y, t)))
+    # corners of every eta of the full grid, retained or not
     corners = q_corner_times(g, t_end + h)
     energies, terms = [], {}
-    for i, (t, st) in enumerate(samples):
-        mset = MultiplierSet(g, t, params)
+    for i, st in enumerate(samples):
+        t = st.t
+        mset = MultiplierSet(lay, t, params)
         energies.append(energy_E(st, mset)[0])
         if 2 <= i < len(samples) - 2 and not np.any(
                 (corners > t - 2.5 * h) & (corners < t + 2.5 * h)):
@@ -314,7 +312,7 @@ def energy_identity_residuals(ts0: TailoredState, params: WeightParams,
         rhs = 2 * (tm["L_pair"] + tm["NL"] + tm["ONL"])
         scale = max(abs(dE), 2 * abs(tm["lam_term"]) + 2 * abs(tm["q_term"])
                     + 2 * abs(tm["m_term"]), abs(rhs), 1e-300)
-        out.append((samples[i][0], abs(lhs - rhs) / scale))
+        out.append((samples[i].t, abs(lhs - rhs) / scale))
     return out
 
 

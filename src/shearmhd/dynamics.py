@@ -36,12 +36,13 @@ integrators share one skeleton (:class:`LawsonIntegrator`), and
 decay check step through it, and it samples on the time grid
 t0 + m * sample_dt.  The grid-wide linear reference
 :func:`propagate_linear_grid` does not: the linear ptilde flow is diagonal
-in modes, so it is a direct RK4 recurrence on the two packed ptilde tables,
-on the step times evolve would take, with no integrator, transforms or
-per-step cleanup.
+in modes, so it is a direct RK4 recurrence on the two compact ptilde
+tables, on the step times evolve would take, with no integrator, transforms
+or per-step cleanup.
 
 Both integrators step compact tables (``spectral.CompactLayout``, the
-independent modes only; ``pack``/``unpack`` convert at sample times).  The
+independent modes only); ``pack`` converts a full-grid state once at the
+start, and samples read the compact stacks as states on the layout.  The
 per-step cleanup projects (vb), averages each eta = 0 column with its -k
 partner and zeroes the mean.
 
@@ -60,9 +61,8 @@ import numpy as np
 from .spectral import (CompactLayout, Grid, ProductWorkspace, l2_norm,
                        shear_symbols)
 from .unknowns import (MHDState, TailoredState, _inv_lambda, curl_t,
-                       hminus1_norm, leray_project_t, perp_grad_t,
-                       ptilde_correction_symbol, state_to_tailored,
-                       tailored_to_state)
+                       hminus1_norm, leray_project_t, ptilde_correction_symbol,
+                       state_to_tailored, tailored_to_state)
 
 SYMBOL_VARIANTS = ("derived", "mixed", "flipped")
 
@@ -149,7 +149,7 @@ class LawsonIntegrator:
 
     Y stacks compact tables (``self.layout``); ``DAMPING`` names, per
     channel, the coefficient ("nu" or "kappa") whose exact integrating factor
-    it carries.  Subclasses define ``pack``, ``unpack``, ``rhs`` and ``cleanup``.
+    it carries.  Subclasses define ``pack``, ``rhs`` and ``cleanup``.
     """
 
     DAMPING: tuple = ()
@@ -179,9 +179,8 @@ class LawsonIntegrator:
         return e_half, e_full / e_half, e_full
 
     def max_speed(self, Y: np.ndarray) -> float:
-        # l1 norm of the full table (eta > 0 columns twice) bounds the sup norm
-        a = np.abs(Y)
-        return float(np.max(a[:, :, 0].sum(axis=-1) + 2.0 * a[:, :, 1:].sum(axis=(-2, -1))))
+        # the l1 norm of the full table bounds the sup norm
+        return float(np.max(np.sum(self.layout.mult * np.abs(Y), axis=(-2, -1))))
 
 
 def _clean_tables(lay: CompactLayout, Y: np.ndarray) -> np.ndarray:
@@ -209,10 +208,6 @@ class VBIntegrator(LawsonIntegrator):
 
     def pack(self, state: MHDState) -> np.ndarray:
         return self.layout.pack(np.concatenate([state.v, state.b]))
-
-    def unpack(self, Y: np.ndarray, t: float) -> MHDState:
-        full = self.layout.unpack(Y)
-        return MHDState(self.grid, full[:2], full[2:], t)
 
     def rhs(self, t: float, Y: np.ndarray) -> np.ndarray:
         sym = shear_symbols(self.layout, t)
@@ -258,9 +253,6 @@ class PtildeIntegrator(LawsonIntegrator):
 
     def pack(self, ts: TailoredState) -> np.ndarray:
         return self.layout.pack(ts.ptilde)
-
-    def unpack(self, Y: np.ndarray, t: float) -> TailoredState:
-        return TailoredState(self.grid, self.layout.unpack(Y), t)
 
     def rhs(self, t: float, Y: np.ndarray) -> np.ndarray:
         lay = self.layout
@@ -426,10 +418,11 @@ def linear_mode_propagate(sys: LinearModeSystem, p_init, t0: float, t1: float,
 def propagate_linear_grid(grid: Grid, Y0: np.ndarray, t0: float, t1: float,
                           alpha: float, symbol_variant: str = "derived",
                           dt: float = 0.004) -> np.ndarray:
-    """Ideal linear ptilde flow of a whole (2, Nx, Ny) table from t0 to t1.
+    """Ideal linear ptilde flow of two compact tables (2, *grid.compact.shape)
+    from t0 to t1; returns new compact tables.
 
     Classical RK4 on dp1/dt = (i alpha k + S) p2, dp2/dt = i alpha k p1 on
-    the packed compact tables, in the uniform steps of :func:`evolve` with
+    the compact tables, in the uniform steps of :func:`evolve` with
     ``cfl=None``: n = ceil((t1 - t0) / dt) of them, the last ending on t1.
     The stage coefficients C = [i alpha k + S, i alpha k] are built one step
     at a time, and each stage is the product C * Y[::-1].  The flow is
@@ -438,7 +431,7 @@ def propagate_linear_grid(grid: Grid, Y0: np.ndarray, t0: float, t1: float,
     ``NumericalAbort(t0)`` if the result is not finite.
     """
     lay = grid.compact
-    Y = _clean_tables(lay, lay.pack(Y0))
+    Y = _clean_tables(lay, Y0.copy())
     Y[:, 0] = 0.0  # ptilde lives on k != 0
     iak = 1j * alpha * lay.K
 
@@ -466,7 +459,7 @@ def propagate_linear_grid(grid: Grid, Y0: np.ndarray, t0: float, t1: float,
         t = t_next
     if not np.isfinite(Y.view(float)).all():
         raise NumericalAbort(t0)
-    return lay.unpack(Y)
+    return Y
 
 
 # ---------------------------------------------------------------------------
@@ -483,35 +476,36 @@ def norm_inflation_experiment(state0: MHDState, alpha: float, c0: float,
     summary the extreme ratios against C1 = exp(pi/(2 alpha)).
     """
     g = state0.grid
-    ts0 = state_to_tailored(state0, alpha)
+    lay = g.compact
+    integ = VBIntegrator(g, alpha)
+    Y = integ.pack(state0)
+    ts0 = state_to_tailored(MHDState(lay, Y[:2], Y[2:], state0.t), alpha)
     ts0.ptilde[:, 0] = 0.0  # the norms are of ptilde alone, not of the averages
-    pt_in_l2 = l2_norm(g, ts0.ptilde[0], ts0.ptilde[1])
-    pt_in_h1 = hminus1_norm(g, ts0.ptilde[0], ts0.ptilde[1])
+    pt_in_l2 = l2_norm(lay, *ts0.ptilde)
+    pt_in_h1 = hminus1_norm(lay, *ts0.ptilde)
     if pt_in_l2 == 0:
         raise ValueError("initial tailored state vanishes")
 
-    integ = VBIntegrator(g, alpha)
-    Y = integ.pack(state0)
     c1 = float(np.exp(np.pi / (2.0 * abs(alpha))))
     rows = []
-    state = {"t": state0.t, "lin": ts0.ptilde.copy(), "t_lin": state0.t}
+    state = {"lin": ts0.ptilde, "t_lin": state0.t}
 
     def sample(t, Yc):
         if t > state["t_lin"]:
             state["lin"] = propagate_linear_grid(g, state["lin"], state["t_lin"], t,
                                                  alpha, symbol_variant)
             state["t_lin"] = t
-        st = integ.unpack(Yc, t)
-        ts = state_to_tailored(st, alpha)
-        ts.ptilde[:, 0] = 0.0
+        st = MHDState(lay, Yc[:2], Yc[2:], t)
+        pt = state_to_tailored(st, alpha).ptilde
+        pt[:, 0] = 0.0
         lin = state["lin"]
-        pt_l2 = l2_norm(g, ts.ptilde[0], ts.ptilde[1])
-        lin_l2 = l2_norm(g, lin[0], lin[1])
-        dev_l2 = l2_norm(g, ts.ptilde[0] - lin[0], ts.ptilde[1] - lin[1])
-        pt_h1 = hminus1_norm(g, ts.ptilde[0], ts.ptilde[1])
-        lin_h1 = hminus1_norm(g, lin[0], lin[1])
-        dev_h1 = hminus1_norm(g, ts.ptilde[0] - lin[0], ts.ptilde[1] - lin[1])
-        wj = l2_norm(g, curl_t(g, st.v, t), curl_t(g, st.b, t))
+        pt_l2 = l2_norm(lay, *pt)
+        lin_l2 = l2_norm(lay, *lin)
+        dev_l2 = l2_norm(lay, *(pt - lin))
+        pt_h1 = hminus1_norm(lay, *pt)
+        lin_h1 = hminus1_norm(lay, *lin)
+        dev_h1 = hminus1_norm(lay, *(pt - lin))
+        wj = l2_norm(lay, curl_t(lay, st.v, t), curl_t(lay, st.b, t))
         rows.append({
             "t": t,
             "ptilde_l2": pt_l2,
@@ -554,21 +548,23 @@ def route_equivalence_run(state0: MHDState, alpha: float, t_end: float,
     The gap is measured in both charts: tailored variables of the vb-route
     state against the ptilde-route state, and back in (v, b).
     """
-    g = state0.grid
+    g, t0 = state0.grid, state0.t
+    lay = g.compact
     vb = VBIntegrator(g, alpha, nu, kappa)
     pt = PtildeIntegrator(g, alpha, nu, kappa, symbol_variant=symbol_variant)
-    _, Yvb = evolve(vb, vb.pack(state0), state0.t, t_end, dt=dt, cfl=None)
-    ts0 = state_to_tailored(state0, alpha)
-    _, Ypt = evolve(pt, pt.pack(ts0), state0.t, t_end, dt=dt, cfl=None)
+    Y0 = vb.pack(state0)
+    _, Yvb = evolve(vb, Y0, t0, t_end, dt=dt, cfl=None)
+    ts0 = state_to_tailored(MHDState(lay, Y0[:2], Y0[2:], t0), alpha)
+    _, Ypt = evolve(pt, ts0.ptilde, t0, t_end, dt=dt, cfl=None)
 
-    st_vb = vb.unpack(Yvb, t_end)
+    st_vb = MHDState(lay, Yvb[:2], Yvb[2:], t_end)
     ts_vb = state_to_tailored(st_vb, alpha)
-    ts_pt = pt.unpack(Ypt, t_end)
+    ts_pt = TailoredState(lay, Ypt, t_end)
     st_pt = tailored_to_state(ts_pt, alpha)
 
     scale_pt = max(ts_pt.norm(), ts_vb.norm())
-    gap_pt = l2_norm(g, *(ts_vb.ptilde - ts_pt.ptilde)) / scale_pt
+    gap_pt = l2_norm(lay, *(ts_vb.ptilde - ts_pt.ptilde)) / scale_pt
     scale_vb = max(st_pt.norm(), st_vb.norm())
-    gap_vb = l2_norm(g, *(st_vb.v - st_pt.v), *(st_vb.b - st_pt.b)) / scale_vb
+    gap_vb = l2_norm(lay, *(st_vb.v - st_pt.v), *(st_vb.b - st_pt.b)) / scale_vb
     return {"gap_tailored": float(gap_pt), "gap_vb": float(gap_vb),
             "symbol_variant": symbol_variant}

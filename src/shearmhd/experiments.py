@@ -16,15 +16,15 @@ import numpy.random  # numpy loads it lazily; load it with the package
 
 from . import io as sio
 from .diagnostics import (DiagnosticsRecord, MultiplierSet, bootstrap_monitor,
-                          dissipation_terms, growth_fit, make_record,
-                          state_gevrey_norm)
+                          dissipation_terms, gevrey_norm, growth_fit,
+                          make_record)
 from .dynamics import (SYMBOL_VARIANTS, VBIntegrator, dissipation_phase, evolve,
                        norm_inflation_experiment, p_shear_coefficient)
 from .partition import nl_partition_check, partition_exactness_sample
 from .resonance import ChainConfig, chain_handoff_trajectory, chain_sweep_fit, chain_total_growth
 from .spectral import Grid, l2_norm, random_hermitian_coeffs
 from .unknowns import (MHDState, hminus1_norm, leray_project_t,
-                       perp_grad_t, state_to_tailored)
+                       perp_grad_t, state_to_tailored, to_p)
 from .weights import WeightParams
 from .weights_audit import AUDIT_COLUMNS, run_weights_audit
 
@@ -150,7 +150,7 @@ def gevrey_random_data(grid: Grid, params: WeightParams, seed: int, eps: float,
     v = leray_project_t(grid, np.stack(tabs[:2]), 0.0)
     b = leray_project_t(grid, np.stack(tabs[2:]), 0.0)
     state = MHDState(grid, v, b, 0.0)
-    norm = state_gevrey_norm(state, lam1, params.s, params.N)
+    norm = gevrey_norm(grid, [*state.v, *state.b], lam1, params.s, params.N)
     if norm == 0:
         raise ValueError("degenerate random draw")
     state.v *= eps / norm
@@ -207,18 +207,20 @@ def _trajectory_run(config: ExperimentConfig, outdir: str, nu: float, kappa: flo
     sample_dt = float(config.monitor["sample_dt"])
     ev = config.evolution
     integ = VBIntegrator(grid, alpha, nu, kappa)
+    lay = integ.layout
     snap_every = int(config.output.get("snapshots", 0))
 
-    hm1_in = hminus1_norm(grid, state0.v[0], state0.v[1], state0.b[0], state0.b[1])
-    l2_in = state0.norm()
+    Y0 = integ.pack(state0)
+    hm1_in = hminus1_norm(lay, *Y0)
+    l2_in = l2_norm(lay, *Y0)
     records: list[DiagnosticsRecord] = []
     integrals = np.zeros(4)
     prev = {"t": None, "terms": None}
 
     def sample(t, Y):
-        st = integ.unpack(Y, t)
+        st = MHDState(lay, Y[:2], Y[2:], t)
         ts = state_to_tailored(st, alpha)
-        mset = MultiplierSet(grid, t, params)
+        mset = MultiplierSet(lay, t, params)
         terms = np.array(dissipation_terms(ts, mset))
         if prev["t"] is not None:
             integrals[:] += 0.5 * (t - prev["t"]) * (terms + prev["terms"])
@@ -227,10 +229,12 @@ def _trajectory_run(config: ExperimentConfig, outdir: str, nu: float, kappa: flo
         rec.validate_against(records[-1] if records else None)
         records.append(rec)
         if snap_every and (len(records) - 1) % snap_every == 0:
+            full = lay.unpack(Y)
             sio.write_state_snapshot(
-                os.path.join(outdir, f"snapshot_{len(records) - 1:05d}.txt"), st)
+                os.path.join(outdir, f"snapshot_{len(records) - 1:05d}.txt"),
+                MHDState(grid, full[:2], full[2:], t))
 
-    evolve(integ, integ.pack(state0), 0.0, float(ev["t_end"]), dt=float(ev["dt"]),
+    evolve(integ, Y0, 0.0, float(ev["t_end"]), dt=float(ev["dt"]),
            callback=sample, sample_dt=sample_dt)
 
     slope, intercept, r2, degenerate = growth_fit(
@@ -323,9 +327,8 @@ def run_linear_modes(config: ExperimentConfig, outdir: str):
     t_end = float(ev["t_end"])
     _, Y = evolve(integ, integ.pack(state0), 0.0, t_end, dt=float(ev["dt"]),
                   cfl=None)
-    st = integ.unpack(Y, t_end)
-    from .unknowns import to_p
-    p1_num, p2_num = to_p(st)
+    full = grid.compact.unpack(Y)  # the oracle compares full tables
+    p1_num, p2_num = to_p(MHDState(grid, full[:2], full[2:], t_end))
     p1_in, p2_in = to_p(state0)
     p1_or, p2_or = oracle_linear_grid(grid, p1_in, p2_in, 0.0, t_end, alpha)
 
@@ -355,7 +358,7 @@ def run_linear_modes(config: ExperimentConfig, outdir: str):
         nl = VBIntegrator(grid, alpha)
         Y0 = nl.pack(state0) * sc
         _, Ya = evolve(nl, Y0, 0.0, t_short, dt=0.01, cfl=None)
-        devs.append(float(np.sqrt(np.sum(np.abs(grid.compact.unpack(Ya - sc * Ylin)) ** 2))))
+        devs.append(l2_norm(grid.compact, *(Ya - sc * Ylin)))
     exponents = [math.log2(devs[i] / devs[i + 1]) for i in range(len(devs) - 1)]
     summary = {
         "max_rel_mode_error": worst,

@@ -108,13 +108,13 @@ def ensure_dir(path: str) -> str:
 
 
 def export_physical_csv(path: str, state: MHDState, extra: dict | None = None):
-    """Physical-space samples of all components for plotting."""
-    from .spectral import to_physical
+    """Physical-space samples of all components of a full-grid state, for
+    plotting: f(x_j, y_m) = sum fhat e^{i(k x_j + eta y_m)}."""
     g = state.grid
     header = {"Nx": g.Nx, "Ny": g.Ny, "Ly": g.Ly, "t": state.t}
     if extra:
         header.update(extra)
-    fields = {name: to_physical(g, tab).real
+    fields = {name: (np.fft.ifft2(tab) * (g.Nx * g.Ny)).real
               for name, tab in zip(["v1", "v2", "b1", "b2"],
                                    [state.v[0], state.v[1], state.b[0], state.b[1]])}
     rows = []

@@ -3,11 +3,12 @@
 The x-period is fixed to 2*pi, so the x-wavenumber k runs over the integers
 {-Nx/2, ..., Nx/2-1}.  The y-period is 2*pi*Ly, so the y-wavenumber eta runs
 over (1/Ly)*{-Ny/2, ..., Ny/2-1}.  Full coefficient tables are (Nx, Ny), k
-by eta in FFT order, Nyquist rows/columns zero.  The integrators and the
-transforms use :class:`CompactLayout`, the independent modes of a real
-dealiased field: |k| <= Nx/3 in FFT order (row 0 is k = 0) by
-0 <= eta*Ly <= Ny/3.  It has a :class:`Grid`'s ``K``, ``ETA`` and ``shape``,
-so :func:`shear_symbols` and every symbol operator accept it as a grid.
+by eta in FFT order, Nyquist rows/columns zero.  The integrators, the
+transforms and every sample use :class:`CompactLayout`, the independent
+modes of a real dealiased field: |k| <= Nx/3 in FFT order (row 0 is k = 0)
+by 0 <= eta*Ly <= Ny/3.  It has a :class:`Grid`'s ``K``, ``ETA``, ``Ly``,
+``mult`` and ``shape``, so every symbol operator and norm accepts it as a
+grid; full tables remain at files, public inputs and the test oracles.
 
 Conventions used throughout the package:
 
@@ -21,13 +22,16 @@ Conventions used throughout the package:
   padded transform is one batched real-FFT call over a stack of compact
   tables, :meth:`ProductWorkspace.phys` or :meth:`ProductWorkspace.spec`;
 * weighted norms are discretizations of sum_k integral d(eta):
-  ``norm(f)^2 = (1/Ly) * sum_{k,eta} w(k,eta)^2 |fhat|^2``.
+  ``norm(f)^2 = (1/Ly) * sum_{k,eta} mult * w(k,eta)^2 |fhat|^2``, with the
+  multiplicity ``mult`` 1 on a :class:`Grid` and, on a compact layout, 2 on
+  eta > 0 for the conjugate partners it leaves out (real fields, even w).
 
 Shear-frame derivative symbols: d_x -> i k, d_y^t -> i(eta - k t),
 Lambda_t = sqrt(k^2 + (eta - k t)^2), Delta_t^{-1} -> -1/Lambda_t^2.
 :func:`shear_symbols` keeps the tables of the last four (layout, t) pairs:
-the stage times t, t + h/2, t + h of a compact Lawson-RK4 step and a grid
-table of a sample between steps; they are read-only (every caller shares them).
+the stage times t, t + h/2, t + h of a compact Lawson-RK4 step, which a
+sample at a step time shares, and one more; they are read-only (every
+caller shares them).
 """
 
 from __future__ import annotations
@@ -61,6 +65,7 @@ class Grid:
         object.__setattr__(self, "dealias_keep", keep)
         nyq = (k[:, None] == -self.Nx // 2) | (n[None, :] == -self.Ny // 2)
         object.__setattr__(self, "nyquist", nyq)
+        object.__setattr__(self, "mult", np.ones((1, 1)))
         object.__setattr__(self, "compact", CompactLayout(self))
 
     @property
@@ -75,7 +80,8 @@ class Grid:
 class CompactLayout:
     """The retained half-spectrum of a grid: rows k = 0..Nx//3, -(Nx//3)..-1,
     columns eta*Ly = 0..Ny//3.  ``rows`` holds the full-table row of every
-    row and ``neg`` the row of -k; the eta < 0 half is the conjugate."""
+    row and ``neg`` the row of -k; the eta < 0 half is the conjugate, so
+    ``mult`` counts each eta > 0 column twice."""
 
     grid: Grid
 
@@ -86,7 +92,9 @@ class CompactLayout:
         object.__setattr__(self, "neg", -np.arange(len(k)) % len(k))
         object.__setattr__(self, "K", g.K[k % g.Nx])
         object.__setattr__(self, "ETA", g.ETA[:, :g.Ny // 3 + 1])
+        object.__setattr__(self, "Ly", g.Ly)
         object.__setattr__(self, "shape", (len(k), g.Ny // 3 + 1))
+        object.__setattr__(self, "mult", np.r_[1.0, np.full(g.Ny // 3, 2.0)][None, :])
 
     def pack(self, full: np.ndarray) -> np.ndarray:
         """Compact copy of full tables (..., Nx, Ny); other modes are dropped."""
@@ -148,14 +156,6 @@ def conj_flip(coeffs: np.ndarray) -> np.ndarray:
 def hermitize(coeffs: np.ndarray) -> np.ndarray:
     """Project onto the Hermitian subspace (average with the partner table)."""
     return 0.5 * (coeffs + conj_flip(coeffs))
-
-
-def to_physical(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    return np.fft.ifft2(coeffs) * (grid.Nx * grid.Ny)
-
-
-def from_physical(grid: Grid, values: np.ndarray) -> np.ndarray:
-    return np.fft.fft2(values) / (grid.Nx * grid.Ny)
 
 
 def _pad_len(n: int) -> int:
@@ -275,18 +275,7 @@ def random_hermitian_coeffs(grid: Grid, rng: np.random.Generator,
     return c
 
 
-def l2_norm(grid: Grid, *tables: np.ndarray) -> float:
-    """sqrt((1/Ly) * sum |fhat|^2) accumulated over all given tables."""
-    s = sum(float(np.sum(np.abs(t) ** 2)) for t in tables)
+def l2_norm(grid: Grid | CompactLayout, *tables: np.ndarray) -> float:
+    """sqrt((1/Ly) * sum mult |fhat|^2) accumulated over all given tables."""
+    s = sum(float(np.sum(grid.mult * np.abs(t) ** 2)) for t in tables)
     return float(np.sqrt(s / grid.Ly))
-
-
-def physical_l2_norm(grid: Grid, *tables: np.ndarray) -> float:
-    """Sample-quadrature L2 norm scaled to match :func:`l2_norm` (Parseval)."""
-    dx = 2 * np.pi / grid.Nx
-    dy = 2 * np.pi * grid.Ly / grid.Ny
-    s = 0.0
-    for c in tables:
-        p = to_physical(grid, c)
-        s += float(np.sum(np.abs(p) ** 2)) * dx * dy
-    return float(np.sqrt(s / (4 * np.pi**2 * grid.Ly**2)))

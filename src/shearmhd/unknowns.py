@@ -18,7 +18,8 @@ States are mean-free and divergence-free in the sheared frame at their own
 time tag; at k = 0 divergence-freeness forces the second components of the
 averages to vanish.  ptilde is zero on k = 0, so a :class:`TailoredState`
 carries the first components of the averages of v and b in the k = 0 rows
-of its two tables.
+of its two tables.  Every operator is elementwise in modes, so states live
+on a grid or on its compact layout alike; the runs keep them on the layout.
 """
 
 from __future__ import annotations
@@ -27,15 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Grid, shear_symbols, l2_norm
+from .spectral import CompactLayout, Grid, shear_symbols, l2_norm
 
 
 @dataclass
 class MHDState:
     """Velocity/magnetic perturbation pair in the sheared frame."""
 
-    grid: Grid
-    v: np.ndarray  # (2, Nx, Ny) complex
+    grid: Grid | CompactLayout
+    v: np.ndarray  # (2, *grid.shape) complex
     b: np.ndarray
     t: float = 0.0
 
@@ -47,8 +48,8 @@ class MHDState:
 class TailoredState:
     """(ptilde_1, ptilde_2) on k != 0; the k = 0 rows hold the x-averages."""
 
-    grid: Grid
-    ptilde: np.ndarray  # (2, Nx, Ny) complex; row k = 0 is (v1, b1) at k = 0
+    grid: Grid | CompactLayout
+    ptilde: np.ndarray  # (2, *grid.shape) complex; row k = 0 is (v1, b1) at k = 0
     t: float = 0.0
 
     def norm(self) -> float:
@@ -163,14 +164,14 @@ def tailored_to_state(ts: TailoredState, alpha: float) -> MHDState:
     return MHDState(g, v, b, t)
 
 
-def hminus1_norm(grid: Grid, *tables: np.ndarray) -> float:
+def hminus1_norm(grid: Grid | CompactLayout, *tables: np.ndarray) -> float:
     """Inhomogeneous H^{-1}: <k,eta>^{-1} multiplier on the mean-free part."""
     w2 = 1.0 / (1.0 + grid.K**2 + grid.ETA**2)
     s = 0.0
     for c in tables:
         cc = c.copy()
         cc[0, 0] = 0.0
-        s += float(np.sum(w2 * np.abs(cc) ** 2))
+        s += float(np.sum(grid.mult * w2 * np.abs(cc) ** 2))
     return float(np.sqrt(s / grid.Ly))
 
 

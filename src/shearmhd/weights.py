@@ -306,9 +306,10 @@ def a_multiplier(t, k, eta, params: WeightParams, kind: str = "A"):
 class MultiplierSet:
     """Grid-wide weight evaluation at a fixed time, cached for reuse.
 
-    Provides the log tables of A and Atilde over the (k, eta) table, the k=0
-    column of Alo, and the analytic time-derivative factors entering the
-    energy identity.  Pure: identical inputs give bit-identical outputs.
+    Provides the log tables of A and Atilde over the (k, eta) table of a
+    grid or compact layout (they are even in (k, eta)), the k=0 row of Alo,
+    and the analytic time-derivative factors entering the energy identity.
+    Pure: identical inputs give bit-identical outputs.
     """
 
     def __init__(self, grid, t: float, params: WeightParams):
@@ -326,7 +327,7 @@ class MultiplierSet:
         self.log_m = log_m(self.t, K, ETA, params) * np.ones_like(base)
         self.log_A = self.log_m + self.log_j + base
         self.log_Atilde = self.log_m + self.log_jtilde + base
-        eta1 = grid.eta
+        eta1 = ETA[0]
         self.log_Alo = (log_j(self.t, 0.0, eta1, params)
                         + _log_sobolev_gevrey(0.0, eta1, self.lam, params.s, params.N - 1))
         self.dtq_over_q = dq * np.ones_like(base)

@@ -30,6 +30,12 @@ def packed_tables(integ, tables):
     return integ.pack(st)
 
 
+def unpacked(integ, Y, t):
+    """The full-grid (v, b) state of a vb integrator's compact stack."""
+    full = integ.layout.unpack(Y)
+    return MHDState(integ.grid, full[:2], full[2:], t)
+
+
 def zero_stack(integ):
     return packed_tables(integ, np.zeros((4, *integ.grid.shape), complex))
 
@@ -46,7 +52,7 @@ class TestRhsVB:
         Y = np.zeros((4, 16, 16), complex)
         Y[2][0, 2] = 1.0
         Y[2][0, -2 % 16] = 1.0
-        dY = integ.unpack(integ.rhs(0.0, packed_tables(integ, Y)), 0.0)
+        dY = unpacked(integ, integ.rhs(0.0, packed_tables(integ, Y)), 0.0)
         assert np.max(np.abs(dY.b[0])) <= 1e-14
         assert np.max(np.abs(dY.v[0])) <= 1e-14
 
@@ -56,7 +62,7 @@ class TestRhsVB:
         Y = np.zeros((4, 16, 16), complex)
         Y[3][1, 0] = 1.0  # b2 at (1, 0) and its Hermitian partner
         Y[3][-1, 0] = 1.0
-        dY = integ.unpack(integ.rhs(0.0, packed_tables(integ, Y)), 0.0)
+        dY = unpacked(integ, integ.rhs(0.0, packed_tables(integ, Y)), 0.0)
         assert np.isclose(dY.b[0][1, 0], 1.0)  # +b2 e1
         assert np.isclose(dY.v[1][1, 0], 0.5j)  # alpha d_x b2
 
@@ -64,14 +70,14 @@ class TestRhsVB:
         st = small_state(16, seed=3, eps=1e-2)
         integ = VBIntegrator(st.grid, 1.0)
         _, Y = evolve(integ, integ.pack(st), 0.0, 1.0, dt=0.02, cfl=None)
-        out = integ.unpack(Y, 1.0)
+        out = unpacked(integ, Y, 1.0)
         assert divergence_residual(out) <= 1e-9
 
     def test_mean_and_hermitian_preserved(self):
         st = small_state(16, seed=4, eps=1e-2)
         integ = VBIntegrator(st.grid, 1.0)
         _, Y = evolve(integ, integ.pack(st), 0.0, 1.0, dt=0.02, cfl=None)
-        out = integ.unpack(Y, 1.0)
+        out = unpacked(integ, Y, 1.0)
         for c in (*out.v, *out.b):
             assert c[0, 0] == 0.0
             assert np.array_equal(c, conj_flip(c))
@@ -87,7 +93,7 @@ class TestRhsPtilde:
         ts = TailoredState(grid16, pt, 0.3)
         integ = PtildeIntegrator(grid16, 1.0, nu=1e-3, kappa=3e-3)
         Y = integ.pack(ts)
-        assert np.array_equal(integ.unpack(Y, ts.t).ptilde, ts.ptilde)
+        assert np.array_equal(integ.layout.unpack(Y), ts.ptilde)
         assert np.all(integ.rhs(ts.t, Y)[0, 0] == 0)
 
 
@@ -279,10 +285,16 @@ class TestLinearModeSystem:
         p0 = np.zeros((2, 16, 16), complex)
         p0[0][2, 3] = 1.0 - 0.5j
         p0[0][-2, -3] = 1.0 + 0.5j  # Hermitian partner: the table is a real field
-        out = propagate_linear_grid(grid16, p0, 0.0, 4.0, 1.0, dt=0.001)
+        out = propagate_full(grid16, p0, 0.0, 4.0, 1.0, dt=0.001)
         sys = LinearModeSystem(2, grid16.eta[3], 1.0, "ptilde")
         ref = linear_mode_propagate(sys, [1.0 - 0.5j, 0.0], 0.0, 4.0, tol=1e-12)
         assert np.max(np.abs(out[:, 2, 3] - ref)) <= 1e-9
+
+
+def propagate_full(grid, p0, *args, **kwargs):
+    """propagate_linear_grid of full tables: packed in, unpacked out."""
+    lay = grid.compact
+    return lay.unpack(propagate_linear_grid(grid, lay.pack(p0), *args, **kwargs))
 
 
 def rk4_mode(sys, z, t0, t1, dt):
@@ -321,7 +333,7 @@ class TestLinearGridRecurrence:
             p0[:, k, j] = z
             p0[:, -k, -j] = np.conj(z)  # the Hermitian partner
         t0, t1, dt = 0.3, 1.1, 0.01
-        out = propagate_linear_grid(grid16, p0, t0, t1, alpha, variant, dt=dt)
+        out = propagate_full(grid16, p0, t0, t1, alpha, variant, dt=dt)
         for k, j in self.MODES:
             sys = LinearModeSystem(k, grid16.eta[j], alpha, "ptilde",
                                    symbol_variant=variant)
@@ -332,19 +344,19 @@ class TestLinearGridRecurrence:
         p0 = ptilde_table(grid16, 8)
         p0[:, 2, 0] += 1e-3  # no partner at (-2, 0): the cleanup averages
         p0[:, 0, 3] = p0[:, 0, -3] = 1e-3  # and zeroes the k = 0 row
-        out = propagate_linear_grid(grid16, p0, 0.2, 1.7, 1.0)
+        out = propagate_full(grid16, p0, 0.2, 1.7, 1.0)
         assert np.array_equal(out, conj_flip(out))
         assert np.all(out[:, 0] == 0)
 
     def test_empty_interval_returns_input(self, grid16):
         p0 = ptilde_table(grid16, 9)
-        assert np.array_equal(propagate_linear_grid(grid16, p0, 0.6, 0.6, 1.0), p0)
+        assert np.array_equal(propagate_full(grid16, p0, 0.6, 0.6, 1.0), p0)
 
     def test_nan_input_aborts(self, grid16):
         p0 = ptilde_table(grid16, 9)
         p0[0, 1, 2] = np.nan
         with pytest.raises(NumericalAbort) as err:
-            propagate_linear_grid(grid16, p0, 0.5, 1.0, 1.0)
+            propagate_full(grid16, p0, 0.5, 1.0, 1.0)
         assert err.value.t_last == 0.5
 
 
@@ -356,13 +368,14 @@ class TestLinearBound:
 
     @staticmethod
     def operator_norm_max(grid, alpha, t_end=20.0):
-        cols = np.zeros((2, 2, *grid.shape), complex)  # (column, channel, ...)
-        cols[0, 0] = cols[1, 1] = grid.K != 0
+        lay = grid.compact
+        cols = np.zeros((2, 2, *lay.shape), complex)  # (column, channel, ...)
+        cols[0, 0] = cols[1, 1] = lay.K != 0
         worst = 1.0
         for t in range(int(t_end)):
             cols = np.stack([propagate_linear_grid(grid, c, t, t + 1, alpha)
                              for c in cols])
-            prop = np.moveaxis(grid.compact.pack(cols), (0, 1), (-1, -2))[1:]  # k != 0
+            prop = np.moveaxis(cols, (0, 1), (-1, -2))[1:]  # k != 0
             worst = max(worst, float(np.linalg.norm(prop, ord=2, axis=(-2, -1)).max()))
         return worst
 

@@ -5,10 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shearmhd.spectral import (Grid, ProductWorkspace, conj_flip,
-                               convolution_direct, from_physical, hermitize,
-                               l2_norm, physical_l2_norm,
-                               random_hermitian_coeffs, shear_symbols,
-                               to_physical)
+                               convolution_direct, hermitize, l2_norm,
+                               random_hermitian_coeffs, shear_symbols)
 
 
 class TestGrid:
@@ -51,26 +49,45 @@ class TestDealiasMask:
         assert np.array_equal(once * grid16.dealias_keep, once)
 
 
+def sample_l2_norm(grid, comp):
+    """Sample-quadrature L2 norm of a compact table from its padded samples
+    on the solver's path (``phys``), scaled to match l2_norm (Parseval)."""
+    p = ProductWorkspace(grid).phys(comp[None])
+    return float(np.sqrt(np.mean(p**2) / grid.Ly))
+
+
 class TestTransforms:
+    # the solver's transforms, phys and spec, of packed dealiased tables
     def test_roundtrip(self, grid16, rng):
-        c = random_hermitian_coeffs(grid16, rng)
-        c2 = from_physical(grid16, to_physical(grid16, c))
+        ws = ProductWorkspace(grid16)
+        c = ws.layout.pack(random_hermitian_coeffs(grid16, rng))
+        c2 = ws.spec(ws.phys(c[None]))[0]
         assert np.max(np.abs(c - c2)) <= 1e-12 * np.max(np.abs(c))
 
     def test_real_physical_values(self, grid16, rng):
-        c = random_hermitian_coeffs(grid16, rng)
-        p = to_physical(grid16, c)
-        assert np.max(np.abs(p.imag)) <= 1e-12 * np.max(np.abs(p.real))
+        # a Hermitian table is a real field: its complex inverse has no
+        # imaginary part, and phys gives its real part (16 pads to itself)
+        ws = ProductWorkspace(grid16)
+        c = random_hermitian_coeffs(grid16, rng) * grid16.dealias_keep
+        ref = np.fft.ifft2(c) * (grid16.Nx * grid16.Ny)
+        assert np.max(np.abs(ref.imag)) <= 1e-12 * np.max(np.abs(ref.real))
+        p = ws.phys(ws.layout.pack(c)[None])[0]
+        assert p.shape == grid16.shape
+        assert np.max(np.abs(p - ref.real)) <= 1e-12 * np.max(np.abs(ref.real))
 
     def test_parseval(self, grid16, rng):
-        c = random_hermitian_coeffs(grid16, rng)
-        assert abs(physical_l2_norm(grid16, c) - l2_norm(grid16, c)) \
-            <= 1e-12 * l2_norm(grid16, c)
+        check_parseval(grid16, rng)
 
     def test_parseval_nonunit_Ly(self, rng):
-        g = Grid(16, 16, 3.0)
-        c = random_hermitian_coeffs(g, rng)
-        assert abs(physical_l2_norm(g, c) - l2_norm(g, c)) <= 1e-12 * l2_norm(g, c)
+        check_parseval(Grid(16, 16, 3.0), rng)
+
+
+def check_parseval(g, rng):
+    c = random_hermitian_coeffs(g, rng) * g.dealias_keep
+    comp = g.compact.pack(c)
+    assert abs(sample_l2_norm(g, comp) - l2_norm(g, c)) <= 1e-12 * l2_norm(g, c)
+    # the compact norm, eta > 0 columns counted twice, is the full one
+    assert abs(l2_norm(g.compact, comp) - l2_norm(g, c)) <= 1e-14 * l2_norm(g, c)
 
 
 class TestHermitian:

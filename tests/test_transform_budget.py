@@ -21,22 +21,34 @@ size would be mapped and page-faulted anew on every call.
 The weight audit is budgeted the same way in calls of ``log_q``: each lemma
 row evaluates q over all its samples at once, so a loop of scalar calls
 cannot creep back unnoticed.
+
+Samples read the compact tables the integrators step, so the run paths
+have a budget of zero ``CompactLayout.unpack`` calls, one per snapshot
+file written.  Every sample function reads the layout's multiplicity, and
+gives the same value on a compact state as on its unpacked full tables;
+the energy-identity terms are checked against their full-table formulas.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from shearmhd import dynamics, weights, weights_audit
-from shearmhd.diagnostics import identity_sides
+from shearmhd.diagnostics import (dissipation_terms, energy_E,
+                                  energy_identity_residuals, gevrey_norm,
+                                  identity_sides, make_record)
 from shearmhd.dynamics import (PtildeIntegrator, VBIntegrator,
-                               propagate_linear_grid, quadratic_terms)
-from shearmhd.experiments import gevrey_random_data
-from shearmhd.partition import _pairing_fft
-from shearmhd.spectral import (Grid, ProductWorkspace, random_hermitian_coeffs,
-                               shear_symbols)
-from shearmhd.unknowns import state_to_tailored
+                               propagate_linear_grid, ptilde_coupling,
+                               quadratic_terms, route_equivalence_run)
+from shearmhd.experiments import ExperimentConfig, gevrey_random_data, run
+from shearmhd.partition import _pairing_fft, nl_partition_check
+from shearmhd.spectral import (CompactLayout, Grid, ProductWorkspace, l2_norm,
+                               random_hermitian_coeffs, shear_symbols)
+from shearmhd.unknowns import (MHDState, TailoredState, hminus1_norm,
+                               perp_grad_t, ptilde_correction_symbol,
+                               state_to_tailored, tailored_to_state)
 from shearmhd.weights import MultiplierSet, WeightParams
 from shearmhd.weights_audit import run_weights_audit
 
@@ -153,7 +165,7 @@ def test_integrators_hand_compact_stacks_to_phys(counts, phys_shapes, state):
 
 
 def test_linear_reference_does_no_integrator_work(counts, state):
-    ptilde = state_to_tailored(state, PAR.alpha).ptilde
+    ptilde = state.grid.compact.pack(state_to_tailored(state, PAR.alpha).ptilde)
     misses = shear_symbols.cache_info().misses
     propagate_linear_grid(state.grid, ptilde, 0.1, 0.6, PAR.alpha)
     assert counts == {"phys": [], "spec": []}
@@ -169,8 +181,10 @@ def test_identity_sides(counts, state):
 
 def test_pairing_fft(counts, state):
     g = state.grid
-    A = MultiplierSet(g, 0.4, PAR).A
-    _pairing_fft(g, A, state.v, state.b, state.v, 0.4, ProductWorkspace(g))
+    lay = g.compact
+    A = MultiplierSet(lay, 0.4, PAR).A
+    _pairing_fft(lay, A, lay.pack(state.v), lay.pack(state.b), lay.pack(state.v), 0.4,
+                 ProductWorkspace(g))
     assert 0 < total_tables(counts) <= 14
 
 
@@ -187,3 +201,156 @@ def test_weights_audit_log_q_calls(monkeypatch):
         monkeypatch.setattr(module, "log_q", counting)
     run_weights_audit(WeightParams(), 1e4, 24, 0)
     assert 0 < len(calls) <= 64
+
+
+@pytest.fixture
+def unpacks(monkeypatch):
+    """Shape of every stack handed to ``CompactLayout.unpack``."""
+    calls = []
+    original = CompactLayout.unpack
+
+    def counting(self, comp):
+        calls.append(comp.shape)
+        return original(self, comp)
+
+    monkeypatch.setattr(CompactLayout, "unpack", counting)
+    return calls
+
+
+def config16(experiment, **sections):
+    data = {"experiment": experiment, "grid": {"Nx": 16, "Ny": 16, "Ly": 1.0},
+            "params": {"rho": PAR.rho, "lam0": PAR.lam0, "s": PAR.s, "N": PAR.N,
+                       "alpha": PAR.alpha, "c0": PAR.c0, "eps": PAR.eps},
+            "evolution": {"dt": 0.02, "t_end": 5.0},
+            "initial": {"kind": "gevrey_random", "seed": 3, "eps": 1e-3, "lam1": 1.5},
+            "monitor": {"sample_dt": 0.5}}
+    data.update(sections)
+    return ExperimentConfig.from_dict(data)
+
+
+@pytest.mark.parametrize("snapshots, files", [(0, 0), (4, 3)])
+def test_trajectory_run_unpacks_once_per_snapshot(unpacks, tmp_path, snapshots, files):
+    # 11 samples on [0, 5]; every 4th, from the first, is written
+    run(config16("nonlinear_ideal", output={"snapshots": snapshots}), str(tmp_path))
+    assert len(list(tmp_path.glob("snapshot_*.txt"))) == files
+    assert unpacks == [(4, 11, 6)] * files
+
+
+def test_norm_inflation_run_unpacks_nothing(unpacks, tmp_path):
+    run(config16("norm_inflation"), str(tmp_path))
+    assert (tmp_path / "diagnostics.csv").exists()
+    assert unpacks == []
+
+
+def test_energy_identity_unpacks_nothing(unpacks, state):
+    res = energy_identity_residuals(state_to_tailored(state, PAR.alpha), PAR,
+                                    PAR.alpha, t_end=0.4, dt=4e-3, stride=2)
+    assert res
+    assert unpacks == []
+
+
+def test_route_and_partition_unpack_nothing(unpacks, state):
+    route_equivalence_run(state, PAR.alpha, t_end=0.2, dt=0.01)
+    state.t = 0.4
+    nl_partition_check(state, PAR)
+    assert unpacks == []
+
+
+def full_table_identity_sides(ts, mset, alpha):
+    """The terms of ``identity_sides`` on full (Nx, Ny) tables, as computed
+    before the samples moved to the compact layout: plain sums over every
+    table entry, the quadratic terms through the compact kernels, unpacked."""
+    g, t, params = ts.grid, ts.t, mset.params
+    ws = ProductWorkspace(g)
+    lay = ws.layout
+    A = mset.A
+    pt1, pt2 = ts.ptilde
+
+    def pair(x, y):
+        return sum(float(np.sum((np.conj(a) * b).real)) for a, b in zip(x, y)) / g.Ly
+
+    lam_s = (g.K**2 + g.ETA**2) ** (0.5 * params.s)
+    dens = np.abs(pt1) ** 2 + np.abs(pt2) ** 2
+    sym, csym = shear_symbols(g, t), shear_symbols(lay, t)
+    st = tailored_to_state(ts, alpha)
+    v, b = st.v, st.b
+    cv, cb, cA = lay.pack(v), lay.pack(b), lay.pack(A)
+    c, E = lay.unpack(quadratic_terms(lay, cv, cb, t, ws))
+    nlv = perp_grad_t(g, -sym.inv_lap * c, t)
+    nlb = perp_grad_t(g, E, t)
+    Av, Ab = A * v, A * b
+    adv_b = lay.unpack(ws.advect(csym, cb, cA * np.concatenate([cb, cv])))
+    adv_v = lay.unpack(ws.advect(csym, cv, cA * np.concatenate([cv, cb])))
+    corr = ptilde_correction_symbol(g, alpha, t)
+    AAt = np.exp(mset.log_A + mset.log_Atilde)
+    return {
+        "lam_term": float(abs(mset.dlam) * np.sum(lam_s * A**2 * dens) / g.Ly),
+        "q_term": float(np.sum(mset.dtq_over_q * AAt * dens) / g.Ly),
+        "m_term": float(np.sum(-mset.dtm_over_m * A**2 * dens) / g.Ly),
+        "L_pair": pair([A * pt1], [ptilde_coupling(g.K, sym.u, alpha) * (A * pt2)]),
+        "NL": (pair(Av, A * nlv - adv_b[:2] + adv_v[:2])
+               + pair(Ab, A * nlb - adv_b[2:] + adv_v[2:])),
+        "ONL": (pair(A * (corr * b), A * nlv)
+                + pair([A * pt1], [A * (corr * (sym.lam * E))])),
+    }
+
+
+def sample_values(st, ts, mset, sides=identity_sides):
+    """Every sample function's values on one state, by function."""
+    g = st.grid
+    tables = [*st.v, *st.b]
+    return {
+        "l2_norm": {"": l2_norm(g, *tables)},
+        "hminus1_norm": {"": hminus1_norm(g, *tables)},
+        "gevrey_norm": {"": gevrey_norm(g, tables, 1.0, PAR.s, PAR.N)},
+        "energy_E": dict(zip(("E", "E0"), energy_E(ts, mset))),
+        "dissipation_terms": dict(zip(("lam", "q", "lam_lo", "q_lo"),
+                                      dissipation_terms(ts, mset))),
+        "make_record": vars(make_record(st, ts, mset, 1.0, (1.0, 2.0, 3.0, 4.0))),
+        "identity_sides": sides(ts, mset, PAR.alpha),
+    }
+
+
+@pytest.fixture(scope="module")
+def compact_and_full():
+    """Sample values of a compact state at t = 2.5, where q, m and every
+    pairing are active, and of its unpacked full tables (the energy
+    identity's from their full-table formulas)."""
+    g = Grid(16, 16, 1.0)
+    lay, t = g.compact, 2.5
+    st0 = gevrey_random_data(g, PAR, seed=3, eps=0.05, lam1=1.5)
+    st = MHDState(lay, lay.pack(st0.v), lay.pack(st0.b), t)
+    ts = state_to_tailored(st, PAR.alpha)
+    full_st = MHDState(g, lay.unpack(st.v), lay.unpack(st.b), t)
+    full_ts = TailoredState(g, lay.unpack(ts.ptilde), t)
+    return (sample_values(st, ts, MultiplierSet(lay, t, PAR)),
+            sample_values(full_st, full_ts, MultiplierSet(g, t, PAR),
+                          full_table_identity_sides))
+
+
+@pytest.mark.parametrize("name", ["l2_norm", "hminus1_norm", "gevrey_norm", "energy_E",
+                                  "dissipation_terms", "make_record", "identity_sides"])
+def test_sample_function_same_on_compact_and_full(compact_and_full, name):
+    compact, full = (values[name] for values in compact_and_full)
+    assert compact.keys() == full.keys()
+    sides = compact_and_full[1]["identity_sides"]
+    # NL and ONL cancel large terms: measured against the identity's scale
+    scale = 2 * max(sum(abs(sides[k]) for k in ("lam_term", "q_term", "m_term")),
+                    abs(sides["L_pair"] + sides["NL"] + sides["ONL"]))
+    for key, ref in full.items():
+        got = compact[key]
+        if math.isnan(ref):
+            assert math.isnan(got), key
+            continue
+        assert ref != 0.0, key
+        tol = 1e-12 * (scale if key in ("NL", "ONL") else abs(ref))
+        assert abs(got - ref) <= tol, (key, got, ref)
+
+
+def test_identity_sides_packs_full_input(state):
+    state.t = 0.4
+    ts = state_to_tailored(state, PAR.alpha)
+    lay = state.grid.compact
+    compact = TailoredState(lay, lay.pack(ts.ptilde), ts.t)
+    assert (identity_sides(ts, MultiplierSet(state.grid, ts.t, PAR), PAR.alpha)
+            == identity_sides(compact, MultiplierSet(lay, ts.t, PAR), PAR.alpha))
