@@ -32,9 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import CompactLayout, Grid, ProductWorkspace, shear_symbols
-from .unknowns import (MHDState, TailoredState, perp_grad_t,
-                       ptilde_correction_symbol, tailored_to_state,
-                       vorticity_current_norms)
+from .unknowns import (MHDState, TailoredState, perp_grad_t, tailored_symbols,
+                       tailored_to_state, vorticity_current_norms)
 from .weights import MultiplierSet, WeightParams
 from .dynamics import ptilde_coupling, quadratic_terms
 
@@ -233,8 +232,7 @@ def identity_sides(ts: TailoredState, mset: MultiplierSet, alpha: float,
     # the projected pair; every pairing below meets it only through fields
     # that are divergence-free mode by mode, which the projection leaves alone
     c, E = quadratic_terms(g, v, b, t, ws)
-    nlv = perp_grad_t(g, -sym.inv_lap * c, t)
-    nlb = perp_grad_t(g, E, t)
+    nlv, nlb = perp_grad_t(g, np.stack([-sym.inv_lap * c, E]), t)
     Av, Ab = A * v, A * b
     adv_b = ws.advect(sym, b, np.concatenate([Ab, Av]))  # b.grad_t (Ab, Av)
     adv_v = ws.advect(sym, v, np.concatenate([Av, Ab]))  # v.grad_t (Av, Ab)
@@ -242,7 +240,7 @@ def identity_sides(ts: TailoredState, mset: MultiplierSet, alpha: float,
           + _pair(g, Ab, A * nlb - adv_b[2:] + adv_v[2:]))
     # right side: tailored corrections; corr is (1/alpha) d_y^t Lambda_t^{-2}
     # off k = 0 and 0 on it, so the k = 0 rows of both pairings vanish
-    corr = ptilde_correction_symbol(g, alpha, t)
+    corr = tailored_symbols(g, alpha, t)[1]
     ONL1 = _pair(g, A * (corr * b), A * nlv)
     n2 = sym.lam * E  # Lambda_t^{-1} curl_t(nlb)
     ONL2 = _pair(g, [A * pt1], [A * (corr * n2)])

@@ -44,7 +44,8 @@ Both integrators step compact tables (``spectral.CompactLayout``, the
 independent modes only); ``pack`` converts a full-grid state once at the
 start, and samples read the compact stacks as states on the layout.  The
 per-step cleanup projects (vb), averages each eta = 0 column with its -k
-partner and zeroes the mean.
+partner and zeroes the mean.  The ptilde right-hand side reads i alpha k,
+i alpha k + S and its forcing symbols from one per-time cache.
 
 Dissipation nu*Delta_t / kappa*Delta_t is integrated exactly through
 per-mode integrating factors exp(-nu * int Lambda_t^2 dt) inside a Lawson
@@ -54,15 +55,16 @@ d_y^t ptilde_2 stays in the explicit part.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .spectral import (CompactLayout, Grid, ProductWorkspace, l2_norm,
                        shear_symbols)
-from .unknowns import (MHDState, TailoredState, _inv_lambda, curl_t,
-                       hminus1_norm, leray_project_t, ptilde_correction_symbol,
-                       state_to_tailored, tailored_to_state)
+from .unknowns import (MHDState, TailoredState, curl_t, hminus1_norm,
+                       leray_project_t, state_to_tailored, tailored_symbols,
+                       tailored_to_state)
 
 SYMBOL_VARIANTS = ("derived", "mixed", "flipped")
 
@@ -235,6 +237,21 @@ class VBIntegrator(LawsonIntegrator):
                                                  leray_project_t(lay, Y[2:], t)]))
 
 
+@functools.lru_cache(maxsize=4)
+def _ptilde_rhs_symbols(lay: CompactLayout, alpha: float, variant: str, t: float):
+    """Read-only (i alpha k, i alpha k + S, F) of the ptilde rhs at time t.
+    F (c, E) are the quadratic forcings: (Lambda_t^{-1} c, Lambda_t E) off
+    k = 0 and, on it, those of vq and bq, (-i eta Delta_t^{-1} c, i eta E)."""
+    sym = shear_symbols(lay, t)
+    iak = 1j * alpha * lay.K
+    forcing = np.stack([tailored_symbols(lay, alpha, t)[0], sym.lam]) + 0j
+    forcing[:, 0] = -sym.idyt[0] * sym.inv_lap[0], sym.idyt[0]
+    tables = iak, iak + ptilde_coupling(lay.K, sym.u, alpha, variant), forcing
+    for tab in tables:
+        tab.flags.writeable = False
+    return tables
+
+
 class PtildeIntegrator(LawsonIntegrator):
     """Lawson-RK4 integrator for the tailored formulation.
 
@@ -256,26 +273,17 @@ class PtildeIntegrator(LawsonIntegrator):
 
     def rhs(self, t: float, Y: np.ndarray) -> np.ndarray:
         lay = self.layout
-        sym = shear_symbols(lay, t)
-        iak = 1j * self.alpha * lay.K
-        S = ptilde_coupling(lay.K, sym.u, self.alpha, self.variant)
+        iak, iak_S, forcing = _ptilde_rhs_symbols(lay, self.alpha, self.variant, t)
         dY = np.empty_like(Y)
-        dY[0] = (iak + S) * Y[1]
+        dY[0] = iak_S * Y[1]
         dY[1] = iak * Y[0]
         if self.nu != self.kappa:
             # k != 0 only: idyt does not vanish at k = 0, where Y[1] holds bq
             cross = (self.nu - self.kappa) / self.alpha
-            dY[0, 1:] += cross * sym.idyt[1:] * Y[1, 1:]
+            dY[0, 1:] += cross * shear_symbols(lay, t).idyt[1:] * Y[1, 1:]
         st = tailored_to_state(TailoredState(lay, Y, t), self.alpha)
-        c, E = quadratic_terms(lay, st.v, st.b, t, self.ws)
-        n1 = _inv_lambda(lay, t) * c
-        n2 = sym.lam * E
-        # k = 0: the first components of perp_grad_t(c / Lambda_t^2) and
-        # perp_grad_t E, the forcings of vq and bq (corr vanishes there)
-        n1[0] = -sym.idyt[0] * sym.inv_lap[0] * c[0]
-        n2[0] = sym.idyt[0] * E[0]
-        corr = ptilde_correction_symbol(lay, self.alpha, t)
-        dY[0] += n1 + corr * n2
+        n1, n2 = forcing * quadratic_terms(lay, st.v, st.b, t, self.ws)
+        dY[0] += n1 + tailored_symbols(lay, self.alpha, t)[1] * n2
         dY[1] += n2
         return dY
 

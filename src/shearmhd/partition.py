@@ -15,7 +15,8 @@ with equality (and the nominal remainder set carries both closed
 boundaries); the implementation assigns boundaries by the precedence T, R,
 remainder-as-complement, which coincides with the nominal sets off those
 measure-zero boundaries and makes the tiling exactly disjoint and
-exhaustive.
+exhaustive.  The quadruple sum runs one output row k at a time, broadcast
+over every input (l, xi) and term: still O(modes^2), and no transform.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ from .weights import MultiplierSet, WeightParams
 LABEL_T, LABEL_R, LABEL_REM, LABEL_EQ = 0, 1, 2, 3
 LABEL_NAMES = {LABEL_T: "transport", LABEL_R: "reaction",
                LABEL_REM: "remainder", LABEL_EQ: "average"}
+# the four bilinear terms (b,b | v,v | b,v | v,b) of the pairing: (a1, a2, a3)
+# as indices into (v, b), with their signs
+TERMS = [(0, 1, 1, 1.0), (0, 0, 0, -1.0), (1, 1, 0, 1.0), (1, 0, 1, -1.0)]
 
 
 def gamma_tilde(k, eta, l, xi):
@@ -48,7 +52,7 @@ def omega_labels(k, eta, l, xi):
     labels = np.full(np.broadcast(k, eta, l, xi).shape, LABEL_REM, dtype=np.int8)
     labels[(dmag >= 8.0 * lmag) & gamma_tilde(k, eta, l, xi)] = LABEL_R
     labels[8.0 * dmag <= lmag] = LABEL_T
-    labels[k == l] = LABEL_EQ
+    labels[np.broadcast_to(k == l, labels.shape)] = LABEL_EQ
     return labels
 
 
@@ -77,50 +81,45 @@ def _pairing_fft(lay: CompactLayout, A: np.ndarray, a1, a2, a3, t: float,
     return _pair(lay, A * a1, A * adv[:2] - adv[2:])
 
 
-def _pairing_direct(grid: Grid, A: np.ndarray, a1, a2, a3, t: float):
-    """Same pairing as a quadruple sum, split by the partition labels.
+def _pairing_direct(grid: Grid, A: np.ndarray, fields, t: float):
+    """The signed sum over :data:`TERMS` (i1, i2, i3, sign) of the pairing of
+    (a1, a2, a3) = ``fields[i1], fields[i2], fields[i3]`` as a quadruple sum
+    over full tables, split by label: an array indexed by LABEL_*.
 
-    Returns an array indexed by LABEL_* with the signed contributions.
-    Cost is O(modes^2); intended for small grids.
+    A row's labels and middle-mode indices are built once and broadcast over
+    every retained input (l, xi) and term, so no array spans more than one
+    output row.  Intended for small grids.
     """
-    keep = grid.dealias_keep
-    ki = np.nonzero(np.any(keep, axis=1))[0]
+    # retained rows and columns; every retained row keeps every such column
+    ki, cj = (np.nonzero(np.any(grid.dealias_keep, axis=a))[0] for a in (1, 0))
+    ls, xis = grid.k[ki], grid.eta[cj]  # the retained etas are the xis
+    n = np.round(xis * grid.Ly).astype(int)
+    dn = n[:, None] - n[None, :]  # (eta, xi) -> index of the middle eta - xi
+    valid = np.abs(dn) <= grid.Ny / 3.0
+    j2 = dn % grid.Ny
+    Fin = np.stack(fields)[:, :, ki][..., cj]  # a3 at every input (l, xi)
+    Ain = A[np.ix_(ki, cj)]
+    il, ie, ix = np.ix_(range(len(ki)), range(len(cj)), range(len(cj)))
+    grad = 1j * ls[il], 1j * (xis[ix] - ls[il] * t)  # grad_t of the input mode
     totals = np.zeros(4)
-    kvals = grid.k
-    evals = grid.eta
-    for ik in ki:
-        k = kvals[ik]
-        eta_keep = keep[ik]
-        etas = evals[eta_keep]
-        left = [np.conj(A[ik, eta_keep] * a1[j][ik, eta_keep]) for j in (0, 1)]
-        Ak = A[ik, eta_keep]
-        for il in ki:
-            l = kvals[il]
-            dk = int(k - l)
-            idx2 = np.where(kvals == dk)[0]
-            if idx2.size == 0:
-                continue
-            i2 = idx2[0]
-            xis = evals[keep[il]]
-            Al = A[il, keep[il]]
-            # middle-mode eta index for each (eta, xi) pair
-            n_e = np.round((etas * grid.Ly)).astype(int)
-            n_x = np.round((xis * grid.Ly)).astype(int)
-            dn = n_e[:, None] - n_x[None, :]
-            valid = np.abs(dn) <= grid.Ny / 3.0
-            if not np.any(valid):
-                continue
-            j2 = dn % grid.Ny
-            labels = omega_labels(k, etas[:, None], l, xis[None, :])
-            a2mid = [a2[c][i2, j2] for c in (0, 1)]
-            dot = a2mid[0] * (1j * l) + a2mid[1] * (1j * (xis[None, :] - l * t))
-            wdiff = Ak[:, None] - Al[None, :]
+    for ik, k in zip(ki, grid.k[ki]):
+        dk = k - ls
+        in_table = (dk >= -(grid.Nx // 2)) & (dk < grid.Nx // 2)
+        mid = (dk.astype(int) % grid.Nx)[il], j2[ie, ix]  # middle mode indices
+        Ak = A[ik, cj]
+        wdiff = Ak[ie] - Ain[il, ix]
+        summand = np.zeros(wdiff.shape)
+        for i1, i2, i3, sign in TERMS:
+            # the commutator weight times a2.grad_t, a2 at the middle mode
+            wdot = fields[i2][0][mid] * grad[0]
+            wdot += fields[i2][1][mid] * grad[1]
+            wdot *= wdiff
+            left = np.conj(Ak * fields[i1][:, ik, cj])
             for j in (0, 1):
-                summand = (left[j][:, None] * wdiff * dot
-                           * a3[j][il, keep[il]][None, :]).real
-                summand = np.where(valid, summand, 0.0)
-                for lab in (LABEL_T, LABEL_R, LABEL_REM, LABEL_EQ):
-                    totals[lab] += float(np.sum(summand[labels == lab]))
+                summand += sign * (left[j][ie] * wdot * Fin[i3, j][il, ix]).real
+        summand[~(valid[ie, ix] & in_table[il])] = 0.0
+        labels = omega_labels(k, xis[ie], ls[il], xis[ix])
+        totals += np.bincount(labels.ravel(), summand.ravel(), minlength=4)
     return totals / grid.Ly
 
 
@@ -129,10 +128,9 @@ def nl_partition_check(state: MHDState, params: WeightParams,
     """Verify R + T + Rem + NL_eq reproduces the transform-computed NL.
 
     Works on the commutator-form pairing with the full A weight; the state's
-    four bilinear terms (b,b | v,v | b,v | v,b) are accumulated with their
-    signs.  The transform side pairs the state packed once; the quadruple
-    sum reads the full tables.  Returns a report dict; raises nothing
-    (caller asserts).
+    four bilinear terms :data:`TERMS` are accumulated with their signs.  The
+    transform side pairs the state packed once; the quadruple sum reads the
+    full tables.  Returns a report dict; raises nothing (caller asserts).
     """
     g, t = state.grid, state.t
     mset = MultiplierSet(g, t, params)
@@ -144,16 +142,13 @@ def nl_partition_check(state: MHDState, params: WeightParams,
     full = (state.v, state.b)
     comp = tuple(lay.pack(f) for f in full)
     cA = lay.pack(A)
-    # (a1, a2, a3) as indices into (v, b), with their signs
-    terms = [(0, 1, 1, 1.0), (0, 0, 0, -1.0), (1, 1, 0, 1.0), (1, 0, 1, -1.0)]
     nl_fft = 0.0
-    pieces = np.zeros(4)
-    for i1, i2, i3, sign in terms:
+    for i1, i2, i3, sign in TERMS:
         nl_fft += sign * _pairing_fft(lay, cA, comp[i1], comp[i2], comp[i3], t, ws)
-        pieces += sign * _pairing_direct(g, A, full[i1], full[i2], full[i3], t)
+    pieces = _pairing_direct(g, A, full, t)
     total = float(pieces.sum())
     scale = max(abs(nl_fft), sum(abs(p) for p in pieces), 1e-300)
-    report = {
+    return {
         "NL": nl_fft,
         "reaction": float(pieces[LABEL_R]),
         "transport": float(pieces[LABEL_T]),
@@ -164,7 +159,6 @@ def nl_partition_check(state: MHDState, params: WeightParams,
         "rel_mismatch": abs(total - nl_fft) / scale,
         "passes": bool(abs(total - nl_fft) <= rtol * scale),
     }
-    return report
 
 
 def partition_exactness_sample(rng: np.random.Generator, n: int = 2000):

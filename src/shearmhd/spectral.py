@@ -28,10 +28,12 @@ Conventions used throughout the package:
 
 Shear-frame derivative symbols: d_x -> i k, d_y^t -> i(eta - k t),
 Lambda_t = sqrt(k^2 + (eta - k t)^2), Delta_t^{-1} -> -1/Lambda_t^2.
-:func:`shear_symbols` keeps the tables of the last four (layout, t) pairs:
-the stage times t, t + h/2, t + h of a compact Lawson-RK4 step, which a
-sample at a step time shares, and one more; they are read-only (every
-caller shares them).
+Three caches keep per-time tables, read-only (every caller shares them),
+for their last four keys: the stage times t, t + h/2, t + h of a Lawson-RK4
+step, which a sample at a step time shares, and one more.  They are
+:func:`shear_symbols` on (layout, t), ``unknowns.tailored_symbols`` on
+(layout, alpha, t) and ``dynamics._ptilde_rhs_symbols`` on (layout, alpha,
+variant, t): 6, 2 and 3 tables an entry, about 0.5 MB in all at 64^2.
 """
 
 from __future__ import annotations

@@ -20,10 +20,13 @@ averages to vanish.  ptilde is zero on k = 0, so a :class:`TailoredState`
 carries the first components of the averages of v and b in the k = 0 rows
 of its two tables.  Every operator is elementwise in modes, so states live
 on a grid or on its compact layout alike; the runs keep them on the layout.
+The conversions read Lambda_t^{-1} and the correction symbol from one
+per-time cache, :func:`tailored_symbols`.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,9 +71,10 @@ def curl_t(grid: Grid, u: np.ndarray, t: float) -> np.ndarray:
 
 
 def perp_grad_t(grid: Grid, phi: np.ndarray, t: float) -> np.ndarray:
-    """(d_y^t phi, -d_x phi); always divergence-free in the sheared frame."""
+    """(d_y^t phi, -d_x phi) of each table of phi, the components on axis -3;
+    always divergence-free in the sheared frame."""
     sym = shear_symbols(grid, t)
-    return np.stack([sym.idyt * phi, -sym.ikx * phi])
+    return np.stack([sym.idyt * phi, -sym.ikx * phi], axis=-3)
 
 
 def leray_project_t(grid: Grid, u: np.ndarray, t: float) -> np.ndarray:
@@ -87,10 +91,8 @@ def _neq(coeffs: np.ndarray) -> np.ndarray:
 
 
 def _inv_lambda(grid: Grid, t: float) -> np.ndarray:
-    sym = shear_symbols(grid, t)
-    lam = sym.lam.copy()
-    lam[lam == 0] = 1.0
-    inv = 1.0 / lam
+    lam = shear_symbols(grid, t).lam
+    inv = 1.0 / np.where(lam == 0, 1.0, lam)
     inv[0, 0] = 0.0
     return inv
 
@@ -116,21 +118,27 @@ def ptilde_correction_symbol(grid: Grid, alpha: float, t: float) -> np.ndarray:
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
     sym = shear_symbols(grid, t)
-    lam2 = sym.lam2.copy()
-    lam2[lam2 == 0] = 1.0
-    corr = 1j * sym.u / (alpha * lam2)
+    corr = 1j * sym.u / (alpha * np.where(sym.lam2 == 0, 1.0, sym.lam2))
     corr[0, :] = 0.0
     return corr
 
 
+@functools.lru_cache(maxsize=4)
+def tailored_symbols(grid: Grid | CompactLayout, alpha: float, t: float):
+    """Read-only tables of Lambda_t^{-1} (0 at the (0,0) mode) and of
+    :func:`ptilde_correction_symbol`; the last four keys are kept."""
+    tables = _inv_lambda(grid, t), ptilde_correction_symbol(grid, alpha, t)
+    for tab in tables:
+        tab.flags.writeable = False
+    return tables
+
+
 def to_ptilde(p1: np.ndarray, p2: np.ndarray, alpha: float, t: float, grid: Grid):
-    corr = ptilde_correction_symbol(grid, alpha, t)
-    return p1 + corr * p2, p2.copy()
+    return p1 + tailored_symbols(grid, alpha, t)[1] * p2, p2.copy()
 
 
 def from_ptilde(pt1: np.ndarray, pt2: np.ndarray, alpha: float, t: float, grid: Grid):
-    corr = ptilde_correction_symbol(grid, alpha, t)
-    return pt1 - corr * pt2, pt2.copy()
+    return pt1 - tailored_symbols(grid, alpha, t)[1] * pt2, pt2.copy()
 
 
 def to_vtilde(state: MHDState, alpha: float) -> np.ndarray:
@@ -149,29 +157,28 @@ def to_vtilde(state: MHDState, alpha: float) -> np.ndarray:
 
 def state_to_tailored(state: MHDState, alpha: float) -> TailoredState:
     g, t = state.grid, state.t
-    p1, p2 = to_p(state)
-    pt = np.stack(to_ptilde(p1, p2, alpha, t, g))
-    pt[:, 0] = state.v[0][0], state.b[0][0]
+    inv, corr = tailored_symbols(g, alpha, t)
+    p1, p2 = inv * curl_t(g, state.v, t), inv * curl_t(g, state.b, t)
+    pt = np.stack([p1 + corr * p2, p2])
+    pt[:, 0] = state.v[0][0], state.b[0][0]  # the k = 0 rows hold the averages
     return TailoredState(g, pt, t)
 
 
 def tailored_to_state(ts: TailoredState, alpha: float) -> MHDState:
-    g, t = ts.grid, ts.t
-    p1, p2 = from_ptilde(ts.ptilde[0], ts.ptilde[1], alpha, t, g)
-    v = vector_from_scalar(g, p1, t)
-    b = vector_from_scalar(g, p2, t)
-    v[0][0], b[0][0] = ts.ptilde[:, 0]
-    return MHDState(g, v, b, t)
+    g, t, pt = ts.grid, ts.t, ts.ptilde
+    inv, corr = tailored_symbols(g, alpha, t)
+    p = np.stack([pt[0] - corr * pt[1], pt[1]])  # (p1, p2), k = 0 rows dropped
+    p[:, 0] = 0.0
+    vb = perp_grad_t(g, inv * p, t)  # (v, b)
+    vb[:, 0, 0] = pt[:, 0]  # the averages of v1 and b1
+    return MHDState(g, vb[0], vb[1], t)
 
 
 def hminus1_norm(grid: Grid | CompactLayout, *tables: np.ndarray) -> float:
     """Inhomogeneous H^{-1}: <k,eta>^{-1} multiplier on the mean-free part."""
     w2 = 1.0 / (1.0 + grid.K**2 + grid.ETA**2)
-    s = 0.0
-    for c in tables:
-        cc = c.copy()
-        cc[0, 0] = 0.0
-        s += float(np.sum(grid.mult * w2 * np.abs(cc) ** 2))
+    w2[0, 0] = 0.0
+    s = sum(float(np.sum(grid.mult * w2 * np.abs(c) ** 2)) for c in tables)
     return float(np.sqrt(s / grid.Ly))
 
 

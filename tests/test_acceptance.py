@@ -65,7 +65,7 @@ def test_criterion_1_spectral_foundations():
                   f"convolution {worst_conv:.2e} (tol 1e-10), {elapsed:.1f}s < 10s")
 
 
-def test_criterion_2_linear_oracle():
+def test_criterion_2_linear_oracle(tmp_path):
     t0 = time.time()
     cfg = ExperimentConfig.from_dict({
         "experiment": "linear_modes",
@@ -75,7 +75,7 @@ def test_criterion_2_linear_oracle():
         "initial": {"kind": "gevrey_random", "seed": 7, "eps": 1e-3,
                     "lam1": LAM1, "amplitude": 1e-8},
     })
-    payload = run(cfg, "/tmp/shearmhd_acceptance/linear_modes")
+    payload = run(cfg, str(tmp_path / "linear_modes"))
     s = payload["summary"]
     elapsed = time.time() - t0
     err_ok = s["max_rel_mode_error"] <= 1e-4
@@ -103,7 +103,7 @@ def test_criterion_3_route_equivalence():
 
 
 @pytest.fixture(scope="module")
-def growth_summary():
+def growth_summary(tmp_path_factory):
     cfg = ExperimentConfig.from_dict({
         "experiment": "nonlinear_ideal",
         "grid": {"Nx": 64, "Ny": 64, "Ly": 1.0},
@@ -114,7 +114,7 @@ def growth_summary():
         "monitor": {"lam2": LAM2, "sample_dt": 0.5, "hminus1_gate_K": 0.25},
     })
     t0 = time.time()
-    payload = run(cfg, "/tmp/shearmhd_acceptance/nonlinear_ideal")
+    payload = run(cfg, str(tmp_path_factory.mktemp("nonlinear_ideal")))
     return payload["summary"], time.time() - t0
 
 
@@ -133,7 +133,7 @@ def test_criterion_4_vorticity_current_growth(growth_summary):
                   f"{elapsed:.0f}s < 600s")
 
 
-def test_criterion_5_norm_inflation():
+def test_criterion_5_norm_inflation(tmp_path):
     t0 = time.time()
     cfg = ExperimentConfig.from_dict({
         "experiment": "norm_inflation",
@@ -144,7 +144,7 @@ def test_criterion_5_norm_inflation():
                     "lam1": LAM1},
         "monitor": {"sample_dt": 1.0},
     })
-    payload = run(cfg, "/tmp/shearmhd_acceptance/norm_inflation")
+    payload = run(cfg, str(tmp_path / "norm_inflation"))
     s = payload["summary"]
     elapsed = time.time() - t0
     c1 = s["C1"]
@@ -160,7 +160,7 @@ def test_criterion_5_norm_inflation():
                   f"{elapsed:.0f}s < 600s")
 
 
-def test_criterion_6_dissipative_extension():
+def test_criterion_6_dissipative_extension(tmp_path):
     t0 = time.time()
     cfg = ExperimentConfig.from_dict({
         "experiment": "dissipative",
@@ -171,7 +171,7 @@ def test_criterion_6_dissipative_extension():
                     "lam1": LAM1},
         "monitor": {"lam2": LAM2, "sample_dt": 0.5, "hminus1_gate_K": 0.25},
     })
-    payload = run(cfg, "/tmp/shearmhd_acceptance/dissipative")
+    payload = run(cfg, str(tmp_path / "dissipative"))
     s = payload["summary"]
     elapsed = time.time() - t0
     ok = (s["gevrey_bound_10eps"]["passes"] and s["decay_check"]["within_1pct"]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from shearmhd import dynamics
+from shearmhd.diagnostics import energy_identity_residuals
 from shearmhd.dynamics import (SYMBOL_VARIANTS, LinearModeSystem,
                                NumericalAbort, PtildeIntegrator,
                                VBIntegrator, cfl_dt,
@@ -13,7 +14,8 @@ from shearmhd.experiments import dissipative_decay_check, gevrey_random_data
 from shearmhd.spectral import (Grid, ProductWorkspace, conj_flip,
                                convolution_direct, shear_symbols)
 from shearmhd.unknowns import (MHDState, TailoredState, divergence_residual,
-                               leray_project_t, state_to_tailored)
+                               leray_project_t, state_to_tailored,
+                               tailored_symbols, tailored_to_state)
 from shearmhd.weights import WeightParams
 
 PAR = WeightParams(rho=0.004, lam0=1.2, s=0.6, alpha=1.0, c0=0.05, eps=1e-3)
@@ -95,6 +97,70 @@ class TestRhsPtilde:
         Y = integ.pack(ts)
         assert np.array_equal(integ.layout.unpack(Y), ts.ptilde)
         assert np.all(integ.rhs(ts.t, Y)[0, 0] == 0)
+
+
+class TestSymbolCaches:
+    """The per-time symbol caches are pure: shared read-only tables, one
+    entry per key, and results that do not depend on what was cached."""
+
+    @staticmethod
+    def clear():
+        shear_symbols.cache_clear()
+        tailored_symbols.cache_clear()
+        dynamics._ptilde_rhs_symbols.cache_clear()
+
+    def test_cached_tables_are_read_only(self, grid16):
+        lay = grid16.compact
+        tables = [*tailored_symbols(lay, 1.0, 0.3),
+                  *dynamics._ptilde_rhs_symbols(lay, 1.0, "derived", 0.3)]
+        assert len(tables) == 5
+        for tab in tables:
+            assert not tab.flags.writeable
+            with pytest.raises(ValueError):
+                tab[0, 0] = 1.0
+
+    def test_editing_a_returned_state_leaves_the_next_one_alone(self):
+        st = small_state(seed=2)
+        ts = state_to_tailored(st, 1.0)
+        pt = ts.ptilde.copy()
+        first = tailored_to_state(ts, 1.0)
+        ref = first.v.copy(), first.b.copy()
+        first.v *= 3.0
+        first.b[:] = 7.0
+        again = tailored_to_state(ts, 1.0)
+        assert np.array_equal(again.v, ref[0]) and np.array_equal(again.b, ref[1])
+        assert np.array_equal(ts.ptilde, pt)
+        # state_to_tailored of the edited state does not reach the cache either
+        state_to_tailored(first, 1.0).ptilde[:] = 0.0
+        assert np.array_equal(state_to_tailored(st, 1.0).ptilde, pt)
+
+    def test_rhs_calls_with_other_alpha_or_variant_share_no_entry(self):
+        st = small_state(seed=3, eps=0.05)
+        t = 0.7
+        keys = [(1.0, "derived"), (0.7, "derived"), (1.0, "mixed"), (1.0, "flipped")]
+
+        def rhs(alpha, variant):
+            integ = PtildeIntegrator(st.grid, alpha, symbol_variant=variant)
+            return integ.rhs(t, integ.pack(state_to_tailored(st, 1.0)))
+
+        self.clear()
+        interleaved = [rhs(*key) for key in keys]
+        info = dynamics._ptilde_rhs_symbols.cache_info()
+        assert info.misses == len(keys) and info.currsize == len(keys)
+        for key, got in zip(keys, interleaved):
+            self.clear()
+            assert np.array_equal(got, rhs(*key)), key
+        for i in range(len(keys)):
+            for j in range(i):
+                assert not np.allclose(interleaved[i], interleaved[j])
+
+    def test_identity_residuals_repeat_exactly(self, small_params):
+        st = small_state(seed=11)
+        ts0 = state_to_tailored(st, small_params.alpha)
+        runs = [energy_identity_residuals(ts0, small_params, small_params.alpha,
+                                          t_end=0.2, dt=4e-3, stride=2)
+                for _ in range(2)]
+        assert runs[0] and runs[0] == runs[1]
 
 
 def full_quadratic_terms(grid, v, b, t):
