@@ -34,7 +34,7 @@ import numpy as np
 from .spectral import CompactLayout, Grid, ProductWorkspace, shear_symbols
 from .unknowns import (MHDState, TailoredState, perp_grad_t, tailored_symbols,
                        tailored_to_state, vorticity_current_norms)
-from .weights import MultiplierSet, WeightParams
+from .weights import MultiplierSet, WeightParams, gevrey_log_weight
 from .dynamics import ptilde_coupling, quadratic_terms
 
 
@@ -65,16 +65,11 @@ def weighted_l2(grid: Grid | CompactLayout, log_weight: np.ndarray,
     return float(np.exp(weighted_l2_log(grid, log_weight, *tables)))
 
 
-def gevrey_log_weight(grid: Grid | CompactLayout, lam: float, s: float, N: int) -> np.ndarray:
-    mag2 = grid.K**2 + grid.ETA**2
-    return 0.5 * N * np.log1p(mag2) + lam * mag2 ** (0.5 * s)
-
-
 def gevrey_norm(grid: Grid | CompactLayout, tables, lam: float, s: float, N: int) -> float:
     """Gevrey norm sqrt((1/Ly) sum <k,eta>^{2N} e^{2 lam |k,eta|^s} |fhat|^2)."""
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    lw = gevrey_log_weight(grid, lam, s, N)
+    lw = gevrey_log_weight(grid.K, grid.ETA, lam, s, N)
     if isinstance(tables, np.ndarray) and tables.ndim == 2:
         tables = [tables]
     return weighted_l2(grid, lw, *tables)

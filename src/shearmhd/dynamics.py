@@ -29,8 +29,10 @@ Lambda_t E.
 
 :func:`ptilde_coupling` is the one place these symbols are written, and
 :func:`p_shear_coefficient` the one place of the p-system coefficient
-k u / Lambda_t^2; the ptilde right-hand side, the per-mode systems, the
-energy identity and the DOP853 oracle all take them from there.  Both
+k u / Lambda_t^2; the ptilde right-hand side, the energy identity and the
+per-mode systems (:class:`LinearModeSystem`) take them from there.
+:func:`linear_mode_propagate` is the one DOP853 oracle of those systems,
+for any number of modes at once.  Both
 integrators share one skeleton (:class:`LawsonIntegrator`), and
 :func:`evolve` is the one marching loop: every run and the dissipative
 decay check step through it, and it samples on the time grid
@@ -364,10 +366,11 @@ def evolve(integ, Y0: np.ndarray, t0: float, t_end: float, dt: float = 0.02,
 
 @dataclass
 class LinearModeSystem:
-    """One (k, eta) mode of the linearized dynamics, k != 0."""
+    """(k, eta) modes of the linearized dynamics, k != 0; ``k`` and ``eta``
+    are scalars or same-shape arrays, one entry per mode."""
 
-    k: int
-    eta: float
+    k: int | np.ndarray
+    eta: float | np.ndarray
     alpha: float
     coords: str = "p"  # or "ptilde"
     nu: float = 0.0
@@ -375,7 +378,7 @@ class LinearModeSystem:
     symbol_variant: str = "derived"
 
     def __post_init__(self):
-        if self.k == 0:
+        if np.any(np.asarray(self.k) == 0):
             raise ValueError("k = 0 modes evolve trivially; use the identity map")
         if self.coords not in ("p", "ptilde"):
             raise ValueError("coords must be 'p' or 'ptilde'")
@@ -383,44 +386,53 @@ class LinearModeSystem:
             raise ValueError(f"unknown symbol variant {self.symbol_variant!r}")
 
     def matrix(self, t: float) -> np.ndarray:
+        """The (..., 2, 2) matrices of the modes at time t."""
         k, alpha = self.k, self.alpha
         u = self.eta - k * t
         iak = 1j * alpha * k
+        m = np.zeros(np.shape(u) + (2, 2), dtype=np.complex128)
         if self.coords == "p":
             a = p_shear_coefficient(k, u)
-            m = np.array([[a, iak], [iak, -a]], dtype=np.complex128)
+            m[..., 0, 0], m[..., 0, 1], m[..., 1, 1] = a, iak, -a
         else:
-            s = ptilde_coupling(k, u, alpha, self.symbol_variant)
-            m = np.array([[0.0, iak + s], [iak, 0.0]], dtype=np.complex128)
+            m[..., 0, 1] = iak + ptilde_coupling(k, u, alpha, self.symbol_variant)
+        m[..., 1, 0] = iak
         if self.nu or self.kappa:
             lam2 = k * k + u * u
-            m = m - np.diag([self.nu * lam2, self.kappa * lam2])
+            m[..., 0, 0] -= self.nu * lam2
+            m[..., 1, 1] -= self.kappa * lam2
         return m
-
-
-def _ivp_rhs(sys: LinearModeSystem):
-    def f(t, y):
-        z = y[:2] + 1j * y[2:]
-        dz = sys.matrix(t) @ z
-        return np.concatenate([dz.real, dz.imag])
-    return f
 
 
 def linear_mode_propagate(sys: LinearModeSystem, p_init, t0: float, t1: float,
                           tol: float = 1e-10) -> np.ndarray:
-    """Adaptive high-order integration of the 2x2 mode system."""
+    """Adaptive (DOP853) integration of the mode systems of ``sys`` from t0
+    to t1, independent of the PDE solver path.
+
+    ``p_init`` has shape (..., 2), one pair per mode; the result has its
+    shape.  All modes form one real system, with rtol = ``tol`` and atol =
+    1e-3 * tol * max|p_init|.
+    """
     from scipy.integrate import solve_ivp
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
-    z0 = np.asarray(p_init, dtype=np.complex128)
-    y0 = np.concatenate([z0.real, z0.imag])
-    sol = solve_ivp(_ivp_rhs(sys), (t0, t1), y0, method="DOP853",
-                    rtol=tol, atol=tol * max(1.0, float(np.max(np.abs(z0)))),
-                    dense_output=False)
+    z0 = np.moveaxis(np.asarray(p_init, dtype=np.complex128), -1, 0)
+    n = z0.size
+
+    def f(t, y):
+        z = (y[:n] + 1j * y[n:]).reshape(z0.shape)
+        m = sys.matrix(t)
+        dz = np.stack([m[..., 0, 0] * z[0] + m[..., 0, 1] * z[1],
+                       m[..., 1, 0] * z[0] + m[..., 1, 1] * z[1]])
+        return np.concatenate([dz.real.ravel(), dz.imag.ravel()])
+
+    y0 = np.concatenate([z0.real.ravel(), z0.imag.ravel()])
+    scale = max(1e-300, float(np.max(np.abs(z0))))
+    sol = solve_ivp(f, (t0, t1), y0, method="DOP853", rtol=tol, atol=tol * scale * 1e-3)
     if not sol.success:
         raise RuntimeError(f"mode integration failed: {sol.message}")
     y = sol.y[:, -1]
-    return y[:2] + 1j * y[2:]
+    return np.moveaxis((y[:n] + 1j * y[n:]).reshape(z0.shape), 0, -1)
 
 
 def propagate_linear_grid(grid: Grid, Y0: np.ndarray, t0: float, t1: float,

@@ -18,8 +18,9 @@ from . import io as sio
 from .diagnostics import (DiagnosticsRecord, MultiplierSet, bootstrap_monitor,
                           dissipation_terms, gevrey_norm, growth_fit,
                           make_record)
-from .dynamics import (SYMBOL_VARIANTS, VBIntegrator, dissipation_phase, evolve,
-                       norm_inflation_experiment, p_shear_coefficient)
+from .dynamics import (SYMBOL_VARIANTS, LinearModeSystem, VBIntegrator,
+                       dissipation_phase, evolve, linear_mode_propagate,
+                       norm_inflation_experiment)
 from .partition import nl_partition_check, partition_exactness_sample
 from .resonance import ChainConfig, chain_handoff_trajectory, chain_sweep_fit, chain_total_growth
 from .spectral import Grid, l2_norm, random_hermitian_coeffs
@@ -137,19 +138,25 @@ class ExperimentConfig:
 # initial data
 # ---------------------------------------------------------------------------
 
+def _random_state(grid: Grid, rng: np.random.Generator, envelope: np.ndarray,
+                  t: float) -> MHDState:
+    """Random Hermitian (v, b) under ``envelope``, dealiased and projected
+    divergence-free at time t; the tables are drawn in the order v1, v2, b1, b2."""
+    tabs = [random_hermitian_coeffs(grid, rng, envelope) * grid.dealias_keep
+            for _ in range(4)]
+    v = leray_project_t(grid, np.stack(tabs[:2]), t)
+    b = leray_project_t(grid, np.stack(tabs[2:]), t)
+    return MHDState(grid, v, b, t)
+
+
 def gevrey_random_data(grid: Grid, params: WeightParams, seed: int, eps: float,
                        lam1: float) -> MHDState:
     """Random Hermitian data under a Gevrey envelope, divergence- and
     mean-free, rescaled to ||(v,b)||_{G^lam1} = eps exactly."""
-    rng = np.random.default_rng(seed)
     mag2 = grid.K**2 + grid.ETA**2
     envelope = np.exp(-lam1 * mag2 ** (0.5 * params.s)
                       - 0.5 * (params.N + 2) * np.log1p(mag2))
-    tabs = [random_hermitian_coeffs(grid, rng, envelope) * grid.dealias_keep
-            for _ in range(4)]
-    v = leray_project_t(grid, np.stack(tabs[:2]), 0.0)
-    b = leray_project_t(grid, np.stack(tabs[2:]), 0.0)
-    state = MHDState(grid, v, b, 0.0)
+    state = _random_state(grid, np.random.default_rng(seed), envelope, 0.0)
     norm = gevrey_norm(grid, [*state.v, *state.b], lam1, params.s, params.N)
     if norm == 0:
         raise ValueError("degenerate random draw")
@@ -279,14 +286,8 @@ def dissipative_decay_check(grid: Grid, alpha: float, nu: float,
     """Nonlinearity disabled, nu = kappa: per-mode |p|^2 must decay by the
     exact factor exp(-2 nu int Lambda_t^2) relative to the ideal flow,
     checked after every step."""
-    rng = np.random.default_rng(seed)
-    mag2 = grid.K**2 + grid.ETA**2
-    env = np.exp(-0.5 * mag2 ** 0.5)
-    tabs = [random_hermitian_coeffs(grid, rng, env) * grid.dealias_keep
-            for _ in range(4)]
-    v = leray_project_t(grid, np.stack(tabs[:2]), t0)
-    b = leray_project_t(grid, np.stack(tabs[2:]), t0)
-    state = MHDState(grid, v, b, t0)
+    env = np.exp(-0.5 * (grid.K**2 + grid.ETA**2) ** 0.5)
+    state = _random_state(grid, np.random.default_rng(seed), env, t0)
     dt = (t1 - t0) / steps
     ideal = VBIntegrator(grid, alpha, 0.0, 0.0, linear_only=True)
     dissi = VBIntegrator(grid, alpha, nu, nu, linear_only=True)
@@ -328,19 +329,23 @@ def run_linear_modes(config: ExperimentConfig, outdir: str):
     _, Y = evolve(integ, integ.pack(state0), 0.0, t_end, dt=float(ev["dt"]),
                   cfl=None)
     full = grid.compact.unpack(Y)  # the oracle compares full tables
-    p1_num, p2_num = to_p(MHDState(grid, full[:2], full[2:], t_end))
-    p1_in, p2_in = to_p(state0)
-    p1_or, p2_or = oracle_linear_grid(grid, p1_in, p2_in, 0.0, t_end, alpha)
+    p_num = to_p(MHDState(grid, full[:2], full[2:], t_end))
+    # one oracle call on every retained k != 0 mode of the p system
+    sel = grid.dealias_keep & (grid.K != 0)
+    i, j = np.nonzero(sel)
+    p_or = np.zeros_like(p_num)
+    p_or[:, sel] = linear_mode_propagate(
+        LinearModeSystem(grid.k[i], grid.eta[j], alpha),
+        to_p(state0)[:, sel].T, 0.0, t_end).T
 
-    floor = 1e-6 * max(float(np.max(np.abs(p1_or))), float(np.max(np.abs(p2_or))))
+    floor = 1e-6 * float(np.max(np.abs(p_or)))
+    K, ETA = np.broadcast_to(grid.K, grid.shape), np.broadcast_to(grid.ETA, grid.shape)
     rows = []
     worst = 0.0
-    for pn, po, name in ((p1_num, p1_or, "p1"), (p2_num, p2_or, "p2")):
+    for pn, po, name in zip(p_num, p_or, ("p1", "p2")):
         sig = np.abs(po) >= floor
         rel = np.abs(pn - po)[sig] / np.abs(po)[sig]
-        ks = (grid.K * np.ones(grid.shape))[sig]
-        es = (grid.ETA * np.ones(grid.shape))[sig]
-        for kk, ee, rr in zip(ks.ravel(), es.ravel(), rel.ravel()):
+        for kk, ee, rr in zip(K[sig], ETA[sig], rel):
             rows.append([name, int(kk), float(ee), float(rr)])
         if rel.size:
             worst = max(worst, float(np.max(rel)))
@@ -369,43 +374,6 @@ def run_linear_modes(config: ExperimentConfig, outdir: str):
         "mean_exponent": float(np.mean(exponents)),
     }
     return rows, summary
-
-
-def oracle_linear_grid(grid: Grid, p1: np.ndarray, p2: np.ndarray, t0: float,
-                       t1: float, alpha: float, tol: float = 1e-10):
-    """Adaptive (DOP853) integration of every k != 0 mode, stacked into one
-    real ODE system; independent of the PDE solver path."""
-    from scipy.integrate import solve_ivp
-    mask = grid.dealias_keep & (grid.K * np.ones(grid.shape) != 0)
-    idx = np.nonzero(mask)
-    kk = grid.k[idx[0]]
-    ee = grid.eta[idx[1]]
-    z0 = np.stack([p1[idx], p2[idx]])
-
-    def f(t, y):
-        n = y.size // 4
-        zr = y[:2 * n].reshape(2, n)
-        zi = y[2 * n:].reshape(2, n)
-        z = zr + 1j * zi
-        a = p_shear_coefficient(kk, ee - kk * t)
-        iak = 1j * alpha * kk
-        d0 = a * z[0] + iak * z[1]
-        d1 = -a * z[1] + iak * z[0]
-        dz = np.stack([d0, d1])
-        return np.concatenate([dz.real.ravel(), dz.imag.ravel()])
-
-    y0 = np.concatenate([z0.real.ravel(), z0.imag.ravel()])
-    scale = max(1e-300, float(np.max(np.abs(z0))))
-    sol = solve_ivp(f, (t0, t1), y0, method="DOP853", rtol=tol, atol=tol * scale * 1e-3)
-    if not sol.success:
-        raise RuntimeError(f"oracle integration failed: {sol.message}")
-    n = kk.size
-    y = sol.y[:, -1]
-    z = (y[:2 * n] + 1j * y[2 * n:]).reshape(2, n)
-    q1, q2 = grid.zeros(), grid.zeros()
-    q1[idx] = z[0]
-    q2[idx] = z[1]
-    return q1, q2
 
 
 def run_norm_inflation(config: ExperimentConfig, outdir: str):

@@ -5,7 +5,7 @@ Sign conventions, fixed once and tested against each other:
 * perpendicular gradient  perp_grad_t(phi) = (d_y^t phi, -d_x phi),
   divergence-free by construction;
 * scalar curl             curl_t(u) = d_x u2 - d_y^t u1;
-* p_i = Lambda_t^{-1} curl_t(field_neq), inverted by
+* p_i = Lambda_t^{-1} curl_t(field_neq) (:func:`to_p`), inverted by
   field_neq = perp_grad_t(Lambda_t^{-1} p_i);
 * ptilde_1 = p_1 - (1/alpha) d_y^t Delta_t^{-1} p_2, i.e. the correction
   symbol on p_2 is +i(eta - k t)/(alpha * Lambda_t^2); ptilde_2 = p_2.
@@ -84,12 +84,6 @@ def leray_project_t(grid: Grid, u: np.ndarray, t: float) -> np.ndarray:
     return np.stack([u[0] - sym.ikx * phi, u[1] - sym.idyt * phi])
 
 
-def _neq(coeffs: np.ndarray) -> np.ndarray:
-    out = coeffs.copy()
-    out[0, :] = 0.0
-    return out
-
-
 def _inv_lambda(grid: Grid, t: float) -> np.ndarray:
     lam = shear_symbols(grid, t).lam
     inv = 1.0 / np.where(lam == 0, 1.0, lam)
@@ -97,20 +91,13 @@ def _inv_lambda(grid: Grid, t: float) -> np.ndarray:
     return inv
 
 
-def scalar_from_vector(grid: Grid, u: np.ndarray, t: float) -> np.ndarray:
-    """p = Lambda_t^{-1} curl_t(u_neq); the k = 0 column is dropped."""
-    return _neq(_inv_lambda(grid, t) * curl_t(grid, u, t))
-
-
-def vector_from_scalar(grid: Grid, p: np.ndarray, t: float) -> np.ndarray:
-    """Inverse of :func:`scalar_from_vector` on divergence-free data."""
-    return perp_grad_t(grid, _inv_lambda(grid, t) * _neq(p), t)
-
-
 def to_p(state: MHDState):
-    """(p1, p2) from a divergence-free state."""
+    """The stacked (p1, p2) = Lambda_t^{-1} curl_t of v and b, with the k = 0
+    rows zero."""
     g, t = state.grid, state.t
-    return scalar_from_vector(g, state.v, t), scalar_from_vector(g, state.b, t)
+    p = _inv_lambda(g, t) * np.stack([curl_t(g, state.v, t), curl_t(g, state.b, t)])
+    p[:, 0] = 0.0
+    return p
 
 
 def ptilde_correction_symbol(grid: Grid, alpha: float, t: float) -> np.ndarray:

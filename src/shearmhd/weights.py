@@ -270,32 +270,29 @@ def jtilde_value(t, k, eta, params: WeightParams):
     return np.exp(log_jtilde(t, k, eta, params))
 
 
-def _log_sobolev_gevrey(k, eta, lam, s, N):
-    k = np.asarray(k, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    mag2 = k**2 + eta**2
+def gevrey_log_weight(k, eta, lam, s, N):
+    """log of the Sobolev-Gevrey weight <k,eta>^N e^{lam |k,eta|^s}, elementwise."""
+    mag2 = np.asarray(k, dtype=float) ** 2 + np.asarray(eta, dtype=float) ** 2
     return 0.5 * N * np.log1p(mag2) + lam * mag2 ** (0.5 * s)
 
 
-def log_a_multiplier(t, k, eta, params: WeightParams, kind: str = "A", lam=None):
+def log_a_multiplier(t, k, eta, params: WeightParams, kind: str = "A"):
     """log of A, Atilde or Alo at (t, k, eta).
 
-    ``lam`` overrides lambda(t) (used when a caller has already cached it).
     Alo requires k = 0 and carries Sobolev exponent N-1.
     """
-    if lam is None:
-        lam = lambda_of_t(float(t) if np.ndim(t) == 0 else t, params)
+    lam = lambda_of_t(float(t) if np.ndim(t) == 0 else t, params)
     if kind == "A":
         return (log_m(t, k, eta, params) + log_j(t, k, eta, params)
-                + _log_sobolev_gevrey(k, eta, lam, params.s, params.N))
+                + gevrey_log_weight(k, eta, lam, params.s, params.N))
     if kind == "Atilde":
         return (log_m(t, k, eta, params) + log_jtilde(t, k, eta, params)
-                + _log_sobolev_gevrey(k, eta, lam, params.s, params.N))
+                + gevrey_log_weight(k, eta, lam, params.s, params.N))
     if kind == "Alo":
         if np.any(np.asarray(k) != 0):
             raise ValueError("Alo is defined on the k = 0 column only")
         return (log_j(t, 0, eta, params)
-                + _log_sobolev_gevrey(0, eta, lam, params.s, params.N - 1))
+                + gevrey_log_weight(0, eta, lam, params.s, params.N - 1))
     raise ValueError(f"unknown multiplier kind {kind!r}")
 
 
@@ -318,7 +315,7 @@ class MultiplierSet:
         self.params = params
         self.lam = float(lambda_of_t(self.t, params))
         K, ETA = grid.K, grid.ETA
-        base = _log_sobolev_gevrey(K, ETA, self.lam, params.s, params.N)
+        base = gevrey_log_weight(K, ETA, self.lam, params.s, params.N)
         lq, dq = _log_q_and_rate(self.t, ETA, params.rho)
         lq = lq * np.ones_like(base)
         self.log_jtilde = 8.0 * params.rho * np.sqrt(np.abs(ETA)) - lq
@@ -329,7 +326,7 @@ class MultiplierSet:
         self.log_Atilde = self.log_m + self.log_jtilde + base
         eta1 = ETA[0]
         self.log_Alo = (log_j(self.t, 0.0, eta1, params)
-                        + _log_sobolev_gevrey(0.0, eta1, self.lam, params.s, params.N - 1))
+                        + gevrey_log_weight(0.0, eta1, self.lam, params.s, params.N - 1))
         self.dtq_over_q = dq * np.ones_like(base)
         self.dtm_over_m = dtm_over_m(self.t, K, ETA, params) * np.ones_like(base)
         self.dlam = float(dlambda_dt(self.t, params))

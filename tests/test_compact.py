@@ -15,8 +15,7 @@ from shearmhd.spectral import (Grid, ProductWorkspace, conj_flip,
                                random_hermitian_coeffs, shear_symbols)
 from shearmhd.unknowns import (_inv_lambda, curl_t, from_ptilde,
                                leray_project_t, perp_grad_t,
-                               ptilde_correction_symbol, state_to_tailored,
-                               vector_from_scalar)
+                               ptilde_correction_symbol, state_to_tailored)
 from shearmhd.weights import WeightParams
 
 PAR = WeightParams(rho=0.004, lam0=1.1, s=0.6, N=5, alpha=1.0, c0=0.05, eps=1e-3)
@@ -92,8 +91,9 @@ def full_ptilde_rhs(grid, alpha, nu, kappa, t, Y):
     dY[1] = iak * Y[0]
     if nu != kappa:
         dY[0] += ((nu - kappa) / alpha) * sym.idyt * Y[1]
-    p1, p2 = from_ptilde(Y[0], Y[1], alpha, t, grid)
-    v, b = vector_from_scalar(grid, p1, t), vector_from_scalar(grid, p2, t)
+    p = np.stack(from_ptilde(Y[0], Y[1], alpha, t, grid))
+    p[:, 0] = 0.0
+    v, b = perp_grad_t(grid, _inv_lambda(grid, t) * p, t)
     v[0][0], b[0][0] = Y[2][0], Y[3][0]
     c, E = full_quadratic_terms(grid, v, b, t, FullTableWorkspace(grid))
     n1 = _inv_lambda(grid, t) * c

@@ -309,6 +309,46 @@ class TestLinearModeSystem:
         with pytest.raises(ValueError, match="variant"):
             LinearModeSystem(1, 1.0, 1.0, coords, symbol_variant="bogus")
 
+    def test_k0_in_array_rejected(self):
+        with pytest.raises(ValueError, match="k = 0"):
+            LinearModeSystem(np.array([1, 0, -2]), np.array([0.0, 1.0, 2.0]), 1.0)
+
+    def test_matrix_over_arrays_is_stacked_scalar_matrices(self):
+        k, eta = np.array([1, -2, 3]), np.array([0.0, 1.5, -4.0])
+        for coords in ("p", "ptilde"):
+            sys = LinearModeSystem(k, eta, 0.8, coords, nu=1e-2, kappa=3e-3)
+            m = sys.matrix(1.7)
+            assert m.shape == (3, 2, 2)
+            for i in range(3):
+                one = LinearModeSystem(int(k[i]), float(eta[i]), 0.8, coords,
+                                       nu=1e-2, kappa=3e-3)
+                assert np.array_equal(m[i], one.matrix(1.7))
+
+    @pytest.mark.parametrize("coords", ("p", "ptilde"))
+    @pytest.mark.parametrize("nu,kappa", ((0.0, 0.0), (2e-2, 5e-3)))
+    def test_stacked_oracle_matches_one_call_per_mode(self, coords, nu, kappa):
+        rng = np.random.default_rng(11)
+        k = np.array([1, -2, 3, 2, -1])
+        eta = np.array([0.0, 1.5, -2.0, 5.0, 7.0])
+        z0 = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+        sys = LinearModeSystem(k, eta, 0.7, coords, nu=nu, kappa=kappa)
+        out = linear_mode_propagate(sys, z0, 0.2, 3.0, tol=1e-12)
+        assert out.shape == z0.shape
+        for i in range(k.size):
+            one = LinearModeSystem(int(k[i]), float(eta[i]), 0.7, coords,
+                                   nu=nu, kappa=kappa)
+            ref = linear_mode_propagate(one, z0[i], 0.2, 3.0, tol=1e-12)
+            assert np.max(np.abs(out[i] - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("coords,k,eta", (("p", 2, 3.0), ("ptilde", 2, 5.0)))
+    def test_oracle_is_scale_invariant(self, coords, k, eta):
+        # the tolerances follow the data, so tiny data (the linear_modes
+        # amplitude 1e-8) is integrated as accurately as data of size 1
+        sys = LinearModeSystem(k, eta, 1.0, coords)
+        unit = linear_mode_propagate(sys, [1.0, 0.5], 0.0, 20.0)
+        tiny = linear_mode_propagate(sys, [1e-8, 0.5e-8], 0.0, 20.0)
+        assert np.max(np.abs(tiny / 1e-8 - unit)) <= 1e-10 * np.max(np.abs(unit))
+
     def test_oracle_vs_richardson(self):
         # (k=1, eta=0, alpha=1, p0=(1,0), t: 0 -> 1)
         sys = LinearModeSystem(1, 0.0, 1.0, "p")

@@ -225,6 +225,20 @@ class TestRunner:
         assert b1 == b2
         assert len(b1.decode().splitlines()) > 6
 
+    def test_byte_identical_linear_modes_outputs(self, tmp_path):
+        # the solver against the stacked DOP853 oracle, at a small size
+        data = {"experiment": "linear_modes",
+                "grid": {"Nx": 16, "Ny": 16, "Ly": 1.0},
+                "evolution": {"dt": 0.01, "t_end": 2.0},
+                "initial": {"kind": "gevrey_random", "seed": 2, "eps": 1e-3,
+                            "lam1": 1.2, "amplitude": 1e-8}}
+        b1, b2 = self.csv_of_two_runs(tmp_path, data)
+        assert b1 == b2
+        assert len(b1.decode().splitlines()) > 10
+        with open(tmp_path / "r1" / "summary.json") as fh:
+            summary = json.load(fh)["summary"]
+        assert summary["max_rel_mode_error"] <= 1e-4
+
     def test_nl_partition_runner(self, tmp_path):
         cfg = ExperimentConfig.from_dict({
             "experiment": "nl_partition",

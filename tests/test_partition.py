@@ -82,13 +82,15 @@ class TestPartitionIdentity:
         assert rep["passes"]
 
     def test_pieces_nontrivial(self):
-        g = Grid(16, 16, 1.0)
+        # Ly = 0.25 stretches eta so that T and R quadruples exist (on 16 x 16
+        # with Ly = 1 only the remainder and the average carry anything)
+        g = Grid(16, 16, 0.25)
         st = gevrey_random_data(g, self.PAR, 4, 1e-2, 1.2)
         st.t = 2.0
         rep = nl_partition_check(st, self.PAR)
-        nonzero = [rep[k] for k in ("transport", "remainder", "average")
-                   if rep[k] != 0.0]
-        assert len(nonzero) >= 2
+        assert rep["passes"]
+        for name in ("transport", "reaction", "remainder", "average"):
+            assert abs(rep[name]) > 1e-8 * abs(rep["NL"]), name
 
 
 # the four signed bilinear terms of nl_partition_check: (a1, a2, a3) as

@@ -6,9 +6,8 @@ from shearmhd.spectral import (Grid, l2_norm, random_hermitian_coeffs,
 from shearmhd.unknowns import (MHDState, curl_t, divergence_residual,
                                divergence_t, from_ptilde, hminus1_norm,
                                leray_project_t, perp_grad_t,
-                               ptilde_correction_symbol, scalar_from_vector,
-                               state_to_tailored, tailored_to_state, to_p,
-                               to_ptilde, to_vtilde, vector_from_scalar,
+                               ptilde_correction_symbol, state_to_tailored,
+                               tailored_to_state, to_p, to_ptilde, to_vtilde,
                                vorticity_current_norms)
 
 
@@ -58,7 +57,7 @@ class TestToP:
         lam = sym.lam.copy()
         lam[0, 0] = 1.0
         v = perp_grad_t(grid16, psi / lam, t)
-        p1 = scalar_from_vector(grid16, v, t)
+        p1, _ = to_p(MHDState(grid16, v, np.zeros_like(v), t))
         assert np.isclose(p1[1, 2], 1.0)
         assert np.max(np.abs(p1 - psi)) <= 1e-12
 
@@ -130,7 +129,7 @@ class TestVtilde:
         p1, p2 = to_p(st)
         pt1, _ = to_ptilde(p1, p2, alpha, t, grid16)
         vt = to_vtilde(st, alpha)
-        pt1_route2 = scalar_from_vector(grid16, vt, t)
+        pt1_route2, _ = to_p(MHDState(grid16, vt, np.zeros_like(vt), t))
         assert np.max(np.abs(pt1 - pt1_route2)) <= 1e-12 * np.max(np.abs(pt1))
 
 
