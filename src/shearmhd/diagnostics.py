@@ -27,15 +27,15 @@ differencing of E must avoid stencils that straddle a corner time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .spectral import CompactLayout, Grid, ProductWorkspace, shear_symbols
 from .unknowns import (MHDState, TailoredState, perp_grad_t, tailored_symbols,
                        tailored_to_state, vorticity_current_norms)
-from .weights import MultiplierSet, WeightParams, gevrey_log_weight
-from .dynamics import ptilde_coupling, quadratic_terms
+from .weights import MultiplierSet, WeightParams, gevrey_log_weight, q_endpoint
+from .dynamics import PtildeIntegrator, evolve, ptilde_coupling, quadratic_terms
 
 
 # ---------------------------------------------------------------------------
@@ -126,17 +126,11 @@ class DiagnosticsRecord:
     int_q_lo: float = 0.0
     energy_residual: float = float("nan")
 
-    FIELDS = ("t", "l2_vb", "hminus1_vb", "l2_wj", "gevrey_vb", "E", "E0",
-              "int_lam", "int_q", "int_lam_lo", "int_q_lo", "energy_residual")
-
-    def row(self):
-        return [getattr(self, f) for f in self.FIELDS]
-
     def validate_against(self, prev: "DiagnosticsRecord | None"):
-        vals = self.row()
-        if any((not np.isfinite(v)) and i != len(vals) - 1 for i, v in enumerate(vals)):
+        vals = astuple(self)[:-1]  # all but energy_residual
+        if not np.all(np.isfinite(vals)):
             raise ValueError("non-finite diagnostics entry")
-        if any(v < 0 for v in vals[:-1]):
+        if any(v < 0 for v in vals):
             raise ValueError("diagnostics entries must be nonnegative")
         if prev is not None and self.t <= prev.t:
             raise ValueError("time must increase strictly across records")
@@ -250,13 +244,11 @@ def q_corner_times(grid: Grid, t_max: float) -> np.ndarray:
     for eta in np.abs(grid.eta):
         if eta <= 1.0:
             continue
-        k0 = int(np.floor(np.sqrt(eta)))
-        for k in range(1, k0 + 1):
-            for val in (0.5 * (eta / k + eta / (k + 1)), eta / k):
-                if 0 < val <= t_max:
-                    times.add(round(val, 12))
-        if 2 * eta <= t_max:
-            times.add(round(2 * eta, 12))
+        ks = np.arange(np.floor(np.sqrt(eta)) + 1.0)
+        # the interval endpoints t_k (t_0 = 2|eta|) and the resonances eta/k
+        for val in np.r_[q_endpoint(ks, eta), eta / ks[1:]]:
+            if 0 < val <= t_max:
+                times.add(round(val, 12))
     return np.array(sorted(times))
 
 
@@ -274,8 +266,6 @@ def energy_identity_residuals(ts0: TailoredState, params: WeightParams,
     ``ValueError`` is raised.  Returns the list of (t, residual) pairs;
     residuals are relative to the identity scale.
     """
-    from .dynamics import PtildeIntegrator, evolve
-
     g = ts0.grid
     h = stride * dt
     n = (t_end - ts0.t) / h

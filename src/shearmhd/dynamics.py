@@ -32,8 +32,9 @@ Lambda_t E.
 k u / Lambda_t^2; the ptilde right-hand side, the energy identity and the
 per-mode systems (:class:`LinearModeSystem`) take them from there.
 :func:`linear_mode_propagate` is the one DOP853 oracle of those systems,
-for any number of modes at once.  Both
-integrators share one skeleton (:class:`LawsonIntegrator`), and
+for any number of modes at once.  Both integrators share one skeleton
+(:class:`LawsonIntegrator`) and one stage sequence
+(:func:`lawson_rk4_step`; an ideal run's decay factors are 1.0), and
 :func:`evolve` is the one marching loop: every run and the dissipative
 decay check step through it, and it samples on the time grid
 t0 + m * sample_dt.  The grid-wide linear reference
@@ -170,9 +171,11 @@ class LawsonIntegrator:
         self.ws = ProductWorkspace(grid)
 
     def decay_factors(self, t0: float, h: float):
-        """(e_half, e_full / e_half, e_full) over [t0, t0 + h], or None if ideal."""
+        """(e_half, e_full / e_half, e_full) over [t0, t0 + h]; the exact
+        scalars (1.0, 1.0, 1.0) if ideal, which leave the Lawson stages
+        classical RK4 bit for bit."""
         if self.nu == 0.0 and self.kappa == 0.0:
-            return None
+            return 1.0, 1.0, 1.0
 
         def stack(ph):
             decay = {"nu": np.exp(-self.nu * ph), "kappa": np.exp(-self.kappa * ph)}
@@ -299,15 +302,10 @@ class PtildeIntegrator(LawsonIntegrator):
 # ---------------------------------------------------------------------------
 
 def lawson_rk4_step(integ, Y: np.ndarray, t: float, h: float) -> np.ndarray:
-    """One classical RK4 step in Lawson variables (exact diagonal dissipation)."""
-    fac = integ.decay_factors(t, h)
+    """One classical RK4 step in Lawson variables (exact diagonal dissipation);
+    an ideal integrator's factors 1.0 make it classical RK4 bit for bit."""
+    e_half, e_back, e_full = integ.decay_factors(t, h)
     k1 = integ.rhs(t, Y)
-    if fac is None:
-        k2 = integ.rhs(t + 0.5 * h, Y + 0.5 * h * k1)
-        k3 = integ.rhs(t + 0.5 * h, Y + 0.5 * h * k2)
-        k4 = integ.rhs(t + h, Y + h * k3)
-        return Y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    e_half, e_back, e_full = fac
     f2 = integ.rhs(t + 0.5 * h, e_half * (Y + 0.5 * h * k1))
     f3 = integ.rhs(t + 0.5 * h, e_half * Y + 0.5 * h * f2)
     f4 = integ.rhs(t + h, e_full * Y + h * e_back * f3)

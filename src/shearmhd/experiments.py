@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 import numpy.random  # numpy loads it lazily; load it with the package
@@ -27,7 +27,7 @@ from .spectral import Grid, l2_norm, random_hermitian_coeffs
 from .unknowns import (MHDState, hminus1_norm, leray_project_t,
                        perp_grad_t, state_to_tailored, to_p)
 from .weights import WeightParams
-from .weights_audit import AUDIT_COLUMNS, run_weights_audit
+from .weights_audit import AuditRow, run_weights_audit
 
 EXPERIMENTS = ("linear_modes", "nonlinear_ideal", "dissipative",
                "norm_inflation", "resonance_chain", "weights_audit",
@@ -92,9 +92,8 @@ class ExperimentConfig:
             raise ConfigError(f"unsupported config version {self.version}")
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"experiment must be one of {EXPERIMENTS}")
-        g = self.grid
         try:
-            Grid(int(g["Nx"]), int(g["Ny"]), float(g["Ly"]))
+            self.make_grid()
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"invalid grid: {exc}") from exc
         try:
@@ -124,6 +123,12 @@ class ExperimentConfig:
         if self.experiment in ("nonlinear_ideal", "dissipative", "norm_inflation"):
             if not (0 < self.initial["eps"] < self.params["c0"]):
                 raise ConfigError("stability experiments require 0 < eps < c0")
+        if self.experiment in ("nonlinear_ideal", "dissipative", "norm_inflation",
+                               "nl_partition"):
+            # the gates read initial.eps, the bootstrap budgets and m params.eps
+            if self.initial["eps"] != self.params["eps"]:
+                raise ConfigError(f"initial.eps = {self.initial['eps']} and params.eps = "
+                                  f"{self.params['eps']} must be equal")
 
     def weight_params(self) -> WeightParams:
         p = self.params
@@ -205,7 +210,7 @@ def build_initial_state(config: ExperimentConfig, grid: Grid,
 # experiment bodies
 # ---------------------------------------------------------------------------
 
-def _trajectory_run(config: ExperimentConfig, outdir: str, nu: float, kappa: float):
+def run_trajectory(config: ExperimentConfig, outdir: str):
     grid = config.make_grid()
     params = config.weight_params()
     alpha = params.alpha
@@ -213,6 +218,7 @@ def _trajectory_run(config: ExperimentConfig, outdir: str, nu: float, kappa: flo
     lam2 = float(config.monitor["lam2"])
     sample_dt = float(config.monitor["sample_dt"])
     ev = config.evolution
+    nu, kappa = float(ev["nu"]), float(ev["kappa"])
     integ = VBIntegrator(grid, alpha, nu, kappa)
     lay = integ.layout
     snap_every = int(config.output.get("snapshots", 0))
@@ -262,22 +268,16 @@ def _trajectory_run(config: ExperimentConfig, outdir: str, nu: float, kappa: flo
         "bootstrap": boot,
         "nu": nu, "kappa": kappa,
     }
-    return records, summary
-
-
-def run_nonlinear_ideal(config: ExperimentConfig, outdir: str):
-    return _trajectory_run(config, outdir, 0.0, 0.0)
+    return ([f.name for f in fields(DiagnosticsRecord)],
+            [astuple(r) for r in records], summary)
 
 
 def run_dissipative(config: ExperimentConfig, outdir: str):
-    ev = config.evolution
-    records, summary = _trajectory_run(config, outdir, float(ev["nu"]),
-                                       float(ev["kappa"]))
-    grid = config.make_grid()
-    params = config.weight_params()
+    cols, rows, summary = run_trajectory(config, outdir)
     summary["decay_check"] = dissipative_decay_check(
-        grid, params.alpha, float(ev["nu"]), seed=int(config.initial["seed"]))
-    return records, summary
+        config.make_grid(), config.weight_params().alpha,
+        float(config.evolution["nu"]), seed=int(config.initial["seed"]))
+    return cols, rows, summary
 
 
 def dissipative_decay_check(grid: Grid, alpha: float, nu: float,
@@ -373,7 +373,7 @@ def run_linear_modes(config: ExperimentConfig, outdir: str):
         "scaling_exponents": exponents,
         "mean_exponent": float(np.mean(exponents)),
     }
-    return rows, summary
+    return ["component", "k", "eta", "rel_error"], rows, summary
 
 
 def run_norm_inflation(config: ExperimentConfig, outdir: str):
@@ -388,7 +388,7 @@ def run_norm_inflation(config: ExperimentConfig, outdir: str):
         sample_dt=float(config.monitor["sample_dt"]),
         symbol_variant=ev["symbol_variant"])
     cols = list(rows[0].keys())
-    return [[r[c] for c in cols] for r in rows], {"columns": cols, **summary}
+    return cols, [[r[c] for c in cols] for r in rows], {"columns": cols, **summary}
 
 
 def run_resonance_chain(config: ExperimentConfig, outdir: str):
@@ -409,7 +409,7 @@ def run_resonance_chain(config: ExperimentConfig, outdir: str):
     if ch.get("bridge", False):
         summary["handoff"] = chain_handoff_trajectory(
             ChainConfig(c0, float(min(ch["etas"]))))
-    return rows, summary
+    return ["eta", "c0", "k", "step_amplification", "cumulative_log_growth"], rows, summary
 
 
 def run_weights_audit_experiment(config: ExperimentConfig, outdir: str):
@@ -419,7 +419,7 @@ def run_weights_audit_experiment(config: ExperimentConfig, outdir: str):
                                       eta_max=float(au["eta_max"]),
                                       n_eta=int(au["n_eta"]),
                                       seed=int(au["seed"]))
-    return [r.as_list() for r in rows], summary
+    return [f.name for f in fields(AuditRow)], [astuple(r) for r in rows], summary
 
 
 def run_nl_partition(config: ExperimentConfig, outdir: str):
@@ -431,27 +431,18 @@ def run_nl_partition(config: ExperimentConfig, outdir: str):
     rng = np.random.default_rng(int(config.initial["seed"]))
     report["indicator_sample"] = partition_exactness_sample(rng)
     rows = [[k, v] for k, v in report.items() if isinstance(v, (int, float, bool))]
-    return rows, report
+    return ["quantity", "value"], rows, report
 
 
+# each runner returns (csv columns, csv rows, summary)
 RUNNERS = {
     "linear_modes": run_linear_modes,
-    "nonlinear_ideal": run_nonlinear_ideal,
+    "nonlinear_ideal": run_trajectory,
     "dissipative": run_dissipative,
     "norm_inflation": run_norm_inflation,
     "resonance_chain": run_resonance_chain,
     "weights_audit": run_weights_audit_experiment,
     "nl_partition": run_nl_partition,
-}
-
-CSV_COLUMNS = {
-    "linear_modes": ["component", "k", "eta", "rel_error"],
-    "nonlinear_ideal": list(DiagnosticsRecord.FIELDS),
-    "dissipative": list(DiagnosticsRecord.FIELDS),
-    "resonance_chain": ["eta", "c0", "k", "step_amplification",
-                        "cumulative_log_growth"],
-    "weights_audit": list(AUDIT_COLUMNS),
-    "nl_partition": ["quantity", "value"],
 }
 
 
@@ -462,15 +453,8 @@ def run(config: ExperimentConfig, outdir: str) -> dict:
     cdict = config.to_dict()
     chash = sio.config_hash(cdict)
     header = {"config": cdict, "config_sha256": chash}
-    sio.write_json(os.path.join(outdir, "config.json"),
-                   {"config": cdict, "config_sha256": chash})
-    result, summary = RUNNERS[config.experiment](config, outdir)
-    if config.experiment in ("nonlinear_ideal", "dissipative"):
-        rows = [r.row() for r in result]
-    else:
-        rows = result
-    cols = (summary.get("columns") or CSV_COLUMNS.get(config.experiment)
-            or [f"c{i}" for i in range(len(rows[0]))])
+    sio.write_json(os.path.join(outdir, "config.json"), header)
+    cols, rows, summary = RUNNERS[config.experiment](config, outdir)
     sio.write_csv(os.path.join(outdir, "diagnostics.csv"), cols, rows, header)
     payload = {"experiment": config.experiment, "config_sha256": chash,
                "summary": _jsonable(summary)}

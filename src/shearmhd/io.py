@@ -106,21 +106,3 @@ def ensure_dir(path: str) -> str:
     os.makedirs(path, exist_ok=True)
     return path
 
-
-def export_physical_csv(path: str, state: MHDState, extra: dict | None = None):
-    """Physical-space samples of all components of a full-grid state, for
-    plotting: f(x_j, y_m) = sum fhat e^{i(k x_j + eta y_m)}."""
-    g = state.grid
-    header = {"Nx": g.Nx, "Ny": g.Ny, "Ly": g.Ly, "t": state.t}
-    if extra:
-        header.update(extra)
-    fields = {name: (np.fft.ifft2(tab) * (g.Nx * g.Ny)).real
-              for name, tab in zip(["v1", "v2", "b1", "b2"],
-                                   [state.v[0], state.v[1], state.b[0], state.b[1]])}
-    rows = []
-    for i in range(g.Nx):
-        for j in range(g.Ny):
-            x = 2 * np.pi * i / g.Nx
-            y = 2 * np.pi * g.Ly * j / g.Ny
-            rows.append([x, y] + [fields[n][i, j] for n in ("v1", "v2", "b1", "b2")])
-    write_csv(path, ["x", "y", "v1", "v2", "b1", "b2"], rows, header)

@@ -5,9 +5,10 @@ Near the resonant time eta/k the dominant mode pair (k, k-1) obeys
     p_k'     = c0 (1 + (eta/k - t)^2)^{-1/2} p_{k-1}
     p_{k-1}' = c0 (1 + (eta/k - t)^2)^{-1/2} p_k
 
-on the interval I_k = eta/k + [-eta/(2k(k+1)), +eta/(2k(k-1))] (right
-endpoint 2*eta for k = 1).  The symmetric/antisymmetric combinations
-q^{+-} = p_k +- p_{k-1} evolve by the exact factor
+on the interval I_k = [t_k, t_{k-1}] of the q weight, eta/k +
+[-eta/(2k(k+1)), +eta/(2k(k-1))] (right endpoint 2*eta for k = 1), with
+the endpoints from ``weights.q_endpoint``.  The symmetric/antisymmetric
+combinations q^{+-} = p_k +- p_{k-1} evolve by the exact factor
 exp(+-c0*(asinh(eta/k - t0) - asinh(eta/k - t1))), so a receiver starting
 from zero is amplified by sinh(c0 * asinh(eta/k^2)) per interval; the chain
 product over k grows like exp(C c0 sqrt(c0 eta)) with C a fitted constant.
@@ -19,6 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .weights import q_endpoint
 
 
 @dataclass(frozen=True)
@@ -43,9 +46,7 @@ def resonant_interval(eta: float, k: int):
     """I_k = [t_k, t_{k-1}]; the k = 1 right endpoint is truncated at 2*eta."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    left = eta / k - 0.5 * eta / (k * (k + 1))
-    right = 2.0 * eta if k == 1 else eta / k + 0.5 * eta / (k * (k - 1))
-    return left, right
+    return float(q_endpoint(k, eta)), float(q_endpoint(k - 1, eta))
 
 
 def integrate_two_mode(c0: float, eta: float, k: int, p_init, t0: float,

@@ -31,7 +31,8 @@ Lambda_t = sqrt(k^2 + (eta - k t)^2), Delta_t^{-1} -> -1/Lambda_t^2.
 Three caches keep per-time tables, read-only (every caller shares them),
 for their last four keys: the stage times t, t + h/2, t + h of a Lawson-RK4
 step, which a sample at a step time shares, and one more.  They are
-:func:`shear_symbols` on (layout, t), ``unknowns.tailored_symbols`` on
+:func:`shear_symbols` on (layout, t), whose entry is the named tuple
+:class:`ShearSymbols` of six tables, ``unknowns.tailored_symbols`` on
 (layout, alpha, t) and ``dynamics._ptilde_rhs_symbols`` on (layout, alpha,
 variant, t): 6, 2 and 3 tables an entry, about 0.5 MB in all at 64^2.
 """
@@ -39,7 +40,8 @@ variant, t): 6, 2 and 3 tables an entry, about 0.5 MB in all at 64^2.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -111,43 +113,33 @@ class CompactLayout:
         return out
 
 
-@dataclass(frozen=True)
-class ShearSymbols:
+class ShearSymbols(NamedTuple):
     """Per-mode sheared-frame derivative symbols at a fixed time.
 
-    Attributes are arrays of the layout's shape: ``ikx`` = ik, ``idyt`` = i(eta-kt),
-    ``u`` = eta - k*t, ``lam2`` = k^2+u^2, ``inv_lap`` = Delta_t^{-1} symbol
-    -1/lam2 (0 at the (0,0) mode, where inversion is undefined).
+    Read-only arrays of the layout's shape: ``ikx`` = ik, ``idyt`` = i(eta-kt),
+    ``u`` = eta - k*t, ``lam2`` = k^2+u^2, ``lam`` = sqrt(lam2), ``inv_lap`` =
+    Delta_t^{-1} symbol -1/lam2 (0 at the (0,0) mode, where inversion is
+    undefined).
     """
 
-    grid: Grid | CompactLayout
-    t: float
-    ikx: np.ndarray = field(init=False)
-    idyt: np.ndarray = field(init=False)
-    u: np.ndarray = field(init=False)
-    lam2: np.ndarray = field(init=False)
-    lam: np.ndarray = field(init=False)
-    inv_lap: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        g = self.grid
-        u = g.ETA - g.K * self.t
-        lam2 = g.K**2 + u**2
-        with np.errstate(divide="ignore"):
-            inv = np.where(lam2 > 0, -1.0 / np.where(lam2 > 0, lam2, 1.0), 0.0)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "ikx", 1j * g.K * np.ones_like(u))
-        object.__setattr__(self, "idyt", 1j * u)
-        object.__setattr__(self, "lam2", lam2)
-        object.__setattr__(self, "lam", np.sqrt(lam2))
-        object.__setattr__(self, "inv_lap", inv)
-        for name in ("u", "ikx", "idyt", "lam2", "lam", "inv_lap"):
-            getattr(self, name).flags.writeable = False
+    ikx: np.ndarray
+    idyt: np.ndarray
+    u: np.ndarray
+    lam2: np.ndarray
+    lam: np.ndarray
+    inv_lap: np.ndarray
 
 
 @functools.lru_cache(maxsize=4)
 def shear_symbols(grid: Grid | CompactLayout, t: float) -> ShearSymbols:
-    return ShearSymbols(grid, float(t))
+    u = grid.ETA - grid.K * float(t)
+    lam2 = grid.K**2 + u**2
+    with np.errstate(divide="ignore"):
+        inv = np.where(lam2 > 0, -1.0 / np.where(lam2 > 0, lam2, 1.0), 0.0)
+    sym = ShearSymbols(1j * grid.K * np.ones_like(u), 1j * u, u, lam2, np.sqrt(lam2), inv)
+    for tab in sym:
+        tab.flags.writeable = False
+    return sym
 
 
 def conj_flip(coeffs: np.ndarray) -> np.ndarray:

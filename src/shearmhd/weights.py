@@ -10,7 +10,10 @@ at the resonant time eta/k and climbs back, the two branch slopes being
 fixed by continuity (1 + slope * half-interval-length = eta/k^2).  Outside
 the interval union q is extended by the constant plateau value 1, anchored
 at q(2|eta|) = 1.  For |eta| <= 1 there are no resonant intervals and q = 1.
-Branch corners use the right-derivative.
+Branch corners use the right-derivative.  :func:`q_endpoint` is the one
+place the endpoints t_k are written; the energy identity's corner times,
+the audit's sample times and the resonance chain's intervals I_k take them
+from there.
 
 q is evaluated over whole arrays with the branch index in closed form: t_k =
 eta(2k+1)/(2k(k+1)) decreases in k, so the k with t in [t_k, t_{k-1}) is the
@@ -334,11 +337,3 @@ class MultiplierSet:
     @property
     def A(self):
         return np.exp(self.log_A)
-
-    @property
-    def Atilde(self):
-        return np.exp(self.log_Atilde)
-
-    @property
-    def Alo(self):
-        return np.exp(self.log_Alo)

@@ -29,9 +29,6 @@ from .weights import (WeightParams, dtq_over_q, log_a_multiplier, log_j,
                       log_jtilde, log_m, log_q, m_value, mtilde_value,
                       q_endpoint, q_growth_ratio, q_value)
 
-AUDIT_COLUMNS = ("lemma_id", "sample_count", "empirical_constant",
-                 "max_violation_ratio", "passes", "note")
-
 
 @dataclass
 class AuditRow:
@@ -42,10 +39,6 @@ class AuditRow:
     passes: bool
     note: str = ""
 
-    def as_list(self):
-        return [self.lemma_id, self.sample_count, self.empirical_constant,
-                self.max_violation_ratio, self.passes, self.note]
-
 
 def _eta_samples(eta_max: float, n: int) -> np.ndarray:
     return np.unique(np.concatenate([
@@ -54,18 +47,21 @@ def _eta_samples(eta_max: float, n: int) -> np.ndarray:
     ]))
 
 
-def _time_samples(eta: float) -> np.ndarray:
-    """Representative times: plateaus, branch interiors, resonances, tail."""
-    eta = float(eta)
-    k0 = int(math.floor(math.sqrt(eta)))
-    ts = {0.0, 0.25 * math.sqrt(eta), 2.0 * eta, 2.5 * eta}
-    for k in {*range(1, min(k0, 6) + 1), k0}:
-        # the endpoints t_k, t_{k-1} of q_endpoint, in float arithmetic
-        tk = 0.5 * (eta / k + eta / (k + 1))
-        tk1 = 2.0 * eta if k == 1 else 0.5 * (eta / (k - 1) + eta / k)
-        res = eta / k
-        ts |= {tk, 0.5 * (tk + res), res, 0.5 * (res + tk1)}
-    return np.array(sorted(ts))
+def _time_samples(etas, step: int = 1):
+    """Representative times of every eta >= 1 of ``etas``: plateaus, branch
+    interiors, resonances, tail; sorted, distinct, and every ``step``-th one
+    kept.  Returns flat (i, t), each t a time of etas[i]."""
+    eta = np.asarray(etas, dtype=float)[:, None]
+    k0 = np.floor(np.sqrt(eta))
+    # branches k = 1..min(k0, 6) and k0; a repeated k repeats its times
+    k = np.concatenate([np.minimum(np.arange(1.0, 7.0), k0), k0], axis=1)
+    tk, tk1, res = q_endpoint(k, eta), q_endpoint(k - 1.0, eta), eta / k
+    ts = np.sort(np.concatenate([np.zeros_like(eta), 0.25 * np.sqrt(eta), 2.0 * eta, 2.5 * eta,
+                                 tk, 0.5 * (tk + res), res, 0.5 * (res + tk1)], axis=1))
+    new = np.ones(ts.shape, dtype=bool)
+    new[:, 1:] = ts[:, 1:] != ts[:, :-1]
+    keep = new & ((np.cumsum(new, axis=1) - 1) % step == 0)
+    return np.nonzero(keep)[0], ts[keep]
 
 
 def _paired(values, sample):
@@ -106,7 +102,8 @@ def audit_q_plateau_and_dip(params: WeightParams, etas) -> list[AuditRow]:
 
 
 def audit_q_symmetry(params: WeightParams, etas) -> AuditRow:
-    eta, t = _paired(etas, _time_samples)
+    i, t = _time_samples(etas)
+    eta = np.asarray(etas)[i]
     worst = float(np.max(np.abs(log_q(t, eta, params) - log_q(t, -eta, params)),
                          initial=0.0))
     return AuditRow("q_symmetry", len(t), worst, worst / 1e-14 if worst else 0.0,
@@ -171,7 +168,7 @@ def audit_q_asymptotics(params: WeightParams, eta_max: float) -> AuditRow:
 def audit_q_ratio_exp_bound(params: WeightParams, etas, rng) -> AuditRow:
     pairs = np.array([(eta, xi) for eta in etas
                       for xi in rng.choice(etas, size=min(8, len(etas)), replace=False)])
-    i, t = _paired(range(len(pairs)), lambda i: _time_samples(min(pairs[i]))[::2])
+    i, t = _time_samples(pairs.min(axis=1), step=2)
     eta, xi = pairs[i].T
     val = (log_q(t, xi, params) - log_q(t, eta, params)
            - 8.0 * params.rho * np.sqrt(np.abs(eta - xi)))
@@ -206,7 +203,7 @@ def _mode_lattice(eta_max: float, rng, n: int = 300):
 
 def audit_j_bounds(params: WeightParams, eta_max: float, rng) -> list[AuditRow]:
     ks, etas = _mode_lattice(eta_max, rng, 400)
-    i, t = _paired(range(len(ks)), lambda i: _time_samples(max(2.0, abs(etas[i])))[::3])
+    i, t = _time_samples(np.maximum(2.0, np.abs(etas)), step=3)
     k, eta = ks[i].astype(float), etas[i]
     lj = log_j(t, k, eta, params)
     bound = math.log(2.0) + 8.0 * params.rho * (k * k + eta * eta) ** 0.25

@@ -48,6 +48,21 @@ class TestConfig:
                 "initial": {"eps": 0.2},
             })
 
+    def test_eps_mismatch_rejected(self):
+        # the gates read initial.eps, the bootstrap budgets and m params.eps
+        for exp in ("nonlinear_ideal", "norm_inflation", "nl_partition"):
+            with pytest.raises(ConfigError, match="initial.eps .* params.eps"):
+                ExperimentConfig.from_dict({"experiment": exp,
+                                            "initial": {"eps": 1e-2}})
+        with pytest.raises(ConfigError, match="initial.eps .* params.eps"):
+            ExperimentConfig.from_dict({"experiment": "dissipative",
+                                        "evolution": {"nu": 1e-3, "kappa": 1e-3},
+                                        "params": {"eps": 2e-3}})
+        cfg = ExperimentConfig.from_dict({"experiment": "nonlinear_ideal",
+                                          "params": {"eps": 1e-2},
+                                          "initial": {"eps": 1e-2}})
+        assert cfg.weight_params().eps == cfg.initial["eps"]
+
     def test_dissipative_requires_dissipation(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"experiment": "dissipative"})
@@ -162,17 +177,6 @@ class TestSnapshots:
         with pytest.raises(ValueError):
             read_state_snapshot(str(path))
 
-    def test_physical_export(self, tmp_path):
-        from shearmhd.io import export_physical_csv
-        g = Grid(8, 8, 1.0)
-        st = single_mode_state(g, 1, 0, 1e-3, "v")
-        path = tmp_path / "phys.csv"
-        export_physical_csv(str(path), st)
-        lines = [l for l in path.read_text().splitlines()
-                 if not l.startswith("#")]
-        assert lines[0] == "x,y,v1,v2,b1,b2"
-        assert len(lines) == 1 + 64
-
 
 class TestRunner:
     def test_resonance_chain_artifacts(self, tmp_path):
@@ -239,11 +243,28 @@ class TestRunner:
             summary = json.load(fh)["summary"]
         assert summary["max_rel_mode_error"] <= 1e-4
 
+    @pytest.mark.parametrize("data", [
+        {"experiment": "dissipative", "grid": {"Nx": 16, "Ny": 16, "Ly": 1.0},
+         "evolution": {"dt": 0.02, "t_end": 5.0, "nu": 1e-3, "kappa": 2e-3},
+         "initial": {"kind": "gevrey_random", "seed": 2, "eps": 1e-3, "lam1": 1.2}},
+        {"experiment": "resonance_chain",
+         "chain": {"c0": 0.5, "etas": [50.0, 200.0], "bridge": True}},
+        {"experiment": "nl_partition", "grid": {"Nx": 16, "Ny": 16, "Ly": 1.0},
+         "initial": {"kind": "gevrey_random", "seed": 2, "eps": 1e-3, "lam1": 1.2}},
+    ], ids=lambda data: data["experiment"])
+    def test_byte_identical_outputs_of(self, tmp_path, data):
+        b1, b2 = self.csv_of_two_runs(tmp_path, data)
+        assert b1 == b2
+        # every row has one field per column of the header
+        lines = [l for l in b1.decode().splitlines() if not l.startswith("#")]
+        assert len(lines) > 1
+        assert all(l.count(",") == lines[0].count(",") for l in lines)
+
     def test_nl_partition_runner(self, tmp_path):
         cfg = ExperimentConfig.from_dict({
             "experiment": "nl_partition",
             "grid": {"Nx": 16, "Ny": 16, "Ly": 1.0},
-            "params": {"rho": 0.004, "lam0": 1.1},
+            "params": {"rho": 0.004, "lam0": 1.1, "eps": 1e-2},
             "initial": {"kind": "gevrey_random", "seed": 2, "eps": 1e-2,
                         "lam1": 1.2},
         })
@@ -300,7 +321,7 @@ class TestCLI:
         cfile.write_text(json.dumps({
             "experiment": "nl_partition",
             "grid": {"Nx": 16, "Ny": 16, "Ly": 1.0},
-            "params": {"rho": 0.004, "lam0": 1.1},
+            "params": {"rho": 0.004, "lam0": 1.1, "eps": 1e-2},
             "initial": {"kind": "gevrey_random", "seed": 2, "eps": 1e-2,
                         "lam1": 1.2}}))
         assert cli.main(["run", "--config", str(cfile), "--seed", "5",
