@@ -223,10 +223,13 @@ def identity_sides(ts: TailoredState, mset: MultiplierSet, alpha: float,
     c, E = quadratic_terms(g, v, b, t, ws)
     nlv, nlb = perp_grad_t(g, np.stack([-sym.inv_lap * c, E]), t)
     Av, Ab = A * v, A * b
-    adv_b = ws.advect(sym, b, np.concatenate([Ab, Av]))  # b.grad_t (Ab, Av)
-    adv_v = ws.advect(sym, v, np.concatenate([Av, Ab]))  # v.grad_t (Av, Ab)
-    NL = (_pair(g, Av, A * nlv - adv_b[:2] + adv_v[:2])
-          + _pair(g, Ab, A * nlb - adv_b[2:] + adv_v[2:]))
+    # the advections in Elsasser pairs z+- = v +- b: with X = z-.grad_t(A z+)
+    # and Y = z+.grad_t(A z-), v.grad_t(Av) - b.grad_t(Ab) = (X + Y)/2 and
+    # v.grad_t(Ab) - b.grad_t(Av) = (X - Y)/2
+    X = ws.advect(sym, v - b, Av + Ab)
+    Y = ws.advect(sym, v + b, Av - Ab)
+    NL = (_pair(g, Av, A * nlv + 0.5 * (X + Y))
+          + _pair(g, Ab, A * nlb + 0.5 * (X - Y)))
     # right side: tailored corrections; corr is (1/alpha) d_y^t Lambda_t^{-2}
     # off k = 0 and 0 on it, so the k = 0 rows of both pairings vanish
     corr = tailored_symbols(g, alpha, t)[1]

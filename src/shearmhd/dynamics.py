@@ -22,7 +22,8 @@ Two equivalent formulations are evolved:
 
 Both forms take the quadratic terms from :func:`quadratic_terms` in curl
 form: the scalars c = b.grad_t j - v.grad_t w and E = v1 b2 - v2 b1 (w, j
-the sheared curls).  For divergence-free (v, b) the projected pair is
+the sheared curls), c evaluated in divergence form from the products of v
+and b alone.  For divergence-free (v, b) the projected pair is
 (perp_grad_t(c / Lambda_t^2), perp_grad_t E), so the vb right-hand side
 needs no Leray projection, and the ptilde forcings are Lambda_t^{-1} c and
 Lambda_t E.
@@ -135,14 +136,20 @@ def quadratic_terms(grid: Grid, v: np.ndarray, b: np.ndarray, t: float,
     curl of b.grad_t b - v.grad_t v; E = v1 b2 - v2 b1 is the out-of-plane
     v x b, whose perpendicular gradient is b.grad_t v - v.grad_t b.  The
     projected pair is therefore (perp_grad_t(c / Lambda_t^2), perp_grad_t E).
-    One inverse transform of 8 tables and one forward of 2; E is exactly 0
-    when b = 0.
+
+    c is evaluated in divergence form: for divergence-free (v, b) it equals
+    d_x d_y^t (T22 - T11) + (d_x^2 - (d_y^t)^2) T12 with T = b b - v v
+    (Basdevant, J. Comput. Phys. 50, 1983), so one inverse transform of the
+    4 tables of v, b and one forward of the 3 products D = T22 - T11, T12
+    and E suffice.  Off the divergence-free set (an RK stage of the vb
+    route) this is the curl of div(b b - v v).  E is exactly 0 when b = 0.
     """
-    sym = shear_symbols(grid, t)
-    w, j = curl_t(grid, v, t), curl_t(grid, b, t)
-    v1, v2, b1, b2, wx, wy, jx, jy = ws.phys(np.stack(
-        [v[0], v[1], b[0], b[1], sym.ikx * w, sym.idyt * w, sym.ikx * j, sym.idyt * j]))
-    return ws.spec(np.stack([b1 * jx + b2 * jy - v1 * wx - v2 * wy, v1 * b2 - v2 * b1]))
+    u, k = shear_symbols(grid, t).u, grid.K
+    v1, v2, b1, b2 = ws.phys(np.concatenate([v, b]))
+    out = ws.spec(np.stack([(v1 - v2) * (v1 + v2) - (b1 - b2) * (b1 + b2),
+                            b1 * b2 - v1 * v2, v1 * b2 - v2 * b1]))
+    out[1] = (u * u - k * k) * out[1] - (k * u) * out[0]
+    return out[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +406,9 @@ class LinearModeSystem:
             lam2 = k * k + u * u
             m[..., 0, 0] -= self.nu * lam2
             m[..., 1, 1] -= self.kappa * lam2
+            if self.coords == "ptilde":
+                # the anisotropic cross term ((nu - kappa)/alpha) d_y^t ptilde_2
+                m[..., 0, 1] += (self.nu - self.kappa) / alpha * 1j * u
         return m
 
 

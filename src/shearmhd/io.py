@@ -16,6 +16,7 @@ their inputs.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
@@ -47,9 +48,9 @@ def write_csv(path: str, colnames, rows, header: dict | None = None):
         if header:
             for key, val in header.items():
                 fh.write(f"# {key}: {canonical_json(val) if isinstance(val, (dict, list)) else val}\n")
-        fh.write(",".join(colnames) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(colnames)
+        out.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def _fmt(v) -> str:
@@ -74,11 +75,11 @@ def write_state_snapshot(path: str, state: MHDState, extra: dict | None = None):
         fh.write("component,k,eta_index,re,im\n")
         for name, table in zip(header["components"],
                                [state.v[0], state.v[1], state.b[0], state.b[1]]):
-            idx = np.argwhere(table != 0)
-            for i, j in idx:
-                c = table[i, j]
-                fh.write(f"{name},{kvals[i]},{nvals[j]},"
-                         f"{format(c.real, '.17g')},{format(c.imag, '.17g')}\n")
+            # one string per table, its rows in C order
+            i, j = np.nonzero(table)
+            c = table[i, j]
+            fh.write("".join(f"{name},{k},{n},{re:.17g},{im:.17g}\n" for k, n, re, im in zip(
+                kvals[i].tolist(), nvals[j].tolist(), c.real.tolist(), c.imag.tolist())))
 
 
 def read_state_snapshot(path: str) -> MHDState:

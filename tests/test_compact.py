@@ -3,7 +3,8 @@
 The integrators step compact stacks (retained k by retained eta >= 0).  The
 references below are the full-table right-hand sides, transforms and cleanup
 that stepped (Nx, Ny) tables before the layout existed, kept here as oracles:
-unpacked compact results must equal them bit for bit.
+unpacked compact results must equal them bit for bit.  The quadratic terms
+are the divergence form of the kernel, written out on full tables.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from shearmhd.dynamics import PtildeIntegrator, VBIntegrator
 from shearmhd.experiments import gevrey_random_data
 from shearmhd.spectral import (Grid, ProductWorkspace, conj_flip,
                                random_hermitian_coeffs, shear_symbols)
-from shearmhd.unknowns import (_inv_lambda, curl_t, from_ptilde,
+from shearmhd.unknowns import (_inv_lambda, from_ptilde,
                                leray_project_t, perp_grad_t,
                                ptilde_correction_symbol, state_to_tailored)
 from shearmhd.weights import WeightParams
@@ -58,11 +59,13 @@ class FullTableWorkspace:
 
 
 def full_quadratic_terms(grid, v, b, t, ws):
-    sym = shear_symbols(grid, t)
-    w, j = curl_t(grid, v, t), curl_t(grid, b, t)
-    v1, v2, b1, b2, wx, wy, jx, jy = ws.phys(np.stack(
-        [v[0], v[1], b[0], b[1], sym.ikx * w, sym.idyt * w, sym.ikx * j, sym.idyt * j]))
-    return ws.spec(np.stack([b1 * jx + b2 * jy - v1 * wx - v2 * wy, v1 * b2 - v2 * b1]))
+    """(c, E) in divergence form: c = d_x d_y^t (T22 - T11) + (d_x^2 -
+    (d_y^t)^2) T12, T = b b - v v, from the products of v and b."""
+    u, k = shear_symbols(grid, t).u, grid.K
+    v1, v2, b1, b2 = ws.phys(np.concatenate([v, b]))
+    D, T12, E = ws.spec(np.stack([(v1 - v2) * (v1 + v2) - (b1 - b2) * (b1 + b2),
+                                  b1 * b2 - v1 * v2, v1 * b2 - v2 * b1]))
+    return (u * u - k * k) * T12 - (k * u) * D, E
 
 
 def full_vb_rhs(grid, alpha, t, Y):

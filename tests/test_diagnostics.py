@@ -8,9 +8,12 @@ from shearmhd.diagnostics import (DiagnosticsRecord, bootstrap_monitor,
                                   energy_identity_residuals, gevrey_norm,
                                   growth_fit, identity_sides, make_record,
                                   q_corner_times, weighted_l2)
+from shearmhd.dynamics import quadratic_terms
 from shearmhd.experiments import gevrey_random_data
-from shearmhd.spectral import Grid, random_hermitian_coeffs
-from shearmhd.unknowns import TailoredState, state_to_tailored
+from shearmhd.spectral import (Grid, ProductWorkspace, random_hermitian_coeffs,
+                               shear_symbols)
+from shearmhd.unknowns import (MHDState, TailoredState, perp_grad_t,
+                               state_to_tailored, tailored_to_state)
 from shearmhd.weights import MultiplierSet, WeightParams, lambda_of_t
 
 
@@ -149,6 +152,29 @@ class TestGrowthFit:
             growth_fit([0, 1], [0, 1], 1.0)
 
 
+def two_advection_nl(ts, mset, alpha):
+    """NL of the energy identity from the advections of (Ab, Av) by b and of
+    (Av, Ab) by v, the form the Elsasser pairs replaced, kept as the oracle."""
+    g, t = ts.grid, ts.t
+    ws = ProductWorkspace(g.grid)
+    sym = shear_symbols(g, t)
+    A = mset.A
+    st = tailored_to_state(ts, alpha)
+    v, b = st.v, st.b
+    c, E = quadratic_terms(g, v, b, t, ws)
+    nlv, nlb = perp_grad_t(g, np.stack([-sym.inv_lap * c, E]), t)
+    Av, Ab = A * v, A * b
+    adv_b = ws.advect(sym, b, np.concatenate([Ab, Av]))  # b.grad_t (Ab, Av)
+    adv_v = ws.advect(sym, v, np.concatenate([Av, Ab]))  # v.grad_t (Av, Ab)
+
+    def pair(x, y):
+        return sum(float(np.sum(g.mult * (np.conj(p) * q).real))
+                   for p, q in zip(x, y)) / g.Ly
+
+    return (pair(Av, A * nlv - adv_b[:2] + adv_v[:2])
+            + pair(Ab, A * nlb - adv_b[2:] + adv_v[2:]))
+
+
 class TestEnergyIdentity:
     def test_corner_times(self, grid16):
         corners = q_corner_times(grid16, 10.0)
@@ -165,6 +191,21 @@ class TestEnergyIdentity:
                                small_params.alpha)
         for key in ("lam_term", "m_term", "L_pair", "NL"):
             assert terms[key] != 0.0
+
+    @pytest.mark.parametrize("t", [0.4, 1.8])
+    def test_elsasser_nl_matches_two_advection_form(self, grid32, small_params, t):
+        st = gevrey_random_data(grid32, small_params, 11, 0.05, 1.5)
+        st.t = t
+        lay = grid32.compact
+        ts = state_to_tailored(MHDState(lay, lay.pack(st.v), lay.pack(st.b), t),
+                               small_params.alpha)
+        mset = MultiplierSet(lay, t, small_params)
+        sides = identity_sides(ts, mset, small_params.alpha)
+        ref = two_advection_nl(ts, mset, small_params.alpha)
+        scale = 2 * max(sum(abs(sides[k]) for k in ("lam_term", "q_term", "m_term")),
+                        abs(sides["L_pair"] + sides["NL"] + sides["ONL"]))
+        assert ref != 0.0
+        assert abs(sides["NL"] - ref) <= 1e-12 * scale
 
     def test_residual_small_and_converging(self, grid16, small_params):
         st = gevrey_random_data(grid16, small_params, 11, 1e-3, 1.5)

@@ -198,9 +198,11 @@ class TestQuadraticTerms:
     # 12 x 18 has Ny divisible by 3, where the padded grid must exceed Ny
     @pytest.mark.parametrize("grid", [G, Grid(12, 18, 1.7)], ids=["12x12", "12x18"])
     def test_matches_direct_convolution(self, grid):
+        # the curl form c = b.grad_t j - v.grad_t w, which the kernel equals
+        # on its stated domain, data divergence-free at t
         self.G = grid  # the helpers read the instance's grid
         g, t = self.G, self.T
-        v, b = self.state()
+        v, b = self.state(divergence_free_at_t=True)
         ik, idy = self.symbols()
         w = ik * v[1] - idy * v[0]
         j = ik * b[1] - idy * b[0]
@@ -210,6 +212,22 @@ class TestQuadraticTerms:
         c, E = full_quadratic_terms(g, v, b, t)
         for got, ref in ((c, c_ref), (E, e_ref)):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("grid", [G, Grid(12, 18, 1.7)], ids=["12x12", "12x18"])
+    def test_divergence_form_on_unprojected_data(self, grid):
+        # what the vb route's RK stages, not divergence-free, receive:
+        # d_x d_y^t (T22 - T11) + (d_x^2 - (d_y^t)^2) T12, T = b b - v v
+        self.G = grid
+        g, t = self.G, self.T
+        v, b = self.state()
+        ik, idy = self.symbols()
+
+        def T(i, j):
+            return self.conv(b[i], b[j]) - self.conv(v[i], v[j])
+
+        c_ref = ik * idy * (T(1, 1) - T(0, 0)) + (ik * ik - idy * idy) * T(0, 1)
+        c, _ = full_quadratic_terms(g, v, b, t)
+        assert np.max(np.abs(c - c_ref)) <= 1e-12 * np.max(np.abs(c_ref))
 
     def test_projected_pair_matches_leray_of_advective_terms(self):
         # on divergence-free data, perp_grad_t(c / Lambda_t^2) and
@@ -604,6 +622,25 @@ class TestDissipation:
             to_p(st)[:, i, j].T, 0.0, t1, tol=1e-12)
         # per mode the RK4 error is below 4e-8; damping p2 by nu, not kappa,
         # moves the result by 4e-3 or more
+        rel = np.max(np.abs(p_num[:, i, j].T - p_or), axis=1) / np.max(np.abs(p_or), axis=1)
+        assert np.all(rel <= 1e-6)
+
+    def test_unequal_dissipation_ptilde_against_mode_ode(self):
+        # nu != kappa in the ptilde chart: the dissipative ptilde integrator
+        # at an amplitude where the quadratic terms are far below its time
+        # error, against the DOP853 oracle of the ptilde mode matrix, which
+        # must carry the cross term ((nu - kappa)/alpha) d_y^t on ptilde_2
+        nu, kappa, t1 = 2e-2, 5e-3, 2.0
+        st = small_state(16, seed=4, eps=1e-12)
+        g = st.grid
+        ts = state_to_tailored(st, 1.0)
+        integ = PtildeIntegrator(g, 1.0, nu, kappa)
+        _, Y = evolve(integ, integ.pack(ts), 0.0, t1, dt=0.01, cfl=None)
+        p_num = g.compact.unpack(Y)
+        i, j = np.array([(1, 2), (2, 3), (3, 1), (1, 5), (15, 4)]).T
+        p_or = linear_mode_propagate(
+            LinearModeSystem(g.k[i], g.eta[j], 1.0, "ptilde", nu=nu, kappa=kappa),
+            ts.ptilde[:, i, j].T, 0.0, t1, tol=1e-12)
         rel = np.max(np.abs(p_num[:, i, j].T - p_or), axis=1) / np.max(np.abs(p_or), axis=1)
         assert np.all(rel <= 1e-6)
 

@@ -102,7 +102,7 @@ def test_quadratic_terms(counts, state):
     lay = state.grid.compact
     quadratic_terms(lay, lay.pack(state.v), lay.pack(state.b), 0.4,
                     ProductWorkspace(state.grid))
-    assert counts == {"phys": [8], "spec": [2]}
+    assert counts == {"phys": [4], "spec": [3]}
 
 
 def test_quadratic_terms_padded_points(counts, points):
@@ -111,8 +111,8 @@ def test_quadratic_terms_padded_points(counts, points):
     st = gevrey_random_data(g, PAR, seed=3, eps=1e-3, lam1=1.5)
     quadratic_terms(g.compact, g.compact.pack(st.v), g.compact.pack(st.b), 0.4,
                     ProductWorkspace(g))
-    assert counts == {"phys": [8], "spec": [2]}
-    assert points == {"phys": [8 * 64 * 64], "spec": [2 * 64 * 64]}
+    assert counts == {"phys": [4], "spec": [3]}
+    assert points == {"phys": [4 * 64 * 64], "spec": [3 * 64 * 64]}
 
 
 def test_vb_rhs_projects_nothing(monkeypatch, counts, state):
@@ -123,7 +123,7 @@ def test_vb_rhs_projects_nothing(monkeypatch, counts, state):
     monkeypatch.setattr(dynamics, "leray_project_t", forbidden)
     integ = VBIntegrator(state.grid, PAR.alpha)
     integ.rhs(0.4, integ.pack(state))
-    assert counts == {"phys": [8], "spec": [2]}
+    assert counts == {"phys": [4], "spec": [3]}
 
 
 def compact_shape(grid):
@@ -160,7 +160,7 @@ def test_integrators_hand_compact_stacks_to_phys(counts, phys_shapes, state):
     vb.rhs(0.4, vb.pack(state))
     pt = PtildeIntegrator(g, PAR.alpha)
     pt.rhs(0.4, pt.pack(state_to_tailored(state, PAR.alpha)))
-    assert counts == {"phys": [8, 8], "spec": [2, 2]}
+    assert counts == {"phys": [4, 4], "spec": [3, 3]}
     assert phys_shapes == [compact_shape(g)] * 2 == [(11, 6)] * 2
 
 
@@ -176,7 +176,10 @@ def test_identity_sides(counts, state):
     state.t = 0.4
     identity_sides(state_to_tailored(state, PAR.alpha),
                    MultiplierSet(state.grid, 0.4, PAR), PAR.alpha)
-    assert 0 < total_tables(counts) <= 44
+    # the quadratic terms (4 in, 3 out) and two Elsasser advections (6 in,
+    # 2 out each), in 6 calls
+    assert counts == {"phys": [4, 6, 6], "spec": [3, 2, 2]}
+    assert total_tables(counts) == 23
 
 
 def test_pairing_fft(counts, state):

@@ -13,7 +13,8 @@ from shearmhd.weights import (MultiplierSet, WeightParams, _lambda_integral,
                               log_a_multiplier, log_j, log_jtilde, log_mtilde,
                               log_q, m_value, mtilde_value, q_endpoint,
                               q_growth_ratio, q_value)
-from shearmhd.weights_audit import audit_j_commutator_small_time, run_weights_audit
+from shearmhd.weights_audit import (_sign, audit_j_commutator_small_time,
+                                     run_weights_audit)
 
 RHO_HALF = WeightParams(rho=0.5, lam0=0.5 * (250 + 2 / 0.1), s=0.6)
 RHO_ONE = WeightParams(rho=1.0, lam0=270.0, s=0.6)
@@ -475,6 +476,20 @@ class TestWeightsAudit:
         growth = next(r for r in rows if r.lemma_id == "q_growth_comparability")
         assert "two-sided constants [0.844, 2.27]" in growth.note
         assert summary["all_finite"] and not summary["hard_failures"]
+
+    @pytest.mark.parametrize("seed", [0, 1, 104, 12345])
+    def test_sign_draw_is_choice_draw(self, seed):
+        # _sign replaces rng.choice([-1, 1]) in the audit; the golden rows
+        # hold only while both consume the stream alike, other draws between
+        def stream(sign):
+            rng = np.random.default_rng(seed)
+            out = []
+            for _ in range(200):
+                out += [sign(rng), int(rng.integers(1, 40)), sign(rng),
+                        rng.uniform(-1.0, 1.0), sign(rng), rng.standard_normal()]
+            return out
+
+        assert stream(_sign) == stream(lambda r: int(r.choice([-1, 1])))
 
     @pytest.mark.parametrize("eta_max", [1e5, 1e6])
     def test_no_warnings_at_large_eta(self, eta_max):
