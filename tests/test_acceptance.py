@@ -152,10 +152,12 @@ def test_criterion_5_norm_inflation(tmp_path):
     in_band = (s["ratio_min"] >= 1.0 / c1 - margin
                and s["ratio_max"] <= c1 + margin)
     ok = (in_band and s["max_rel_deviation"] <= 0.5
-          and s["lin_within_C1"] and elapsed < 600.0)
+          and s["lin_within_C1"] and s["lin_operator_max"] <= c1
+          and elapsed < 600.0)
     report(5, ok, f"||ptilde||/||ptilde_in|| in [{s['ratio_min']:.3f}, "
                   f"{s['ratio_max']:.3f}] within [1/C1-0.5, C1+0.5] "
-                  f"(C1={c1:.3f}), rel deviation "
+                  f"(C1={c1:.3f}), linear operator norm "
+                  f"{s['lin_operator_max']:.3f} <= C1, rel deviation "
                   f"{s['max_rel_deviation']:.2e} <= 0.5 up to t=c0/eps=50, "
                   f"{elapsed:.0f}s < 600s")
 

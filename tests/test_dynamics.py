@@ -405,36 +405,11 @@ class TestLinearModeSystem:
             c1 = np.exp(np.pi / 2)
             assert 1.0 / c1 <= np.linalg.norm(v) ** 2 <= c1
 
-    def test_grid_propagator_matches_scalar(self, grid16):
-        p0 = np.zeros((2, 16, 16), complex)
-        p0[0][2, 3] = 1.0 - 0.5j
-        p0[0][-2, -3] = 1.0 + 0.5j  # Hermitian partner: the table is a real field
-        out = propagate_full(grid16, p0, 0.0, 4.0, 1.0, dt=0.001)
-        sys = LinearModeSystem(2, grid16.eta[3], 1.0, "ptilde")
-        ref = linear_mode_propagate(sys, [1.0 - 0.5j, 0.0], 0.0, 4.0, tol=1e-12)
-        assert np.max(np.abs(out[:, 2, 3] - ref)) <= 1e-9
-
 
 def propagate_full(grid, p0, *args, **kwargs):
     """propagate_linear_grid of full tables: packed in, unpacked out."""
     lay = grid.compact
     return lay.unpack(propagate_linear_grid(grid, lay.pack(p0), *args, **kwargs))
-
-
-def rk4_mode(sys, z, t0, t1, dt):
-    """Classical RK4 of one mode system on the uniform step times of evolve."""
-    n = int(np.ceil((t1 - t0) / dt * (1 - 1e-9)))
-    t = t0
-    for i in range(1, n + 1):
-        t_next = t1 if i == n else t0 + i * (t1 - t0) / n
-        h = t_next - t
-        k1 = sys.matrix(t) @ z
-        k2 = sys.matrix(t + h / 2) @ (z + h / 2 * k1)
-        k3 = sys.matrix(t + h / 2) @ (z + h / 2 * k2)
-        k4 = sys.matrix(t + h) @ (z + h * k3)
-        z = z + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = t_next
-    return z
 
 
 def ptilde_table(grid, seed):
@@ -443,26 +418,53 @@ def ptilde_table(grid, seed):
     return pt
 
 
+def oracle_error(grid, p0, t0, t1, alpha, variant="derived", **kwargs):
+    """Largest deviation, over the retained modes k != 0, of the grid
+    propagator from the DOP853 oracle at tol 1e-12, relative to max|ref|."""
+    lay = grid.compact
+    out = propagate_linear_grid(grid, p0, t0, t1, alpha, variant, **kwargs)
+    k, eta = np.broadcast_arrays(lay.K, lay.ETA)
+    on = k != 0
+    sys = LinearModeSystem(k[on], eta[on], alpha, "ptilde", symbol_variant=variant)
+    ref = linear_mode_propagate(sys, np.stack([p0[0][on], p0[1][on]], -1), t0, t1,
+                                tol=1e-12)
+    got = np.stack([out[0][on], out[1][on]], -1)
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+
+
 class TestLinearGridRecurrence:
-    # (k, eta index): an eta = 0 mode, a k < 0 row, a generic mode
-    MODES = ((2, 0), (-3, 2), (1, 4))
+    """The sixth-order Magnus steps of propagate_linear_grid."""
 
     @pytest.mark.parametrize("variant", SYMBOL_VARIANTS)
-    @pytest.mark.parametrize("alpha", (0.5, 2.0))
-    def test_matches_per_mode_rk4(self, grid16, alpha, variant):
-        rng = np.random.default_rng(5)
-        p0 = np.zeros((2, 16, 16), complex)
-        for k, j in self.MODES:
-            z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            p0[:, k, j] = z
-            p0[:, -k, -j] = np.conj(z)  # the Hermitian partner
-        t0, t1, dt = 0.3, 1.1, 0.01
-        out = propagate_full(grid16, p0, t0, t1, alpha, variant, dt=dt)
-        for k, j in self.MODES:
-            sys = LinearModeSystem(k, grid16.eta[j], alpha, "ptilde",
-                                   symbol_variant=variant)
-            ref = rk4_mode(sys, p0[:, k, j], t0, t1, dt)
-            assert np.max(np.abs(out[:, k, j] - ref)) <= 1e-13 * np.max(np.abs(ref))
+    @pytest.mark.parametrize("alpha", (0.5, 1.0, 2.0))
+    def test_matches_mode_oracle(self, grid32, alpha, variant):
+        # at the default step bound; alpha k_max sets the steps at alpha = 2
+        p0 = grid32.compact.pack(ptilde_table(grid32, 8))
+        assert oracle_error(grid32, p0, 0.3, 3.3, alpha, variant) <= 2e-10
+
+    @pytest.mark.parametrize("variant", SYMBOL_VARIANTS)
+    def test_sixth_order_where_dt_binds(self, grid16, variant):
+        # alpha k_max = 5 < 1/dt: the steps are dt long
+        p0 = grid16.compact.pack(ptilde_table(grid16, 8))
+        coarse, fine = (oracle_error(grid16, p0, 0.3, 3.3, 1.0, variant, dt=dt)
+                        for dt in (0.1, 0.05))
+        assert fine * 40.0 <= coarse
+
+    def test_alfven_rate_caps_the_step(self, grid32):
+        # alpha k_max = 20 steps per unit time, whatever larger step dt allows
+        p0 = grid32.compact.pack(ptilde_table(grid32, 8))
+        assert np.array_equal(propagate_linear_grid(grid32, p0, 0.3, 3.3, 2.0, dt=1.0),
+                              propagate_linear_grid(grid32, p0, 0.3, 3.3, 2.0))
+
+    def test_through_the_turning_point(self, grid16):
+        # alpha = 1, k = 1: omega^2 = alpha^2 k^2 - k^4/Lambda^4 vanishes at
+        # u = 0, where a Gauss node of the step lands, so mu -> 0 there; a
+        # non-finite result would raise NumericalAbort, and a warning fail
+        eta = grid16.eta[2]
+        p0 = np.zeros((2, *grid16.compact.shape), complex)
+        p0[:, 1, 2] = 1.0, 0.5j
+        t0 = eta - 1.025  # the midpoint of step 21 of 40 is t = eta
+        assert oracle_error(grid16, p0, t0, t0 + 2.0, 1.0) <= 2e-10
 
     def test_output_is_a_real_field_on_k_nonzero(self, grid16):
         p0 = ptilde_table(grid16, 8)
@@ -493,19 +495,25 @@ class TestLinearBound:
     @staticmethod
     def operator_norm_max(grid, alpha, t_end=20.0):
         lay = grid.compact
-        cols = np.zeros((2, 2, *lay.shape), complex)  # (column, channel, ...)
+        cols = np.zeros((2, 2, *lay.shape), complex)  # (channel, column, ...)
         cols[0, 0] = cols[1, 1] = lay.K != 0
         worst = 1.0
         for t in range(int(t_end)):
-            cols = np.stack([propagate_linear_grid(grid, c, t, t + 1, alpha)
-                             for c in cols])
-            prop = np.moveaxis(cols, (0, 1), (-1, -2))[1:]  # k != 0
-            worst = max(worst, float(np.linalg.norm(prop, ord=2, axis=(-2, -1)).max()))
+            cols = propagate_linear_grid(grid, cols, t, t + 1, alpha)
+            # the k = 0 rows stay zero
+            worst = max(worst, float(np.linalg.norm(cols, ord=2, axis=(0, 1)).max()))
         return worst
 
     @pytest.mark.parametrize("alpha", (0.5, 1.0, 2.0))
     def test_operator_norm_within_c1(self, grid32, alpha):
         assert self.operator_norm_max(grid32, alpha) <= np.exp(np.pi / (2 * alpha))
+
+    def test_norm_inflation_reports_the_operator_norm(self, grid16):
+        # unit samples from t = 0: the same step times as operator_norm_max
+        _, summary = dynamics.norm_inflation_experiment(
+            small_state(16, seed=3), 1.0, 0.05, 1e-3, 3.0, sample_dt=1.0)
+        assert summary["lin_operator_max"] == pytest.approx(
+            self.operator_norm_max(grid16, 1.0, t_end=3.0), rel=1e-12)
 
 
 def coupling_symbol(grid, t, alpha, variant):
