@@ -124,10 +124,9 @@ class DiagnosticsRecord:
     int_q: float = 0.0
     int_lam_lo: float = 0.0
     int_q_lo: float = 0.0
-    energy_residual: float = float("nan")
 
     def validate_against(self, prev: "DiagnosticsRecord | None"):
-        vals = astuple(self)[:-1]  # all but energy_residual
+        vals = astuple(self)
         if not np.all(np.isfinite(vals)):
             raise ValueError("non-finite diagnostics entry")
         if any(v < 0 for v in vals):

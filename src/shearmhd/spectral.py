@@ -34,7 +34,7 @@ step, which a sample at a step time shares, and one more.  They are
 :func:`shear_symbols` on (layout, t), whose entry is the named tuple
 :class:`ShearSymbols` of six tables, ``unknowns.tailored_symbols`` on
 (layout, alpha, t) and ``dynamics._ptilde_rhs_symbols`` on (layout, alpha,
-variant, t): 6, 2 and 3 tables an entry, about 0.5 MB in all at 64^2.
+variant, nu, kappa, t): 6, 2 and 3 tables an entry, 0.5 MB in all at 64^2.
 """
 
 from __future__ import annotations

@@ -90,10 +90,9 @@ def full_ptilde_rhs(grid, alpha, nu, kappa, t, Y):
     lam2 = grid.K**2 + sym.u**2
     S = -1j * grid.K**3 / (alpha * np.where(lam2 == 0, 1.0, lam2) ** 2)
     dY = np.zeros_like(Y)
-    dY[0] = (iak + S) * Y[1]
+    # the cross term ((nu - kappa)/alpha) d_y^t ptilde_2 joins the coupling
+    dY[0] = (iak + S + ((nu - kappa) / alpha) * sym.idyt) * Y[1]
     dY[1] = iak * Y[0]
-    if nu != kappa:
-        dY[0] += ((nu - kappa) / alpha) * sym.idyt * Y[1]
     p = np.stack(from_ptilde(Y[0], Y[1], alpha, t, grid))
     p[:, 0] = 0.0
     v, b = perp_grad_t(grid, _inv_lambda(grid, t) * p, t)
