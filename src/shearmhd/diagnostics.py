@@ -32,7 +32,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .spectral import CompactLayout, Grid, ProductWorkspace, shear_symbols
-from .unknowns import (MHDState, TailoredState, perp_grad_t, tailored_symbols,
+from .unknowns import (MHDState, TailoredState, perp_grad_t, ptilde_correction_symbol,
                        tailored_to_state, vorticity_current_norms)
 from .weights import MultiplierSet, WeightParams, gevrey_log_weight, q_endpoint
 from .dynamics import PtildeIntegrator, evolve, ptilde_coupling, quadratic_terms
@@ -181,12 +181,13 @@ def _pair(grid: Grid | CompactLayout, x, y) -> float:
 
 
 def identity_sides(ts: TailoredState, mset: MultiplierSet, alpha: float,
-                   symbol_variant: str = "derived", ws: ProductWorkspace | None = None):
+                   ws: ProductWorkspace | None = None):
     """All analytic terms of the energy identity at the state's time.
 
     ``mset`` holds the multipliers at that time, on the state's layout.
     Returns a dict with the left-side weight terms (lam_term, q_term,
-    m_term) and the right-side pairings (L_pair, NL, ONL); the identity reads
+    m_term) and the right-side pairings (L_pair, NL, ONL, with S the derived
+    symbol); the identity reads
     dE/dt = -2*(lam_term + q_term + m_term) + 2*(L_pair + NL + ONL).
     A state on a full grid is packed (and its weights rebuilt) once.
     """
@@ -212,7 +213,7 @@ def identity_sides(ts: TailoredState, mset: MultiplierSet, alpha: float,
     m_term = np.sum(-mset.dtm_over_m * A**2 * dens) / g.Ly
     # right side: linear pairing
     sym = shear_symbols(g, t)
-    S = ptilde_coupling(g.K, sym.u, alpha, symbol_variant)
+    S = ptilde_coupling(g.K, sym.u, alpha)
     L_pair = _pair(g, [A * pt1], [S * (A * pt2)])
     # right side: nonlinear pairings in commutator form
     st = tailored_to_state(ts, alpha)
@@ -231,7 +232,7 @@ def identity_sides(ts: TailoredState, mset: MultiplierSet, alpha: float,
           + _pair(g, Ab, A * nlb + 0.5 * (X - Y)))
     # right side: tailored corrections; corr is (1/alpha) d_y^t Lambda_t^{-2}
     # off k = 0 and 0 on it, so the k = 0 rows of both pairings vanish
-    corr = tailored_symbols(g, alpha, t)[1]
+    corr = ptilde_correction_symbol(g, alpha, t)
     ONL1 = _pair(g, A * (corr * b), A * nlv)
     n2 = sym.lam * E  # Lambda_t^{-1} curl_t(nlb)
     ONL2 = _pair(g, [A * pt1], [A * (corr * n2)])
@@ -256,7 +257,7 @@ def q_corner_times(grid: Grid, t_max: float) -> np.ndarray:
 
 def energy_identity_residuals(ts0: TailoredState, params: WeightParams,
                               alpha: float, t_end: float, dt: float,
-                              stride: int = 5, symbol_variant: str = "derived"):
+                              stride: int = 5):
     """Evolve the tailored form and measure the identity residual.
 
     E is sampled every ``stride`` fixed steps (at t0 + m * stride * dt) and
@@ -274,7 +275,7 @@ def energy_identity_residuals(ts0: TailoredState, params: WeightParams,
     if abs(n - round(n)) > 1e-9 * abs(n):
         raise ValueError(f"t_end - t0 = {t_end - ts0.t:.6g} is not a whole multiple "
                          f"of stride * dt = {h:.6g}")
-    integ = PtildeIntegrator(g, alpha, symbol_variant=symbol_variant)
+    integ = PtildeIntegrator(g, alpha)
     lay = integ.layout
     samples = []
     evolve(integ, integ.pack(ts0), ts0.t, t_end, dt=dt, cfl=None, sample_dt=h,
@@ -288,7 +289,7 @@ def energy_identity_residuals(ts0: TailoredState, params: WeightParams,
         energies.append(energy_E(st, mset)[0])
         if 2 <= i < len(samples) - 2 and not np.any(
                 (corners > t - 2.5 * h) & (corners < t + 2.5 * h)):
-            terms[i] = identity_sides(st, mset, alpha, symbol_variant, integ.ws)
+            terms[i] = identity_sides(st, mset, alpha, integ.ws)
     out = []
     for i, tm in terms.items():
         dE = (-energies[i + 2] + 8 * energies[i + 1]

@@ -32,9 +32,10 @@ Three caches keep per-time tables, read-only (every caller shares them),
 for their last four keys: the stage times t, t + h/2, t + h of a Lawson-RK4
 step, which a sample at a step time shares, and one more.  They are
 :func:`shear_symbols` on (layout, t), whose entry is the named tuple
-:class:`ShearSymbols` of six tables, ``unknowns.tailored_symbols`` on
-(layout, alpha, t) and ``dynamics._ptilde_rhs_symbols`` on (layout, alpha,
-variant, nu, kappa, t): 6, 2 and 3 tables an entry, 0.5 MB in all at 64^2.
+:class:`ShearSymbols` of seven tables, Lambda_t^{-1} among them,
+``unknowns.ptilde_correction_symbol`` on (layout, alpha, t), one table, and
+``dynamics._ptilde_rhs_symbols`` on (layout, alpha, variant, nu, kappa, t),
+three tables that hold six: 0.7 MB in all at 64^2 (0.28, 0.06 and 0.37 MB).
 """
 
 from __future__ import annotations
@@ -118,8 +119,8 @@ class ShearSymbols(NamedTuple):
 
     Read-only arrays of the layout's shape: ``ikx`` = ik, ``idyt`` = i(eta-kt),
     ``u`` = eta - k*t, ``lam2`` = k^2+u^2, ``lam`` = sqrt(lam2), ``inv_lap`` =
-    Delta_t^{-1} symbol -1/lam2 (0 at the (0,0) mode, where inversion is
-    undefined).
+    Delta_t^{-1} symbol -1/lam2 and ``inv_lam`` = Lambda_t^{-1} = 1/lam (both 0
+    at the (0,0) mode, where inversion is undefined).
     """
 
     ikx: np.ndarray
@@ -128,15 +129,18 @@ class ShearSymbols(NamedTuple):
     lam2: np.ndarray
     lam: np.ndarray
     inv_lap: np.ndarray
+    inv_lam: np.ndarray
 
 
 @functools.lru_cache(maxsize=4)
 def shear_symbols(grid: Grid | CompactLayout, t: float) -> ShearSymbols:
     u = grid.ETA - grid.K * float(t)
     lam2 = grid.K**2 + u**2
-    with np.errstate(divide="ignore"):
-        inv = np.where(lam2 > 0, -1.0 / np.where(lam2 > 0, lam2, 1.0), 0.0)
-    sym = ShearSymbols(1j * grid.K * np.ones_like(u), 1j * u, u, lam2, np.sqrt(lam2), inv)
+    lam = np.sqrt(lam2)
+    nz = lam2 > 0
+    sym = ShearSymbols(1j * grid.K * np.ones_like(u), 1j * u, u, lam2, lam,
+                       np.where(nz, -1.0 / np.where(nz, lam2, 1.0), 0.0),
+                       np.where(nz, 1.0 / np.where(nz, lam, 1.0), 0.0))
     for tab in sym:
         tab.flags.writeable = False
     return sym

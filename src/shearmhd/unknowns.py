@@ -20,8 +20,9 @@ averages to vanish.  ptilde is zero on k = 0, so a :class:`TailoredState`
 carries the first components of the averages of v and b in the k = 0 rows
 of its two tables.  Every operator is elementwise in modes, so states live
 on a grid or on its compact layout alike; the runs keep them on the layout.
-The conversions read Lambda_t^{-1} and the correction symbol from one
-per-time cache, :func:`tailored_symbols`.
+The conversions are the chart maps :func:`to_p`, :func:`to_ptilde` and
+:func:`from_ptilde`; they read Lambda_t^{-1} from ``spectral.shear_symbols``
+and the correction symbol from its own per-time cache.
 """
 
 from __future__ import annotations
@@ -84,48 +85,34 @@ def leray_project_t(grid: Grid, u: np.ndarray, t: float) -> np.ndarray:
     return np.stack([u[0] - sym.ikx * phi, u[1] - sym.idyt * phi])
 
 
-def _inv_lambda(grid: Grid, t: float) -> np.ndarray:
-    lam = shear_symbols(grid, t).lam
-    inv = 1.0 / np.where(lam == 0, 1.0, lam)
-    inv[0, 0] = 0.0
-    return inv
-
-
 def to_p(state: MHDState):
     """The stacked (p1, p2) = Lambda_t^{-1} curl_t of v and b, with the k = 0
     rows zero."""
     g, t = state.grid, state.t
-    p = _inv_lambda(g, t) * np.stack([curl_t(g, state.v, t), curl_t(g, state.b, t)])
+    p = shear_symbols(g, t).inv_lam * np.stack([curl_t(g, state.v, t), curl_t(g, state.b, t)])
     p[:, 0] = 0.0
     return p
 
 
-def ptilde_correction_symbol(grid: Grid, alpha: float, t: float) -> np.ndarray:
-    """Symbol of -(1/alpha) d_y^t Delta_t^{-1}: +i(eta - kt)/(alpha Lambda_t^2)."""
+@functools.lru_cache(maxsize=4)
+def ptilde_correction_symbol(grid: Grid | CompactLayout, alpha: float, t: float) -> np.ndarray:
+    """Read-only symbol of -(1/alpha) d_y^t Delta_t^{-1}: +i(eta - kt)/(alpha
+    Lambda_t^2), 0 on k = 0; the last four keys are kept."""
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
     sym = shear_symbols(grid, t)
     corr = 1j * sym.u / (alpha * np.where(sym.lam2 == 0, 1.0, sym.lam2))
     corr[0, :] = 0.0
+    corr.flags.writeable = False
     return corr
 
 
-@functools.lru_cache(maxsize=4)
-def tailored_symbols(grid: Grid | CompactLayout, alpha: float, t: float):
-    """Read-only tables of Lambda_t^{-1} (0 at the (0,0) mode) and of
-    :func:`ptilde_correction_symbol`; the last four keys are kept."""
-    tables = _inv_lambda(grid, t), ptilde_correction_symbol(grid, alpha, t)
-    for tab in tables:
-        tab.flags.writeable = False
-    return tables
-
-
 def to_ptilde(p1: np.ndarray, p2: np.ndarray, alpha: float, t: float, grid: Grid):
-    return p1 + tailored_symbols(grid, alpha, t)[1] * p2, p2.copy()
+    return p1 + ptilde_correction_symbol(grid, alpha, t) * p2, p2.copy()
 
 
 def from_ptilde(pt1: np.ndarray, pt2: np.ndarray, alpha: float, t: float, grid: Grid):
-    return pt1 - tailored_symbols(grid, alpha, t)[1] * pt2, pt2.copy()
+    return pt1 - ptilde_correction_symbol(grid, alpha, t) * pt2, pt2.copy()
 
 
 def to_vtilde(state: MHDState, alpha: float) -> np.ndarray:
@@ -144,19 +131,16 @@ def to_vtilde(state: MHDState, alpha: float) -> np.ndarray:
 
 def state_to_tailored(state: MHDState, alpha: float) -> TailoredState:
     g, t = state.grid, state.t
-    inv, corr = tailored_symbols(g, alpha, t)
-    p1, p2 = inv * curl_t(g, state.v, t), inv * curl_t(g, state.b, t)
-    pt = np.stack([p1 + corr * p2, p2])
+    pt = np.stack(to_ptilde(*to_p(state), alpha, t, g))
     pt[:, 0] = state.v[0][0], state.b[0][0]  # the k = 0 rows hold the averages
     return TailoredState(g, pt, t)
 
 
 def tailored_to_state(ts: TailoredState, alpha: float) -> MHDState:
     g, t, pt = ts.grid, ts.t, ts.ptilde
-    inv, corr = tailored_symbols(g, alpha, t)
-    p = np.stack([pt[0] - corr * pt[1], pt[1]])  # (p1, p2), k = 0 rows dropped
+    p = np.stack(from_ptilde(pt[0], pt[1], alpha, t, g))  # (p1, p2), k = 0 rows dropped
     p[:, 0] = 0.0
-    vb = perp_grad_t(g, inv * p, t)  # (v, b)
+    vb = perp_grad_t(g, shear_symbols(g, t).inv_lam * p, t)  # (v, b)
     vb[:, 0, 0] = pt[:, 0]  # the averages of v1 and b1
     return MHDState(g, vb[0], vb[1], t)
 

@@ -14,8 +14,7 @@ from shearmhd.dynamics import PtildeIntegrator, VBIntegrator
 from shearmhd.experiments import gevrey_random_data
 from shearmhd.spectral import (Grid, ProductWorkspace, conj_flip,
                                random_hermitian_coeffs, shear_symbols)
-from shearmhd.unknowns import (_inv_lambda, from_ptilde,
-                               leray_project_t, perp_grad_t,
+from shearmhd.unknowns import (from_ptilde, leray_project_t, perp_grad_t,
                                ptilde_correction_symbol, state_to_tailored)
 from shearmhd.weights import WeightParams
 
@@ -95,10 +94,10 @@ def full_ptilde_rhs(grid, alpha, nu, kappa, t, Y):
     dY[1] = iak * Y[0]
     p = np.stack(from_ptilde(Y[0], Y[1], alpha, t, grid))
     p[:, 0] = 0.0
-    v, b = perp_grad_t(grid, _inv_lambda(grid, t) * p, t)
+    v, b = perp_grad_t(grid, sym.inv_lam * p, t)
     v[0][0], b[0][0] = Y[2][0], Y[3][0]
     c, E = full_quadratic_terms(grid, v, b, t, FullTableWorkspace(grid))
-    n1 = _inv_lambda(grid, t) * c
+    n1 = sym.inv_lam * c
     n2 = sym.lam * E
     n1[0, :] = 0.0
     n2[0, :] = 0.0

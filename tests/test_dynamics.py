@@ -14,8 +14,8 @@ from shearmhd.experiments import dissipative_decay_check, gevrey_random_data
 from shearmhd.spectral import (Grid, ProductWorkspace, conj_flip,
                                convolution_direct, shear_symbols)
 from shearmhd.unknowns import (MHDState, TailoredState, divergence_residual,
-                               leray_project_t, state_to_tailored,
-                               tailored_symbols, tailored_to_state, to_p)
+                               leray_project_t, ptilde_correction_symbol,
+                               state_to_tailored, tailored_to_state, to_p)
 from shearmhd.weights import WeightParams
 
 PAR = WeightParams(rho=0.004, lam0=1.2, s=0.6, alpha=1.0, c0=0.05, eps=1e-3)
@@ -106,14 +106,14 @@ class TestSymbolCaches:
     @staticmethod
     def clear():
         shear_symbols.cache_clear()
-        tailored_symbols.cache_clear()
+        ptilde_correction_symbol.cache_clear()
         dynamics._ptilde_rhs_symbols.cache_clear()
 
     def test_cached_tables_are_read_only(self, grid16):
         lay = grid16.compact
-        tables = [*tailored_symbols(lay, 1.0, 0.3),
+        tables = [*shear_symbols(lay, 0.3), ptilde_correction_symbol(lay, 1.0, 0.3),
                   *dynamics._ptilde_rhs_symbols(lay, 1.0, "derived", 0.0, 0.0, 0.3)]
-        assert len(tables) == 5
+        assert len(tables) == 11
         for tab in tables:
             assert not tab.flags.writeable
             with pytest.raises(ValueError):
@@ -532,6 +532,20 @@ class TestLinearBound:
             small_state(16, seed=3), 1.0, 0.05, 1e-3, 3.0, sample_dt=1.0)
         assert summary["lin_operator_max"] == pytest.approx(
             self.operator_norm_max(grid16, 1.0, t_end=3.0), rel=1e-12)
+
+    def test_within_c1_claimed_only_where_the_bound_holds(self):
+        # the mixed S integrates to more than pi/(2 alpha |k|): its operator
+        # norm leaves sqrt(C1), so no verdict is given for it
+        st = small_state(16, seed=3)
+        got = {}
+        for variant in SYMBOL_VARIANTS:
+            _, summary = dynamics.norm_inflation_experiment(
+                st, 0.5, 0.05, 1e-3, 20.0, sample_dt=1.0, symbol_variant=variant)
+            got[variant] = summary
+        assert got["derived"]["lin_within_C1"] is True
+        assert got["flipped"]["lin_within_C1"] is True
+        assert got["mixed"]["lin_within_C1"] is None
+        assert got["mixed"]["lin_operator_max"] > np.sqrt(got["mixed"]["C1"])
 
 
 def coupling_symbol(grid, t, alpha, variant):

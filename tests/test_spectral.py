@@ -271,6 +271,17 @@ class TestShearSymbols:
         nz = sym.lam2 > 0
         assert np.allclose(sym.inv_lap[nz], -1.0 / sym.lam2[nz])
 
+    @pytest.mark.parametrize("compact", [False, True])
+    def test_inv_lam_zero_mode(self, grid16, compact):
+        lay = grid16.compact if compact else grid16
+        sym = shear_symbols(lay, 1.3)
+        assert sym.inv_lam[0, 0] == 0.0
+        nz = sym.lam > 0
+        assert np.count_nonzero(~nz) == 1
+        assert np.array_equal(sym.inv_lam[nz], 1.0 / sym.lam[nz])
+        with pytest.raises(ValueError):
+            sym.inv_lam[1, 1] = 0.0
+
     def test_cached_per_grid_and_time(self, grid16):
         sym = shear_symbols(grid16, 0.7)
         assert shear_symbols(Grid(16, 16, 1.0), 0.7) is sym
