@@ -294,14 +294,15 @@ class VBIntegrator(LawsonIntegrator):
 
 @functools.lru_cache(maxsize=4)
 def _ptilde_rhs_symbols(lay, alpha, variant, nu, kappa, t):
-    """Read-only (M12, M21, F) of the ptilde rhs at t: the off-diagonals of
-    :meth:`LinearModeSystem.matrix` and the forcings F (c, E), (Lambda_t^{-1}
-    c, Lambda_t E) off k = 0 and (-i eta Delta_t^{-1} c, i eta E) on it."""
+    """Read-only (M12, M21, F) of the ptilde rhs at t: copies of the
+    off-diagonals of :meth:`LinearModeSystem.matrix`, M21 = i alpha k as one
+    column, and the forcings F (c, E), (Lambda_t^{-1} c, Lambda_t E) off
+    k = 0 and (-i eta Delta_t^{-1} c, i eta E) on it."""
     sym = shear_symbols(lay, t)
     m = LinearModeSystem(lay.K, lay.ETA, alpha, "ptilde", nu, kappa, variant).matrix(t)
     forcing = np.stack([sym.inv_lam, sym.lam]) + 0j
     forcing[:, 0] = -sym.idyt[0] * sym.inv_lap[0], sym.idyt[0]
-    tables = m[..., 0, 1], m[..., 1, 0], forcing
+    tables = m[..., 0, 1].copy(), m[:, :1, 1, 0].copy(), forcing
     for tab in tables:
         tab.flags.writeable = False
     return tables

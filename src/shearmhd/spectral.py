@@ -35,7 +35,7 @@ step, which a sample at a step time shares, and one more.  They are
 :class:`ShearSymbols` of seven tables, Lambda_t^{-1} among them,
 ``unknowns.ptilde_correction_symbol`` on (layout, alpha, t), one table, and
 ``dynamics._ptilde_rhs_symbols`` on (layout, alpha, variant, nu, kappa, t),
-three tables that hold six: 0.7 MB in all at 64^2 (0.28, 0.06 and 0.37 MB).
+three tables and a column: 0.53 MB in all at 64^2 (0.28, 0.06 and 0.19 MB).
 """
 
 from __future__ import annotations

@@ -10,7 +10,8 @@ from shearmhd.dynamics import (SYMBOL_VARIANTS, LinearModeSystem,
                                linear_mode_propagate, propagate_linear_grid,
                                ptilde_coupling, quadratic_terms,
                                route_equivalence_run)
-from shearmhd.experiments import dissipative_decay_check, gevrey_random_data
+from shearmhd.experiments import (dissipative_decay_check, gevrey_random_data,
+                                  linear_oracle_comparison)
 from shearmhd.spectral import (Grid, ProductWorkspace, conj_flip,
                                convolution_direct, shear_symbols)
 from shearmhd.unknowns import (MHDState, TailoredState, divergence_residual,
@@ -629,10 +630,31 @@ class TestDissipation:
             assert np.isclose(ph[i, j], val, rtol=1e-10)
 
     def test_linear_decay_rate(self):
-        rep = dissipative_decay_check(Grid(16, 16, 1.0), 1.0, 1e-3,
-                                      steps=50, t1=1.0)
+        # the decay check's error against DOP853 is the solver's RK4 step
+        # error: 3.21e-5 at dt = 0.02, 2.04e-6 at dt = 0.01 (a ratio of 15.7)
+        st = small_state(16, seed=2, lam1=1.2)
+        coarse, fine = (dissipative_decay_check(st, 1.0, 1e-3, 1e-3, dt)
+                        for dt in (0.02, 0.01))
+        assert coarse["within_1pct"] and coarse["modes_compared"] > 100
+        assert coarse["max_rel_mode_error"] / fine["max_rel_mode_error"] >= 12.0
+
+    def test_linear_decay_rate_unequal_dissipation(self):
+        # nu != kappa: v decays by nu and b by kappa; 1.56e-5 at dt = 0.02
+        rep = dissipative_decay_check(small_state(16, seed=2, lam1=1.2), 1.0,
+                                      2e-2, 5e-3, 0.02)
         assert rep["within_1pct"]
-        assert rep["max_rel_rate_error"] <= 1e-10
+        assert (rep["nu"], rep["kappa"], rep["dt"]) == (2e-2, 5e-3, 0.02)
+
+    def test_decay_comparison_rejects_wrong_dissipation(self):
+        # the oracle comparison fails the 1 % gate when the solver's damping
+        # is not the oracle's: an ideal run against nu = kappa = 1e-3 (0.215),
+        # and b damped by nu against nu = 2e-2, kappa = 5e-3 (1.19)
+        st = small_state(16, seed=2, lam1=1.2)
+        for solver, oracle in (((0.0, 0.0), (1e-3, 1e-3)), ((2e-2, 2e-2), (2e-2, 5e-3))):
+            integ = VBIntegrator(st.grid, 1.0, *solver, linear_only=True)
+            _, Y = evolve(integ, integ.pack(st), 0.0, 2.0, dt=0.02, cfl=None)
+            _, rep = linear_oracle_comparison(st, Y, 2.0, 1.0, *oracle, tol=1e-12)
+            assert rep["max_rel_mode_error"] > 0.1  # ten times the gate
 
     def test_energy_rate_against_mode_ode(self):
         # |p_nu(t)|^2 / |p_0(t)|^2 = exp(-2 nu int Lambda^2) per mode,

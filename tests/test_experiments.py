@@ -194,6 +194,14 @@ class TestRunner:
         assert stored["config_sha256"] == config_hash(cfg.to_dict())
 
     @staticmethod
+    def assert_field_counts(csv_bytes):
+        # every row has one field per column of the header
+        rows = list(csv.reader(l for l in csv_bytes.decode().splitlines()
+                               if not l.startswith("#")))
+        assert len(rows) > 1
+        assert all(len(r) == len(rows[0]) for r in rows)
+
+    @staticmethod
     def csv_of_two_runs(tmp_path, data):
         out = []
         for name in ("r1", "r2"):
@@ -217,6 +225,7 @@ class TestRunner:
         b1, b2 = self.csv_of_two_runs(tmp_path, data)
         assert b1 == b2
         assert len(b1.decode().splitlines()) > 10
+        self.assert_field_counts(b1)
 
     def test_byte_identical_norm_inflation_outputs(self, tmp_path):
         # covers the linear ptilde reference as well as the vb stepping
@@ -229,6 +238,7 @@ class TestRunner:
         b1, b2 = self.csv_of_two_runs(tmp_path, data)
         assert b1 == b2
         assert len(b1.decode().splitlines()) > 6
+        self.assert_field_counts(b1)
 
     def test_byte_identical_linear_modes_outputs(self, tmp_path):
         # the solver against the stacked DOP853 oracle, at a small size
@@ -240,6 +250,7 @@ class TestRunner:
         b1, b2 = self.csv_of_two_runs(tmp_path, data)
         assert b1 == b2
         assert len(b1.decode().splitlines()) > 10
+        self.assert_field_counts(b1)
         with open(tmp_path / "r1" / "summary.json") as fh:
             summary = json.load(fh)["summary"]
         assert summary["max_rel_mode_error"] <= 1e-4
@@ -258,10 +269,18 @@ class TestRunner:
     def test_byte_identical_outputs_of(self, tmp_path, data):
         b1, b2 = self.csv_of_two_runs(tmp_path, data)
         assert b1 == b2
-        # every row has one field per column of the header
-        rows = list(csv.reader(l for l in b1.decode().splitlines() if not l.startswith("#")))
-        assert len(rows) > 1
-        assert all(len(r) == len(rows[0]) for r in rows)
+        self.assert_field_counts(b1)
+
+    def test_dissipative_decay_check_reads_kappa(self, tmp_path):
+        # the decay check runs the config's own data, step, nu and kappa
+        cfg = ExperimentConfig.from_dict({
+            "experiment": "dissipative", "grid": {"Nx": 16, "Ny": 16, "Ly": 1.0},
+            "evolution": {"dt": 0.02, "t_end": 1.0, "nu": 1e-3, "kappa": 2e-3},
+            "initial": {"kind": "gevrey_random", "seed": 2, "eps": 1e-3, "lam1": 1.2},
+            "monitor": {"sample_dt": 0.1}})
+        check = run(cfg, str(tmp_path / "d"))["summary"]["decay_check"]
+        assert (check["nu"], check["kappa"], check["dt"]) == (1e-3, 2e-3, 0.02)
+        assert check["within_1pct"] and check["max_rel_mode_error"] <= 1e-4
 
     def test_nl_partition_runner(self, tmp_path):
         cfg = ExperimentConfig.from_dict({
