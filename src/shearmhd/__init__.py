@@ -10,7 +10,7 @@ from .unknowns import (MHDState, TailoredState, curl_t, from_ptilde,
                        vorticity_current_norms)
 from .dynamics import (LinearModeSystem, NumericalAbort, PtildeIntegrator,
                        VBIntegrator, linear_mode_propagate,
-                       norm_inflation_experiment, route_equivalence_run)
+                       route_equivalence_run)
 from .resonance import (ChainConfig, chain_step_amplification,
                         chain_total_growth, integrate_two_mode,
                         qpm_closed_form)

@@ -306,6 +306,9 @@ def energy_identity_residuals(ts0: TailoredState, params: WeightParams,
 # growth fit
 # ---------------------------------------------------------------------------
 
+GROWTH_FIT_MIN_SAMPLES = 10
+
+
 def growth_fit(times, wj_norms, hminus1_in: float):
     """Least-squares fit of ||(w,j)||(t) against <t> = sqrt(1+t^2).
 
@@ -313,8 +316,8 @@ def growth_fit(times, wj_norms, hminus1_in: float):
     """
     times = np.asarray(times, dtype=float)
     y = np.asarray(wj_norms, dtype=float)
-    if times.size < 10:
-        raise ValueError("need at least 10 samples")
+    if times.size < GROWTH_FIT_MIN_SAMPLES:
+        raise ValueError(f"need at least {GROWTH_FIT_MIN_SAMPLES} samples")
     x = np.hypot(1.0, times)
     var = float(np.var(y))
     if var == 0.0 or hminus1_in == 0.0:

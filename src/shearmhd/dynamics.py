@@ -45,6 +45,8 @@ t0 + m * sample_dt.  The grid-wide linear reference
 in modes, so it takes sixth-order Magnus steps of its own on compact
 ptilde column pairs, each step the closed-form exponential of a traceless
 2x2 matrix per mode, with no integrator, transforms or per-step cleanup.
+The experiments that run these pieces, the norm-inflation comparison of
+the solution with that reference among them, live in ``experiments``.
 
 Both integrators step compact tables (``spectral.CompactLayout``, the
 independent modes only); ``pack`` converts a full-grid state once at the
@@ -67,9 +69,9 @@ import numpy as np
 
 from .spectral import (CompactLayout, Grid, ProductWorkspace, l2_norm,
                        shear_symbols)
-from .unknowns import (MHDState, TailoredState, curl_t, hminus1_norm,
-                       leray_project_t, ptilde_correction_symbol,
-                       state_to_tailored, tailored_to_state)
+from .unknowns import (MHDState, TailoredState, leray_project_t,
+                       ptilde_correction_symbol, state_to_tailored,
+                       tailored_to_state)
 
 SYMBOL_VARIANTS = ("derived", "mixed", "flipped")
 
@@ -368,25 +370,32 @@ def cfl_dt(integ, Y: np.ndarray, t: float, cfl: float = 0.5) -> float:
     return cfl / (abs(integ.alpha) * kmax + umax * symmax + 1e-30)
 
 
+def sample_times(t0: float, t_end: float, sample_dt: float | None = None) -> list:
+    """The sample times of :func:`evolve` after t0: t0 + m * ``sample_dt``
+    below t_end, then t_end (only t_end when ``sample_dt`` is None); none
+    unless t_end > t0."""
+    if t_end <= t0:
+        return []
+    # the 1e-9 relative slack keeps a span of exactly m samples (or steps) at m
+    m_end = 1 if sample_dt is None else int(np.ceil((t_end - t0) / sample_dt * (1 - 1e-9)))
+    return [t0 + m * sample_dt for m in range(1, m_end)] + [float(t_end)]
+
+
 def evolve(integ, Y0: np.ndarray, t0: float, t_end: float, dt: float = 0.02,
            cfl: float | None = 0.5, callback=None, sample_dt: float | None = None):
     """March Y from t0 to t_end; returns (t, Y) at t = t_end.
 
-    The sample times are t0 + m * ``sample_dt`` below t_end, then t_end
-    (only t_end when ``sample_dt`` is None); ``callback(t, Y)`` fires at t0
-    and at every sample time, with t exactly that time.  No step crosses a
-    sample time.  With ``cfl=None`` each interval between samples takes
-    ceil(length / dt) uniform steps; otherwise a step is ``dt``, also held
-    to the CFL limit of the current state, and a step clipped by the next
-    sample time lands on it exactly.
+    ``callback(t, Y)`` fires at t0 and at every time of :func:`sample_times`,
+    with t exactly that time.  No step crosses a sample time.  With
+    ``cfl=None`` each interval between samples takes ceil(length / dt)
+    uniform steps; otherwise a step is ``dt``, also held to the CFL limit of
+    the current state, and a step clipped by the next sample time lands on
+    it exactly.
     """
     t, Y = float(t0), Y0.copy()
     if callback is not None:
         callback(t, Y)
-    # the 1e-9 relative slack keeps a span of exactly m samples (or steps) at m
-    m_end = 1 if sample_dt is None else int(np.ceil((t_end - t) / sample_dt * (1 - 1e-9)))
-    marks = [t + m * sample_dt for m in range(1, m_end)] + [float(t_end)]
-    for t_b in (marks if t_end > t else []):
+    for t_b in sample_times(t, t_end, sample_dt):
         t_a, i = t, 0
         n = int(np.ceil((t_b - t_a) / dt * (1 - 1e-9)))
         while t < t_b:
@@ -492,104 +501,6 @@ def propagate_linear_grid(grid: Grid, Y0: np.ndarray, t0: float, t1: float,
     if not np.isfinite(Y.view(float)).all():
         raise NumericalAbort(t0)
     return Y
-
-
-# ---------------------------------------------------------------------------
-# norm-inflation experiment
-# ---------------------------------------------------------------------------
-
-def norm_inflation_experiment(state0: MHDState, alpha: float, c0: float,
-                              eps: float, t_end: float, dt: float = 0.02,
-                              sample_dt: float = 0.5,
-                              symbol_variant: str = "derived"):
-    """Co-evolve the full solution and the per-mode linear ptilde flow.
-
-    Returns (rows, summary): rows carry per-sample norms and ratios, the
-    summary the extreme ratios against C1 = exp(pi/(2 alpha)) and, as
-    ``lin_operator_max``, the sup over samples and modes k != 0 of the 2x2
-    operator norm of the linear propagator U(t, t0), from the images of the
-    unit column pairs (1, 0) and (0, 1), propagated beside ptilde.
-    ``lin_within_C1`` gates |ptilde|^2 within [1/C1, C1], so the l2 ratio
-    within [1/sqrt(C1), sqrt(C1)]: per mode d/dt |ptilde|^2 = 2 Re(conj(
-    ptilde_1) S ptilde_2) <= |S| |ptilde|^2 (the i alpha k terms are skew),
-    and int |S| dt = pi/(2 alpha |k|) for the derived or flipped S.  For the
-    mixed S, int |S| dt = 3.168/(alpha |k|) exceeds that, so no bound is
-    claimed and the key is None (its operator norm reaches 4.92 > sqrt(C1) =
-    4.81 at 16^2, alpha = 0.5, over [0, 20]).
-    """
-    g = state0.grid
-    lay = g.compact
-    integ = VBIntegrator(g, alpha)
-    Y = integ.pack(state0)
-    ts0 = state_to_tailored(MHDState(lay, Y[:2], Y[2:], state0.t), alpha)
-    ts0.ptilde[:, 0] = 0.0  # the norms are of ptilde alone, not of the averages
-    pt_in_l2 = l2_norm(lay, *ts0.ptilde)
-    pt_in_h1 = hminus1_norm(lay, *ts0.ptilde)
-    if pt_in_l2 == 0:
-        raise ValueError("initial tailored state vanishes")
-
-    c1 = float(np.exp(np.pi / (2.0 * abs(alpha))))
-    rows = []
-    cols = np.zeros((2, 3, *lay.shape), dtype=np.complex128)  # ptilde, U e1, U e2
-    cols[:, 0] = ts0.ptilde
-    cols[0, 1, 1:] = cols[1, 2, 1:] = 1.0
-    state = {"lin": cols, "t_lin": state0.t, "op_max": 0.0}
-
-    def sample(t, Yc):
-        if t > state["t_lin"]:
-            state["lin"] = propagate_linear_grid(g, state["lin"], state["t_lin"], t,
-                                                 alpha, symbol_variant)
-            state["t_lin"] = t
-        # sigma_max(U) = (sqrt(|U|_F^2 + 2 |det U|) + sqrt(|U|_F^2 - 2 |det U|)) / 2
-        U = state["lin"][:, 1:]
-        fro2 = np.sum(np.abs(U) ** 2, axis=(0, 1))
-        det2 = 2.0 * np.abs(U[0, 0] * U[1, 1] - U[0, 1] * U[1, 0])
-        op = 0.5 * (np.sqrt(fro2 + det2) + np.sqrt(np.maximum(fro2 - det2, 0.0)))
-        state["op_max"] = max(state["op_max"], float(op.max()))
-        st = MHDState(lay, Yc[:2], Yc[2:], t)
-        pt = state_to_tailored(st, alpha).ptilde
-        pt[:, 0] = 0.0
-        lin = state["lin"][:, 0]
-        pt_l2 = l2_norm(lay, *pt)
-        lin_l2 = l2_norm(lay, *lin)
-        dev_l2 = l2_norm(lay, *(pt - lin))
-        pt_h1 = hminus1_norm(lay, *pt)
-        lin_h1 = hminus1_norm(lay, *lin)
-        dev_h1 = hminus1_norm(lay, *(pt - lin))
-        wj = l2_norm(lay, curl_t(lay, st.v, t), curl_t(lay, st.b, t))
-        rows.append({
-            "t": t,
-            "ptilde_l2": pt_l2,
-            "ptilde_lin_l2": lin_l2,
-            "deviation_l2": dev_l2,
-            "ratio_l2": pt_l2 / pt_in_l2,
-            "ratio_lin_l2": lin_l2 / pt_in_l2,
-            "ratio_h1": pt_h1 / pt_in_h1 if pt_in_h1 > 0 else 0.0,
-            "ratio_lin_h1": lin_h1 / pt_in_h1 if pt_in_h1 > 0 else 0.0,
-            "rel_deviation": dev_l2 / lin_l2 if lin_l2 > 0 else 0.0,
-            "rel_deviation_h1": dev_h1 / lin_h1 if lin_h1 > 0 else 0.0,
-            "wj_over_t": wj / np.hypot(1.0, t),
-        })
-
-    evolve(integ, Y, state0.t, t_end, dt=dt, callback=sample, sample_dt=sample_dt)
-
-    ratios = np.array([r["ratio_l2"] for r in rows])
-    lin_ratios = np.array([r["ratio_lin_l2"] for r in rows])
-    devs = np.array([r["rel_deviation"] for r in rows])
-    summary = {
-        "C1": c1,
-        "lin_operator_max": state["op_max"],
-        "horizon": min(t_end, c0 / eps),
-        "ratio_min": float(ratios.min()),
-        "ratio_max": float(ratios.max()),
-        "lin_ratio_min": float(lin_ratios.min()),
-        "lin_ratio_max": float(lin_ratios.max()),
-        "lin_within_C1": None if symbol_variant == "mixed" else bool(
-            lin_ratios.min() >= c1**-0.5 - 1e-9 and lin_ratios.max() <= c1**0.5 + 1e-9),
-        "max_rel_deviation": float(devs.max()),
-        "symbol_variant": symbol_variant,
-    }
-    return rows, summary
 
 
 def route_equivalence_run(state0: MHDState, alpha: float, t_end: float,

@@ -15,15 +15,16 @@ import numpy as np
 import numpy.random  # numpy loads it lazily; load it with the package
 
 from . import io as sio
-from .diagnostics import (DiagnosticsRecord, MultiplierSet, bootstrap_monitor,
-                          dissipation_terms, gevrey_norm, growth_fit,
-                          make_record)
+from .diagnostics import (GROWTH_FIT_MIN_SAMPLES, DiagnosticsRecord,
+                          MultiplierSet, bootstrap_monitor, dissipation_terms,
+                          gevrey_norm, growth_fit, make_record)
 from .dynamics import (SYMBOL_VARIANTS, LinearModeSystem, VBIntegrator,
-                       evolve, linear_mode_propagate, norm_inflation_experiment)
+                       evolve, linear_mode_propagate, propagate_linear_grid,
+                       sample_times)
 from .partition import nl_partition_check, partition_exactness_sample
 from .resonance import ChainConfig, chain_handoff_trajectory, chain_sweep_fit, chain_total_growth
 from .spectral import Grid, l2_norm, random_hermitian_coeffs
-from .unknowns import (MHDState, hminus1_norm, leray_project_t,
+from .unknowns import (MHDState, curl_t, hminus1_norm, leray_project_t,
                        perp_grad_t, state_to_tailored, to_p)
 from .weights import WeightParams
 from .weights_audit import AuditRow, run_weights_audit
@@ -200,7 +201,7 @@ def build_initial_state(config: ExperimentConfig, grid: Grid,
         return single_mode_state(grid, int(ini["k"]), int(ini["eta_index"]),
                                  float(ini["amplitude"]), ini["component"])
     state = sio.read_state_snapshot(ini["path"])
-    if state.grid.shape != grid.shape:
+    if state.grid != grid:
         raise ConfigError("snapshot grid does not match configured grid")
     return state
 
@@ -209,29 +210,47 @@ def build_initial_state(config: ExperimentConfig, grid: Grid,
 # experiment bodies
 # ---------------------------------------------------------------------------
 
-def run_trajectory(config: ExperimentConfig, outdir: str):
-    grid = config.make_grid()
-    params = config.weight_params()
-    alpha = params.alpha
-    state0 = build_initial_state(config, grid, params)
-    lam2 = float(config.monitor["lam2"])
-    sample_dt = float(config.monitor["sample_dt"])
-    ev = config.evolution
-    nu, kappa = float(ev["nu"]), float(ev["kappa"])
-    integ = VBIntegrator(grid, alpha, nu, kappa)
-    lay = integ.layout
-    snap_every = int(config.output.get("snapshots", 0))
+def _initial_state(config: ExperimentConfig) -> MHDState:
+    """The config's initial state; a run starts at its own time state0.t,
+    which must be below t_end."""
+    state0 = build_initial_state(config, config.make_grid(), config.weight_params())
+    if state0.t >= float(config.evolution["t_end"]):
+        raise ConfigError(f"the initial state's t = {state0.t} is not below evolution.t_end")
+    return state0
 
-    Y0 = integ.pack(state0)
-    hm1_in = hminus1_norm(lay, *Y0)
-    l2_in = l2_norm(lay, *Y0)
+
+def _stability_run(config: ExperimentConfig, sample):
+    """The vb run of nonlinear_ideal, dissipative and norm_inflation: the
+    config's data from its own time t0 to t_end at the config's nu, kappa,
+    dt and sample_dt.  ``sample(st, ts)`` gets, at t0 and at every sample
+    time, the state on the compact layout and its tailored form; the first
+    sample is the initial state."""
+    ev = config.evolution
+    alpha = config.weight_params().alpha
+    state0 = _initial_state(config)
+    integ = VBIntegrator(state0.grid, alpha, float(ev["nu"]), float(ev["kappa"]))
+
+    def tailor(t, Y):
+        st = MHDState(integ.layout, Y[:2], Y[2:], t)
+        sample(st, state_to_tailored(st, alpha))
+
+    evolve(integ, integ.pack(state0), state0.t, float(ev["t_end"]), dt=float(ev["dt"]),
+           callback=tailor, sample_dt=float(config.monitor["sample_dt"]))
+
+
+def run_trajectory(config: ExperimentConfig, outdir: str):
+    params = config.weight_params()
+    lam2 = float(config.monitor["lam2"])
+    t_end, sample_dt = float(config.evolution["t_end"]), float(config.monitor["sample_dt"])
+    snap_every = int(config.output.get("snapshots", 0))
     records: list[DiagnosticsRecord] = []
     integrals = np.zeros(4)
     prev = {"t": None, "terms": None}
 
-    def sample(t, Y):
-        st = MHDState(lay, Y[:2], Y[2:], t)
-        ts = state_to_tailored(st, alpha)
+    def sample(st, ts):
+        t, lay = st.t, st.grid
+        if not records and 1 + len(sample_times(t, t_end, sample_dt)) < GROWTH_FIT_MIN_SAMPLES:
+            raise ConfigError(f"the growth fit needs {GROWTH_FIT_MIN_SAMPLES} samples")
         mset = MultiplierSet(lay, t, params)
         terms = np.array(dissipation_terms(ts, mset))
         if prev["t"] is not None:
@@ -241,14 +260,13 @@ def run_trajectory(config: ExperimentConfig, outdir: str):
         rec.validate_against(records[-1] if records else None)
         records.append(rec)
         if snap_every and (len(records) - 1) % snap_every == 0:
-            full = lay.unpack(Y)
+            full = lay.unpack(np.concatenate([st.v, st.b]))
             sio.write_state_snapshot(
                 os.path.join(outdir, f"snapshot_{len(records) - 1:05d}.txt"),
-                MHDState(grid, full[:2], full[2:], t))
+                MHDState(lay.grid, full[:2], full[2:], t))
 
-    evolve(integ, Y0, 0.0, float(ev["t_end"]), dt=float(ev["dt"]),
-           callback=sample, sample_dt=sample_dt)
-
+    _stability_run(config, sample)
+    hm1_in = records[0].hminus1_vb
     slope, intercept, r2, degenerate = growth_fit(
         [r.t for r in records], [r.l2_wj for r in records], hm1_in)
     _, boot = bootstrap_monitor(records, params, float(config.monitor["c_star"]))
@@ -263,9 +281,9 @@ def run_trajectory(config: ExperimentConfig, outdir: str):
         "gevrey_max": max(r.gevrey_vb for r in records),
         "gevrey_bound_10eps": {"value": max(r.gevrey_vb for r in records) / eps,
                                "passes": bool(max(r.gevrey_vb for r in records) <= 10 * eps)},
-        "l2_min_ratio": min(r.l2_vb for r in records) / l2_in,
+        "l2_min_ratio": min(r.l2_vb for r in records) / records[0].l2_vb,
         "bootstrap": boot,
-        "nu": nu, "kappa": kappa,
+        "nu": float(config.evolution["nu"]), "kappa": float(config.evolution["kappa"]),
     }
     return ([f.name for f in fields(DiagnosticsRecord)],
             [astuple(r) for r in records], summary)
@@ -273,10 +291,9 @@ def run_trajectory(config: ExperimentConfig, outdir: str):
 
 def run_dissipative(config: ExperimentConfig, outdir: str):
     cols, rows, summary = run_trajectory(config, outdir)
-    params = config.weight_params()
     ev = config.evolution
     summary["decay_check"] = dissipative_decay_check(
-        build_initial_state(config, config.make_grid(), params), params.alpha,
+        _initial_state(config), config.weight_params().alpha,
         float(ev["nu"]), float(ev["kappa"]), float(ev["dt"]))
     return cols, rows, summary
 
@@ -285,10 +302,11 @@ def linear_oracle_comparison(state0: MHDState, Y: np.ndarray, t1: float,
                              alpha: float, nu: float = 0.0, kappa: float = 0.0,
                              tol: float = 1e-10):
     """Per-entry relative error of a linear vb run, compact tables ``Y`` at
-    ``t1`` from ``state0`` at 0, in p against one DOP853 call (tolerance
-    ``tol``) of the p system with ``nu``, ``kappa`` on every retained k != 0
-    mode.  Returns the rows [component, k, eta, rel_error] of the oracle
-    entries >= 1e-6 of the largest, and the worst error, floor and count."""
+    ``t1`` from ``state0`` at its own time state0.t, in p against one DOP853
+    call (tolerance ``tol``) of the p system with ``nu``, ``kappa`` on every
+    retained k != 0 mode, from that same time.  Returns the rows [component,
+    k, eta, rel_error] of the oracle entries >= 1e-6 of the largest, and the
+    worst error, floor and count."""
     grid = state0.grid
     full = grid.compact.unpack(Y)  # the oracle compares full tables
     p_num = to_p(MHDState(grid, full[:2], full[2:], t1))
@@ -297,7 +315,7 @@ def linear_oracle_comparison(state0: MHDState, Y: np.ndarray, t1: float,
     p_or = np.zeros_like(p_num)
     p_or[:, sel] = linear_mode_propagate(
         LinearModeSystem(grid.k[i], grid.eta[j], alpha, "p", nu, kappa),
-        to_p(state0)[:, sel].T, 0.0, t1, tol).T
+        to_p(state0)[:, sel].T, state0.t, t1, tol).T
 
     floor = 1e-6 * float(np.max(np.abs(p_or)))
     K, ETA = np.broadcast_to(grid.K, grid.shape), np.broadcast_to(grid.ETA, grid.shape)
@@ -316,51 +334,50 @@ def linear_oracle_comparison(state0: MHDState, Y: np.ndarray, t1: float,
 
 def dissipative_decay_check(state0: MHDState, alpha: float, nu: float,
                             kappa: float, dt: float) -> dict:
-    """The run's data and step, linear, on the vb route over [0, 2] against
-    the DOP853 oracle of the dissipative p system (p1 damped by nu, p2 by
-    kappa; at nu = kappa each |p|^2 decays by exp(-2 nu int Lambda_t^2)
-    relative to the ideal flow).  At tolerance 1e-12 the oracle's error is
-    far below the solver's, so the error is RK4's, of fourth order in dt."""
-    t1 = 2.0
+    """The run's data and step, linear, on the vb route over [t0, t0 + 2],
+    t0 = state0.t, against the DOP853 oracle of the dissipative p system (p1
+    damped by nu, p2 by kappa; at nu = kappa each |p|^2 decays by exp(-2 nu
+    int Lambda_t^2) relative to the ideal flow).  At tolerance 1e-12 the
+    oracle's error is far below the solver's, so the error is RK4's, of
+    fourth order in dt."""
+    t1 = state0.t + 2.0
     integ = VBIntegrator(state0.grid, alpha, nu, kappa, linear_only=True)
-    _, Y = evolve(integ, integ.pack(state0), 0.0, t1, dt=dt, cfl=None)
+    _, Y = evolve(integ, integ.pack(state0), state0.t, t1, dt=dt, cfl=None)
     _, report = linear_oracle_comparison(state0, Y, t1, alpha, nu, kappa, tol=1e-12)
     return {**report, "within_1pct": bool(report["max_rel_mode_error"] <= 0.01),
             "nu": nu, "kappa": kappa, "dt": dt, "t1": t1}
 
 
 def run_linear_modes(config: ExperimentConfig, outdir: str):
-    """Solver-vs-oracle comparison plus the amplitude-scaling exponent."""
+    """Solver-vs-oracle comparison plus the amplitude-scaling exponent, both
+    from the data's own time t0."""
     del outdir
-    grid = config.make_grid()
-    params = config.weight_params()
-    alpha = params.alpha
+    alpha = config.weight_params().alpha
     ev = config.evolution
     amp = float(config.initial["amplitude"])
-    state0 = build_initial_state(config, grid, params)
+    state0 = _initial_state(config)
+    grid, t0, t_end = state0.grid, state0.t, float(ev["t_end"])
     scale0 = state0.norm()
     state0.v *= amp / scale0
     state0.b *= amp / scale0
 
     integ = VBIntegrator(grid, alpha)
-    t_end = float(ev["t_end"])
-    _, Y = evolve(integ, integ.pack(state0), 0.0, t_end, dt=float(ev["dt"]),
-                  cfl=None)
+    _, Y = evolve(integ, integ.pack(state0), t0, t_end, dt=float(ev["dt"]), cfl=None)
     rows, comparison = linear_oracle_comparison(state0, Y, t_end, alpha)
 
     # amplitude scaling against the same-integrator linearized flow; the
     # shared integrator error cancels in the difference, so a coarse dt and
     # a short horizon suffice for the exponent
-    t_short = min(2.0, t_end)
+    t_short = min(t0 + 2.0, t_end)
     lin = VBIntegrator(grid, alpha, linear_only=True)
-    _, Ylin = evolve(lin, lin.pack(state0), 0.0, t_short, dt=0.01, cfl=None)
+    _, Ylin = evolve(lin, lin.pack(state0), t0, t_short, dt=0.01, cfl=None)
     devs = []
     amps = [amp, amp / 2, amp / 4]
     for a in amps:
         sc = a / amp
         nl = VBIntegrator(grid, alpha)
         Y0 = nl.pack(state0) * sc
-        _, Ya = evolve(nl, Y0, 0.0, t_short, dt=0.01, cfl=None)
+        _, Ya = evolve(nl, Y0, t0, t_short, dt=0.01, cfl=None)
         devs.append(l2_norm(grid.compact, *(Ya - sc * Ylin)))
     exponents = [math.log2(devs[i] / devs[i + 1]) for i in range(len(devs) - 1)]
     summary = {
@@ -373,18 +390,90 @@ def run_linear_modes(config: ExperimentConfig, outdir: str):
 
 
 def run_norm_inflation(config: ExperimentConfig, outdir: str):
+    """Co-evolve the full solution and the per-mode linear ptilde flow.
+
+    The rows carry per-sample norms and ratios, the summary the extreme
+    ratios against C1 = exp(pi/(2 alpha)) and, as ``lin_operator_max``, the
+    sup over samples and modes k != 0 of the 2x2 operator norm of the
+    linear propagator U(t, t0), from the images of the unit column pairs
+    (1, 0) and (0, 1), propagated beside ptilde.  ``lin_within_C1`` gates
+    |ptilde|^2 within [1/C1, C1], so the l2 ratio within [1/sqrt(C1),
+    sqrt(C1)]: per mode d/dt |ptilde|^2 = 2 Re(conj(ptilde_1) S ptilde_2)
+    <= |S| |ptilde|^2 (the i alpha k terms are skew), and int |S| dt =
+    pi/(2 alpha |k|) for the derived or flipped S.  For the mixed S, int |S|
+    dt = 3.168/(alpha |k|) exceeds that, so no bound is claimed and the key
+    is None (its operator norm reaches 4.92 > sqrt(C1) = 4.81 at 16^2,
+    alpha = 0.5, over [0, 20]).
+    """
     del outdir
-    grid = config.make_grid()
     params = config.weight_params()
-    state0 = build_initial_state(config, grid, params)
-    ev = config.evolution
-    rows, summary = norm_inflation_experiment(
-        state0, params.alpha, params.c0, float(config.initial["eps"]),
-        float(ev["t_end"]), dt=float(ev["dt"]),
-        sample_dt=float(config.monitor["sample_dt"]),
-        symbol_variant=ev["symbol_variant"])
-    cols = list(rows[0].keys())
-    return cols, [[r[c] for c in cols] for r in rows], {"columns": cols, **summary}
+    alpha = params.alpha
+    variant = config.evolution["symbol_variant"]
+    rows = []
+    ref = {"op_max": 0.0}
+
+    def sample(st, ts):
+        lay, t = st.grid, st.t
+        pt = ts.ptilde
+        pt[:, 0] = 0.0  # the norms are of ptilde alone, not of the averages
+        if rows:
+            ref["lin"] = propagate_linear_grid(lay.grid, ref["lin"], rows[-1]["t"], t,
+                                               alpha, variant)
+        else:
+            # the state at t0 starts the linear flow of (ptilde, U e1, U e2)
+            ref["lin"] = np.zeros((2, 3, *lay.shape), dtype=np.complex128)
+            ref["lin"][:, 0] = pt
+            ref["lin"][0, 1, 1:] = ref["lin"][1, 2, 1:] = 1.0
+        # sigma_max(U) = (sqrt(|U|_F^2 + 2 |det U|) + sqrt(|U|_F^2 - 2 |det U|)) / 2
+        U = ref["lin"][:, 1:]
+        fro2 = np.sum(np.abs(U) ** 2, axis=(0, 1))
+        det2 = 2.0 * np.abs(U[0, 0] * U[1, 1] - U[0, 1] * U[1, 0])
+        op = 0.5 * (np.sqrt(fro2 + det2) + np.sqrt(np.maximum(fro2 - det2, 0.0)))
+        ref["op_max"] = max(ref["op_max"], float(op.max()))
+        lin = ref["lin"][:, 0]
+        pt_l2, lin_l2, dev_l2 = (l2_norm(lay, *f) for f in (pt, lin, pt - lin))
+        pt_h1, lin_h1, dev_h1 = (hminus1_norm(lay, *f) for f in (pt, lin, pt - lin))
+        # the first sample, the state at t0, sets the reference norms
+        l2_in, h1_in = ref.setdefault("l2", pt_l2), ref.setdefault("h1", pt_h1)
+        if l2_in == 0:
+            raise ValueError("initial tailored state vanishes")
+        wj = l2_norm(lay, curl_t(lay, st.v, t), curl_t(lay, st.b, t))
+        rows.append({
+            "t": t,
+            "ptilde_l2": pt_l2,
+            "ptilde_lin_l2": lin_l2,
+            "deviation_l2": dev_l2,
+            "ratio_l2": pt_l2 / l2_in,
+            "ratio_lin_l2": lin_l2 / l2_in,
+            "ratio_h1": pt_h1 / h1_in if h1_in > 0 else 0.0,
+            "ratio_lin_h1": lin_h1 / h1_in if h1_in > 0 else 0.0,
+            "rel_deviation": dev_l2 / lin_l2 if lin_l2 > 0 else 0.0,
+            "rel_deviation_h1": dev_h1 / lin_h1 if lin_h1 > 0 else 0.0,
+            "wj_over_t": wj / np.hypot(1.0, t),
+        })
+
+    _stability_run(config, sample)
+    c1 = float(np.exp(np.pi / (2.0 * abs(alpha))))
+    ratios = np.array([r["ratio_l2"] for r in rows])
+    lin_ratios = np.array([r["ratio_lin_l2"] for r in rows])
+    devs = np.array([r["rel_deviation"] for r in rows])
+    cols = list(rows[0])
+    summary = {
+        "columns": cols,
+        "C1": c1,
+        "lin_operator_max": ref["op_max"],
+        "horizon": min(float(config.evolution["t_end"]),
+                       params.c0 / float(config.initial["eps"])),
+        "ratio_min": float(ratios.min()),
+        "ratio_max": float(ratios.max()),
+        "lin_ratio_min": float(lin_ratios.min()),
+        "lin_ratio_max": float(lin_ratios.max()),
+        "lin_within_C1": None if variant == "mixed" else bool(
+            lin_ratios.min() >= c1**-0.5 - 1e-9 and lin_ratios.max() <= c1**0.5 + 1e-9),
+        "max_rel_deviation": float(devs.max()),
+        "symbol_variant": variant,
+    }
+    return cols, [list(r.values()) for r in rows], summary
 
 
 def run_resonance_chain(config: ExperimentConfig, outdir: str):

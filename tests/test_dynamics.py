@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,9 @@ from shearmhd.dynamics import (SYMBOL_VARIANTS, LinearModeSystem,
                                linear_mode_propagate, propagate_linear_grid,
                                ptilde_coupling, quadratic_terms,
                                route_equivalence_run)
-from shearmhd.experiments import (dissipative_decay_check, gevrey_random_data,
-                                  linear_oracle_comparison)
+from shearmhd.experiments import (ExperimentConfig, dissipative_decay_check,
+                                  gevrey_random_data, linear_oracle_comparison,
+                                  run)
 from shearmhd.spectral import (Grid, ProductWorkspace, conj_flip,
                                convolution_direct, shear_symbols)
 from shearmhd.unknowns import (MHDState, TailoredState, divergence_residual,
@@ -506,9 +509,9 @@ class TestLinearGridRecurrence:
 class TestLinearBound:
     """The linear ptilde propagator stays within sqrt(C1), C1 = exp(pi/(2
     alpha)), whatever the data: |ptilde|^2 changes by at most the factor C1
-    (the docstring of ``norm_inflation_experiment``).  Measured is the sup
-    over retained modes k != 0 and unit sample times in [0, 20] of its 2x2
-    operator norm, from the images of the two unit tables p = (1, 0) and
+    (the docstring of ``experiments.run_norm_inflation``).  Measured is the
+    sup over retained modes k != 0 and unit sample times in [0, 20] of its
+    2x2 operator norm, from the images of the two unit tables p = (1, 0) and
     (0, 1)."""
 
     @staticmethod
@@ -523,26 +526,32 @@ class TestLinearBound:
             worst = max(worst, float(np.linalg.norm(cols, ord=2, axis=(0, 1)).max()))
         return worst
 
+    @staticmethod
+    def inflation_summary(out, alpha, t_end, variant="derived"):
+        """The summary of a norm_inflation run of small_state(16, seed=3)."""
+        cfg = ExperimentConfig.from_dict({
+            "experiment": "norm_inflation", "grid": {"Nx": 16, "Ny": 16, "Ly": 1.0},
+            "params": {**asdict(PAR), "alpha": alpha},
+            "evolution": {"dt": 0.02, "t_end": t_end, "symbol_variant": variant},
+            "initial": {"kind": "gevrey_random", "seed": 3, "eps": 1e-3, "lam1": 1.5},
+            "monitor": {"sample_dt": 1.0}})
+        return run(cfg, str(out))["summary"]
+
     @pytest.mark.parametrize("alpha", (0.5, 1.0, 2.0))
     def test_operator_norm_within_c1(self, grid32, alpha):
         assert self.operator_norm_max(grid32, alpha) <= np.sqrt(np.exp(np.pi / (2 * alpha)))
 
-    def test_norm_inflation_reports_the_operator_norm(self, grid16):
+    def test_norm_inflation_reports_the_operator_norm(self, grid16, tmp_path):
         # unit samples from t = 0: the same step times as operator_norm_max
-        _, summary = dynamics.norm_inflation_experiment(
-            small_state(16, seed=3), 1.0, 0.05, 1e-3, 3.0, sample_dt=1.0)
+        summary = self.inflation_summary(tmp_path, 1.0, 3.0)
         assert summary["lin_operator_max"] == pytest.approx(
             self.operator_norm_max(grid16, 1.0, t_end=3.0), rel=1e-12)
 
-    def test_within_c1_claimed_only_where_the_bound_holds(self):
+    def test_within_c1_claimed_only_where_the_bound_holds(self, tmp_path):
         # the mixed S integrates to more than pi/(2 alpha |k|): its operator
         # norm leaves sqrt(C1), so no verdict is given for it
-        st = small_state(16, seed=3)
-        got = {}
-        for variant in SYMBOL_VARIANTS:
-            _, summary = dynamics.norm_inflation_experiment(
-                st, 0.5, 0.05, 1e-3, 20.0, sample_dt=1.0, symbol_variant=variant)
-            got[variant] = summary
+        got = {variant: self.inflation_summary(tmp_path / variant, 0.5, 20.0, variant)
+               for variant in SYMBOL_VARIANTS}
         assert got["derived"]["lin_within_C1"] is True
         assert got["flipped"]["lin_within_C1"] is True
         assert got["mixed"]["lin_within_C1"] is None

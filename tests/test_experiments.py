@@ -158,6 +158,17 @@ class TestInitialData:
         st2 = build_initial_state(cfg, g, PAR)
         assert np.allclose(st2.v, st.v)
 
+    def test_file_kind_grid_must_match(self, tmp_path):
+        # the runs step on the configured grid: a snapshot of another Ly
+        # has other eta, so it is refused as one of another shape is
+        path = str(tmp_path / "snap.txt")
+        write_state_snapshot(path, single_mode_state(Grid(16, 16, 2.0), 1, 0, 1e-3, "v"))
+        cfg = ExperimentConfig.from_dict({
+            "experiment": "nl_partition", "grid": {"Nx": 16, "Ny": 16, "Ly": 1.0},
+            "initial": {"kind": "file", "path": path}})
+        with pytest.raises(ConfigError, match="snapshot grid"):
+            build_initial_state(cfg, cfg.make_grid(), cfg.weight_params())
+
 
 class TestSnapshots:
     def test_roundtrip(self, tmp_path):
@@ -282,6 +293,75 @@ class TestRunner:
         assert (check["nu"], check["kappa"], check["dt"]) == (1e-3, 2e-3, 0.02)
         assert check["within_1pct"] and check["max_rel_mode_error"] <= 1e-4
 
+    @staticmethod
+    def csv_rows(path):
+        with open(path) as fh:
+            return list(csv.DictReader(l for l in fh if not l.startswith("#")))
+
+    def test_runs_start_at_the_snapshot_time(self, tmp_path):
+        # every run and the oracle start at the data's own t: the t = 1
+        # snapshot of a run, continued linearly, still matches the oracle
+        g16 = {"Nx": 16, "Ny": 16, "Ly": 1.0}
+        run(ExperimentConfig.from_dict({
+            "experiment": "nonlinear_ideal", "grid": g16,
+            "evolution": {"dt": 0.02, "t_end": 5.0},
+            "initial": {"kind": "gevrey_random", "seed": 2, "eps": 1e-3, "lam1": 1.2},
+            "output": {"snapshots": 2}}), str(tmp_path / "src"))
+        snap = {"kind": "file", "path": str(tmp_path / "src" / "snapshot_00002.txt")}
+        assert read_state_snapshot(snap["path"]).t == 1.0
+        lin = run(ExperimentConfig.from_dict({
+            "experiment": "linear_modes", "grid": g16, "initial": snap,
+            "evolution": {"dt": 0.01, "t_end": 3.0}}), str(tmp_path / "lin"))
+        assert lin["summary"]["max_rel_mode_error"] <= 1e-4
+        for experiment in ("nonlinear_ideal", "norm_inflation"):
+            run(ExperimentConfig.from_dict({
+                "experiment": experiment, "grid": g16, "initial": snap,
+                "evolution": {"dt": 0.02, "t_end": 6.0}}), str(tmp_path / experiment))
+            rows = self.csv_rows(tmp_path / experiment / "diagnostics.csv")
+            assert float(rows[0]["t"]) == 1.0
+
+    def test_start_at_t_end_rejected(self, tmp_path):
+        g = Grid(16, 16, 1.0)
+        path = str(tmp_path / "snap.txt")
+        st = single_mode_state(g, 1, 0, 1e-3, "v")
+        st.t = 2.0
+        write_state_snapshot(path, st)
+        for experiment in ("linear_modes", "nonlinear_ideal", "norm_inflation"):
+            cfg = ExperimentConfig.from_dict({
+                "experiment": experiment, "grid": {"Nx": 16, "Ny": 16, "Ly": 1.0},
+                "evolution": {"dt": 0.02, "t_end": 2.0},
+                "initial": {"kind": "file", "path": path}})
+            with pytest.raises(ConfigError, match="t_end"):
+                run(cfg, str(tmp_path / experiment))
+            assert not (tmp_path / experiment / "diagnostics.csv").exists()
+
+    def test_too_few_samples_rejected_before_the_run(self, tmp_path):
+        # 5 samples on [0, 2] at sample_dt 0.5; the growth fit needs 10
+        cfg = ExperimentConfig.from_dict({
+            "experiment": "nonlinear_ideal", "grid": {"Nx": 16, "Ny": 16, "Ly": 1.0},
+            "evolution": {"dt": 0.02, "t_end": 2.0},
+            "initial": {"kind": "gevrey_random", "seed": 2, "eps": 1e-3, "lam1": 1.2}})
+        with pytest.raises(ConfigError, match="10 samples"):
+            run(cfg, str(tmp_path / "t"))
+        assert not (tmp_path / "t" / "diagnostics.csv").exists()
+
+    def test_trajectory_and_inflation_share_their_samples(self, tmp_path):
+        # one sampler: the same times, and the same ||(w, j)|| at each
+        rows = {}
+        for experiment in ("nonlinear_ideal", "norm_inflation"):
+            run(ExperimentConfig.from_dict({
+                "experiment": experiment, "grid": {"Nx": 16, "Ny": 16, "Ly": 1.0},
+                "evolution": {"dt": 0.02, "t_end": 5.0}, "monitor": {"sample_dt": 0.5},
+                "initial": {"kind": "gevrey_random", "seed": 2, "eps": 1e-3,
+                            "lam1": 1.2}}), str(tmp_path / experiment))
+            rows[experiment] = self.csv_rows(tmp_path / experiment / "diagnostics.csv")
+        traj, infl = rows["nonlinear_ideal"], rows["norm_inflation"]
+        assert [r["t"] for r in traj] == [r["t"] for r in infl]
+        assert len(traj) == 11
+        for a, b in zip(traj, infl):
+            wj = float(b["wj_over_t"]) * math.hypot(1.0, float(b["t"]))
+            assert wj == pytest.approx(float(a["l2_wj"]), rel=1e-14)
+
     def test_nl_partition_runner(self, tmp_path):
         cfg = ExperimentConfig.from_dict({
             "experiment": "nl_partition",
@@ -377,8 +457,9 @@ class TestCLI:
 
 def test_runs_import_no_scipy(tmp_path):
     # scipy is only the DOP853 oracles' integrator, imported when one is
-    # called; a fresh process that runs a trajectory and an audit never loads
-    # it (its import costs more than those runs at their benchmark sizes)
+    # called; a fresh process that runs a trajectory, a norm-inflation run
+    # and an audit never loads it (its import costs more than those runs at
+    # their benchmark sizes)
     script = textwrap.dedent(f"""
         import sys
         import shearmhd
@@ -388,6 +469,11 @@ def test_runs_import_no_scipy(tmp_path):
             "grid": {{"Nx": 16, "Ny": 16, "Ly": 1.0}},
             "evolution": {{"dt": 0.01, "t_end": 0.1}},
             "monitor": {{"sample_dt": 0.01}}}}), {str(tmp_path / "t")!r})
+        experiments.run(experiments.ExperimentConfig.from_dict({{
+            "experiment": "norm_inflation",
+            "grid": {{"Nx": 16, "Ny": 16, "Ly": 1.0}},
+            "evolution": {{"dt": 0.02, "t_end": 0.2}},
+            "monitor": {{"sample_dt": 0.1}}}}), {str(tmp_path / "n")!r})
         experiments.run(experiments.ExperimentConfig.from_dict({{
             "experiment": "weights_audit",
             "audit": {{"eta_max": 500.0, "n_eta": 8, "seed": 3}}}}), {str(tmp_path / "a")!r})
