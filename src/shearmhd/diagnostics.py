@@ -217,12 +217,12 @@ def identity_sides(ts: TailoredState, mset: MultiplierSet, alpha: float,
     L_pair = _pair(g, [A * pt1], [S * (A * pt2)])
     # right side: nonlinear pairings in commutator form
     st = tailored_to_state(ts, alpha)
-    v, b = st.v, st.b
+    v, b = st.vb
     # the projected pair; every pairing below meets it only through fields
     # that are divergence-free mode by mode, which the projection leaves alone
-    c, E = quadratic_terms(g, v, b, t, ws)
+    c, E = quadratic_terms(g, st.vb, t, ws)
     nlv, nlb = perp_grad_t(g, np.stack([-sym.inv_lap * c, E]), t)
-    Av, Ab = A * v, A * b
+    Av, Ab = A * st.vb
     # the advections in Elsasser pairs z+- = v +- b: with X = z-.grad_t(A z+)
     # and Y = z+.grad_t(A z-), v.grad_t(Av) - b.grad_t(Ab) = (X + Y)/2 and
     # v.grad_t(Ab) - b.grad_t(Av) = (X - Y)/2

@@ -51,8 +51,11 @@ the solution with that reference among them, live in ``experiments``.
 Both integrators step compact tables (``spectral.CompactLayout``, the
 independent modes only); ``pack`` converts a full-grid state once at the
 start, and samples read the compact stacks as states on the layout.  The
-per-step cleanup projects (vb), averages each eta = 0 column with its -k
-partner and zeroes the mean.
+vb integrator steps the state's own (2, 2, ...) stack ``MHDState.vb``, field
+(v, b) then component, and the ptilde integrator the (2, ...) stack of
+``TailoredState.ptilde``.  The per-step cleanup projects (vb, one call on
+the whole stack), averages each eta = 0 column with its -k partner and
+zeroes the mean.
 
 Dissipation nu*Delta_t / kappa*Delta_t is integrated exactly through
 per-mode integrating factors exp(-nu * int Lambda_t^2 dt) inside a Lawson
@@ -172,11 +175,11 @@ class LinearModeSystem:
 # quadratic terms
 # ---------------------------------------------------------------------------
 
-def quadratic_terms(grid: Grid, v: np.ndarray, b: np.ndarray, t: float,
-                    ws: ProductWorkspace):
-    """Dealiased curl-form scalars (c, E) of a divergence-free pair (v, b).
+def quadratic_terms(grid: Grid, vb: np.ndarray, t: float, ws: ProductWorkspace):
+    """Dealiased curl-form scalars (c, E) of a divergence-free pair (v, b),
+    the stack ``vb`` (2, 2, ...) of an :class:`~shearmhd.unknowns.MHDState`.
 
-    ``grid`` is the compact layout of ``v``, ``b`` and of the output.
+    ``grid`` is the compact layout of ``vb`` and of the output.
 
     c = b.grad_t j - v.grad_t w, with w, j the sheared curls of v, b, is the
     curl of b.grad_t b - v.grad_t v; E = v1 b2 - v2 b1 is the out-of-plane
@@ -191,7 +194,7 @@ def quadratic_terms(grid: Grid, v: np.ndarray, b: np.ndarray, t: float,
     route) this is the curl of div(b b - v v).  E is exactly 0 when b = 0.
     """
     u, k = shear_symbols(grid, t).u, grid.K
-    v1, v2, b1, b2 = ws.phys(np.concatenate([v, b]))
+    (v1, v2), (b1, b2) = ws.phys(vb)
     out = ws.spec(np.stack([(v1 - v2) * (v1 + v2) - (b1 - b2) * (b1 + b2),
                             b1 * b2 - v1 * v2, v1 * b2 - v2 * b1]))
     out[1] = (u * u - k * k) * out[1] - (k * u) * out[0]
@@ -205,9 +208,10 @@ def quadratic_terms(grid: Grid, v: np.ndarray, b: np.ndarray, t: float,
 class LawsonIntegrator:
     """Skeleton shared by the Lawson-RK4 integrators.
 
-    Y stacks compact tables (``self.layout``); ``DAMPING`` names, per
-    channel, the coefficient ("nu" or "kappa") whose exact integrating factor
-    it carries.  Subclasses define ``pack``, ``rhs`` and ``cleanup``.
+    Y stacks compact tables (``self.layout``); ``DAMPING``, in Y's own
+    leading shape, names per table the coefficient ("nu" or "kappa") whose
+    exact integrating factor it carries.  Subclasses define ``pack``, ``rhs``
+    and ``cleanup``.
     """
 
     DAMPING: tuple = ()
@@ -230,9 +234,10 @@ class LawsonIntegrator:
         if self.nu == 0.0 and self.kappa == 0.0:
             return 1.0, 1.0, 1.0
 
+        is_kappa = (np.array(self.DAMPING) == "kappa")[..., None, None]
+
         def stack(ph):
-            decay = {"nu": np.exp(-self.nu * ph), "kappa": np.exp(-self.kappa * ph)}
-            return np.stack([decay[c] for c in self.DAMPING])
+            return np.where(is_kappa, np.exp(-self.kappa * ph), np.exp(-self.nu * ph))
 
         e_half = stack(dissipation_phase(self.layout, t0, t0 + 0.5 * h))
         e_full = stack(dissipation_phase(self.layout, t0, t0 + h))
@@ -254,11 +259,12 @@ def _clean_tables(lay: CompactLayout, Y: np.ndarray) -> np.ndarray:
 class VBIntegrator(LawsonIntegrator):
     """Lawson-RK4 integrator for the (v, b) formulation.
 
-    The stacked layout is Y = [v1, v2, b1, b2], four compact tables.  With
-    ``linear_only`` the quadratic terms are left out of the right-hand side.
+    Y is the compact form of :attr:`MHDState.vb`, the (2, 2, ...) stack
+    [[v1, v2], [b1, b2]]; v takes nu and b kappa.  With ``linear_only`` the
+    quadratic terms are left out of the right-hand side.
     """
 
-    DAMPING = ("nu", "nu", "kappa", "kappa")
+    DAMPING = (("nu", "nu"), ("kappa", "kappa"))
 
     def __init__(self, grid: Grid, alpha: float, nu: float = 0.0,
                  kappa: float = 0.0, linear_only: bool = False):
@@ -266,32 +272,30 @@ class VBIntegrator(LawsonIntegrator):
         self.linear_only = linear_only
 
     def pack(self, state: MHDState) -> np.ndarray:
-        return self.layout.pack(np.concatenate([state.v, state.b]))
+        return self.layout.pack(state.vb)
 
     def rhs(self, t: float, Y: np.ndarray) -> np.ndarray:
         sym = shear_symbols(self.layout, t)
-        v1, v2, b1, b2 = Y
+        (v1, v2), (b1, b2) = Y
         ik = sym.ikx
         aik = self.alpha * ik
         # linear pressure 2 d_x Delta_t^{-1} grad_t v2 plus the shear pair
         press = 2.0 * ik * sym.inv_lap * v2
         dY = np.empty_like(Y)
-        dY[0] = -v2 + ik * press + aik * b1
-        dY[1] = sym.idyt * press + aik * b2
-        dY[2] = b2 + aik * v1
-        dY[3] = aik * v2
+        dY[0, 0] = -v2 + ik * press + aik * b1
+        dY[0, 1] = sym.idyt * press + aik * b2
+        dY[1, 0] = b2 + aik * v1
+        dY[1, 1] = aik * v2
         if not self.linear_only:
             # the projected quadratic terms: perp_grad_t of c / Lambda_t^2 and of E
-            q = quadratic_terms(self.layout, Y[:2], Y[2:], t, self.ws)
+            q = quadratic_terms(self.layout, Y, t, self.ws)
             q[0] *= -sym.inv_lap
-            dY[0::2] += sym.idyt * q
-            dY[1::2] += -ik * q
+            dY[:, 0] += sym.idyt * q
+            dY[:, 1] += -ik * q
         return dY
 
     def cleanup(self, Y: np.ndarray, t: float) -> np.ndarray:
-        lay = self.layout
-        return _clean_tables(lay, np.concatenate([leray_project_t(lay, Y[:2], t),
-                                                 leray_project_t(lay, Y[2:], t)]))
+        return _clean_tables(self.layout, leray_project_t(self.layout, Y, t))
 
 
 @functools.lru_cache(maxsize=4)
@@ -336,7 +340,7 @@ class PtildeIntegrator(LawsonIntegrator):
         dY[0] = m12 * Y[1]
         dY[1] = m21 * Y[0]
         st = tailored_to_state(TailoredState(lay, Y, t), self.alpha)
-        n1, n2 = forcing * quadratic_terms(lay, st.v, st.b, t, self.ws)
+        n1, n2 = forcing * quadratic_terms(lay, st.vb, t, self.ws)
         dY[0] += n1 + ptilde_correction_symbol(lay, self.alpha, t) * n2
         dY[1] += n2
         return dY
@@ -517,10 +521,10 @@ def route_equivalence_run(state0: MHDState, alpha: float, t_end: float,
     pt = PtildeIntegrator(g, alpha, nu, kappa, symbol_variant=symbol_variant)
     Y0 = vb.pack(state0)
     _, Yvb = evolve(vb, Y0, t0, t_end, dt=dt, cfl=None)
-    ts0 = state_to_tailored(MHDState(lay, Y0[:2], Y0[2:], t0), alpha)
+    ts0 = state_to_tailored(MHDState(lay, Y0, t0), alpha)
     _, Ypt = evolve(pt, ts0.ptilde, t0, t_end, dt=dt, cfl=None)
 
-    st_vb = MHDState(lay, Yvb[:2], Yvb[2:], t_end)
+    st_vb = MHDState(lay, Yvb, t_end)
     ts_vb = state_to_tailored(st_vb, alpha)
     ts_pt = TailoredState(lay, Ypt, t_end)
     st_pt = tailored_to_state(ts_pt, alpha)
@@ -528,6 +532,6 @@ def route_equivalence_run(state0: MHDState, alpha: float, t_end: float,
     scale_pt = max(ts_pt.norm(), ts_vb.norm())
     gap_pt = l2_norm(lay, *(ts_vb.ptilde - ts_pt.ptilde)) / scale_pt
     scale_vb = max(st_pt.norm(), st_vb.norm())
-    gap_vb = l2_norm(lay, *(st_vb.v - st_pt.v), *(st_vb.b - st_pt.b)) / scale_vb
+    gap_vb = MHDState(lay, st_vb.vb - st_pt.vb, t_end).norm() / scale_vb
     return {"gap_tailored": float(gap_pt), "gap_vb": float(gap_vb),
             "symbol_variant": symbol_variant}

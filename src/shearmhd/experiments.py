@@ -129,6 +129,22 @@ class ExperimentConfig:
             if self.initial["eps"] != self.params["eps"]:
                 raise ConfigError(f"initial.eps = {self.initial['eps']} and params.eps = "
                                   f"{self.params['eps']} must be equal")
+        if self.initial["kind"] != "file":  # generated data start at t = 0
+            self.check_horizon(0.0)
+
+    def check_horizon(self, t0: float):
+        """The run's span from the data's own time t0: an evolving run needs
+        t0 < t_end, and nonlinear_ideal and dissipative the growth fit's
+        GROWTH_FIT_MIN_SAMPLES samples at ``dynamics.sample_times``."""
+        if self.experiment not in ("linear_modes", "nonlinear_ideal", "dissipative",
+                                   "norm_inflation"):
+            return
+        t_end = float(self.evolution["t_end"])
+        if t0 >= t_end:
+            raise ConfigError(f"the initial state's t = {t0} is not below evolution.t_end")
+        if self.experiment in ("nonlinear_ideal", "dissipative") and 1 + len(sample_times(
+                t0, t_end, float(self.monitor["sample_dt"]))) < GROWTH_FIT_MIN_SAMPLES:
+            raise ConfigError(f"the growth fit needs {GROWTH_FIT_MIN_SAMPLES} samples")
 
     def weight_params(self) -> WeightParams:
         p = self.params
@@ -146,12 +162,12 @@ class ExperimentConfig:
 def _random_state(grid: Grid, rng: np.random.Generator, envelope: np.ndarray,
                   t: float) -> MHDState:
     """Random Hermitian (v, b) under ``envelope``, dealiased and projected
-    divergence-free at time t; the tables are drawn in the order v1, v2, b1, b2."""
+    divergence-free at time t; the tables are drawn in the order v1, v2, b1,
+    b2 and stacked as the state's (2, 2, Nx, Ny) array, field then component."""
     tabs = [random_hermitian_coeffs(grid, rng, envelope) * grid.dealias_keep
             for _ in range(4)]
-    v = leray_project_t(grid, np.stack(tabs[:2]), t)
-    b = leray_project_t(grid, np.stack(tabs[2:]), t)
-    return MHDState(grid, v, b, t)
+    vb = np.reshape(tabs, (2, 2, *grid.shape))
+    return MHDState(grid, leray_project_t(grid, vb, t), t)
 
 
 def gevrey_random_data(grid: Grid, params: WeightParams, seed: int, eps: float,
@@ -165,14 +181,15 @@ def gevrey_random_data(grid: Grid, params: WeightParams, seed: int, eps: float,
     norm = gevrey_norm(grid, [*state.v, *state.b], lam1, params.s, params.N)
     if norm == 0:
         raise ValueError("degenerate random draw")
-    state.v *= eps / norm
-    state.b *= eps / norm
+    state.vb *= eps / norm
     return state
 
 
 def single_mode_state(grid: Grid, k: int, eta_index: int, amplitude: float,
                       component: str = "v") -> MHDState:
     """Divergence-free single mode (plus Hermitian partner) in v or b."""
+    if component not in ("v", "b"):
+        raise ValueError("component must be 'v' or 'b'")
     psi = grid.zeros()
     i = int(k) % grid.Nx
     j = int(eta_index) % grid.Ny
@@ -182,13 +199,9 @@ def single_mode_state(grid: Grid, k: int, eta_index: int, amplitude: float,
     nrm = l2_norm(grid, fld[0], fld[1])
     if nrm == 0:
         raise ValueError("degenerate mode (0, 0)")
-    fld *= amplitude / nrm
-    zero = np.stack([grid.zeros(), grid.zeros()])
-    if component == "v":
-        return MHDState(grid, fld, zero, 0.0)
-    if component == "b":
-        return MHDState(grid, zero, fld, 0.0)
-    raise ValueError("component must be 'v' or 'b'")
+    vb = np.zeros((2, 2, *grid.shape), dtype=np.complex128)
+    vb[("v", "b").index(component)] = fld * (amplitude / nrm)
+    return MHDState(grid, vb, 0.0)
 
 
 def build_initial_state(config: ExperimentConfig, grid: Grid,
@@ -200,7 +213,10 @@ def build_initial_state(config: ExperimentConfig, grid: Grid,
     if ini["kind"] == "single_mode":
         return single_mode_state(grid, int(ini["k"]), int(ini["eta_index"]),
                                  float(ini["amplitude"]), ini["component"])
-    state = sio.read_state_snapshot(ini["path"])
+    try:
+        state = sio.read_state_snapshot(ini["path"])
+    except (OSError, ValueError, KeyError) as exc:  # KeyError: a field it lacks
+        raise ConfigError(f"cannot read initial.path {ini['path']!r}: {exc}") from exc
     if state.grid != grid:
         raise ConfigError("snapshot grid does not match configured grid")
     return state
@@ -212,10 +228,9 @@ def build_initial_state(config: ExperimentConfig, grid: Grid,
 
 def _initial_state(config: ExperimentConfig) -> MHDState:
     """The config's initial state; a run starts at its own time state0.t,
-    which must be below t_end."""
+    which :meth:`ExperimentConfig.check_horizon` checks."""
     state0 = build_initial_state(config, config.make_grid(), config.weight_params())
-    if state0.t >= float(config.evolution["t_end"]):
-        raise ConfigError(f"the initial state's t = {state0.t} is not below evolution.t_end")
+    config.check_horizon(state0.t)
     return state0
 
 
@@ -231,7 +246,7 @@ def _stability_run(config: ExperimentConfig, sample):
     integ = VBIntegrator(state0.grid, alpha, float(ev["nu"]), float(ev["kappa"]))
 
     def tailor(t, Y):
-        st = MHDState(integ.layout, Y[:2], Y[2:], t)
+        st = MHDState(integ.layout, Y, t)
         sample(st, state_to_tailored(st, alpha))
 
     evolve(integ, integ.pack(state0), state0.t, float(ev["t_end"]), dt=float(ev["dt"]),
@@ -241,7 +256,6 @@ def _stability_run(config: ExperimentConfig, sample):
 def run_trajectory(config: ExperimentConfig, outdir: str):
     params = config.weight_params()
     lam2 = float(config.monitor["lam2"])
-    t_end, sample_dt = float(config.evolution["t_end"]), float(config.monitor["sample_dt"])
     snap_every = int(config.output.get("snapshots", 0))
     records: list[DiagnosticsRecord] = []
     integrals = np.zeros(4)
@@ -249,8 +263,6 @@ def run_trajectory(config: ExperimentConfig, outdir: str):
 
     def sample(st, ts):
         t, lay = st.t, st.grid
-        if not records and 1 + len(sample_times(t, t_end, sample_dt)) < GROWTH_FIT_MIN_SAMPLES:
-            raise ConfigError(f"the growth fit needs {GROWTH_FIT_MIN_SAMPLES} samples")
         mset = MultiplierSet(lay, t, params)
         terms = np.array(dissipation_terms(ts, mset))
         if prev["t"] is not None:
@@ -260,10 +272,9 @@ def run_trajectory(config: ExperimentConfig, outdir: str):
         rec.validate_against(records[-1] if records else None)
         records.append(rec)
         if snap_every and (len(records) - 1) % snap_every == 0:
-            full = lay.unpack(np.concatenate([st.v, st.b]))
             sio.write_state_snapshot(
                 os.path.join(outdir, f"snapshot_{len(records) - 1:05d}.txt"),
-                MHDState(lay.grid, full[:2], full[2:], t))
+                MHDState(lay.grid, lay.unpack(st.vb), t))
 
     _stability_run(config, sample)
     hm1_in = records[0].hminus1_vb
@@ -308,8 +319,8 @@ def linear_oracle_comparison(state0: MHDState, Y: np.ndarray, t1: float,
     k, eta, rel_error] of the oracle entries >= 1e-6 of the largest, and the
     worst error, floor and count."""
     grid = state0.grid
-    full = grid.compact.unpack(Y)  # the oracle compares full tables
-    p_num = to_p(MHDState(grid, full[:2], full[2:], t1))
+    # the oracle compares full tables
+    p_num = to_p(MHDState(grid, grid.compact.unpack(Y), t1))
     sel = grid.dealias_keep & (grid.K != 0)
     i, j = np.nonzero(sel)
     p_or = np.zeros_like(p_num)
@@ -357,9 +368,7 @@ def run_linear_modes(config: ExperimentConfig, outdir: str):
     amp = float(config.initial["amplitude"])
     state0 = _initial_state(config)
     grid, t0, t_end = state0.grid, state0.t, float(ev["t_end"])
-    scale0 = state0.norm()
-    state0.v *= amp / scale0
-    state0.b *= amp / scale0
+    state0.vb *= amp / state0.norm()
 
     integ = VBIntegrator(grid, alpha)
     _, Y = evolve(integ, integ.pack(state0), t0, t_end, dt=float(ev["dt"]), cfl=None)
@@ -378,7 +387,7 @@ def run_linear_modes(config: ExperimentConfig, outdir: str):
         nl = VBIntegrator(grid, alpha)
         Y0 = nl.pack(state0) * sc
         _, Ya = evolve(nl, Y0, t0, t_short, dt=0.01, cfl=None)
-        devs.append(l2_norm(grid.compact, *(Ya - sc * Ylin)))
+        devs.append(MHDState(grid.compact, Ya - sc * Ylin, t_short).norm())
     exponents = [math.log2(devs[i] / devs[i + 1]) for i in range(len(devs) - 1)]
     summary = {
         **comparison,
@@ -437,7 +446,7 @@ def run_norm_inflation(config: ExperimentConfig, outdir: str):
         l2_in, h1_in = ref.setdefault("l2", pt_l2), ref.setdefault("h1", pt_h1)
         if l2_in == 0:
             raise ValueError("initial tailored state vanishes")
-        wj = l2_norm(lay, curl_t(lay, st.v, t), curl_t(lay, st.b, t))
+        wj = l2_norm(lay, *curl_t(lay, st.vb, t))
         rows.append({
             "t": t,
             "ptilde_l2": pt_l2,

@@ -27,6 +27,7 @@ from .spectral import Grid
 from .unknowns import MHDState
 
 SNAPSHOT_MAGIC = "# shearmhd-field-snapshot v1"
+COMPONENTS = ("v1", "v2", "b1", "b2")  # the tables of MHDState.vb in C order
 
 
 def canonical_json(obj) -> str:
@@ -61,20 +62,17 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_state_snapshot(path: str, state: MHDState, extra: dict | None = None):
+def write_state_snapshot(path: str, state: MHDState):
     g = state.grid
     header = {"Nx": g.Nx, "Ny": g.Ny, "Ly": g.Ly, "t": state.t,
-              "components": ["v1", "v2", "b1", "b2"]}
-    if extra:
-        header.update(extra)
+              "components": list(COMPONENTS)}
     kvals = np.fft.fftfreq(g.Nx, 1.0 / g.Nx).astype(int)
     nvals = np.fft.fftfreq(g.Ny, 1.0 / g.Ny).astype(int)
     with open(path, "w") as fh:
         fh.write(SNAPSHOT_MAGIC + "\n")
         fh.write("# " + canonical_json(header) + "\n")
         fh.write("component,k,eta_index,re,im\n")
-        for name, table in zip(header["components"],
-                               [state.v[0], state.v[1], state.b[0], state.b[1]]):
+        for name, table in zip(COMPONENTS, (*state.v, *state.b)):
             # one string per table, its rows in C order
             i, j = np.nonzero(table)
             c = table[i, j]
@@ -92,15 +90,14 @@ def read_state_snapshot(path: str) -> MHDState:
         if cols != ["component", "k", "eta_index", "re", "im"]:
             raise ValueError("unexpected snapshot column layout")
         grid = Grid(header["Nx"], header["Ny"], header["Ly"])
-        tables = {name: grid.zeros() for name in header["components"]}
+        vb = np.zeros((2, 2, *grid.shape), dtype=np.complex128)
+        tables = dict(zip(COMPONENTS, (*vb[0], *vb[1])))  # views into vb
         for line in fh:
             name, k, n, re, im = line.strip().split(",")
             i = int(k) % grid.Nx
             j = int(n) % grid.Ny
             tables[name][i, j] = float(re) + 1j * float(im)
-    v = np.stack([tables["v1"], tables["v2"]])
-    b = np.stack([tables["b1"], tables["b2"]])
-    return MHDState(grid, v, b, float(header["t"]))
+    return MHDState(grid, vb, float(header["t"]))
 
 
 def ensure_dir(path: str) -> str:

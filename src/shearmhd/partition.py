@@ -81,10 +81,11 @@ def _pairing_fft(lay: CompactLayout, A: np.ndarray, a1, a2, a3, t: float,
     return _pair(lay, A * a1, A * adv[:2] - adv[2:])
 
 
-def _pairing_direct(grid: Grid, A: np.ndarray, fields, t: float):
+def _pairing_direct(grid: Grid, A: np.ndarray, fields: np.ndarray, t: float):
     """The signed sum over :data:`TERMS` (i1, i2, i3, sign) of the pairing of
     (a1, a2, a3) = ``fields[i1], fields[i2], fields[i3]`` as a quadruple sum
     over full tables, split by label: an array indexed by LABEL_*.
+    ``fields`` is a state's (v, b) stack (2, 2, Nx, Ny).
 
     A row's labels and middle-mode indices are built once and broadcast over
     every retained input (l, xi) and term, so no array spans more than one
@@ -97,7 +98,7 @@ def _pairing_direct(grid: Grid, A: np.ndarray, fields, t: float):
     dn = n[:, None] - n[None, :]  # (eta, xi) -> index of the middle eta - xi
     valid = np.abs(dn) <= grid.Ny / 3.0
     j2 = dn % grid.Ny
-    Fin = np.stack(fields)[:, :, ki][..., cj]  # a3 at every input (l, xi)
+    Fin = fields[:, :, ki][..., cj]  # a3 at every input (l, xi)
     Ain = A[np.ix_(ki, cj)]
     il, ie, ix = np.ix_(range(len(ki)), range(len(cj)), range(len(cj)))
     grad = 1j * ls[il], 1j * (xis[ix] - ls[il] * t)  # grad_t of the input mode
@@ -139,13 +140,12 @@ def nl_partition_check(state: MHDState, params: WeightParams,
     A = mset.A
     ws = ProductWorkspace(g)
     lay = ws.layout
-    full = (state.v, state.b)
-    comp = tuple(lay.pack(f) for f in full)
+    comp = lay.pack(state.vb)
     cA = lay.pack(A)
     nl_fft = 0.0
     for i1, i2, i3, sign in TERMS:
         nl_fft += sign * _pairing_fft(lay, cA, comp[i1], comp[i2], comp[i3], t, ws)
-    pieces = _pairing_direct(g, A, full, t)
+    pieces = _pairing_direct(g, A, state.vb, t)
     total = float(pieces.sum())
     scale = max(abs(nl_fft), sum(abs(p) for p in pieces), 1e-300)
     return {

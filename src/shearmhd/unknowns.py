@@ -14,6 +14,12 @@ With these choices the two construction routes of the adapted velocity
 commute exactly: Lambda_t^{-1} curl_t(vtilde_neq) = ptilde_1 for
 vtilde = v + (1/alpha) d_x^{-1} b_2 e_1.
 
+An :class:`MHDState` is one array ``vb`` of shape (2, 2, ...): field (v, b),
+then component, then the mode table.  The vector operators
+(:func:`perp_grad_t`, :func:`curl_t`, :func:`divergence_t`,
+:func:`leray_project_t`) take or give the components on axis -3, so one
+call serves a single field or the whole (v, b) stack.
+
 States are mean-free and divergence-free in the sheared frame at their own
 time tag; at k = 0 divergence-freeness forces the second components of the
 averages to vanish.  ptilde is zero on k = 0, so a :class:`TailoredState`
@@ -37,15 +43,23 @@ from .spectral import CompactLayout, Grid, shear_symbols, l2_norm
 
 @dataclass
 class MHDState:
-    """Velocity/magnetic perturbation pair in the sheared frame."""
+    """Velocity/magnetic perturbation pair in the sheared frame, one stack
+    ``vb`` (2, 2, *grid.shape): field (v, b), then component."""
 
     grid: Grid | CompactLayout
-    v: np.ndarray  # (2, *grid.shape) complex
-    b: np.ndarray
+    vb: np.ndarray
     t: float = 0.0
 
+    @property
+    def v(self) -> np.ndarray:
+        return self.vb[0]
+
+    @property
+    def b(self) -> np.ndarray:
+        return self.vb[1]
+
     def norm(self) -> float:
-        return l2_norm(self.grid, self.v[0], self.v[1], self.b[0], self.b[1])
+        return l2_norm(self.grid, *self.v, *self.b)
 
 
 @dataclass
@@ -61,14 +75,16 @@ class TailoredState:
 
 
 def divergence_t(grid: Grid, u: np.ndarray, t: float) -> np.ndarray:
+    """d_x u1 + d_y^t u2 of each vector of u, the components on axis -3."""
     sym = shear_symbols(grid, t)
-    return sym.ikx * u[0] + sym.idyt * u[1]
+    return sym.ikx * u[..., 0, :, :] + sym.idyt * u[..., 1, :, :]
 
 
 def curl_t(grid: Grid, u: np.ndarray, t: float) -> np.ndarray:
-    """Scalar curl d_x u2 - d_y^t u1."""
+    """Scalar curl d_x u2 - d_y^t u1 of each vector of u, the components on
+    axis -3."""
     sym = shear_symbols(grid, t)
-    return sym.ikx * u[1] - sym.idyt * u[0]
+    return sym.ikx * u[..., 1, :, :] - sym.idyt * u[..., 0, :, :]
 
 
 def perp_grad_t(grid: Grid, phi: np.ndarray, t: float) -> np.ndarray:
@@ -79,17 +95,18 @@ def perp_grad_t(grid: Grid, phi: np.ndarray, t: float) -> np.ndarray:
 
 
 def leray_project_t(grid: Grid, u: np.ndarray, t: float) -> np.ndarray:
-    """u - grad_t Delta_t^{-1} (div_t u); the (0,0) mode passes through."""
+    """u - grad_t Delta_t^{-1} (div_t u) of each vector of u, the components
+    on axis -3; the (0,0) mode passes through."""
     sym = shear_symbols(grid, t)
-    phi = sym.inv_lap * (sym.ikx * u[0] + sym.idyt * u[1])
-    return np.stack([u[0] - sym.ikx * phi, u[1] - sym.idyt * phi])
+    phi = sym.inv_lap * (sym.ikx * u[..., 0, :, :] + sym.idyt * u[..., 1, :, :])
+    return u - np.stack([sym.ikx * phi, sym.idyt * phi], axis=-3)
 
 
 def to_p(state: MHDState):
     """The stacked (p1, p2) = Lambda_t^{-1} curl_t of v and b, with the k = 0
     rows zero."""
     g, t = state.grid, state.t
-    p = shear_symbols(g, t).inv_lam * np.stack([curl_t(g, state.v, t), curl_t(g, state.b, t)])
+    p = shear_symbols(g, t).inv_lam * curl_t(g, state.vb, t)
     p[:, 0] = 0.0
     return p
 
@@ -132,7 +149,7 @@ def to_vtilde(state: MHDState, alpha: float) -> np.ndarray:
 def state_to_tailored(state: MHDState, alpha: float) -> TailoredState:
     g, t = state.grid, state.t
     pt = np.stack(to_ptilde(*to_p(state), alpha, t, g))
-    pt[:, 0] = state.v[0][0], state.b[0][0]  # the k = 0 rows hold the averages
+    pt[:, 0] = state.vb[:, 0, 0]  # the k = 0 rows hold the averages of v1, b1
     return TailoredState(g, pt, t)
 
 
@@ -142,7 +159,7 @@ def tailored_to_state(ts: TailoredState, alpha: float) -> MHDState:
     p[:, 0] = 0.0
     vb = perp_grad_t(g, shear_symbols(g, t).inv_lam * p, t)  # (v, b)
     vb[:, 0, 0] = pt[:, 0]  # the averages of v1 and b1
-    return MHDState(g, vb[0], vb[1], t)
+    return MHDState(g, vb, t)
 
 
 def hminus1_norm(grid: Grid | CompactLayout, *tables: np.ndarray) -> float:
@@ -155,18 +172,13 @@ def hminus1_norm(grid: Grid | CompactLayout, *tables: np.ndarray) -> float:
 
 def vorticity_current_norms(state: MHDState):
     """(||(v,b)||_L2, ||(w,j)||_L2, ||(v,b)||_H^-1) with w, j the sheared curls."""
-    g, t = state.grid, state.t
-    w = curl_t(g, state.v, t)
-    j = curl_t(g, state.b, t)
-    return (state.norm(), l2_norm(g, w, j),
-            hminus1_norm(g, state.v[0], state.v[1], state.b[0], state.b[1]))
+    g = state.grid
+    return (state.norm(), l2_norm(g, *curl_t(g, state.vb, state.t)),
+            hminus1_norm(g, *state.v, *state.b))
 
 
 def divergence_residual(state: MHDState) -> float:
-    g, t = state.grid, state.t
-    dv = divergence_t(g, state.v, t)
-    db = divergence_t(g, state.b, t)
     denom = state.norm()
     if denom == 0:
         return 0.0
-    return l2_norm(g, dv, db) / denom
+    return l2_norm(state.grid, *divergence_t(state.grid, state.vb, state.t)) / denom

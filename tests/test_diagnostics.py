@@ -161,7 +161,7 @@ def two_advection_nl(ts, mset, alpha):
     A = mset.A
     st = tailored_to_state(ts, alpha)
     v, b = st.v, st.b
-    c, E = quadratic_terms(g, v, b, t, ws)
+    c, E = quadratic_terms(g, st.vb, t, ws)
     nlv, nlb = perp_grad_t(g, np.stack([-sym.inv_lap * c, E]), t)
     Av, Ab = A * v, A * b
     adv_b = ws.advect(sym, b, np.concatenate([Ab, Av]))  # b.grad_t (Ab, Av)
@@ -197,7 +197,7 @@ class TestEnergyIdentity:
         st = gevrey_random_data(grid32, small_params, 11, 0.05, 1.5)
         st.t = t
         lay = grid32.compact
-        ts = state_to_tailored(MHDState(lay, lay.pack(st.v), lay.pack(st.b), t),
+        ts = state_to_tailored(MHDState(lay, lay.pack(st.vb), t),
                                small_params.alpha)
         mset = MultiplierSet(lay, t, small_params)
         sides = identity_sides(ts, mset, small_params.alpha)

@@ -31,15 +31,14 @@ def small_state(n=16, seed=1, eps=1e-3, lam1=1.5):
 
 
 def packed_tables(integ, tables):
-    """The integrator's compact stack of four full (Nx, Ny) tables."""
-    st = MHDState(integ.grid, tables[:2], tables[2:], 0.0)
+    """The integrator's compact stack of four full (Nx, Ny) tables v1, v2, b1, b2."""
+    st = MHDState(integ.grid, tables.reshape(2, 2, *integ.grid.shape), 0.0)
     return integ.pack(st)
 
 
 def unpacked(integ, Y, t):
     """The full-grid (v, b) state of a vb integrator's compact stack."""
-    full = integ.layout.unpack(Y)
-    return MHDState(integ.grid, full[:2], full[2:], t)
+    return MHDState(integ.grid, integ.layout.unpack(Y), t)
 
 
 def zero_stack(integ):
@@ -129,7 +128,7 @@ class TestSymbolCaches:
         pt = ts.ptilde.copy()
         first = tailored_to_state(ts, 1.0)
         ref = first.v.copy(), first.b.copy()
-        first.v *= 3.0
+        first.v[:] *= 3.0
         first.b[:] = 7.0
         again = tailored_to_state(ts, 1.0)
         assert np.array_equal(again.v, ref[0]) and np.array_equal(again.b, ref[1])
@@ -170,7 +169,7 @@ class TestSymbolCaches:
 def full_quadratic_terms(grid, v, b, t):
     """quadratic_terms of full tables: packed in, unpacked out."""
     lay = grid.compact
-    return lay.unpack(quadratic_terms(lay, lay.pack(v), lay.pack(b), t,
+    return lay.unpack(quadratic_terms(lay, lay.pack(np.stack([v, b])), t,
                                       ProductWorkspace(grid)))
 
 
@@ -195,8 +194,7 @@ class TestQuadraticTerms:
     def state(self, divergence_free_at_t=False):
         st = gevrey_random_data(self.G, PAR, seed=5, eps=1e-3, lam1=1.5)
         if divergence_free_at_t:
-            st.v = leray_project_t(self.G, st.v, self.T)
-            st.b = leray_project_t(self.G, st.b, self.T)
+            st.vb = leray_project_t(self.G, st.vb, self.T)
         return st.v, st.b
 
     # 12 x 18 has Ny divisible by 3, where the padded grid must exceed Ny
@@ -263,8 +261,7 @@ class TestStepAPI:
         assert np.all(Y == 0)
 
     def test_nan_abort(self, grid16):
-        st = MHDState(grid16, np.zeros((2, 16, 16), complex),
-                      np.zeros((2, 16, 16), complex), 0.0)
+        st = MHDState(grid16, np.zeros((2, 2, 16, 16), complex), 0.0)
         st.v[0][1, 0] = np.nan
         st.v[0][-1 % 16, 0] = np.nan
         integ = VBIntegrator(grid16, 1.0)

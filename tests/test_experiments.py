@@ -176,7 +176,7 @@ class TestSnapshots:
         st = gevrey_random_data(g, PAR, seed=1, eps=1e-3, lam1=1.2)
         st.t = 3.25
         path = str(tmp_path / "state.txt")
-        write_state_snapshot(path, st, extra={"note": "test"})
+        write_state_snapshot(path, st)
         back = read_state_snapshot(path)
         assert back.t == 3.25
         assert back.grid.Ly == 2.0
@@ -336,11 +336,21 @@ class TestRunner:
             assert not (tmp_path / experiment / "diagnostics.csv").exists()
 
     def test_too_few_samples_rejected_before_the_run(self, tmp_path):
-        # 5 samples on [0, 2] at sample_dt 0.5; the growth fit needs 10
-        cfg = ExperimentConfig.from_dict({
-            "experiment": "nonlinear_ideal", "grid": {"Nx": 16, "Ny": 16, "Ly": 1.0},
-            "evolution": {"dt": 0.02, "t_end": 2.0},
-            "initial": {"kind": "gevrey_random", "seed": 2, "eps": 1e-3, "lam1": 1.2}})
+        # the growth fit needs 10 samples.  Generated data start at t = 0, so
+        # the 5 on [0, 2] at sample_dt 0.5 are refused when the config is
+        # validated; a snapshot's t is read by run, where the t = 1 data of
+        # a run to 5 give 9 and are refused before the first step
+        data = {"experiment": "nonlinear_ideal", "grid": {"Nx": 16, "Ny": 16, "Ly": 1.0},
+                "evolution": {"dt": 0.02, "t_end": 2.0},
+                "initial": {"kind": "gevrey_random", "seed": 2, "eps": 1e-3, "lam1": 1.2}}
+        with pytest.raises(ConfigError, match="10 samples"):
+            ExperimentConfig.from_dict(data)
+        path = str(tmp_path / "snap.txt")
+        st = single_mode_state(Grid(16, 16, 1.0), 1, 0, 1e-3, "v")
+        st.t = 1.0
+        write_state_snapshot(path, st)
+        cfg = ExperimentConfig.from_dict({**data, "evolution": {"dt": 0.02, "t_end": 5.0},
+                                          "initial": {"kind": "file", "path": path}})
         with pytest.raises(ConfigError, match="10 samples"):
             run(cfg, str(tmp_path / "t"))
         assert not (tmp_path / "t" / "diagnostics.csv").exists()
@@ -407,6 +417,35 @@ class TestCLI:
 
     def test_missing_file(self):
         assert cli.main(["validate", "--config", "/does/not/exist.json"]) == 1
+
+    @pytest.mark.parametrize("data", [
+        {"experiment": "nonlinear_ideal", "grid": {"Nx": 16, "Ny": 16, "Ly": 1.0},
+         "evolution": {"dt": 0.02, "t_end": 2.0}},
+        {"experiment": "linear_modes", "evolution": {"t_end": 0.0}},
+    ], ids=["too_few_samples", "empty_span"])
+    def test_validate_refuses_what_run_refuses(self, tmp_path, capsys, data):
+        # generated data start at t = 0, so validation applies the run's
+        # horizon rule: t0 < t_end and, for the growth fit, 10 samples
+        cfile = tmp_path / "c.json"
+        cfile.write_text(json.dumps(data))
+        assert cli.main(["validate", "--config", str(cfile)]) == 1
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [
+        None, "nope\n",
+        '# shearmhd-field-snapshot v1\n# {"Nx": 16, "Ny": 16, "Ly": 1.0, "t": 0.0}\n'
+        'component,k,eta_index,re,im\nw1,1,0,1.0,0.0\n'],
+        ids=["missing", "not_a_snapshot", "unknown_component"])
+    def test_unreadable_snapshot_is_a_config_error(self, tmp_path, capsys, content):
+        path = tmp_path / "snap.txt"
+        if content is not None:
+            path.write_text(content)
+        cfile = tmp_path / "c.json"
+        cfile.write_text(json.dumps({
+            "experiment": "nonlinear_ideal", "grid": {"Nx": 16, "Ny": 16, "Ly": 1.0},
+            "initial": {"kind": "file", "path": str(path)}}))
+        assert cli.main(["run", "--config", str(cfile), "--out", str(tmp_path / "o")]) == 1
+        assert "config error" in capsys.readouterr().err
 
     def test_run_resonance(self, tmp_path):
         cfile = tmp_path / "c.json"

@@ -66,8 +66,7 @@ class TestPartitionIdentity:
     PAR = WeightParams(rho=0.004, lam0=1.3, s=0.6)
 
     def test_zero_field(self, grid16):
-        st = MHDState(grid16, np.zeros((2, 16, 16), complex),
-                      np.zeros((2, 16, 16), complex), 1.0)
+        st = MHDState(grid16, np.zeros((2, 2, 16, 16), complex), 1.0)
         rep = nl_partition_check(st, self.PAR)
         assert rep["NL"] == 0.0 and rep["sum_of_pieces"] == 0.0
         assert rep["passes"]

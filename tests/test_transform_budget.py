@@ -100,8 +100,7 @@ def state():
 
 def test_quadratic_terms(counts, state):
     lay = state.grid.compact
-    quadratic_terms(lay, lay.pack(state.v), lay.pack(state.b), 0.4,
-                    ProductWorkspace(state.grid))
+    quadratic_terms(lay, lay.pack(state.vb), 0.4, ProductWorkspace(state.grid))
     assert counts == {"phys": [4], "spec": [3]}
 
 
@@ -109,8 +108,7 @@ def test_quadratic_terms_padded_points(counts, points):
     # 64 is not divisible by 3, so the alias bound pads 64^2 to itself
     g = Grid(64, 64, 1.0)
     st = gevrey_random_data(g, PAR, seed=3, eps=1e-3, lam1=1.5)
-    quadratic_terms(g.compact, g.compact.pack(st.v), g.compact.pack(st.b), 0.4,
-                    ProductWorkspace(g))
+    quadratic_terms(g.compact, g.compact.pack(st.vb), 0.4, ProductWorkspace(g))
     assert counts == {"phys": [4], "spec": [3]}
     assert points == {"phys": [4 * 64 * 64], "spec": [3 * 64 * 64]}
 
@@ -236,7 +234,7 @@ def test_trajectory_run_unpacks_once_per_snapshot(unpacks, tmp_path, snapshots, 
     # 11 samples on [0, 5]; every 4th, from the first, is written
     run(config16("nonlinear_ideal", output={"snapshots": snapshots}), str(tmp_path))
     assert len(list(tmp_path.glob("snapshot_*.txt"))) == files
-    assert unpacks == [(4, 11, 6)] * files
+    assert unpacks == [(2, 2, 11, 6)] * files
 
 
 def test_norm_inflation_run_unpacks_nothing(unpacks, tmp_path):
@@ -278,7 +276,7 @@ def full_table_identity_sides(ts, mset, alpha):
     st = tailored_to_state(ts, alpha)
     v, b = st.v, st.b
     cv, cb, cA = lay.pack(v), lay.pack(b), lay.pack(A)
-    c, E = lay.unpack(quadratic_terms(lay, cv, cb, t, ws))
+    c, E = lay.unpack(quadratic_terms(lay, np.stack([cv, cb]), t, ws))
     nlv = perp_grad_t(g, -sym.inv_lap * c, t)
     nlb = perp_grad_t(g, E, t)
     Av, Ab = A * v, A * b
@@ -322,9 +320,9 @@ def compact_and_full():
     g = Grid(16, 16, 1.0)
     lay, t = g.compact, 2.5
     st0 = gevrey_random_data(g, PAR, seed=3, eps=0.05, lam1=1.5)
-    st = MHDState(lay, lay.pack(st0.v), lay.pack(st0.b), t)
+    st = MHDState(lay, lay.pack(st0.vb), t)
     ts = state_to_tailored(st, PAR.alpha)
-    full_st = MHDState(g, lay.unpack(st.v), lay.unpack(st.b), t)
+    full_st = MHDState(g, lay.unpack(st.vb), t)
     full_ts = TailoredState(g, lay.unpack(ts.ptilde), t)
     return (sample_values(st, ts, MultiplierSet(lay, t, PAR)),
             sample_values(full_st, full_ts, MultiplierSet(g, t, PAR),

@@ -16,7 +16,7 @@ def random_divfree_state(grid, rng, t=0.0, scale=1.0):
                                         random_hermitian_coeffs(grid, rng)]), t)
     b = leray_project_t(grid, np.stack([random_hermitian_coeffs(grid, rng),
                                         random_hermitian_coeffs(grid, rng)]), t)
-    return MHDState(grid, scale * v, scale * b, t)
+    return MHDState(grid, scale * np.stack([v, b]), t)
 
 
 class TestCurl:
@@ -48,6 +48,23 @@ class TestCurl:
         assert np.all(curl_t(grid16, u, 2.0) == 0)
 
 
+class TestStackedOperators:
+    """The vector operators take the components on axis -3, so one call on a
+    state's (2, 2, ...) stack equals the calls on its two fields bit for bit."""
+
+    @pytest.mark.parametrize("compact", [False, True], ids=["grid", "compact"])
+    def test_stack_equals_per_field_calls(self, grid16, rng, compact):
+        t = 0.7
+        vb = np.stack([[random_hermitian_coeffs(grid16, rng) for _ in range(2)]
+                       for _ in range(2)])
+        g = grid16.compact if compact else grid16
+        if compact:
+            vb = g.pack(vb)
+        for op in (curl_t, divergence_t, leray_project_t, perp_grad_t):
+            per_field = np.stack([op(g, f, t) for f in vb])
+            assert np.array_equal(op(g, vb, t), per_field), op.__name__
+
+
 class TestToP:
     def test_inverse_pair(self, grid16):
         psi = grid16.zeros()
@@ -57,7 +74,7 @@ class TestToP:
         lam = sym.lam.copy()
         lam[0, 0] = 1.0
         v = perp_grad_t(grid16, psi / lam, t)
-        p1, _ = to_p(MHDState(grid16, v, np.zeros_like(v), t))
+        p1, _ = to_p(MHDState(grid16, np.stack([v, np.zeros_like(v)]), t))
         assert np.isclose(p1[1, 2], 1.0)
         assert np.max(np.abs(p1 - psi)) <= 1e-12
 
@@ -116,8 +133,7 @@ class TestVtilde:
 
     def test_inverse_dx_symbol(self, grid16):
         # b2 at (1,0) = i, alpha = 1: vtilde_1 gains i/(i*1) = 1
-        st = MHDState(grid16, np.stack([grid16.zeros(), grid16.zeros()]),
-                      np.stack([grid16.zeros(), grid16.zeros()]), 0.0)
+        st = MHDState(grid16, np.zeros((2, 2, 16, 16), complex), 0.0)
         st.b[1][1, 0] = 1j
         vt = to_vtilde(st, 1.0)
         assert np.isclose(vt[0][1, 0], 1.0)
@@ -129,7 +145,7 @@ class TestVtilde:
         p1, p2 = to_p(st)
         pt1, _ = to_ptilde(p1, p2, alpha, t, grid16)
         vt = to_vtilde(st, alpha)
-        pt1_route2, _ = to_p(MHDState(grid16, vt, np.zeros_like(vt), t))
+        pt1_route2, _ = to_p(MHDState(grid16, np.stack([vt, np.zeros_like(vt)]), t))
         assert np.max(np.abs(pt1 - pt1_route2)) <= 1e-12 * np.max(np.abs(pt1))
 
 
@@ -180,8 +196,7 @@ class TestLeray:
 
 class TestVorticityNorms:
     def test_zero_state(self, grid16):
-        st = MHDState(grid16, np.zeros((2, 16, 16), complex),
-                      np.zeros((2, 16, 16), complex), 0.0)
+        st = MHDState(grid16, np.zeros((2, 2, 16, 16), complex), 0.0)
         assert vorticity_current_norms(st) == (0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("t", [0.0, 1.0, 4.0])
@@ -193,7 +208,7 @@ class TestVorticityNorms:
         lam = sym.lam.copy()
         lam[0, 0] = 1.0
         v = perp_grad_t(grid16, psi / lam, t)
-        st = MHDState(grid16, v, np.zeros_like(v), t)
+        st = MHDState(grid16, np.stack([v, np.zeros_like(v)]), t)
         _, wj, _ = vorticity_current_norms(st)
         assert np.isclose(wj, np.hypot(1.0, t), rtol=1e-12)
 
@@ -237,6 +252,5 @@ class TestHminus1:
         assert np.isclose(hminus1_norm(grid16, c), expect)
 
     def test_divergence_residual_zero_state(self, grid16):
-        st = MHDState(grid16, np.zeros((2, 16, 16), complex),
-                      np.zeros((2, 16, 16), complex), 0.0)
+        st = MHDState(grid16, np.zeros((2, 2, 16, 16), complex), 0.0)
         assert divergence_residual(st) == 0.0
