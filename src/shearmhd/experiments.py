@@ -215,7 +215,7 @@ def build_initial_state(config: ExperimentConfig, grid: Grid,
                                  float(ini["amplitude"]), ini["component"])
     try:
         state = sio.read_state_snapshot(ini["path"])
-    except (OSError, ValueError, KeyError) as exc:  # KeyError: a field it lacks
+    except (OSError, ValueError, KeyError) as exc:  # KeyError: a key or table it lacks
         raise ConfigError(f"cannot read initial.path {ini['path']!r}: {exc}") from exc
     if state.grid != grid:
         raise ConfigError("snapshot grid does not match configured grid")

@@ -89,6 +89,8 @@ def read_state_snapshot(path: str) -> MHDState:
         cols = fh.readline().strip().split(",")
         if cols != ["component", "k", "eta_index", "re", "im"]:
             raise ValueError("unexpected snapshot column layout")
+        if header.get("components") != list(COMPONENTS):
+            raise ValueError(f"snapshot components must be {list(COMPONENTS)}")
         grid = Grid(header["Nx"], header["Ny"], header["Ly"])
         vb = np.zeros((2, 2, *grid.shape), dtype=np.complex128)
         tables = dict(zip(COMPONENTS, (*vb[0], *vb[1])))  # views into vb

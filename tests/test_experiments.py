@@ -433,9 +433,16 @@ class TestCLI:
 
     @pytest.mark.parametrize("content", [
         None, "nope\n",
+        '# shearmhd-field-snapshot v1\n# {"Nx": 16, "Ny": 16, "Ly": 1.0, "t": 0.0, '
+        '"components": ["v1", "v2", "b1", "b2"]}\n'
+        'component,k,eta_index,re,im\nw1,1,0,1.0,0.0\n',
         '# shearmhd-field-snapshot v1\n# {"Nx": 16, "Ny": 16, "Ly": 1.0, "t": 0.0}\n'
-        'component,k,eta_index,re,im\nw1,1,0,1.0,0.0\n'],
-        ids=["missing", "not_a_snapshot", "unknown_component"])
+        'component,k,eta_index,re,im\nv1,1,0,1.0,0.0\n',
+        '# shearmhd-field-snapshot v1\n# {"Nx": 16, "Ny": 16, "Ly": 1.0, "t": 0.0, '
+        '"components": ["v1", "v2"]}\n'
+        'component,k,eta_index,re,im\nv1,1,0,1.0,0.0\n'],
+        ids=["missing", "not_a_snapshot", "unknown_component", "no_components",
+             "other_components"])
     def test_unreadable_snapshot_is_a_config_error(self, tmp_path, capsys, content):
         path = tmp_path / "snap.txt"
         if content is not None:

@@ -36,3 +36,10 @@ def test_code_lines_skip_docstrings_comments_and_blanks(src_lines):
         ''')
     # import, def, the two lines of y, return, class, z
     assert src_lines.code_lines(source) == 7
+
+
+def test_main_counts_src_from_any_directory(src_lines, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert src_lines.main() == 0
+    raw, code = capsys.readouterr().out.splitlines()[-1].split()[:2]
+    assert int(raw) > int(code) > 0

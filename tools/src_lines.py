@@ -5,13 +5,12 @@ an indent, and is not part of a docstring (the leading string of a module,
 class or function body, found with ``ast``).  Blank lines, comment lines and
 docstrings are not code lines; a line that mixes code and a comment is.
 
-Usage: python tools/src_lines.py [DIR ...]   (default: src)
+Usage: python tools/src_lines.py   (counts src/ of the repository holding this file)
 """
 
 import ast
 import io
 import pathlib
-import sys
 import tokenize
 
 SKIP = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
@@ -38,18 +37,20 @@ def code_lines(source: str) -> int:
     return len(code - docstring_lines(ast.parse(source)))
 
 
-def main(argv) -> int:
-    roots = [pathlib.Path(a) for a in argv] or [pathlib.Path("src")]
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def main() -> int:
     total_raw = total_code = 0
-    for path in sorted(p for root in roots for p in root.rglob("*.py")):
+    for path in sorted(SRC.rglob("*.py")):
         source = path.read_text()
         raw, code = len(source.splitlines()), code_lines(source)
         total_raw += raw
         total_code += code
-        print(f"{raw:6d} {code:6d}  {path}")
+        print(f"{raw:6d} {code:6d}  {path.relative_to(SRC.parent)}")
     print(f"{total_raw:6d} {total_code:6d}  total (raw, code)")
     return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+    raise SystemExit(main())
