@@ -8,7 +8,13 @@ Two equivalent formulations are evolved:
   projected, as perpendicular gradients of the curl-form scalars.
   In the sheared frame d/dt(div_t v) = div_t(dv/dt) - d_x v2, so the linear
   pair (-v2*e1 + pressure) must NOT be projected: it supplies exactly the
-  +d_x v2 divergence that keeps div_t v = 0 along the flow.
+  +d_x v2 divergence that keeps div_t v = 0 along the flow.  This is the
+  sheared-frame pseudo-spectral scheme of Rogallo (NASA TM 81315, 1981).
+  Its right-hand side reads real per-mode coefficients of k, u = eta - k t
+  and r = 1/Lambda_t^2 from a per-time cache built on ``shear_symbols``:
+  the pair (2 k^2 r - 1, 2 k u r) takes v2 to the shear term plus the
+  pressure, and the perpendicular gradients (r i u, -r i k) of c and
+  (i u, -i k) of E give the projected quadratic pair.
 * ``ptilde``: the tailored system in (ptilde_1, ptilde_2), whose k = 0 rows
   carry the first components of the x-averages of v and b.  The linear
   coupling on ptilde_2 carries, besides alpha*d_x, the symbol produced by
@@ -34,6 +40,11 @@ k u / Lambda_t^2; :meth:`LinearModeSystem.matrix` builds on them the one
 per-mode 2x2 linear operator, which the ptilde right-hand side (through a
 per-time cache), the linear reference and the oracle read.  The energy
 identity reads S alone; the vb route, its independent check, reads none.
+Each route's right-hand side keeps one per-time cache of its coefficient
+tables, ``_vb_rhs_symbols`` on (layout, t) and ``_ptilde_rhs_symbols`` on
+(layout, alpha, variant, nu, kappa, t); the quadratic kernel that both call
+reads the pair taking its transformed products to c from ``_c_pair`` on
+(layout, t).
 :func:`linear_mode_propagate` is the one DOP853 oracle of those systems,
 for any number of modes at once.  Both integrators share one skeleton
 (:class:`LawsonIntegrator`) and one stage sequence
@@ -175,6 +186,16 @@ class LinearModeSystem:
 # quadratic terms
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=4)
+def _c_pair(lay, t):
+    """Read-only real pair (u^2 - k^2, k u), u = eta - k t, that takes the
+    transformed products (T12, D) to c at t, on the tables of ``lay``."""
+    k, u = lay.K, shear_symbols(lay, t).u
+    pair = np.stack([u * u - k * k, k * u])
+    pair.flags.writeable = False
+    return pair
+
+
 def quadratic_terms(grid: Grid, vb: np.ndarray, t: float, ws: ProductWorkspace):
     """Dealiased curl-form scalars (c, E) of a divergence-free pair (v, b),
     the stack ``vb`` (2, 2, ...) of an :class:`~shearmhd.unknowns.MHDState`.
@@ -192,12 +213,26 @@ def quadratic_terms(grid: Grid, vb: np.ndarray, t: float, ws: ProductWorkspace):
     4 tables of v, b and one forward of the 3 products D = T22 - T11, T12
     and E suffice.  Off the divergence-free set (an RK stage of the vb
     route) this is the curl of div(b b - v v).  E is exactly 0 when b = 0.
+    The products are formed in place in the workspace's scratch tables, as
+    (v1 - v2)(v1 + v2) - (b1 - b2)(b1 + b2), b1 b2 - v1 v2 and v1 b2 - v2 b1.
     """
-    u, k = shear_symbols(grid, t).u, grid.K
     (v1, v2), (b1, b2) = ws.phys(vb)
-    out = ws.spec(np.stack([(v1 - v2) * (v1 + v2) - (b1 - b2) * (b1 + b2),
-                            b1 * b2 - v1 * v2, v1 * b2 - v2 * b1]))
-    out[1] = (u * u - k * k) * out[1] - (k * u) * out[0]
+    prod = ws.scratch
+    D, T12, E, tmp = prod
+    np.subtract(v1, v2, out=D)
+    D *= np.add(v1, v2, out=tmp)
+    np.subtract(b1, b2, out=tmp)
+    tmp *= np.add(b1, b2, out=E)
+    D -= tmp
+    np.multiply(b1, b2, out=T12)
+    T12 -= np.multiply(v1, v2, out=tmp)
+    np.multiply(v1, b2, out=E)
+    E -= np.multiply(v2, b1, out=tmp)
+    out = ws.spec(prod[:3])
+    a, b = _c_pair(grid, t)
+    out[1] *= a
+    out[0] *= b
+    out[1] -= out[0]
     return out[1:]
 
 
@@ -256,6 +291,24 @@ def _clean_tables(lay: CompactLayout, Y: np.ndarray) -> np.ndarray:
     return Y
 
 
+@functools.lru_cache(maxsize=4)
+def _vb_rhs_symbols(lay, t):
+    """Read-only per-mode coefficients of the vb rhs at t, from
+    ``shear_symbols``, with u = eta - k t and r = 1/Lambda_t^2 (0 at the
+    mean): the real pair (2 k^2 r - 1, 2 k u r) on v2, the shear term -v2 e1
+    plus the pressure 2 d_x Delta_t^{-1} grad_t v2; and the perpendicular
+    gradients [[r i u, -r i k], [i u, -i k]] that take (c, E) to the
+    projected pair (perp_grad_t(c / Lambda_t^2), perp_grad_t E)."""
+    sym = shear_symbols(lay, t)
+    k, r = lay.K, -sym.inv_lap
+    grad = np.stack([sym.idyt, -sym.ikx])
+    tables = (np.stack([2.0 * k * k * r - 1.0, 2.0 * k * sym.u * r]),
+              np.stack([r * grad, grad]))
+    for tab in tables:
+        tab.flags.writeable = False
+    return tables
+
+
 class VBIntegrator(LawsonIntegrator):
     """Lawson-RK4 integrator for the (v, b) formulation.
 
@@ -270,28 +323,20 @@ class VBIntegrator(LawsonIntegrator):
                  kappa: float = 0.0, linear_only: bool = False):
         super().__init__(grid, alpha, nu, kappa)
         self.linear_only = linear_only
+        self._iak = 1j * alpha * self.layout.K  # the alpha d_x exchange, one column
 
     def pack(self, state: MHDState) -> np.ndarray:
         return self.layout.pack(state.vb)
 
     def rhs(self, t: float, Y: np.ndarray) -> np.ndarray:
-        sym = shear_symbols(self.layout, t)
-        (v1, v2), (b1, b2) = Y
-        ik = sym.ikx
-        aik = self.alpha * ik
-        # linear pressure 2 d_x Delta_t^{-1} grad_t v2 plus the shear pair
-        press = 2.0 * ik * sym.inv_lap * v2
-        dY = np.empty_like(Y)
-        dY[0, 0] = -v2 + ik * press + aik * b1
-        dY[0, 1] = sym.idyt * press + aik * b2
-        dY[1, 0] = b2 + aik * v1
-        dY[1, 1] = aik * v2
+        shear, perp = _vb_rhs_symbols(self.layout, t)
+        dY = self._iak * Y[::-1]  # i alpha k b on v, i alpha k v on b
+        dY[0] += shear * Y[0, 1]  # -v2 e1 plus the linear pressure
+        dY[1, 0] += Y[1, 1]  # +b2 e1
         if not self.linear_only:
             # the projected quadratic terms: perp_grad_t of c / Lambda_t^2 and of E
             q = quadratic_terms(self.layout, Y, t, self.ws)
-            q[0] *= -sym.inv_lap
-            dY[:, 0] += sym.idyt * q
-            dY[:, 1] += -ik * q
+            dY += q[:, None] * perp
         return dY
 
     def cleanup(self, Y: np.ndarray, t: float) -> np.ndarray:

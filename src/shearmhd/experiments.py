@@ -120,6 +120,13 @@ class ExperimentConfig:
                               "and dissipative")
         if self.initial["kind"] not in ("gevrey_random", "single_mode", "file"):
             raise ConfigError("initial.kind must be gevrey_random, single_mode or file")
+        if self.initial["kind"] == "single_mode":
+            if self.initial["component"] not in ("v", "b"):
+                raise ConfigError("initial.component must be 'v' or 'b'")
+            # the mode's table index, as single_mode_state takes it
+            if (int(self.initial["k"]) % int(self.grid["Nx"]) == 0
+                    and int(self.initial["eta_index"]) % int(self.grid["Ny"]) == 0):
+                raise ConfigError("initial (k, eta_index) is the mean mode (0, 0)")
         if self.experiment in ("nonlinear_ideal", "dissipative", "norm_inflation"):
             if not (0 < self.initial["eps"] < self.params["c0"]):
                 raise ConfigError("stability experiments require 0 < eps < c0")

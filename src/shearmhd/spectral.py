@@ -28,14 +28,17 @@ Conventions used throughout the package:
 
 Shear-frame derivative symbols: d_x -> i k, d_y^t -> i(eta - k t),
 Lambda_t = sqrt(k^2 + (eta - k t)^2), Delta_t^{-1} -> -1/Lambda_t^2.
-Three caches keep per-time tables, read-only (every caller shares them),
+Five caches keep per-time tables, read-only (every caller shares them),
 for their last four keys: the stage times t, t + h/2, t + h of a Lawson-RK4
 step, which a sample at a step time shares, and one more.  They are
 :func:`shear_symbols` on (layout, t), whose entry is the named tuple
 :class:`ShearSymbols` of seven tables, Lambda_t^{-1} among them,
-``unknowns.ptilde_correction_symbol`` on (layout, alpha, t), one table, and
+``unknowns.ptilde_correction_symbol`` on (layout, alpha, t), one table,
 ``dynamics._ptilde_rhs_symbols`` on (layout, alpha, variant, nu, kappa, t),
-three tables and a column: 0.53 MB in all at 64^2 (0.28, 0.06 and 0.19 MB).
+three tables and a column, ``dynamics._vb_rhs_symbols`` on (layout, t), two
+real and four complex tables, and ``dynamics._c_pair`` on (layout, t), two
+real tables, both built from the first: 0.88 MB in all at 64^2 (0.27, 0.06,
+0.18, 0.30 and 0.06 MB).
 """
 
 from __future__ import annotations
@@ -187,6 +190,7 @@ class ProductWorkspace:
         self.My = _pad_len(grid.Ny)
         self._rows = self.layout.K[:, 0].astype(int) % self.Mx  # padded row of each k
         self._phys_buffers = {}  # stack shape -> (padded half, x-transformed, real)
+        self._spec_buffers = {}  # stack shape -> (y-transformed, x-transformed)
 
     def phys(self, coeffs: np.ndarray) -> np.ndarray:
         """Real padded samples of every compact table of ``coeffs``.
@@ -214,12 +218,32 @@ class ProductWorkspace:
 
     def spec(self, values: np.ndarray) -> np.ndarray:
         """Compact dealiased tables of every real stack entry of ``values``; the
-        eta = 0 column is averaged with its -k partner (exactly Hermitian)."""
-        half = np.fft.rfft(values, axis=-1, norm="forward")[..., :self.layout.shape[1]]
-        out = np.fft.fft(half, axis=-2, norm="forward")[..., self._rows, :]
+        eta = 0 column is averaged with its -k partner (exactly Hermitian).
+
+        Both transforms write into this workspace's buffers for the stack
+        shape ``values.shape[:-2]``; the result, gathered from them, is a
+        fresh array that no later call touches.
+        """
+        stack = values.shape[:-2]
+        bufs = self._spec_buffers.get(stack)
+        if bufs is None:
+            bufs = (np.empty(stack + (self.Mx, self.My // 2 + 1), dtype=np.complex128),
+                    np.empty(stack + (self.Mx, self.layout.shape[1]), dtype=np.complex128))
+            self._spec_buffers[stack] = bufs
+        half, mixed = bufs
+        np.fft.rfft(values, axis=-1, norm="forward", out=half)
+        np.fft.fft(half[..., :self.layout.shape[1]], axis=-2, norm="forward", out=mixed)
+        out = np.take(mixed, self._rows, axis=-2)  # C-contiguous, unlike mixed[..., rows, :]
         col = out[..., 0]
         out[..., 0] = 0.5 * (col + np.conj(col[..., self.layout.neg]))
         return out
+
+    @functools.cached_property
+    def scratch(self) -> np.ndarray:
+        """A reusable real padded stack of 4 tables, for the quadratic kernel's
+        pointwise products to hand to :meth:`spec`; it is one buffer, so fill
+        and consume it before its next use."""
+        return np.empty((4, self.Mx, self.My))
 
     def advect(self, sym: ShearSymbols, a: np.ndarray, c: np.ndarray) -> np.ndarray:
         """Dealiased (a . grad_t) c, at the time of ``sym``, for every table of c.

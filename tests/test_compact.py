@@ -5,12 +5,21 @@ references below are the full-table right-hand sides, transforms and cleanup
 that stepped (Nx, Ny) tables before the layout existed, kept here as oracles:
 unpacked compact results must equal them bit for bit.  The quadratic terms
 are the divergence form of the kernel, written out on full tables.
+
+The vb right-hand side has two oracles.  The exact one is written in the
+per-mode coefficients of k, u = eta - k t and r = 1/Lambda_t^2 that the
+solver caches per time, derived here on full tables from the symbols.
+The second is the curl/pressure form the solver stepped before (pressure
+2 d_x Delta_t^{-1} grad_t v2, the projected pair perp_grad_t(c/Lambda_t^2),
+perp_grad_t E); the coefficient form re-associates its arithmetic, so it
+agrees to roundoff only.
 """
 
 import numpy as np
 import pytest
 
-from shearmhd.dynamics import PtildeIntegrator, VBIntegrator
+from shearmhd.dynamics import (PtildeIntegrator, VBIntegrator, _c_pair,
+                               _vb_rhs_symbols)
 from shearmhd.experiments import gevrey_random_data
 from shearmhd.spectral import (Grid, ProductWorkspace, conj_flip,
                                random_hermitian_coeffs, shear_symbols)
@@ -57,17 +66,40 @@ class FullTableWorkspace:
         return out
 
 
+def full_products(v, b, ws):
+    """The transformed products (D, T12, E) = (T22 - T11, T12, v1 b2 - v2 b1)
+    of T = b b - v v."""
+    v1, v2, b1, b2 = ws.phys(np.concatenate([v, b]))
+    return ws.spec(np.stack([(v1 - v2) * (v1 + v2) - (b1 - b2) * (b1 + b2),
+                             b1 * b2 - v1 * v2, v1 * b2 - v2 * b1]))
+
+
 def full_quadratic_terms(grid, v, b, t, ws):
     """(c, E) in divergence form: c = d_x d_y^t (T22 - T11) + (d_x^2 -
     (d_y^t)^2) T12, T = b b - v v, from the products of v and b."""
     u, k = shear_symbols(grid, t).u, grid.K
-    v1, v2, b1, b2 = ws.phys(np.concatenate([v, b]))
-    D, T12, E = ws.spec(np.stack([(v1 - v2) * (v1 + v2) - (b1 - b2) * (b1 + b2),
-                                  b1 * b2 - v1 * v2, v1 * b2 - v2 * b1]))
+    D, T12, E = full_products(v, b, ws)
     return (u * u - k * k) * T12 - (k * u) * D, E
 
 
 def full_vb_rhs(grid, alpha, t, vb):
+    """The vb rhs in per-mode coefficients, r = 1/Lambda_t^2 (0 at the mean):
+    i alpha k b on v and i alpha k v on b, (2 k^2 r - 1, 2 k u r) v2 on v,
+    b2 on b1, and the perpendicular gradients (r i u, -r i k) of c and
+    (i u, -i k) of E."""
+    sym = shear_symbols(grid, t)
+    k, u, r = grid.K, sym.u, -sym.inv_lap
+    dY = 1j * alpha * k * vb[::-1]
+    dY[0] += np.stack([2.0 * k * k * r - 1.0, 2.0 * k * u * r]) * vb[0, 1]
+    dY[1, 0] += vb[1, 1]
+    q = np.stack(full_quadratic_terms(grid, *vb, t, FullTableWorkspace(grid)))
+    grad = np.stack([sym.idyt, -sym.ikx])
+    return dY + q[:, None] * np.stack([r * grad, grad])
+
+
+def full_vb_rhs_curl_form(grid, alpha, t, vb):
+    """The vb rhs in the curl/pressure form: the linear pressure 2 d_x
+    Delta_t^{-1} grad_t v2, the shear pair and the projected quadratic pair."""
     sym = shear_symbols(grid, t)
     v, b = vb
     ik = sym.ikx
@@ -158,6 +190,28 @@ def test_vb_rhs_matches_full_table(shape):
     ref = full_vb_rhs(g, PAR.alpha, T, st.vb)
     assert np.max(np.abs(ref)) > 0
     assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("shape", GRIDS)
+def test_vb_rhs_matches_curl_form(shape):
+    st = stability_state(shape)
+    g = st.grid
+    integ = VBIntegrator(g, PAR.alpha)
+    got = g.compact.unpack(integ.rhs(T, integ.pack(st)))
+    ref = full_vb_rhs_curl_form(g, PAR.alpha, T, st.vb)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_per_time_tables_are_read_only():
+    lay = Grid(16, 16, 1.0).compact
+    tables = _vb_rhs_symbols(lay, T)
+    assert _vb_rhs_symbols(lay, T) is tables  # one entry per time
+    pair = _c_pair(lay, T)
+    assert _c_pair(lay, T) is pair
+    for tab in (*tables, pair):
+        assert not tab.flags.writeable
+        with pytest.raises(ValueError):
+            tab[0] = 0.0
 
 
 @pytest.mark.parametrize("shape", GRIDS)

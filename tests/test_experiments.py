@@ -105,6 +105,19 @@ class TestConfig:
             with pytest.raises(ConfigError, match="sample_dt"):
                 ExperimentConfig.from_dict({"monitor": {"sample_dt": bad}})
 
+    def test_single_mode_checked(self):
+        # both would validate, then fail in single_mode_state with a ValueError
+        single = {"experiment": "linear_modes", "grid": {"Nx": 16, "Ny": 16},
+                  "initial": {"kind": "single_mode", "k": 1, "eta_index": 0}}
+        for bad, match in (({"component": "x"}, "component"),
+                           ({"k": 0, "eta_index": 0}, "mean mode"),
+                           ({"k": 16, "eta_index": -16}, "mean mode")):
+            data = {**single, "initial": {**single["initial"], **bad}}
+            with pytest.raises(ConfigError, match=match):
+                ExperimentConfig.from_dict(data)
+        for ok in ({"component": "b"}, {"k": 0, "eta_index": 1}):
+            ExperimentConfig.from_dict({**single, "initial": {**single["initial"], **ok}})
+
     def test_evolution_form_rejected(self):
         # every trajectory runner uses the vb integrator; the key is not accepted
         with pytest.raises(ConfigError, match="unknown"):

@@ -14,9 +14,11 @@ The grid-wide linear ptilde reference is diagonal in modes and has a
 budget of zero: no transform and no ``ShearSymbols`` build, so integrator
 work cannot creep back into it unnoticed.
 
-``phys`` reuses one set of buffers per stack shape, so after its first
-call with a shape it allocates (almost) nothing: fresh temporaries of that
-size would be mapped and page-faulted anew on every call.
+``phys`` and ``spec`` reuse one set of buffers per stack shape, and the
+quadratic kernel forms its products in the workspace's scratch tables, so
+after the first call with a shape ``phys`` allocates (almost) nothing and
+``spec`` only its compact result: fresh padded temporaries would be mapped
+and page-faulted anew on every call at large grids.
 
 The weight audit is budgeted the same way in calls of ``log_q``: each lemma
 row evaluates q over all its samples at once, so a loop of scalar calls
@@ -134,6 +136,17 @@ def compact_stack(grid, depth, rng):
                                        for _ in range(depth)]))
 
 
+def traced_peak(fn):
+    """Peak bytes allocated while ``fn()`` runs, above what was held before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 def test_phys_reuses_buffers_exactly():
     g = Grid(64, 64, 1.0)
     rng = np.random.default_rng(5)
@@ -142,14 +155,39 @@ def test_phys_reuses_buffers_exactly():
         c = compact_stack(g, depth, rng)
         assert np.array_equal(ws.phys(c), ProductWorkspace(g).phys(c))
     c = compact_stack(g, 8, rng)  # the loop's depth-8 calls were the warm-up
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        ws.phys(c)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert peak < ws.Mx * g.compact.shape[1] * 16 == 64 * 22 * 16
+    assert traced_peak(lambda: ws.phys(c)) < ws.Mx * g.compact.shape[1] * 16 == 64 * 22 * 16
+
+
+def test_spec_reuses_buffers_exactly():
+    g = Grid(64, 64, 1.0)
+    rng = np.random.default_rng(6)
+    ws = ProductWorkspace(g)
+    for depth in (3, 2, 3):
+        vals = rng.standard_normal((depth, ws.Mx, ws.My))
+        assert np.array_equal(ws.spec(vals), ProductWorkspace(g).spec(vals))
+    # the result is fresh: a later call with the same stack shape leaves it alone
+    first = ws.spec(vals)
+    kept = first.copy()
+    ws.spec(rng.standard_normal(vals.shape))
+    assert np.array_equal(first, kept)
+    # a warm call allocates its compact result (3 tables) and the eta = 0
+    # column's small temporaries, not its 3 * 64 * 33 * 16 B rfft output
+    table = int(np.prod(g.compact.shape)) * 16
+    assert traced_peak(lambda: ws.spec(vals)) < 4 * table == 4 * 43 * 22 * 16
+
+
+def test_warm_vb_rhs_allocates_no_padded_table():
+    # at 128^2 one compact table (85 x 43 complex) is 58 KB and one padded
+    # real table (128^2) 131 KB; a warm rhs holds its result (4 compact
+    # tables), the kernel's output (3), its per-mode products and numpy's
+    # casting buffers: 15 compact tables when measured.  Fresh padded
+    # products, their stack and an rfft output would add over 12 more.
+    g = Grid(128, 128, 1.0)
+    st = gevrey_random_data(g, PAR, seed=3, eps=1e-3, lam1=1.5)
+    integ = VBIntegrator(g, PAR.alpha)
+    Y = integ.pack(st)
+    integ.rhs(0.4, Y)  # fills the workspace's buffers and the per-time tables
+    assert traced_peak(lambda: integ.rhs(0.4, Y)) < 20 * int(np.prod(g.compact.shape)) * 16
 
 
 def test_integrators_hand_compact_stacks_to_phys(counts, phys_shapes, state):
