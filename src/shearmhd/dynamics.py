@@ -35,10 +35,10 @@ needs no Leray projection, and the ptilde forcings are Lambda_t^{-1} c and
 Lambda_t E.
 
 :func:`ptilde_coupling` is the one place these symbols are written, and
-:func:`p_shear_coefficient` the one place of the p-system coefficient
-k u / Lambda_t^2; :meth:`LinearModeSystem.matrix` builds on them the one
-per-mode 2x2 linear operator, which the ptilde right-hand side (through a
-per-time cache), the linear reference and the oracle read.  The energy
+:meth:`LinearModeSystem.matrix` the one place of the p-system coefficient
+k u / Lambda_t^2 and of the per-mode 2x2 linear operator, returned as its
+four entries, which the ptilde right-hand side (through a per-time cache),
+the linear reference and the oracle read.  The energy
 identity reads S alone; the vb route, its independent check, reads none.
 Each route's right-hand side keeps one per-time cache of its coefficient
 tables, ``_vb_rhs_symbols`` on (layout, t) and ``_ptilde_rhs_symbols`` on
@@ -55,7 +55,8 @@ t0 + m * sample_dt.  The grid-wide linear reference
 :func:`propagate_linear_grid` does not: the linear ptilde flow is diagonal
 in modes, so it takes sixth-order Magnus steps of its own on compact
 ptilde column pairs, each step the closed-form exponential of a traceless
-2x2 matrix per mode, with no integrator, transforms or per-step cleanup.
+2x2 matrix per mode, with no integrator, transforms or per-step cleanup;
+applied to the identity, it gives the propagator U(t1, t0) of every mode.
 The experiments that run these pieces, the norm-inflation comparison of
 the solution with that reference among them, live in ``experiments``.
 
@@ -114,21 +115,11 @@ def _guarded_lam2(k, u):
     return np.where(lam2 == 0, 1.0, lam2)
 
 
-def p_shear_coefficient(k, u):
-    """a = k u / Lambda^2 of the p system dp1/dt = a p1 + i alpha k p2,
-    dp2/dt = -a p2 + i alpha k p1.
-
-    Elementwise on broadcastable ``k`` and ``u = eta - k t``; pass ``grid.K``
-    and ``shear_symbols(grid, t).u`` for whole tables.  Vanishes at k = 0.
-    """
-    return k * u / _guarded_lam2(k, u)
-
-
 def ptilde_coupling(k, u, alpha: float, variant: str = "derived"):
     """S, which multiplies ptilde_2 in the ptilde_1 equation besides i alpha k.
 
-    Elementwise as :func:`p_shear_coefficient`.  Vanishes at k = 0.
-    """
+    Elementwise on broadcastable ``k`` and ``u = eta - k t`` (``grid.K`` and
+    ``shear_symbols(grid, t).u`` for whole tables).  Vanishes at k = 0."""
     lam2 = _guarded_lam2(k, u)
     if variant == "derived":
         return -1j * k**3 / (alpha * lam2**2)
@@ -159,27 +150,29 @@ class LinearModeSystem:
         if self.symbol_variant not in variants:
             raise ValueError(f"symbol variant {self.symbol_variant!r} not in {variants}")
 
-    def matrix(self, t) -> np.ndarray:
-        """The (..., 2, 2) matrices at time t, a scalar or a broadcastable array."""
+    def matrix(self, t):
+        """The entries (m11, m12, m21, m22) at time t (scalar or array), each
+        broadcastable with u = eta - k t; the scalar 0.0 where 0 on every mode
+        (the ideal ptilde diagonal).  They may share memory (m12 is m21 in p
+        coordinates), so they are read-only.  The p system is dp1/dt = a p1 +
+        i alpha k p2, dp2/dt = -a p2 + i alpha k p1, a = k u / Lambda^2."""
         k, alpha = self.k, self.alpha
         u = self.eta - k * t
         iak = 1j * alpha * k
-        m = np.zeros((2, 2) + np.shape(u), dtype=np.complex128)
         if self.coords == "p":
-            a = p_shear_coefficient(k, u)
-            m[0, 0], m[0, 1], m[1, 1] = a, iak, -a
+            a = k * u / _guarded_lam2(k, u)
+            m11, m12, m22 = a, iak, -a
         else:
-            m[0, 1] = iak + ptilde_coupling(k, u, alpha, self.symbol_variant)
-        m[1, 0] = iak
+            m11 = m22 = 0.0
+            m12 = iak + ptilde_coupling(k, u, alpha, self.symbol_variant)
         if self.nu or self.kappa:
             lam2 = k * k + u * u
-            m[0, 0] -= self.nu * lam2
-            m[1, 1] -= self.kappa * lam2
+            m11 = m11 - self.nu * lam2
+            m22 = m22 - self.kappa * lam2
             if self.coords == "ptilde":
                 # the cross term ((nu - kappa)/alpha) d_y^t ptilde_2, off the averages
-                m[0, 1] += (self.nu - self.kappa) / alpha * 1j * u * (k != 0)
-        # a view in which each entry m[..., i, j] is a contiguous table
-        return m.transpose(*range(2, m.ndim), 0, 1)
+                m12 = m12 + (self.nu - self.kappa) / alpha * 1j * u * (k != 0)
+        return m11, m12, iak, m22
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +254,8 @@ class LawsonIntegrator:
         self.nu = nu
         self.kappa = kappa
         self.ws = ProductWorkspace(grid)
+        # per table of Y the damping coefficient that DAMPING names
+        self._rate = np.where(np.array(self.DAMPING) == "kappa", kappa, nu)[..., None, None]
 
     def decay_factors(self, t0: float, h: float):
         """(e_half, e_full / e_half, e_full) over [t0, t0 + h]; the exact
@@ -268,14 +263,8 @@ class LawsonIntegrator:
         classical RK4 bit for bit."""
         if self.nu == 0.0 and self.kappa == 0.0:
             return 1.0, 1.0, 1.0
-
-        is_kappa = (np.array(self.DAMPING) == "kappa")[..., None, None]
-
-        def stack(ph):
-            return np.where(is_kappa, np.exp(-self.kappa * ph), np.exp(-self.nu * ph))
-
-        e_half = stack(dissipation_phase(self.layout, t0, t0 + 0.5 * h))
-        e_full = stack(dissipation_phase(self.layout, t0, t0 + h))
+        e_half = np.exp(-self._rate * dissipation_phase(self.layout, t0, t0 + 0.5 * h))
+        e_full = np.exp(-self._rate * dissipation_phase(self.layout, t0, t0 + h))
         return e_half, e_full / e_half, e_full
 
     def max_speed(self, Y: np.ndarray) -> float:
@@ -345,15 +334,15 @@ class VBIntegrator(LawsonIntegrator):
 
 @functools.lru_cache(maxsize=4)
 def _ptilde_rhs_symbols(lay, alpha, variant, nu, kappa, t):
-    """Read-only (M12, M21, F) of the ptilde rhs at t: copies of the
-    off-diagonals of :meth:`LinearModeSystem.matrix`, M21 = i alpha k as one
-    column, and the forcings F (c, E), (Lambda_t^{-1} c, Lambda_t E) off
-    k = 0 and (-i eta Delta_t^{-1} c, i eta E) on it."""
+    """Read-only (M12, M21, F) of the ptilde rhs at t: the off-diagonals of
+    :meth:`LinearModeSystem.matrix`, M21 = i alpha k the layout's one column,
+    and the forcings F (c, E), (Lambda_t^{-1} c, Lambda_t E) off k = 0 and
+    (-i eta Delta_t^{-1} c, i eta E) on it."""
     sym = shear_symbols(lay, t)
     m = LinearModeSystem(lay.K, lay.ETA, alpha, "ptilde", nu, kappa, variant).matrix(t)
     forcing = np.stack([sym.inv_lam, sym.lam]) + 0j
     forcing[:, 0] = -sym.idyt[0] * sym.inv_lap[0], sym.idyt[0]
-    tables = m[..., 0, 1].copy(), m[:, :1, 1, 0].copy(), forcing
+    tables = m[1], m[2], forcing
     for tab in tables:
         tab.flags.writeable = False
     return tables
@@ -484,9 +473,8 @@ def linear_mode_propagate(sys: LinearModeSystem, p_init, t0: float, t1: float,
 
     def f(t, y):
         z = (y[:n] + 1j * y[n:]).reshape(z0.shape)
-        m = sys.matrix(t)
-        dz = np.stack([m[..., 0, 0] * z[0] + m[..., 0, 1] * z[1],
-                       m[..., 1, 0] * z[0] + m[..., 1, 1] * z[1]])
+        m11, m12, m21, m22 = sys.matrix(t)
+        dz = np.stack([m11 * z[0] + m12 * z[1], m21 * z[0] + m22 * z[1]])
         return np.concatenate([dz.real.ravel(), dz.imag.ravel()])
 
     y0 = np.concatenate([z0.real.ravel(), z0.imag.ravel()])
@@ -522,8 +510,9 @@ def propagate_linear_grid(grid: Grid, Y0: np.ndarray, t0: float, t1: float,
     in closed form, exp Omega = cosh mu I + (sinh mu / mu) Omega with mu^2 =
     x^2 + y z (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009).  The flow
     is diagonal in modes and commutes with the real-field cleanup, so that
-    is applied once, to the input (k = 0 rows zero).  Raises
-    ``NumericalAbort(t0)`` if the result is not finite.
+    is applied once, to the input (k = 0 rows zero).  The identity stack
+    (2, 2, ...) goes to U(t1, t0), column j the image of the unit pair e_j.
+    Raises ``NumericalAbort(t0)`` if the result is not finite.
     """
     lay = grid.compact
     Y = _clean_tables(lay, Y0.copy())
@@ -534,11 +523,11 @@ def propagate_linear_grid(grid: Grid, Y0: np.ndarray, t0: float, t1: float,
     h = (t1 - t0) / max(n, 1)
     gauss = 0.5 + np.sqrt(0.15) * np.array([-1.0, 0.0, 1.0])[:, None, None]
     for i in range(n):
-        A = sys.matrix(t0 + (i + gauss) * h)  # per node [[x, y], [z, -x]] -> (x, y, z)
-        A = np.stack([A[..., 0, 0], A[..., 0, 1], A[..., 1, 0]], axis=1)
-        a1 = h * A[1]
-        a2 = (np.sqrt(15.0) / 3.0 * h) * (A[2] - A[0])
-        a3 = (10.0 / 3.0 * h) * (A[2] - 2.0 * A[1] + A[0])
+        # the traceless [[x, y], [z, -x]] at the nodes, entries first: (x, y, z)
+        A = np.array(np.broadcast_arrays(*sys.matrix(t0 + (i + gauss) * h)[:3]))
+        a1 = h * A[:, 1]
+        a2 = (np.sqrt(15.0) / 3.0 * h) * (A[:, 2] - A[:, 0])
+        a3 = (10.0 / 3.0 * h) * (A[:, 2] - 2.0 * A[:, 1] + A[:, 0])
         c1 = _bracket(a1, a2)
         c2 = _bracket(a1, 2.0 * a3 + c1) / -60.0
         x, y, z = a1 + a3 / 12.0 + _bracket(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0

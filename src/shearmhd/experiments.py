@@ -136,6 +136,14 @@ class ExperimentConfig:
             if self.initial["eps"] != self.params["eps"]:
                 raise ConfigError(f"initial.eps = {self.initial['eps']} and params.eps = "
                                   f"{self.params['eps']} must be equal")
+        if not 0 < self.chain["c0"] < 1:
+            raise ConfigError("chain.c0 must lie in (0, 1)")
+        # the sweep fit regresses on the etas: a line needs two distinct ones
+        if min(self.chain["etas"], default=0) <= 0 or len(set(self.chain["etas"])) < 2:
+            raise ConfigError("chain.etas must hold two or more distinct values, all > 0")
+        # the J commutator row of the audit draws eta and xi from [9, eta_max]
+        if self.audit["eta_max"] < 9:
+            raise ConfigError("audit.eta_max must be >= 9")
         if self.initial["kind"] != "file":  # generated data start at t = 0
             self.check_horizon(0.0)
 
@@ -411,8 +419,9 @@ def run_norm_inflation(config: ExperimentConfig, outdir: str):
     The rows carry per-sample norms and ratios, the summary the extreme
     ratios against C1 = exp(pi/(2 alpha)) and, as ``lin_operator_max``, the
     sup over samples and modes k != 0 of the 2x2 operator norm of the
-    linear propagator U(t, t0), from the images of the unit column pairs
-    (1, 0) and (0, 1), propagated beside ptilde.  ``lin_within_C1`` gates
+    linear propagator U(t, t0).  The run keeps U, from the identity at the
+    first sample through ``propagate_linear_grid`` between samples, and
+    ptilde(t0); the linear prediction is U ptilde(t0).  ``lin_within_C1`` gates
     |ptilde|^2 within [1/C1, C1], so the l2 ratio within [1/sqrt(C1),
     sqrt(C1)]: per mode d/dt |ptilde|^2 = 2 Re(conj(ptilde_1) S ptilde_2)
     <= |S| |ptilde|^2 (the i alpha k terms are skew), and int |S| dt =
@@ -433,20 +442,19 @@ def run_norm_inflation(config: ExperimentConfig, outdir: str):
         pt = ts.ptilde
         pt[:, 0] = 0.0  # the norms are of ptilde alone, not of the averages
         if rows:
-            ref["lin"] = propagate_linear_grid(lay.grid, ref["lin"], rows[-1]["t"], t,
-                                               alpha, variant)
+            ref["U"] = propagate_linear_grid(lay.grid, ref["U"], rows[-1]["t"], t,
+                                             alpha, variant)
         else:
-            # the state at t0 starts the linear flow of (ptilde, U e1, U e2)
-            ref["lin"] = np.zeros((2, 3, *lay.shape), dtype=np.complex128)
-            ref["lin"][:, 0] = pt
-            ref["lin"][0, 1, 1:] = ref["lin"][1, 2, 1:] = 1.0
+            # the state at t0 starts the linear flow U(t, t0) at the identity
+            ref["U"] = np.eye(2, dtype=np.complex128)[:, :, None, None] * np.ones(lay.shape)
+            ref["pt0"] = pt
         # sigma_max(U) = (sqrt(|U|_F^2 + 2 |det U|) + sqrt(|U|_F^2 - 2 |det U|)) / 2
-        U = ref["lin"][:, 1:]
+        U = ref["U"]
         fro2 = np.sum(np.abs(U) ** 2, axis=(0, 1))
         det2 = 2.0 * np.abs(U[0, 0] * U[1, 1] - U[0, 1] * U[1, 0])
         op = 0.5 * (np.sqrt(fro2 + det2) + np.sqrt(np.maximum(fro2 - det2, 0.0)))
         ref["op_max"] = max(ref["op_max"], float(op.max()))
-        lin = ref["lin"][:, 0]
+        lin = U[:, 0] * ref["pt0"][0] + U[:, 1] * ref["pt0"][1]
         pt_l2, lin_l2, dev_l2 = (l2_norm(lay, *f) for f in (pt, lin, pt - lin))
         pt_h1, lin_h1, dev_h1 = (hminus1_norm(lay, *f) for f in (pt, lin, pt - lin))
         # the first sample, the state at t0, sets the reference norms

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import asdict
 
 import numpy as np
@@ -318,6 +319,39 @@ class TestTimeGrid:
             assert len(steps) == 6  # two steps per interval of 0.5
 
 
+MATRIX_CASES = [("p", "derived")] + [("ptilde", v) for v in SYMBOL_VARIANTS]
+
+
+def assembled_matrix(sys, t):
+    """The (..., 2, 2) matrices of ``sys`` at t, assembled in a zero-filled
+    array: the reference that the entries of ``LinearModeSystem.matrix``
+    are held to."""
+    k, alpha = sys.k, sys.alpha
+    u = sys.eta - k * t
+    iak = 1j * alpha * k
+    m = np.zeros((2, 2) + np.shape(u), dtype=np.complex128)
+    if sys.coords == "p":
+        lam2 = k * k + u * u
+        a = k * u / np.where(lam2 == 0, 1.0, lam2)
+        m[0, 0], m[0, 1], m[1, 1] = a, iak, -a
+    else:
+        m[0, 1] = iak + ptilde_coupling(k, u, alpha, sys.symbol_variant)
+    m[1, 0] = iak
+    if sys.nu or sys.kappa:
+        lam2 = k * k + u * u
+        m[0, 0] -= sys.nu * lam2
+        m[1, 1] -= sys.kappa * lam2
+        if sys.coords == "ptilde":
+            m[0, 1] += (sys.nu - sys.kappa) / alpha * 1j * u * (k != 0)
+    return np.moveaxis(m, (0, 1), (-2, -1))
+
+
+def as_matrix(entries):
+    """The (..., 2, 2) array of the entries (m11, m12, m21, m22)."""
+    m11, m12, m21, m22 = np.broadcast_arrays(*entries)
+    return np.stack([np.stack([m11, m12], -1), np.stack([m21, m22], -1)], -2)
+
+
 class TestLinearModeSystem:
     @pytest.mark.parametrize("coords", ("p", "ptilde"))
     def test_unknown_variant_rejected(self, coords):
@@ -334,13 +368,13 @@ class TestLinearModeSystem:
         # k = 0 rows: no coupling, the damping (-nu eta^2, -kappa eta^2)
         nu, kappa, t0, t1 = 2e-2, 5e-3, 0.3, 1.7
         k, eta = np.array([0, 1, 0, -2]), np.array([0.0, 1.5, 3.0, -4.0])
-        cases = [("p", "derived")] + [("ptilde", v) for v in SYMBOL_VARIANTS]
-        for coords, variant in cases:
-            m = LinearModeSystem(k, eta, 0.8, coords, nu, kappa, variant).matrix(1.3)
+        for coords, variant in MATRIX_CASES:
+            m11, m12, m21, m22 = np.broadcast_arrays(
+                *LinearModeSystem(k, eta, 0.8, coords, nu, kappa, variant).matrix(1.3))
             for i in (0, 2):
-                assert m[i, 0, 1] == 0 and m[i, 1, 0] == 0
-                assert m[i, 0, 0] == -nu * eta[i] ** 2
-                assert m[i, 1, 1] == -kappa * eta[i] ** 2
+                assert m12[i] == 0 and m21[i] == 0
+                assert m11[i] == -nu * eta[i] ** 2
+                assert m22[i] == -kappa * eta[i] ** 2
         eta0 = grid16.eta[:5]
         phase = dissipation_phase(grid16, t0, t1)[0, :5]
         sys = LinearModeSystem(0, eta0, 1.0, "ptilde", nu, kappa)
@@ -349,15 +383,23 @@ class TestLinearModeSystem:
         assert np.max(np.abs(out[:, 1] - np.exp(-kappa * phase))) <= 1e-10
 
     def test_matrix_over_arrays_is_stacked_scalar_matrices(self):
-        k, eta = np.array([1, -2, 3]), np.array([0.0, 1.5, -4.0])
-        for coords in ("p", "ptilde"):
-            sys = LinearModeSystem(k, eta, 0.8, coords, nu=1e-2, kappa=3e-3)
-            m = sys.matrix(1.7)
-            assert m.shape == (3, 2, 2)
-            for i in range(3):
-                one = LinearModeSystem(int(k[i]), float(eta[i]), 0.8, coords,
-                                       nu=1e-2, kappa=3e-3)
-                assert np.array_equal(m[i], one.matrix(1.7))
+        # the entries equal the (2, 2) assembly entry for entry, over mode
+        # arrays and at a column of times, and the scalar calls mode by mode
+        k, eta = np.array([0, 1, -2, 3]), np.array([2.0, 0.0, 1.5, -4.0])
+        for (coords, variant), (nu, kappa) in itertools.product(
+                MATRIX_CASES, ((0.0, 0.0), (1e-2, 3e-3))):
+            sys = LinearModeSystem(k, eta, 0.8, coords, nu, kappa, variant)
+            for t in (1.7, np.array([[0.3], [1.7]])):
+                m = as_matrix(sys.matrix(t))
+                assert m.shape == np.shape(t * k) + (2, 2)
+                assert np.array_equal(m, assembled_matrix(sys, t))
+            for i in range(k.size):  # numpy scalars, which take numpy's complex arithmetic
+                one = LinearModeSystem(k[i], eta[i], 0.8, coords, nu, kappa, variant)
+                assert np.array_equal(as_matrix(sys.matrix(1.7))[i],
+                                      as_matrix(one.matrix(1.7)))
+            if coords == "ptilde" and not (nu or kappa):
+                m11, _, _, m22 = sys.matrix(1.7)
+                assert m11 == m22 == 0.0 and np.ndim(m11) == 0  # no zero tables
 
     @pytest.mark.parametrize("coords", ("p", "ptilde"))
     @pytest.mark.parametrize("nu,kappa", ((0.0, 0.0), (2e-2, 5e-3)))
@@ -394,7 +436,7 @@ class TestLinearModeSystem:
             y = np.array([1.0 + 0j, 0.0 + 0j])
             t = 0.0
             for _ in range(n):
-                f = lambda tt, yy: sys.matrix(tt) @ yy
+                f = lambda tt, yy: as_matrix(sys.matrix(tt)) @ yy
                 k1 = f(t, y)
                 k2 = f(t + h / 2, y + h / 2 * k1)
                 k3 = f(t + h / 2, y + h / 2 * k2)
@@ -482,6 +524,22 @@ class TestLinearGridRecurrence:
         p0[:, 1, 2] = 1.0, 0.5j
         t0 = eta - 1.025  # the midpoint of step 21 of 40 is t = eta
         assert oracle_error(grid16, p0, t0, t0 + 2.0, 1.0) <= 2e-10
+
+    @pytest.mark.parametrize("variant", SYMBOL_VARIANTS)
+    def test_identity_goes_to_the_propagator(self, grid16, variant):
+        # the columns of U are the flows of the unit pairs, bit for bit, and
+        # U p0 is the flow of p0 to roundoff
+        lay = grid16.compact
+        eye = np.eye(2, dtype=complex)[:, :, None, None] * np.ones(lay.shape)
+        U = propagate_linear_grid(grid16, eye, 0.3, 3.3, 1.0, variant)
+        for j in (0, 1):
+            assert np.array_equal(U[:, j],
+                                  propagate_linear_grid(grid16, eye[:, j], 0.3, 3.3, 1.0,
+                                                        variant))
+        p0 = lay.pack(ptilde_table(grid16, 8))
+        direct = propagate_linear_grid(grid16, p0, 0.3, 3.3, 1.0, variant)
+        assert np.max(np.abs(U[:, 0] * p0[0] + U[:, 1] * p0[1] - direct)) <= (
+            1e-14 * np.max(np.abs(direct)))
 
     def test_output_is_a_real_field_on_k_nonzero(self, grid16):
         p0 = ptilde_table(grid16, 8)

@@ -118,6 +118,28 @@ class TestConfig:
         for ok in ({"component": "b"}, {"k": 0, "eta_index": 1}):
             ExperimentConfig.from_dict({**single, "initial": {**single["initial"], **ok}})
 
+    @pytest.mark.parametrize("bad,match", [
+        ({"chain": {"c0": 1.5}}, "chain.c0"),
+        ({"chain": {"c0": 0.0}}, "chain.c0"),
+        ({"chain": {"etas": []}}, "chain.etas"),
+        ({"chain": {"etas": [100.0]}}, "chain.etas"),
+        ({"chain": {"etas": [100.0, 100.0]}}, "chain.etas"),
+        ({"chain": {"etas": [-5.0, 100.0]}}, "chain.etas"),
+        ({"audit": {"eta_max": 8.0}}, "audit.eta_max"),
+    ], ids=["c0_above_1", "c0_zero", "no_etas", "one_eta", "one_distinct_eta",
+            "negative_eta", "eta_max_below_9"])
+    def test_chain_and_audit_ranges_checked(self, bad, match):
+        # each would validate, then fail in the run with a bare exception
+        for exp in ("resonance_chain", "weights_audit"):
+            with pytest.raises(ConfigError, match=match):
+                ExperimentConfig.from_dict({"experiment": exp, **bad})
+
+    def test_chain_and_audit_edges_accepted(self):
+        cfg = ExperimentConfig.from_dict({"experiment": "weights_audit",
+                                          "audit": {"eta_max": 9.0},
+                                          "chain": {"c0": 0.99, "etas": [1.0, 2.0]}})
+        assert cfg.audit["eta_max"] == 9.0
+
     def test_evolution_form_rejected(self):
         # every trajectory runner uses the vb integrator; the key is not accepted
         with pytest.raises(ConfigError, match="unknown"):
@@ -442,6 +464,13 @@ class TestCLI:
         cfile = tmp_path / "c.json"
         cfile.write_text(json.dumps(data))
         assert cli.main(["validate", "--config", str(cfile)]) == 1
+        assert "config error" in capsys.readouterr().err
+
+    def test_run_refuses_a_chain_config_that_would_fail(self, tmp_path, capsys):
+        cfile = tmp_path / "c.json"
+        cfile.write_text(json.dumps({"experiment": "resonance_chain",
+                                     "chain": {"c0": 1.5}}))
+        assert cli.main(["run", "--config", str(cfile), "--out", str(tmp_path / "o")]) == 1
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("content", [

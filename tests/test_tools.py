@@ -89,3 +89,44 @@ def test_bound_is_relative_to_the_parents_median(ab_pairs):
     assert ab_pairs.within_bound(PARENT, [0.5 * p for p in PARENT], 0.2)
     assert not ab_pairs.within_bound(PARENT, [0.79 * p for p in PARENT], 0.2,
                                      better="higher")
+
+
+@pytest.fixture(scope="module")
+def compare_runs():
+    return load_tool("compare_runs")
+
+
+def write(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+def test_compare_reports_identical_bytes_and_relative_differences(compare_runs, tmp_path):
+    base = "# config: {\"a\": 1}\nt,x,flag\n0.0,1.0,True\n1.0,-2.0,False\n"
+    a = write(tmp_path / "a.csv", base)
+    assert compare_runs.compare(a, write(tmp_path / "same.csv", base)) is None
+    other = base.replace("-2.0", "-2.000000002").replace("# config: {\"a\": 1}",
+                                                         "# config: {\"a\": 2}")
+    assert compare_runs.compare(a, write(tmp_path / "b.csv", other)) == pytest.approx(
+        {"x": 1e-9}, rel=1e-6)
+    # comment lines aside, every field equal
+    assert compare_runs.compare(a, write(tmp_path / "c.csv", "# other\n" + base)) == {}
+    flipped = base.replace("False", "True")
+    assert compare_runs.compare(a, write(tmp_path / "d.csv", flipped)) == {
+        "flag": float("inf")}
+
+
+def test_compare_refuses_other_columns_rows_or_keys(compare_runs, tmp_path):
+    a = write(tmp_path / "a.csv", "t,x\n0.0,1.0\n")
+    with pytest.raises(compare_runs.Mismatch, match="columns"):
+        compare_runs.compare(a, write(tmp_path / "b.csv", "t,y\n0.0,1.0\n"))
+    with pytest.raises(compare_runs.Mismatch, match="rows"):
+        compare_runs.compare(a, write(tmp_path / "c.csv", "t,x\n0.0,1.0\n1.0,1.0\n"))
+    j = write(tmp_path / "a.json", '{"s": {"m": 1.0, "l": [1, 2]}}')
+    with pytest.raises(compare_runs.Mismatch, match="keys"):
+        compare_runs.compare(j, write(tmp_path / "b.json", '{"s": {"n": 1.0, "l": [1, 2]}}'))
+    with pytest.raises(compare_runs.Mismatch, match="items"):
+        compare_runs.compare(j, write(tmp_path / "c.json", '{"s": {"m": 1.0, "l": [1]}}'))
+    assert compare_runs.compare(j, write(tmp_path / "d.json",
+                                         '{"s": {"m": 1.5, "l": [1, 2]}}')) == pytest.approx(
+        {"/s/m": 1.0 / 3.0})
