@@ -23,6 +23,15 @@ correction pairings.  The q-term carries the geometric-mean weight A*Atilde
 the q factor is signed because q decreases on the approach to each
 resonance.  Branch corners of q make E only piecewise-C^1, so finite
 differencing of E must avoid stencils that straddle a corner time.
+
+:func:`energy_identity_residuals` samples the identity in the run: at each
+sample time of the ptilde run it builds the multipliers, takes E (not E0)
+and, where the difference stencil allows, the terms of
+:func:`identity_sides`, and keeps no state.  ``identity_sides`` makes one
+inverse padded transform of 12 tables (v, b and the sheared gradients of
+A z+-, z+- = v +- b) and one forward of 7 (the quadratic kernel's three
+products and the two Elsasser advections), their products formed in the
+workspace's scratch.
 """
 
 from __future__ import annotations
@@ -35,7 +44,8 @@ from .spectral import CompactLayout, Grid, ProductWorkspace, shear_symbols
 from .unknowns import (MHDState, TailoredState, perp_grad_t, ptilde_correction_symbol,
                        tailored_to_state, vorticity_current_norms)
 from .weights import MultiplierSet, WeightParams, gevrey_log_weight, q_endpoint
-from .dynamics import PtildeIntegrator, evolve, ptilde_coupling, quadratic_terms
+from .dynamics import (PtildeIntegrator, _curl_form, _products, evolve, ptilde_coupling,
+                       sample_times)
 
 
 # ---------------------------------------------------------------------------
@@ -79,13 +89,15 @@ def gevrey_norm(grid: Grid | CompactLayout, tables, lam: float, s: float, N: int
 # energies and bootstrap terms
 # ---------------------------------------------------------------------------
 
-def energy_E(ts: TailoredState, mset: MultiplierSet):
-    """(E, E0) of the run: the A-weighted squared norm of ptilde and the
-    Alo-weighted one of its k = 0 rows, the averages."""
-    g = ts.grid
-    E = float(np.exp(2.0 * weighted_l2_log(g, mset.log_A, *ts.ptilde)))
-    E0 = float(np.exp(2.0 * weighted_l2_log(g, mset.log_Alo, *ts.ptilde[:, :1])))
-    return E, E0
+def energy_E(ts: TailoredState, mset: MultiplierSet) -> float:
+    """E of the run, the A-weighted squared norm of ptilde."""
+    return float(np.exp(2.0 * weighted_l2_log(ts.grid, mset.log_A, *ts.ptilde)))
+
+
+def energy_E0(ts: TailoredState, mset: MultiplierSet) -> float:
+    """E0 of the run, the Alo-weighted squared norm of the k = 0 rows of
+    ptilde, the averages."""
+    return float(np.exp(2.0 * weighted_l2_log(ts.grid, mset.log_Alo, *ts.ptilde[:, :1])))
 
 
 def dissipation_terms(ts: TailoredState, mset: MultiplierSet):
@@ -138,12 +150,11 @@ class DiagnosticsRecord:
 def make_record(state: MHDState, ts: TailoredState, mset: MultiplierSet,
                 lam2: float, integrals=(0.0, 0.0, 0.0, 0.0)) -> DiagnosticsRecord:
     l2_vb, l2_wj, hminus1_vb = vorticity_current_norms(state)
-    E, E0 = energy_E(ts, mset)
     return DiagnosticsRecord(
         t=state.t, l2_vb=l2_vb, hminus1_vb=hminus1_vb, l2_wj=l2_wj,
         gevrey_vb=gevrey_norm(state.grid, [*state.v, *state.b], lam2, mset.params.s,
                               mset.params.N),
-        E=E, E0=E0,
+        E=energy_E(ts, mset), E0=energy_E0(ts, mset),
         int_lam=integrals[0], int_q=integrals[1],
         int_lam_lo=integrals[2], int_q_lo=integrals[3],
     )
@@ -173,11 +184,10 @@ def bootstrap_monitor(records, params: WeightParams, c_star: float = 1.0):
 
 def _pair(grid: Grid | CompactLayout, x, y) -> float:
     """(1/Ly) Re sum mult conj(x) y accumulated over matching tables of real
-    fields."""
-    s = 0.0
-    for xc, yc in zip(x, y):
-        s += float(np.sum(grid.mult * (np.conj(xc) * yc).real))
-    return s / grid.Ly
+    fields: each table summed on its own (one reduction over the stack) and
+    the sums added in order."""
+    sums = np.sum(grid.mult * (np.conj(x) * y).real, axis=(-2, -1))
+    return sum(np.ravel(sums).tolist(), 0.0) / grid.Ly
 
 
 def identity_sides(ts: TailoredState, mset: MultiplierSet, alpha: float,
@@ -204,8 +214,7 @@ def identity_sides(ts: TailoredState, mset: MultiplierSet, alpha: float,
     pt1, pt2 = ts.ptilde
     # left-side weight terms; the k = 0 rows (the averages) take no m term,
     # nor any pairing through S or corr: all three vanish at k = 0
-    mag2 = g.K**2 + g.ETA**2
-    lam_s = mag2 ** (0.5 * params.s)
+    lam_s = (g.K**2 + g.ETA**2) ** (0.5 * params.s)
     dens = g.mult * (np.abs(pt1) ** 2 + np.abs(pt2) ** 2)
     lam_term = abs(mset.dlam) * np.sum(lam_s * A**2 * dens) / g.Ly
     AAt = np.exp(mset.log_A + mset.log_Atilde)
@@ -213,32 +222,43 @@ def identity_sides(ts: TailoredState, mset: MultiplierSet, alpha: float,
     m_term = np.sum(-mset.dtm_over_m * A**2 * dens) / g.Ly
     # right side: linear pairing
     sym = shear_symbols(g, t)
-    S = ptilde_coupling(g.K, sym.u, alpha)
-    L_pair = _pair(g, [A * pt1], [S * (A * pt2)])
+    L_pair = _pair(g, [A * pt1], [ptilde_coupling(g.K, sym.u, alpha) * (A * pt2)])
     # right side: nonlinear pairings in commutator form
-    st = tailored_to_state(ts, alpha)
-    v, b = st.vb
-    # the projected pair; every pairing below meets it only through fields
-    # that are divergence-free mode by mode, which the projection leaves alone
-    c, E = quadratic_terms(g, st.vb, t, ws)
-    nlv, nlb = perp_grad_t(g, np.stack([-sym.inv_lap * c, E]), t)
-    Av, Ab = A * st.vb
+    vb = tailored_to_state(ts, alpha).vb
+    Avb = A * vb
     # the advections in Elsasser pairs z+- = v +- b: with X = z-.grad_t(A z+)
     # and Y = z+.grad_t(A z-), v.grad_t(Av) - b.grad_t(Ab) = (X + Y)/2 and
-    # v.grad_t(Ab) - b.grad_t(Av) = (X - Y)/2
-    X = ws.advect(sym, v - b, Av + Ab)
-    Y = ws.advect(sym, v + b, Av - Ab)
-    NL = (_pair(g, Av, A * nlv + 0.5 * (X + Y))
-          + _pair(g, Ab, A * nlb + 0.5 * (X - Y)))
+    # v.grad_t(Ab) - b.grad_t(Av) = (X - Y)/2.  One inverse transform takes v,
+    # b and the sheared gradients (d_x, then d_y^t) of A z+ and A z-; z+- are
+    # formed from the samples of v and b, and one forward transform takes the
+    # kernel's products with X and Y, all formed in the workspace's scratch
+    grads = np.stack([sym.ikx, sym.idyt])[None, :, None] * np.stack(
+        [Avb[0] + Avb[1], Avb[0] - Avb[1]])[:, None]  # of A z+ and A z-
+    p = ws.phys(np.concatenate([vb.reshape(4, *g.shape), grads.reshape(8, *g.shape)]))
+    _products(*p[:4], ws.scratch)
+    # the samples of the gradients: (z+ then z-, d_x then d_y^t, component)
+    gp = p[4:].reshape(2, 2, 2, ws.Mx, ws.My)
+    for form, grad, z in ((np.subtract, gp[0], ws.scratch[3:5]), (np.add, gp[1], ws.scratch[5:])):
+        form(p[:2], p[2:4], out=z)  # z- (then z+), then X (then Y) in its place
+        grad *= z[:, None]
+        np.add(*grad, out=z)
+    out = ws.spec(ws.scratch)
+    c, E = _curl_form(g, out[:3], t)
+    X, Y = out[3:5], out[5:]
+    # the projected pair; every pairing below meets it only through fields
+    # that are divergence-free mode by mode, which the projection leaves alone
+    nl = perp_grad_t(g, np.stack([-sym.inv_lap * c, E]), t)
+    NL = (_pair(g, Avb[0], A * nl[0] + 0.5 * (X + Y))
+          + _pair(g, Avb[1], A * nl[1] + 0.5 * (X - Y)))
     # right side: tailored corrections; corr is (1/alpha) d_y^t Lambda_t^{-2}
-    # off k = 0 and 0 on it, so the k = 0 rows of both pairings vanish
+    # off k = 0 and 0 on it, so the k = 0 rows of both pairings vanish; the
+    # second pairs with Lambda_t E = Lambda_t^{-1} curl_t(nlb)
     corr = ptilde_correction_symbol(g, alpha, t)
-    ONL1 = _pair(g, A * (corr * b), A * nlv)
-    n2 = sym.lam * E  # Lambda_t^{-1} curl_t(nlb)
-    ONL2 = _pair(g, [A * pt1], [A * (corr * n2)])
+    ONL = (_pair(g, A * (corr * vb[1]), A * nl[0])
+           + _pair(g, [A * pt1], [A * (corr * (sym.lam * E))]))
     return {"lam_term": float(lam_term), "q_term": float(q_term),
             "m_term": float(m_term), "L_pair": float(L_pair),
-            "NL": float(NL), "ONL": float(ONL1 + ONL2)}
+            "NL": float(NL), "ONL": float(ONL)}
 
 
 def q_corner_times(grid: Grid, t_max: float) -> np.ndarray:
@@ -276,20 +296,22 @@ def energy_identity_residuals(ts0: TailoredState, params: WeightParams,
         raise ValueError(f"t_end - t0 = {t_end - ts0.t:.6g} is not a whole multiple "
                          f"of stride * dt = {h:.6g}")
     integ = PtildeIntegrator(g, alpha)
-    lay = integ.layout
-    samples = []
-    evolve(integ, integ.pack(ts0), ts0.t, t_end, dt=dt, cfl=None, sample_dt=h,
-           callback=lambda t, Y: samples.append(TailoredState(lay, Y, t)))
+    times = [ts0.t, *sample_times(ts0.t, t_end, h)]
     # corners of every eta of the full grid, retained or not
     corners = q_corner_times(g, t_end + h)
     energies, terms = [], {}
-    for i, st in enumerate(samples):
-        t = st.t
-        mset = MultiplierSet(lay, t, params)
-        energies.append(energy_E(st, mset)[0])
-        if 2 <= i < len(samples) - 2 and not np.any(
+
+    def sample(t, Y):
+        # each sample is taken as the run reaches it; no state is kept
+        i = len(energies)
+        st, mset = TailoredState(integ.layout, Y, t), MultiplierSet(integ.layout, t, params)
+        energies.append(energy_E(st, mset))
+        if 2 <= i < len(times) - 2 and not np.any(
                 (corners > t - 2.5 * h) & (corners < t + 2.5 * h)):
             terms[i] = identity_sides(st, mset, alpha, integ.ws)
+
+    evolve(integ, integ.pack(ts0), ts0.t, t_end, dt=dt, cfl=None, sample_dt=h,
+           callback=sample)
     out = []
     for i, tm in terms.items():
         dE = (-energies[i + 2] + 8 * energies[i + 1]
@@ -298,7 +320,7 @@ def energy_identity_residuals(ts0: TailoredState, params: WeightParams,
         rhs = 2 * (tm["L_pair"] + tm["NL"] + tm["ONL"])
         scale = max(abs(dE), 2 * abs(tm["lam_term"]) + 2 * abs(tm["q_term"])
                     + 2 * abs(tm["m_term"]), abs(rhs), 1e-300)
-        out.append((samples[i].t, abs(lhs - rhs) / scale))
+        out.append((times[i], abs(lhs - rhs) / scale))
     return out
 
 

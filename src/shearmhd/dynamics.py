@@ -40,11 +40,18 @@ k u / Lambda_t^2 and of the per-mode 2x2 linear operator, returned as its
 four entries, which the ptilde right-hand side (through a per-time cache),
 the linear reference and the oracle read.  The energy
 identity reads S alone; the vb route, its independent check, reads none.
-Each route's right-hand side keeps one per-time cache of its coefficient
-tables, ``_vb_rhs_symbols`` on (layout, t) and ``_ptilde_rhs_symbols`` on
-(layout, alpha, variant, nu, kappa, t); the quadratic kernel that both call
-reads the pair taking its transformed products to c from ``_c_pair`` on
-(layout, t).
+The vb right-hand side keeps a per-time cache of its coefficient tables,
+``_vb_rhs_symbols`` on (layout, t), and the quadratic kernel that both
+routes call reads the pair taking its transformed products to c from
+``_c_pair`` on (layout, t), unless its caller hands it over.  The ptilde
+right-hand side reads everything from one set of tables,
+:func:`_ptilde_tables`: the matrix entries, the forcings, and the
+correction symbol, Lambda_t^{-1}, perpendicular gradient and c pair that
+turn ptilde into (v, b) in a kept buffer and feed the kernel.  A step
+builds them for its three stage times at once
+(:meth:`LawsonIntegrator.prepare_step`); a call outside a step reads the
+per-time cache ``_ptilde_rhs_symbols`` on (layout, alpha, variant, nu,
+kappa, t).
 :func:`linear_mode_propagate` is the one DOP853 oracle of those systems,
 for any number of modes at once.  Both integrators share one skeleton
 (:class:`LawsonIntegrator`) and one stage sequence
@@ -82,10 +89,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (CompactLayout, Grid, ProductWorkspace, l2_norm,
+from .spectral import (CompactLayout, Grid, ProductWorkspace, l2_norm, read_only,
                        shear_symbols)
-from .unknowns import (MHDState, TailoredState, leray_project_t,
-                       ptilde_correction_symbol, state_to_tailored,
+from .unknowns import (MHDState, TailoredState, leray_project_t, state_to_tailored,
                        tailored_to_state)
 
 SYMBOL_VARIANTS = ("derived", "mixed", "flipped")
@@ -184,16 +190,41 @@ def _c_pair(lay, t):
     """Read-only real pair (u^2 - k^2, k u), u = eta - k t, that takes the
     transformed products (T12, D) to c at t, on the tables of ``lay``."""
     k, u = lay.K, shear_symbols(lay, t).u
-    pair = np.stack([u * u - k * k, k * u])
-    pair.flags.writeable = False
-    return pair
+    return read_only(np.stack([u * u - k * k, k * u]))[0]
 
 
-def quadratic_terms(grid: Grid, vb: np.ndarray, t: float, ws: ProductWorkspace):
+def _products(v1, v2, b1, b2, prod):
+    """Into ``prod[:3]``, in place, the kernel's padded products D = T22 -
+    T11, T12 and E of the samples of (v, b), as (v1 - v2)(v1 + v2) - (b1 -
+    b2)(b1 + b2), b1 b2 - v1 v2 and v1 b2 - v2 b1; ``prod[3]`` is scratch."""
+    D, T12, E, tmp = prod[:4]
+    np.subtract(v1, v2, out=D)
+    D *= np.add(v1, v2, out=tmp)
+    np.subtract(b1, b2, out=tmp)
+    tmp *= np.add(b1, b2, out=E)
+    D -= tmp
+    np.multiply(b1, b2, out=T12)
+    T12 -= np.multiply(v1, v2, out=tmp)
+    np.multiply(v1, b2, out=E)
+    E -= np.multiply(v2, b1, out=tmp)
+
+
+def _curl_form(grid, out, t, pair=None):
+    """(c, E) of the transformed products ``out`` = (D, T12, E), in place:
+    c = (u^2 - k^2) T12 - k u D, the pair read from ``_c_pair`` unless given."""
+    a, b = _c_pair(grid, t) if pair is None else pair
+    out[1] *= a
+    out[1] -= np.multiply(out[0], b, out=out[0])
+    return out[1:3]
+
+
+def quadratic_terms(grid: Grid, vb: np.ndarray, t: float, ws: ProductWorkspace,
+                    pair=None):
     """Dealiased curl-form scalars (c, E) of a divergence-free pair (v, b),
     the stack ``vb`` (2, 2, ...) of an :class:`~shearmhd.unknowns.MHDState`.
 
-    ``grid`` is the compact layout of ``vb`` and of the output.
+    ``grid`` is the compact layout of ``vb`` and of the output; ``pair``,
+    the c pair of ``_c_pair(grid, t)``, may be given by a caller holding it.
 
     c = b.grad_t j - v.grad_t w, with w, j the sheared curls of v, b, is the
     curl of b.grad_t b - v.grad_t v; E = v1 b2 - v2 b1 is the out-of-plane
@@ -206,27 +237,11 @@ def quadratic_terms(grid: Grid, vb: np.ndarray, t: float, ws: ProductWorkspace):
     4 tables of v, b and one forward of the 3 products D = T22 - T11, T12
     and E suffice.  Off the divergence-free set (an RK stage of the vb
     route) this is the curl of div(b b - v v).  E is exactly 0 when b = 0.
-    The products are formed in place in the workspace's scratch tables, as
-    (v1 - v2)(v1 + v2) - (b1 - b2)(b1 + b2), b1 b2 - v1 v2 and v1 b2 - v2 b1.
+    The products are formed in place in the workspace's scratch tables
+    (:func:`_products`).
     """
-    (v1, v2), (b1, b2) = ws.phys(vb)
-    prod = ws.scratch
-    D, T12, E, tmp = prod
-    np.subtract(v1, v2, out=D)
-    D *= np.add(v1, v2, out=tmp)
-    np.subtract(b1, b2, out=tmp)
-    tmp *= np.add(b1, b2, out=E)
-    D -= tmp
-    np.multiply(b1, b2, out=T12)
-    T12 -= np.multiply(v1, v2, out=tmp)
-    np.multiply(v1, b2, out=E)
-    E -= np.multiply(v2, b1, out=tmp)
-    out = ws.spec(prod[:3])
-    a, b = _c_pair(grid, t)
-    out[1] *= a
-    out[0] *= b
-    out[1] -= out[0]
-    return out[1:]
+    _products(*ws.phys(vb).reshape(4, ws.Mx, ws.My), ws.scratch)
+    return _curl_form(grid, ws.spec(ws.scratch[:3]), t, pair)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +282,10 @@ class LawsonIntegrator:
         e_full = np.exp(-self._rate * dissipation_phase(self.layout, t0, t0 + h))
         return e_half, e_full / e_half, e_full
 
+    def prepare_step(self, t: float, h: float):
+        """Called by :func:`lawson_rk4_step` before the stages of a step over
+        [t, t + h]; nothing to prepare by default."""
+
     def max_speed(self, Y: np.ndarray) -> float:
         # the l1 norm of the full table bounds the sup norm
         return float(np.max(np.sum(self.layout.mult * np.abs(Y), axis=(-2, -1))))
@@ -291,11 +310,8 @@ def _vb_rhs_symbols(lay, t):
     sym = shear_symbols(lay, t)
     k, r = lay.K, -sym.inv_lap
     grad = np.stack([sym.idyt, -sym.ikx])
-    tables = (np.stack([2.0 * k * k * r - 1.0, 2.0 * k * sym.u * r]),
-              np.stack([r * grad, grad]))
-    for tab in tables:
-        tab.flags.writeable = False
-    return tables
+    return read_only(np.stack([2.0 * k * k * r - 1.0, 2.0 * k * sym.u * r]),
+                     np.stack([r * grad, grad]))
 
 
 class VBIntegrator(LawsonIntegrator):
@@ -332,20 +348,36 @@ class VBIntegrator(LawsonIntegrator):
         return _clean_tables(self.layout, leray_project_t(self.layout, Y, t))
 
 
-@functools.lru_cache(maxsize=4)
-def _ptilde_rhs_symbols(lay, alpha, variant, nu, kappa, t):
-    """Read-only (M12, M21, F) of the ptilde rhs at t: the off-diagonals of
-    :meth:`LinearModeSystem.matrix`, M21 = i alpha k the layout's one column,
-    and the forcings F (c, E), (Lambda_t^{-1} c, Lambda_t E) off k = 0 and
-    (-i eta Delta_t^{-1} c, i eta E) on it."""
-    sym = shear_symbols(lay, t)
-    m = LinearModeSystem(lay.K, lay.ETA, alpha, "ptilde", nu, kappa, variant).matrix(t)
-    forcing = np.stack([sym.inv_lam, sym.lam]) + 0j
-    forcing[:, 0] = -sym.idyt[0] * sym.inv_lap[0], sym.idyt[0]
-    tables = m[1], m[2], forcing
-    for tab in tables:
-        tab.flags.writeable = False
-    return tables
+def _ptilde_tables(lay, alpha, variant, nu, kappa, t):
+    """Read-only per-mode tables of the ptilde rhs at t, built at once from u
+    = eta - k t with the expressions of ``shear_symbols``,
+    ``ptilde_correction_symbol`` and ``_c_pair``: the off-diagonals (M12,
+    M21) of :meth:`LinearModeSystem.matrix`, M21 = i alpha k the layout's one
+    column; the forcings F (c, E), (Lambda_t^{-1} c, Lambda_t E) off k = 0
+    and (-i eta Delta_t^{-1} c, i eta E) on it; the correction symbol;
+    Lambda_t^{-1}; the perpendicular gradient (i u, -i k); and the c pair.
+    For a tuple of times every table but M21 has a leading time axis; each
+    entry is elementwise the one of its time alone."""
+    k = lay.K
+    t = np.asarray(t, dtype=float)[..., None, None]
+    u = lay.ETA - k * t
+    lam2 = k**2 + u**2
+    lam, nz = np.sqrt(lam2), lam2 > 0
+    inv_lam = np.where(nz, 1.0 / np.where(nz, lam, 1.0), 0.0)
+    idyt = 1j * u
+    m = LinearModeSystem(k, lay.ETA, alpha, "ptilde", nu, kappa, variant).matrix(t)
+    forcing = np.stack([inv_lam, lam], axis=-3) + 0j
+    nz0, lam20 = nz[..., 0, :], lam2[..., 0, :]
+    forcing[..., 0, 0, :] = -idyt[..., 0, :] * np.where(nz0, -1.0 / np.where(nz0, lam20, 1.0), 0.0)
+    forcing[..., 1, 0, :] = idyt[..., 0, :]
+    corr = idyt / (alpha * np.where(lam2 == 0, 1.0, lam2))
+    corr[..., 0, :] = 0.0
+    grad = np.stack([idyt, -(1j * k * np.ones_like(u))], axis=-3)
+    return read_only(m[1], m[2], forcing, corr, inv_lam, grad,
+                     np.stack([u * u - k * k, k * u], axis=-3))
+
+
+_ptilde_rhs_symbols = functools.lru_cache(maxsize=4)(_ptilde_tables)
 
 
 class PtildeIntegrator(LawsonIntegrator):
@@ -361,21 +393,37 @@ class PtildeIntegrator(LawsonIntegrator):
     def __init__(self, grid: Grid, alpha: float, nu: float = 0.0,
                  kappa: float = 0.0, symbol_variant: str = "derived"):
         super().__init__(grid, alpha, nu, kappa)
-        self.variant = symbol_variant
+        self._key = (alpha, symbol_variant, nu, kappa)  # of the tables, after the layout
+        self._vb = np.empty((2, 2) + self.layout.shape, dtype=np.complex128)  # kept (v, b)
+        self._stages = {}  # stage time -> tables, from prepare_step
+
+    def prepare_step(self, t: float, h: float):
+        """Build the tables of the step's stage times, the times of
+        :func:`lawson_rk4_step`, at once."""
+        times = (t, t + 0.5 * h, t + h)
+        m12, m21, *rest = _ptilde_tables(self.layout, *self._key, times)
+        self._stages = {s: (m12[i], m21, *(tab[i] for tab in rest)) for i, s in enumerate(times)}
 
     def pack(self, ts: TailoredState) -> np.ndarray:
         return self.layout.pack(ts.ptilde)
 
     def rhs(self, t: float, Y: np.ndarray) -> np.ndarray:
-        lay = self.layout
-        m12, m21, forcing = _ptilde_rhs_symbols(lay, self.alpha, self.variant,
-                                                self.nu, self.kappa, t)
+        tables = self._stages.get(t) or _ptilde_rhs_symbols(self.layout, *self._key, t)
+        m12, m21, forcing, corr, inv_lam, grad, pair = tables
+        # (v, b) as ``tailored_to_state`` forms it, perp_grad_t(phi), with phi =
+        # Lambda_t^{-1} (ptilde_1 - corr ptilde_2, ptilde_2) off k = 0 formed in
+        # dY, and the averages on k = 0
         dY = np.empty_like(Y)
-        dY[0] = m12 * Y[1]
-        dY[1] = m21 * Y[0]
-        st = tailored_to_state(TailoredState(lay, Y, t), self.alpha)
-        n1, n2 = forcing * quadratic_terms(lay, st.vb, t, self.ws)
-        dY[0] += n1 + ptilde_correction_symbol(lay, self.alpha, t) * n2
+        np.subtract(Y[0], np.multiply(corr, Y[1], out=dY[0]), out=dY[0])
+        dY[1] = Y[1]
+        dY[:, 0] = 0.0
+        dY *= inv_lam
+        np.multiply(grad, dY[:, None], out=self._vb)
+        self._vb[:, 0, 0] = Y[:, 0]
+        n1, n2 = forcing * quadratic_terms(self.layout, self._vb, t, self.ws, pair)
+        np.multiply(m12, Y[1], out=dY[0])
+        np.multiply(m21, Y[0], out=dY[1])
+        dY[0] += n1 + corr * n2
         dY[1] += n2
         return dY
 
@@ -392,6 +440,7 @@ def lawson_rk4_step(integ, Y: np.ndarray, t: float, h: float) -> np.ndarray:
     """One classical RK4 step in Lawson variables (exact diagonal dissipation);
     an ideal integrator's factors 1.0 make it classical RK4 bit for bit."""
     e_half, e_back, e_full = integ.decay_factors(t, h)
+    integ.prepare_step(t, h)
     k1 = integ.rhs(t, Y)
     f2 = integ.rhs(t + 0.5 * h, e_half * (Y + 0.5 * h * k1))
     f3 = integ.rhs(t + 0.5 * h, e_half * Y + 0.5 * h * f2)

@@ -75,16 +75,19 @@ class ExperimentConfig:
         unknown = set(data) - set(base.to_dict())
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key, val in data.items():
-            cur = getattr(base, key)
-            if isinstance(cur, dict):
-                bad = set(val) - set(cur)
-                if bad:
-                    raise ConfigError(f"unknown keys in '{key}': {sorted(bad)}")
-                cur.update(val)
-            else:
-                setattr(base, key, val)
-        base.validate()
+        try:
+            for key, val in data.items():
+                cur = getattr(base, key)
+                if isinstance(cur, dict):
+                    bad = set(val) - set(cur)
+                    if bad:
+                        raise ConfigError(f"unknown keys in '{key}': {sorted(bad)}")
+                    cur.update(val)
+                else:
+                    setattr(base, key, val)
+            base.validate()
+        except TypeError as exc:  # a section or value of the wrong type met a check
+            raise ConfigError(f"a config value has the wrong type: {exc}") from exc
         return base
 
     def validate(self):

@@ -32,13 +32,18 @@ Five caches keep per-time tables, read-only (every caller shares them),
 for their last four keys: the stage times t, t + h/2, t + h of a Lawson-RK4
 step, which a sample at a step time shares, and one more.  They are
 :func:`shear_symbols` on (layout, t), whose entry is the named tuple
-:class:`ShearSymbols` of seven tables, Lambda_t^{-1} among them,
-``unknowns.ptilde_correction_symbol`` on (layout, alpha, t), one table,
-``dynamics._ptilde_rhs_symbols`` on (layout, alpha, variant, nu, kappa, t),
-three tables and a column, ``dynamics._vb_rhs_symbols`` on (layout, t), two
-real and four complex tables, and ``dynamics._c_pair`` on (layout, t), two
-real tables, both built from the first: 0.88 MB in all at 64^2 (0.27, 0.06,
-0.18, 0.30 and 0.06 MB).
+:class:`ShearSymbols` of seven tables, Lambda_t^{-1} among them;
+``unknowns.ptilde_correction_symbol`` on (layout, alpha, t), one table;
+``dynamics._vb_rhs_symbols`` on (layout, t), two real and four complex
+tables, and ``dynamics._c_pair`` on (layout, t), two real tables, both
+built from the first; and ``dynamics._ptilde_rhs_symbols`` on (layout,
+alpha, variant, nu, kappa, t), six complex and three real tables and a
+column, built on its own from u = eta - k t, for ptilde right-hand sides
+outside a step: 1.15 MB in all at 64^2 (0.27, 0.06, 0.30, 0.06 and 0.46
+MB).  A ptilde step keeps the same tables of its three stage times on the
+integrator instead (0.34 MB at 64^2), and its samples build the first
+three caches.  ``weights.MultiplierSet`` reads its tables that do not
+depend on t from a cache on (layout, params), 54 KB an entry at 64^2.
 """
 
 from __future__ import annotations
@@ -135,18 +140,23 @@ class ShearSymbols(NamedTuple):
     inv_lam: np.ndarray
 
 
+def read_only(*tables):
+    """The tables given, made read-only: the per-time caches share them with
+    every caller."""
+    for tab in tables:
+        tab.flags.writeable = False
+    return tables
+
+
 @functools.lru_cache(maxsize=4)
 def shear_symbols(grid: Grid | CompactLayout, t: float) -> ShearSymbols:
     u = grid.ETA - grid.K * float(t)
     lam2 = grid.K**2 + u**2
     lam = np.sqrt(lam2)
     nz = lam2 > 0
-    sym = ShearSymbols(1j * grid.K * np.ones_like(u), 1j * u, u, lam2, lam,
-                       np.where(nz, -1.0 / np.where(nz, lam2, 1.0), 0.0),
-                       np.where(nz, 1.0 / np.where(nz, lam, 1.0), 0.0))
-    for tab in sym:
-        tab.flags.writeable = False
-    return sym
+    return ShearSymbols(*read_only(1j * grid.K * np.ones_like(u), 1j * u, u, lam2, lam,
+                                   np.where(nz, -1.0 / np.where(nz, lam2, 1.0), 0.0),
+                                   np.where(nz, 1.0 / np.where(nz, lam, 1.0), 0.0)))
 
 
 def conj_flip(coeffs: np.ndarray) -> np.ndarray:
@@ -240,10 +250,11 @@ class ProductWorkspace:
 
     @functools.cached_property
     def scratch(self) -> np.ndarray:
-        """A reusable real padded stack of 4 tables, for the quadratic kernel's
-        pointwise products to hand to :meth:`spec`; it is one buffer, so fill
-        and consume it before its next use."""
-        return np.empty((4, self.Mx, self.My))
+        """A reusable real padded stack of 7 tables, for the pointwise products
+        of the quadratic kernel (its first 4) and of the energy identity to
+        hand to :meth:`spec`; it is one buffer, so fill and consume it before
+        its next use.  Tables never written are never paged in."""
+        return np.empty((7, self.Mx, self.My))
 
     def advect(self, sym: ShearSymbols, a: np.ndarray, c: np.ndarray) -> np.ndarray:
         """Dealiased (a . grad_t) c, at the time of ``sym``, for every table of c.

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import CompactLayout, Grid, shear_symbols, l2_norm
+from .spectral import CompactLayout, Grid, l2_norm, read_only, shear_symbols
 
 
 @dataclass
@@ -120,8 +120,7 @@ def ptilde_correction_symbol(grid: Grid | CompactLayout, alpha: float, t: float)
     sym = shear_symbols(grid, t)
     corr = 1j * sym.u / (alpha * np.where(sym.lam2 == 0, 1.0, sym.lam2))
     corr[0, :] = 0.0
-    corr.flags.writeable = False
-    return corr
+    return read_only(corr)[0]
 
 
 def to_ptilde(p1: np.ndarray, p2: np.ndarray, alpha: float, t: float, grid: Grid):

@@ -83,6 +83,8 @@ def _log_q_and_rate(t, eta, rho):
     k0 = np.floor(np.sqrt(eta))
     t_low = 0.5 * (eta / k0 + eta / (k0 + 1.0))
     active = resonant & (t >= t_low) & (t < 2.0 * eta)
+    if not active.any():
+        return np.zeros(t.shape), np.zeros(t.shape)
     # inactive points are evaluated at t_low, inside the range, and masked
     t = np.where(active, t, t_low)
     # t_k decreases in k, so t in [t_k, t_{k-1}) puts the positive root of
@@ -103,9 +105,11 @@ def _log_q_and_rate(t, eta, rho):
     return np.where(active, lq, 0.0), np.where(active, dq, 0.0)
 
 
-def log_q(t, eta, params: WeightParams):
-    """log q(t, eta); q = 1 for |eta| <= 1 and outside the construction range."""
-    return _log_q_and_rate(t, eta, params.rho)[0]
+def log_q(t, eta, params: WeightParams, rate: bool = False):
+    """log q(t, eta); q = 1 for |eta| <= 1 and outside the construction range.
+    With ``rate``, the pair (log q, d_t log q) of one evaluation."""
+    out = _log_q_and_rate(t, eta, params.rho)
+    return out if rate else out[0]
 
 
 def q_value(t, eta, params: WeightParams):
@@ -303,36 +307,52 @@ def a_multiplier(t, k, eta, params: WeightParams, kind: str = "A"):
     return np.exp(log_a_multiplier(t, k, eta, params, kind))
 
 
+@functools.lru_cache(maxsize=8)
+def _time_free_tables(grid, params: WeightParams):
+    """The tables of :class:`MultiplierSet` that do not depend on t, shared by
+    every build on (grid, params) and never handed out: the two parts of the
+    Gevrey log-weight (log1p |k,eta|^2 and |k,eta|^s), 8 rho sqrt|eta| and 8
+    rho sqrt|k|, the active set of m, eta/k with its arctan, and alpha |k| (k
+    = 0 read as 1), formed as the pointwise functions form them, each on the
+    full table shape."""
+    K, ETA, full = grid.K, grid.ETA, np.ones(grid.shape)
+    mag2, ksafe, rho8 = K**2 + ETA**2, np.where(K == 0, 1.0, K), 8.0 * params.rho
+    return (np.log1p(mag2), mag2 ** (0.5 * params.s), rho8 * np.sqrt(np.abs(ETA)) * full,
+            rho8 * np.sqrt(np.abs(K)) * full, _m_active(K, ETA, params), ETA / ksafe,
+            np.arctan(ETA / ksafe), params.alpha * np.abs(ksafe) * full)
+
+
 class MultiplierSet:
     """Grid-wide weight evaluation at a fixed time, cached for reuse.
 
     Provides the log tables of A and Atilde over the (k, eta) table of a
     grid or compact layout (they are even in (k, eta)), the k=0 row of Alo,
     and the analytic time-derivative factors entering the energy identity.
-    Pure: identical inputs give bit-identical outputs.
+    Pure: identical inputs give bit-identical outputs, and each table equals
+    its pointwise function (``log_m``, ``log_j``, ``gevrey_log_weight``, ...)
+    bit for bit; the parts that do not depend on t are built once per
+    (layout, params) and q is evaluated once, on the eta row.
     """
 
     def __init__(self, grid, t: float, params: WeightParams):
         self.grid = grid
-        self.t = float(t)
+        self.t = t = float(t)
         self.params = params
-        self.lam = float(lambda_of_t(self.t, params))
-        K, ETA = grid.K, grid.ETA
-        base = gevrey_log_weight(K, ETA, self.lam, params.s, params.N)
-        lq, dq = _log_q_and_rate(self.t, ETA, params.rho)
-        lq = lq * np.ones_like(base)
-        self.log_jtilde = 8.0 * params.rho * np.sqrt(np.abs(ETA)) - lq
-        self.log_j = np.logaddexp(self.log_jtilde,
-                                  8.0 * params.rho * np.sqrt(np.abs(K)) * np.ones_like(base))
-        self.log_m = log_m(self.t, K, ETA, params) * np.ones_like(base)
+        self.lam = lam = float(lambda_of_t(t, params))
+        log1p2, mag_s, j_eta, j_k, active, ratio, atan, aks = _time_free_tables(grid, params)
+        base = 0.5 * params.N * log1p2 + lam * mag_s
+        lq, dq = log_q(t, grid.ETA, params, rate=True)
+        self.log_jtilde = j_eta - lq
+        self.log_j = np.logaddexp(self.log_jtilde, j_k)
+        shift = ratio - t
+        self.log_m = np.where(active, -(atan - np.arctan(shift)) / aks, 0.0)
         self.log_A = self.log_m + self.log_j + base
         self.log_Atilde = self.log_m + self.log_jtilde + base
-        eta1 = ETA[0]
-        self.log_Alo = (log_j(self.t, 0.0, eta1, params)
-                        + gevrey_log_weight(0.0, eta1, self.lam, params.s, params.N - 1))
-        self.dtq_over_q = dq * np.ones_like(base)
-        self.dtm_over_m = dtm_over_m(self.t, K, ETA, params) * np.ones_like(base)
-        self.dlam = float(dlambda_dt(self.t, params))
+        # the k = 0 row: sqrt|k| = 0 there, so log J is log_j(t, 0, eta)
+        self.log_Alo = self.log_j[0] + (0.5 * (params.N - 1) * log1p2[0] + lam * mag_s[0])
+        self.dtq_over_q = dq * np.ones(grid.shape)
+        self.dtm_over_m = np.where(active, -1.0 / (aks * (1.0 + shift**2)), 0.0)
+        self.dlam = float(dlambda_dt(t, params))
 
     @property
     def A(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shearmhd.diagnostics import (DiagnosticsRecord, bootstrap_monitor,
-                                  dissipation_terms, energy_E,
+                                  dissipation_terms, energy_E, energy_E0,
                                   energy_identity_residuals, gevrey_norm,
                                   growth_fit, identity_sides, make_record,
                                   q_corner_times, weighted_l2)
@@ -74,7 +74,7 @@ class TestEnergy:
     def test_zero_state(self, grid16, small_params):
         ts = TailoredState(grid16, np.zeros((2, 16, 16), complex), 0.0)
         mset = MultiplierSet(grid16, 0.0, small_params)
-        assert energy_E(ts, mset) == (0.0, 0.0)
+        assert (energy_E(ts, mset), energy_E0(ts, mset)) == (0.0, 0.0)
 
     def test_average_only_weight_ratio(self, grid16, small_params):
         # single average mode: E/E0 = <eta>^2 exactly (A vs Alo at k=0)
@@ -82,7 +82,7 @@ class TestEnergy:
         pt[0, 0, 2] = 1e-3  # the average of v1, in the k = 0 row
         ts = TailoredState(grid16, pt, 0.0)
         mset = MultiplierSet(grid16, 0.0, small_params)
-        E, E0 = energy_E(ts, mset)
+        E, E0 = energy_E(ts, mset), energy_E0(ts, mset)
         eta = grid16.eta[2]
         assert np.isclose(E / E0, 1 + eta**2, rtol=1e-10)
 
@@ -93,7 +93,7 @@ class TestEnergy:
         ts_big = TailoredState(grid16, pt, 0.0)
         ts_small = TailoredState(grid16, 0.5 * pt, 0.0)
         mset = MultiplierSet(grid16, 0.0, small_params)
-        assert energy_E(ts_small, mset)[0] < energy_E(ts_big, mset)[0]
+        assert energy_E(ts_small, mset) < energy_E(ts_big, mset)
 
 
 class TestRecords:

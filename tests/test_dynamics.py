@@ -117,11 +117,36 @@ class TestSymbolCaches:
         lay = grid16.compact
         tables = [*shear_symbols(lay, 0.3), ptilde_correction_symbol(lay, 1.0, 0.3),
                   *dynamics._ptilde_rhs_symbols(lay, 1.0, "derived", 0.0, 0.0, 0.3)]
-        assert len(tables) == 11
+        assert len(tables) == 15
         for tab in tables:
             assert not tab.flags.writeable
             with pytest.raises(ValueError):
                 tab[0, 0] = 1.0
+
+    @pytest.mark.parametrize("variant, nu, kappa", [("derived", 0.0, 0.0),
+                                                    ("mixed", 1e-3, 3e-3)])
+    def test_step_tables_are_the_per_time_tables(self, grid16, variant, nu, kappa):
+        # a step builds its three stage times at once; each table is bit for bit
+        # the per-time one, which reads as the symbol caches' expressions
+        lay = grid16.compact
+        integ = PtildeIntegrator(grid16, 0.7, nu, kappa, symbol_variant=variant)
+        t, h = 0.3, 0.01
+        integ.prepare_step(t, h)
+        assert sorted(integ._stages) == [t, t + 0.5 * h, t + h]
+        for s, tables in integ._stages.items():
+            single = dynamics._ptilde_rhs_symbols(lay, 0.7, variant, nu, kappa, s)
+            assert all(np.array_equal(a, b) for a, b in zip(tables, single, strict=True))
+            assert not any(tab.flags.writeable for tab in tables)
+            m12, m21, forcing, corr, inv_lam, grad, pair = single
+            sym = shear_symbols(lay, s)
+            m = LinearModeSystem(lay.K, lay.ETA, 0.7, "ptilde", nu, kappa, variant).matrix(s)
+            assert np.array_equal(m12, m[1]) and np.array_equal(m21, m[2])
+            assert np.array_equal(corr, ptilde_correction_symbol(lay, 0.7, s))
+            assert np.array_equal(inv_lam, sym.inv_lam)
+            assert np.array_equal(grad, np.stack([sym.idyt, -sym.ikx]))
+            assert np.array_equal(pair, dynamics._c_pair(lay, s))
+            assert np.array_equal(forcing[:, 1:], np.stack([sym.inv_lam, sym.lam])[:, 1:])
+            assert np.array_equal(forcing[:, 0], [-sym.idyt[0] * sym.inv_lap[0], sym.idyt[0]])
 
     def test_editing_a_returned_state_leaves_the_next_one_alone(self):
         st = small_state(seed=2)

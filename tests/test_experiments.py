@@ -454,6 +454,20 @@ class TestCLI:
         assert cli.main(["validate", "--config", "/does/not/exist.json"]) == 1
 
     @pytest.mark.parametrize("data", [
+        {"experiment": "resonance_chain", "chain": {"etas": 100.0}},
+        {"experiment": "weights_audit", "audit": {"eta_max": "1e4"}},
+        {"experiment": "resonance_chain", "chain": 5},
+    ], ids=["etas_float", "eta_max_string", "section_not_object"])
+    def test_wrong_value_type_is_a_config_error(self, tmp_path, capsys, data):
+        # each raised a bare TypeError from the checks before
+        with pytest.raises(ConfigError, match="wrong type"):
+            ExperimentConfig.from_dict(data)
+        cfile = tmp_path / "c.json"
+        cfile.write_text(json.dumps(data))
+        assert cli.main(["validate", "--config", str(cfile)]) == 1
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data", [
         {"experiment": "nonlinear_ideal", "grid": {"Nx": 16, "Ny": 16, "Ly": 1.0},
          "evolution": {"dt": 0.02, "t_end": 2.0}},
         {"experiment": "linear_modes", "evolution": {"t_end": 0.0}},

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 import textwrap
 
@@ -89,6 +90,48 @@ def test_bound_is_relative_to_the_parents_median(ab_pairs):
     assert ab_pairs.within_bound(PARENT, [0.5 * p for p in PARENT], 0.2)
     assert not ab_pairs.within_bound(PARENT, [0.79 * p for p in PARENT], 0.2,
                                      better="higher")
+
+
+def fake_checkout(root, name):
+    """A checkout holding only BENCHMARK.json and a record directory."""
+    path = root / name
+    (path / "perfbench" / ".work").mkdir(parents=True)
+    (path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "end_to_end": [
+        {"name": "wall_s", "better": "lower", "bound": 0.2}]}))
+    return str(path)
+
+
+def test_pairs_report_raw_wall_and_probe_times(ab_pairs, tmp_path, monkeypatch, capsys):
+    parent, change = fake_checkout(tmp_path, "parent"), fake_checkout(tmp_path, "change")
+    # (raw wall, probe) of the runs on even and odd seeds, per checkout
+    times = {parent: [(1.0, 100e-6), (1.2, 110e-6)], change: [(0.8, 90e-6), (0.9, 95e-6)]}
+
+    def run_once(checkout, workload, seed, seconds):
+        # the harness's record: an untimed failed operation, a traced one and
+        # two plain ones
+        raw, probe = times[checkout][seed % 2]
+        ops = [{"error": "exit code 1"},
+               {"wall_s": 9.0, "raw_wall_s": 9.0, "probe_s": 9.0, "traced": True},
+               {"wall_s": 0.5, "raw_wall_s": raw, "probe_s": probe, "traced": False},
+               {"wall_s": 0.5, "raw_wall_s": raw + 0.1, "probe_s": probe, "traced": False}]
+        record = f"{checkout}/perfbench/.work/result-{workload}-seed{seed}-trace0.json"
+        with open(record, "w") as fh:
+            json.dump({"operations": ops}, fh)
+        return {"failed": 0, "attempted": 4,
+                "metrics": {"wall_s": {"value": raw * 100e-6 / probe}}}
+
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    ab_pairs.main([parent, change, "--workload", "w", "--pairs", "2", "--seed", "4"])
+    out = capsys.readouterr().out
+    # per run: the medians over its two plain operations
+    assert "pair  1 seed 4 parent wall_s 1.0000  raw_wall_s 1.05  probe_s 0.0001\n" in out
+    assert "pair  2 seed 5 change wall_s 0.9474  raw_wall_s 0.95  probe_s 9.5e-05\n" in out
+    # per side: the medians over the pairs, reported beside the rescaled metric
+    assert "raw_wall_s   parent median       1.15" in out
+    assert "raw_wall_s   change median        0.9" in out
+    assert "probe_s      parent median   0.000105" in out
+    assert "probe_s      change median   9.25e-05" in out
+    assert "lower in 2/2 pairs (reported)" in out
 
 
 @pytest.fixture(scope="module")

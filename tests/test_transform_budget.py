@@ -37,8 +37,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from shearmhd import dynamics, weights, weights_audit
-from shearmhd.diagnostics import (dissipation_terms, energy_E,
+from shearmhd import diagnostics, dynamics, weights, weights_audit
+from shearmhd.diagnostics import (dissipation_terms, energy_E, energy_E0,
                                   energy_identity_residuals, gevrey_norm,
                                   identity_sides, make_record)
 from shearmhd.dynamics import (PtildeIntegrator, VBIntegrator,
@@ -190,6 +190,44 @@ def test_warm_vb_rhs_allocates_no_padded_table():
     assert traced_peak(lambda: integ.rhs(0.4, Y)) < 20 * int(np.prod(g.compact.shape)) * 16
 
 
+def test_warm_identity_sides_allocates_no_padded_table(monkeypatch):
+    # at 128^2 one padded real table (131 KB) is 2.25 compact tables (58 KB).
+    # After the kernel's products (in place, see the vb rhs test above) and
+    # before its forward transform, a warm call forms z+- and the advections
+    # in the workspace's scratch, allocating nothing (1.5 KB of views when
+    # measured); a fresh padded table there (a product formed as a
+    # temporary, a copy of the scratch) breaks the first bound.  The whole
+    # call holds at most 37.1 compact tables when measured, in its pairings
+    # after the forward transform (30.0 while the 12-table transform input
+    # is assembled).
+    g = Grid(128, 128, 1.0)
+    lay = g.compact
+    st = gevrey_random_data(g, PAR, seed=3, eps=1e-3, lam1=1.5)
+    ts = TailoredState(lay, lay.pack(state_to_tailored(st, PAR.alpha).ptilde), 0.4)
+    mset = MultiplierSet(lay, 0.4, PAR)
+    ws = ProductWorkspace(g)
+    identity_sides(ts, mset, PAR.alpha, ws)  # fills the buffers and the per-time tables
+    peak = traced_peak(lambda: identity_sides(ts, mset, PAR.alpha, ws))
+    marks = []  # traced memory after the kernel's products, peak before the forward transform
+    products, spec = diagnostics._products, ws.spec
+
+    def products_then_mark(*args):
+        products(*args)
+        tracemalloc.reset_peak()
+        marks.append(tracemalloc.get_traced_memory()[0])
+
+    def mark_then_spec(values):
+        marks.append(tracemalloc.get_traced_memory()[1])
+        return spec(values)
+
+    monkeypatch.setattr(diagnostics, "_products", products_then_mark)
+    ws.spec = mark_then_spec
+    traced_peak(lambda: identity_sides(ts, mset, PAR.alpha, ws))
+    assert len(marks) == 2
+    assert marks[1] - marks[0] < ws.Mx * ws.My * 8 // 8
+    assert peak < 38 * int(np.prod(lay.shape)) * 16
+
+
 def test_integrators_hand_compact_stacks_to_phys(counts, phys_shapes, state):
     g = state.grid
     vb = VBIntegrator(g, PAR.alpha)
@@ -212,10 +250,11 @@ def test_identity_sides(counts, state):
     state.t = 0.4
     identity_sides(state_to_tailored(state, PAR.alpha),
                    MultiplierSet(state.grid, 0.4, PAR), PAR.alpha)
-    # the quadratic terms (4 in, 3 out) and two Elsasser advections (6 in,
-    # 2 out each), in 6 calls
-    assert counts == {"phys": [4, 6, 6], "spec": [3, 2, 2]}
-    assert total_tables(counts) == 23
+    # one inverse transform of v, b and the sheared gradients of A z+- (4 +
+    # 8 tables), one forward of the kernel's 3 products and the two Elsasser
+    # advections (3 + 4 tables)
+    assert counts == {"phys": [12], "spec": [7]}
+    assert total_tables(counts) == 19
 
 
 def test_pairing_fft(counts, state):
@@ -342,7 +381,7 @@ def sample_values(st, ts, mset, sides=identity_sides):
         "l2_norm": {"": l2_norm(g, *tables)},
         "hminus1_norm": {"": hminus1_norm(g, *tables)},
         "gevrey_norm": {"": gevrey_norm(g, tables, 1.0, PAR.s, PAR.N)},
-        "energy_E": dict(zip(("E", "E0"), energy_E(ts, mset))),
+        "energy_E": {"E": energy_E(ts, mset), "E0": energy_E0(ts, mset)},
         "dissipation_terms": dict(zip(("lam", "q", "lam_lo", "q_lo"),
                                       dissipation_terms(ts, mset))),
         "make_record": vars(make_record(st, ts, mset, 1.0, (1.0, 2.0, 3.0, 4.0))),

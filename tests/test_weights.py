@@ -428,6 +428,33 @@ class TestMultiplierSet:
                           float(log_a_multiplier(1.5, 0, eta, small_params, "Alo")),
                           rtol=1e-12)
 
+    # the corner t_1 = 3 of eta = 4 and its float neighbours, a time on either
+    # side of it, a time before any q interval and one after them all
+    @pytest.mark.parametrize("t", [0.0, 2.9, np.nextafter(3.0, 0.0), 3.0,
+                                   np.nextafter(3.0, 4.0), 3.1, 50.0])
+    @pytest.mark.parametrize("compact", [False, True], ids=["grid", "compact"])
+    def test_tables_equal_pointwise_functions(self, grid16, small_params, t, compact):
+        from shearmhd.weights import _log_q_and_rate, gevrey_log_weight, log_m
+        lay = grid16.compact if compact else grid16
+        p = small_params
+        mset = MultiplierSet(lay, t, p)
+        K, ETA = lay.K + 0 * lay.ETA, lay.ETA + 0 * lay.K  # full tables
+        lam = lambda_of_t(t, p)
+        lq, dq = _log_q_and_rate(t, ETA, p.rho)
+        assert np.any(dq != 0) == (0.0 < t < 50.0)  # q acts between the two ends
+        base = gevrey_log_weight(K, ETA, lam, p.s, p.N)
+        expect = {"log_m": log_m(t, K, ETA, p), "log_j": log_j(t, K, ETA, p),
+                  "log_jtilde": log_jtilde(t, K, ETA, p),
+                  "dtm_over_m": dtm_over_m(t, K, ETA, p), "dtq_over_q": dq}
+        expect["log_A"] = expect["log_m"] + expect["log_j"] + base
+        expect["log_Atilde"] = expect["log_m"] + expect["log_jtilde"] + base
+        expect["log_Alo"] = log_a_multiplier(t, 0, lay.ETA[0], p, "Alo")
+        for name, table in expect.items():
+            got = getattr(mset, name)
+            assert got.shape == table.shape and np.array_equal(got, table), name
+        assert np.array_equal(expect["log_jtilde"], 8.0 * p.rho * np.sqrt(np.abs(ETA)) - lq)
+        assert (mset.lam, mset.dlam) == (lam, dlambda_dt(t, p))
+
     def test_bit_identical(self, grid16, small_params):
         a = MultiplierSet(grid16, 0.7, small_params)
         b = MultiplierSet(grid16, 0.7, small_params)

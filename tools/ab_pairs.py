@@ -11,8 +11,13 @@ seed S + i for pair i, for the ``run_seconds`` of CHANGE_DIR's
 The end-to-end metrics and their bounds are read from the same file.
 Printed: every run, then per metric each side's median and quartiles and
 the pairs the change won; the claim rule for the metric named by
-``--claim``, if any; and every other metric against its bound.  The exit
-status is 0 if the claim holds, no bound is broken and no operation failed.
+``--claim``, if any; and every other metric against its bound.  Beside them,
+each side's raw wall time and probe time (``raw_wall_s``, ``probe_s``, the
+medians over a run's operations, read from the record the harness writes to
+``perfbench/.work/``) are reported, not judged: the rescaled ``wall_s`` is
+the raw time over the probe's, so a change that also moves the probe shows
+there.  The exit status is 0 if the claim holds, no bound is broken and no
+operation failed.
 """
 
 import argparse
@@ -65,6 +70,20 @@ def run_once(checkout, workload, seed, seconds):
     return json.loads(lines[-1])
 
 
+RAW = ("raw_wall_s", "probe_s")
+
+
+def raw_times(checkout, workload, seed):
+    """Medians of ``RAW`` over the timed untraced operations of the last
+    ``--trace 0`` run of ``workload`` on ``seed`` in ``checkout``."""
+    path = os.path.join(checkout, "perfbench", ".work",
+                        f"result-{workload}-seed{seed}-trace0.json")
+    with open(path) as fh:
+        ops = [op for op in json.load(fh)["operations"]
+               if "wall_s" in op and not op.get("traced")]
+    return {name: statistics.median(op[name] for op in ops) for name in RAW}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent")
@@ -84,7 +103,7 @@ def main(argv=None) -> int:
     if args.claim is not None and args.claim not in metrics:
         parser.error(f"--claim must be one of {sorted(metrics)}")
     sides = {"parent": args.parent, "change": args.change}
-    values = {side: {name: [] for name in metrics} for side in sides}
+    values = {side: {name: [] for name in (*metrics, *RAW)} for side in sides}
     failed = {side: [0, 0] for side in sides}
     for i in range(args.pairs):
         seed = args.seed + i
@@ -92,10 +111,13 @@ def main(argv=None) -> int:
             res = run_once(sides[side], args.workload, seed, seconds)
             failed[side][0] += res["failed"]
             failed[side][1] += res["attempted"]
-            for name in metrics:
-                values[side][name].append(res["metrics"][name]["value"])
+            run = {name: res["metrics"][name]["value"] for name in metrics}
+            run.update(raw_times(sides[side], args.workload, seed))
+            for name, value in run.items():
+                values[side][name].append(value)
             print(f"pair {i + 1:2d} seed {seed} {side:6s} " + "  ".join(
-                f"{name} {res['metrics'][name]['value']:.4f}" for name in metrics), flush=True)
+                f"{name} {value:.4f}" if name in metrics else f"{name} {value:.4g}"
+                for name, value in run.items()), flush=True)
 
     ok = True
     print(f"\n{args.workload}: {args.pairs} pairs from seed {args.seed}, {seconds:g} s runs")
@@ -118,6 +140,13 @@ def main(argv=None) -> int:
             print(f"  {name:12s} bound {spec['bound']:g} relative: "
                   f"{'within' if inside else 'BROKEN'}")
             ok &= inside
+    for name in RAW:
+        par, chg = values["parent"][name], values["change"][name]
+        for side, vals in (("parent", par), ("change", chg)):
+            q1, med, q3 = quartiles(vals)
+            print(f"  {name:12s} {side:6s} median {med:10.4g}  Q1 {q1:10.4g}  Q3 {q3:10.4g}")
+        print(f"  {name:12s} change {statistics.median(chg) / statistics.median(par) - 1.0:+.1%}"
+              f" of the parent's median, lower in {wins(par, chg)}/{args.pairs} pairs (reported)")
     for side in sides:
         print(f"  failed operations, {side}: {failed[side][0]}/{failed[side][1]}")
         ok &= failed[side][0] == 0
