@@ -40,18 +40,16 @@ k u / Lambda_t^2 and of the per-mode 2x2 linear operator, returned as its
 four entries, which the ptilde right-hand side (through a per-time cache),
 the linear reference and the oracle read.  The energy
 identity reads S alone; the vb route, its independent check, reads none.
-The vb right-hand side keeps a per-time cache of its coefficient tables,
-``_vb_rhs_symbols`` on (layout, t), and the quadratic kernel that both
-routes call reads the pair taking its transformed products to c from
-``_c_pair`` on (layout, t), unless its caller hands it over.  The ptilde
-right-hand side reads everything from one set of tables,
-:func:`_ptilde_tables`: the matrix entries, the forcings, and the
-correction symbol, Lambda_t^{-1}, perpendicular gradient and c pair that
-turn ptilde into (v, b) in a kept buffer and feed the kernel.  A step
-builds them for its three stage times at once
-(:meth:`LawsonIntegrator.prepare_step`); a call outside a step reads the
-per-time cache ``_ptilde_rhs_symbols`` on (layout, alpha, variant, nu,
-kappa, t).
+Each route's right-hand side keeps one per-time cache of its coefficient
+tables, ``_vb_rhs_symbols`` on (layout, t) and ``_ptilde_rhs_symbols`` on
+(layout, alpha, variant, nu, kappa, t); the quadratic kernel that both call
+reads the pair taking its transformed products to c from ``_c_pair`` on
+(layout, t).  :func:`evolve` tells the integrator the new stage times t +
+h/2 and t + h of up to four uniform steps at once
+(:meth:`LawsonIntegrator.prepare`), and the ptilde integrator builds their
+entries of ``_ptilde_rhs_symbols``, ``ptilde_correction_symbol``, ``_c_pair``
+and, through them, ``shear_symbols`` in one set of array operations each;
+its right-hand sides, and a sample at a step's end, read them there.
 :func:`linear_mode_propagate` is the one DOP853 oracle of those systems,
 for any number of modes at once.  Both integrators share one skeleton
 (:class:`LawsonIntegrator`) and one stage sequence
@@ -89,9 +87,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (CompactLayout, Grid, ProductWorkspace, l2_norm, read_only,
+from .spectral import (CompactLayout, Grid, ProductWorkspace, l2_norm, per_time_cache,
                        shear_symbols)
-from .unknowns import (MHDState, TailoredState, leray_project_t, state_to_tailored,
+from .unknowns import (MHDState, TailoredState, leray_project_t,
+                       ptilde_correction_symbol, state_to_tailored,
                        tailored_to_state)
 
 SYMBOL_VARIANTS = ("derived", "mixed", "flipped")
@@ -185,12 +184,12 @@ class LinearModeSystem:
 # quadratic terms
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=4)
+@per_time_cache
 def _c_pair(lay, t):
     """Read-only real pair (u^2 - k^2, k u), u = eta - k t, that takes the
     transformed products (T12, D) to c at t, on the tables of ``lay``."""
     k, u = lay.K, shear_symbols(lay, t).u
-    return read_only(np.stack([u * u - k * k, k * u]))[0]
+    return np.stack([u * u - k * k, k * u], axis=-3)
 
 
 def _products(v1, v2, b1, b2, prod):
@@ -209,22 +208,20 @@ def _products(v1, v2, b1, b2, prod):
     E -= np.multiply(v2, b1, out=tmp)
 
 
-def _curl_form(grid, out, t, pair=None):
+def _curl_form(grid, out, t):
     """(c, E) of the transformed products ``out`` = (D, T12, E), in place:
-    c = (u^2 - k^2) T12 - k u D, the pair read from ``_c_pair`` unless given."""
-    a, b = _c_pair(grid, t) if pair is None else pair
+    c = (u^2 - k^2) T12 - k u D."""
+    a, b = _c_pair(grid, t)
     out[1] *= a
     out[1] -= np.multiply(out[0], b, out=out[0])
     return out[1:3]
 
 
-def quadratic_terms(grid: Grid, vb: np.ndarray, t: float, ws: ProductWorkspace,
-                    pair=None):
+def quadratic_terms(grid: Grid, vb: np.ndarray, t: float, ws: ProductWorkspace):
     """Dealiased curl-form scalars (c, E) of a divergence-free pair (v, b),
     the stack ``vb`` (2, 2, ...) of an :class:`~shearmhd.unknowns.MHDState`.
 
-    ``grid`` is the compact layout of ``vb`` and of the output; ``pair``,
-    the c pair of ``_c_pair(grid, t)``, may be given by a caller holding it.
+    ``grid`` is the compact layout of ``vb`` and of the output.
 
     c = b.grad_t j - v.grad_t w, with w, j the sheared curls of v, b, is the
     curl of b.grad_t b - v.grad_t v; E = v1 b2 - v2 b1 is the out-of-plane
@@ -241,7 +238,7 @@ def quadratic_terms(grid: Grid, vb: np.ndarray, t: float, ws: ProductWorkspace,
     (:func:`_products`).
     """
     _products(*ws.phys(vb).reshape(4, ws.Mx, ws.My), ws.scratch)
-    return _curl_form(grid, ws.spec(ws.scratch[:3]), t, pair)
+    return _curl_form(grid, ws.spec(ws.scratch[:3]), t)
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +279,9 @@ class LawsonIntegrator:
         e_full = np.exp(-self._rate * dissipation_phase(self.layout, t0, t0 + h))
         return e_half, e_full / e_half, e_full
 
-    def prepare_step(self, t: float, h: float):
-        """Called by :func:`lawson_rk4_step` before the stages of a step over
-        [t, t + h]; nothing to prepare by default."""
+    def prepare(self, times: tuple):
+        """Told by :func:`evolve` the new stage times of its next uniform
+        steps, before them; nothing to prepare by default."""
 
     def max_speed(self, Y: np.ndarray) -> float:
         # the l1 norm of the full table bounds the sup norm
@@ -310,8 +307,11 @@ def _vb_rhs_symbols(lay, t):
     sym = shear_symbols(lay, t)
     k, r = lay.K, -sym.inv_lap
     grad = np.stack([sym.idyt, -sym.ikx])
-    return read_only(np.stack([2.0 * k * k * r - 1.0, 2.0 * k * sym.u * r]),
-                     np.stack([r * grad, grad]))
+    tables = (np.stack([2.0 * k * k * r - 1.0, 2.0 * k * sym.u * r]),
+              np.stack([r * grad, grad]))
+    for tab in tables:
+        tab.flags.writeable = False
+    return tables
 
 
 class VBIntegrator(LawsonIntegrator):
@@ -348,36 +348,20 @@ class VBIntegrator(LawsonIntegrator):
         return _clean_tables(self.layout, leray_project_t(self.layout, Y, t))
 
 
-def _ptilde_tables(lay, alpha, variant, nu, kappa, t):
-    """Read-only per-mode tables of the ptilde rhs at t, built at once from u
-    = eta - k t with the expressions of ``shear_symbols``,
-    ``ptilde_correction_symbol`` and ``_c_pair``: the off-diagonals (M12,
-    M21) of :meth:`LinearModeSystem.matrix`, M21 = i alpha k the layout's one
-    column; the forcings F (c, E), (Lambda_t^{-1} c, Lambda_t E) off k = 0
-    and (-i eta Delta_t^{-1} c, i eta E) on it; the correction symbol;
-    Lambda_t^{-1}; the perpendicular gradient (i u, -i k); and the c pair.
-    For a tuple of times every table but M21 has a leading time axis; each
-    entry is elementwise the one of its time alone."""
-    k = lay.K
-    t = np.asarray(t, dtype=float)[..., None, None]
-    u = lay.ETA - k * t
-    lam2 = k**2 + u**2
-    lam, nz = np.sqrt(lam2), lam2 > 0
-    inv_lam = np.where(nz, 1.0 / np.where(nz, lam, 1.0), 0.0)
-    idyt = 1j * u
-    m = LinearModeSystem(k, lay.ETA, alpha, "ptilde", nu, kappa, variant).matrix(t)
-    forcing = np.stack([inv_lam, lam], axis=-3) + 0j
-    nz0, lam20 = nz[..., 0, :], lam2[..., 0, :]
-    forcing[..., 0, 0, :] = -idyt[..., 0, :] * np.where(nz0, -1.0 / np.where(nz0, lam20, 1.0), 0.0)
-    forcing[..., 1, 0, :] = idyt[..., 0, :]
-    corr = idyt / (alpha * np.where(lam2 == 0, 1.0, lam2))
-    corr[..., 0, :] = 0.0
-    grad = np.stack([idyt, -(1j * k * np.ones_like(u))], axis=-3)
-    return read_only(m[1], m[2], forcing, corr, inv_lam, grad,
-                     np.stack([u * u - k * k, k * u], axis=-3))
-
-
-_ptilde_rhs_symbols = functools.lru_cache(maxsize=4)(_ptilde_tables)
+@per_time_cache
+def _ptilde_rhs_symbols(lay, alpha, variant, nu, kappa, t):
+    """Read-only (M12, M21, F) of the ptilde rhs at t: the off-diagonals of
+    :meth:`LinearModeSystem.matrix`, M21 = i alpha k the layout's one column,
+    and the forcings F (c, E), (Lambda_t^{-1} c, Lambda_t E) off k = 0 and
+    (-i eta Delta_t^{-1} c, i eta E) on it; for a tuple of times, each with a
+    leading time axis (M21 broadcast along it)."""
+    sym = shear_symbols(lay, t)
+    m = LinearModeSystem(lay.K, lay.ETA, alpha, "ptilde", nu, kappa,
+                         variant).matrix(np.asarray(t, dtype=float)[..., None, None])
+    forcing = np.stack([sym.inv_lam, sym.lam], axis=-3) + 0j
+    forcing[..., 0, 0, :] = -sym.idyt[..., 0, :] * sym.inv_lap[..., 0, :]
+    forcing[..., 1, 0, :] = sym.idyt[..., 0, :]
+    return m[1], np.broadcast_to(m[2], np.shape(t) + m[2].shape), forcing
 
 
 class PtildeIntegrator(LawsonIntegrator):
@@ -393,37 +377,28 @@ class PtildeIntegrator(LawsonIntegrator):
     def __init__(self, grid: Grid, alpha: float, nu: float = 0.0,
                  kappa: float = 0.0, symbol_variant: str = "derived"):
         super().__init__(grid, alpha, nu, kappa)
-        self._key = (alpha, symbol_variant, nu, kappa)  # of the tables, after the layout
+        self.variant = symbol_variant
         self._vb = np.empty((2, 2) + self.layout.shape, dtype=np.complex128)  # kept (v, b)
-        self._stages = {}  # stage time -> tables, from prepare_step
 
-    def prepare_step(self, t: float, h: float):
-        """Build the tables of the step's stage times, the times of
-        :func:`lawson_rk4_step`, at once."""
-        times = (t, t + 0.5 * h, t + h)
-        m12, m21, *rest = _ptilde_tables(self.layout, *self._key, times)
-        self._stages = {s: (m12[i], m21, *(tab[i] for tab in rest)) for i, s in enumerate(times)}
+    def prepare(self, times: tuple):
+        """Build the tables of the right-hand side at ``times`` at once."""
+        _ptilde_rhs_symbols(self.layout, self.alpha, self.variant, self.nu, self.kappa, times)
+        ptilde_correction_symbol(self.layout, self.alpha, times)
+        _c_pair(self.layout, times)
 
     def pack(self, ts: TailoredState) -> np.ndarray:
         return self.layout.pack(ts.ptilde)
 
     def rhs(self, t: float, Y: np.ndarray) -> np.ndarray:
-        tables = self._stages.get(t) or _ptilde_rhs_symbols(self.layout, *self._key, t)
-        m12, m21, forcing, corr, inv_lam, grad, pair = tables
-        # (v, b) as ``tailored_to_state`` forms it, perp_grad_t(phi), with phi =
-        # Lambda_t^{-1} (ptilde_1 - corr ptilde_2, ptilde_2) off k = 0 formed in
-        # dY, and the averages on k = 0
+        lay = self.layout
+        m12, m21, forcing = _ptilde_rhs_symbols(lay, self.alpha, self.variant,
+                                                self.nu, self.kappa, t)
+        st = tailored_to_state(TailoredState(lay, Y, t), self.alpha, out=self._vb)
+        n1, n2 = forcing * quadratic_terms(lay, st.vb, t, self.ws)
         dY = np.empty_like(Y)
-        np.subtract(Y[0], np.multiply(corr, Y[1], out=dY[0]), out=dY[0])
-        dY[1] = Y[1]
-        dY[:, 0] = 0.0
-        dY *= inv_lam
-        np.multiply(grad, dY[:, None], out=self._vb)
-        self._vb[:, 0, 0] = Y[:, 0]
-        n1, n2 = forcing * quadratic_terms(self.layout, self._vb, t, self.ws, pair)
         np.multiply(m12, Y[1], out=dY[0])
         np.multiply(m21, Y[0], out=dY[1])
-        dY[0] += n1 + corr * n2
+        dY[0] += n1 + ptilde_correction_symbol(lay, self.alpha, t) * n2
         dY[1] += n2
         return dY
 
@@ -440,7 +415,6 @@ def lawson_rk4_step(integ, Y: np.ndarray, t: float, h: float) -> np.ndarray:
     """One classical RK4 step in Lawson variables (exact diagonal dissipation);
     an ideal integrator's factors 1.0 make it classical RK4 bit for bit."""
     e_half, e_back, e_full = integ.decay_factors(t, h)
-    integ.prepare_step(t, h)
     k1 = integ.rhs(t, Y)
     f2 = integ.rhs(t + 0.5 * h, e_half * (Y + 0.5 * h * k1))
     f3 = integ.rhs(t + 0.5 * h, e_half * Y + 0.5 * h * f2)
@@ -483,12 +457,14 @@ def evolve(integ, Y0: np.ndarray, t0: float, t_end: float, dt: float = 0.02,
     if callback is not None:
         callback(t, Y)
     for t_b in sample_times(t, t_end, sample_dt):
-        t_a, i = t, 0
-        n = int(np.ceil((t_b - t_a) / dt * (1 - 1e-9)))
+        n, i = int(np.ceil((t_b - t) / dt * (1 - 1e-9))), 0
+        ends = [t + j * (t_b - t) / n for j in range(1, n)] + [t_b] if cfl is None else []
         while t < t_b:
             if cfl is None:
-                i += 1
-                t_next = t_b if i == n else t_a + i * (t_b - t_a) / n
+                if i % 4 == 0:  # the new stage times of the next four steps, as stepped
+                    steps = zip([t, *ends[i:i + 3]], ends[i:i + 4])
+                    integ.prepare(tuple(s for a, b in steps for s in (a + 0.5 * (b - a), b)))
+                t_next, i = ends[i], i + 1
             else:
                 h = min(dt, cfl_dt(integ, Y, t, cfl))
                 t_next = t_b if t + h * (1 + 1e-9) >= t_b else t + h

@@ -32,18 +32,20 @@ Five caches keep per-time tables, read-only (every caller shares them),
 for their last four keys: the stage times t, t + h/2, t + h of a Lawson-RK4
 step, which a sample at a step time shares, and one more.  They are
 :func:`shear_symbols` on (layout, t), whose entry is the named tuple
-:class:`ShearSymbols` of seven tables, Lambda_t^{-1} among them;
-``unknowns.ptilde_correction_symbol`` on (layout, alpha, t), one table;
-``dynamics._vb_rhs_symbols`` on (layout, t), two real and four complex
-tables, and ``dynamics._c_pair`` on (layout, t), two real tables, both
-built from the first; and ``dynamics._ptilde_rhs_symbols`` on (layout,
-alpha, variant, nu, kappa, t), six complex and three real tables and a
-column, built on its own from u = eta - k t, for ptilde right-hand sides
-outside a step: 1.15 MB in all at 64^2 (0.27, 0.06, 0.30, 0.06 and 0.46
-MB).  A ptilde step keeps the same tables of its three stage times on the
-integrator instead (0.34 MB at 64^2), and its samples build the first
-three caches.  ``weights.MultiplierSet`` reads its tables that do not
-depend on t from a cache on (layout, params), 54 KB an entry at 64^2.
+:class:`ShearSymbols` of seven tables, Lambda_t^{-1} among them,
+``unknowns.ptilde_correction_symbol`` on (layout, alpha, t), one table,
+``dynamics._ptilde_rhs_symbols`` on (layout, alpha, variant, nu, kappa, t),
+three tables and a column, ``dynamics._vb_rhs_symbols`` on (layout, t), two
+real and four complex tables, and ``dynamics._c_pair`` on (layout, t), two
+real tables, all built from the first: 0.88 MB in all at 64^2 (0.27, 0.06,
+0.18, 0.30 and 0.06 MB).  All but ``_vb_rhs_symbols`` are
+:func:`per_time_cache` functions, which also build over a tuple of times:
+``dynamics.evolve`` tells a ptilde integrator the new stage times of up to
+four uniform steps, and it builds those four caches' entries for them at
+once, each time's entry a view of the build; that holds at most eight
+times' tables more while the steps use them, 1.1 MB at 64^2.
+``weights.MultiplierSet`` reads its tables that do not depend on t from a
+cache on (layout, params), 54 KB an entry at 64^2.
 """
 
 from __future__ import annotations
@@ -140,23 +142,44 @@ class ShearSymbols(NamedTuple):
     inv_lam: np.ndarray
 
 
-def read_only(*tables):
-    """The tables given, made read-only: the per-time caches share them with
-    every caller."""
-    for tab in tables:
-        tab.flags.writeable = False
-    return tables
+def per_time_cache(build):
+    """``functools.lru_cache`` of the read-only tables ``build(*key, t)`` for
+    the last four keys used.
+
+    ``build`` forms its tables for a float t, or, with a leading time axis
+    on each, for a tuple of times.  A call with a tuple is an entry too, and
+    it keeps each time's tables (views of the one build) outside the four
+    entries until that time's first call, which enters them: so the stage
+    times of several Lawson-RK4 steps cost one set of array operations.
+    """
+    parts = {}  # key of one time -> its tables from a tuple build, until called
+
+    @functools.lru_cache(maxsize=4)
+    @functools.wraps(build)
+    def cached(*key):
+        entry = parts.pop(key, None)
+        if entry is None:
+            entry = build(*key)
+            for tab in (entry,) if isinstance(entry, np.ndarray) else entry:
+                tab.flags.writeable = False
+            if isinstance(key[-1], tuple):
+                each = entry if isinstance(entry, np.ndarray) else map(
+                    getattr(type(entry), "_make", tuple), zip(*entry))
+                parts.update(((*key[:-1], t), part) for t, part in zip(key[-1], each))
+        return entry
+
+    return cached
 
 
-@functools.lru_cache(maxsize=4)
+@per_time_cache
 def shear_symbols(grid: Grid | CompactLayout, t: float) -> ShearSymbols:
-    u = grid.ETA - grid.K * float(t)
+    u = grid.ETA - grid.K * np.asarray(t, dtype=float)[..., None, None]
     lam2 = grid.K**2 + u**2
     lam = np.sqrt(lam2)
     nz = lam2 > 0
-    return ShearSymbols(*read_only(1j * grid.K * np.ones_like(u), 1j * u, u, lam2, lam,
-                                   np.where(nz, -1.0 / np.where(nz, lam2, 1.0), 0.0),
-                                   np.where(nz, 1.0 / np.where(nz, lam, 1.0), 0.0)))
+    return ShearSymbols(1j * grid.K * np.ones_like(u), 1j * u, u, lam2, lam,
+                        np.where(nz, -1.0 / np.where(nz, lam2, 1.0), 0.0),
+                        np.where(nz, 1.0 / np.where(nz, lam, 1.0), 0.0))
 
 
 def conj_flip(coeffs: np.ndarray) -> np.ndarray:

@@ -33,12 +33,11 @@ and the correction symbol from its own per-time cache.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import CompactLayout, Grid, l2_norm, read_only, shear_symbols
+from .spectral import CompactLayout, Grid, per_time_cache, shear_symbols, l2_norm
 
 
 @dataclass
@@ -87,11 +86,14 @@ def curl_t(grid: Grid, u: np.ndarray, t: float) -> np.ndarray:
     return sym.ikx * u[..., 1, :, :] - sym.idyt * u[..., 0, :, :]
 
 
-def perp_grad_t(grid: Grid, phi: np.ndarray, t: float) -> np.ndarray:
-    """(d_y^t phi, -d_x phi) of each table of phi, the components on axis -3;
-    always divergence-free in the sheared frame."""
+def perp_grad_t(grid: Grid, phi: np.ndarray, t: float, out=None) -> np.ndarray:
+    """(d_y^t phi, -d_x phi) of each table of phi, the components on axis -3,
+    into ``out`` when given; always divergence-free in the sheared frame."""
     sym = shear_symbols(grid, t)
-    return np.stack([sym.idyt * phi, -sym.ikx * phi], axis=-3)
+    out = np.empty(phi.shape[:-2] + (2,) + phi.shape[-2:], complex) if out is None else out
+    np.multiply(sym.idyt, phi, out=out[..., 0, :, :])
+    np.multiply(-sym.ikx, phi, out=out[..., 1, :, :])
+    return out
 
 
 def leray_project_t(grid: Grid, u: np.ndarray, t: float) -> np.ndarray:
@@ -111,7 +113,7 @@ def to_p(state: MHDState):
     return p
 
 
-@functools.lru_cache(maxsize=4)
+@per_time_cache
 def ptilde_correction_symbol(grid: Grid | CompactLayout, alpha: float, t: float) -> np.ndarray:
     """Read-only symbol of -(1/alpha) d_y^t Delta_t^{-1}: +i(eta - kt)/(alpha
     Lambda_t^2), 0 on k = 0; the last four keys are kept."""
@@ -119,8 +121,8 @@ def ptilde_correction_symbol(grid: Grid | CompactLayout, alpha: float, t: float)
         raise ValueError("alpha must be nonzero")
     sym = shear_symbols(grid, t)
     corr = 1j * sym.u / (alpha * np.where(sym.lam2 == 0, 1.0, sym.lam2))
-    corr[0, :] = 0.0
-    return read_only(corr)[0]
+    corr[..., 0, :] = 0.0
+    return corr
 
 
 def to_ptilde(p1: np.ndarray, p2: np.ndarray, alpha: float, t: float, grid: Grid):
@@ -152,11 +154,13 @@ def state_to_tailored(state: MHDState, alpha: float) -> TailoredState:
     return TailoredState(g, pt, t)
 
 
-def tailored_to_state(ts: TailoredState, alpha: float) -> MHDState:
+def tailored_to_state(ts: TailoredState, alpha: float, out=None) -> MHDState:
+    """The state of ``ts``, its (v, b) formed in the stack ``out`` when given."""
     g, t, pt = ts.grid, ts.t, ts.ptilde
-    p = np.stack(from_ptilde(pt[0], pt[1], alpha, t, g))  # (p1, p2), k = 0 rows dropped
+    p = pt.copy()  # (p1, p2) as from_ptilde forms them, k = 0 rows dropped
+    p[0] -= ptilde_correction_symbol(g, alpha, t) * pt[1]
     p[:, 0] = 0.0
-    vb = perp_grad_t(g, shear_symbols(g, t).inv_lam * p, t)  # (v, b)
+    vb = perp_grad_t(g, shear_symbols(g, t).inv_lam * p, t, out)  # (v, b)
     vb[:, 0, 0] = pt[:, 0]  # the averages of v1 and b1
     return MHDState(g, vb, t)
 

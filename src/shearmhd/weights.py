@@ -83,7 +83,7 @@ def _log_q_and_rate(t, eta, rho):
     k0 = np.floor(np.sqrt(eta))
     t_low = 0.5 * (eta / k0 + eta / (k0 + 1.0))
     active = resonant & (t >= t_low) & (t < 2.0 * eta)
-    if not active.any():
+    if not active.any():  # every t before its eta's first t_low, say: q = 1 throughout
         return np.zeros(t.shape), np.zeros(t.shape)
     # inactive points are evaluated at t_low, inside the range, and masked
     t = np.where(active, t, t_low)
@@ -105,11 +105,9 @@ def _log_q_and_rate(t, eta, rho):
     return np.where(active, lq, 0.0), np.where(active, dq, 0.0)
 
 
-def log_q(t, eta, params: WeightParams, rate: bool = False):
-    """log q(t, eta); q = 1 for |eta| <= 1 and outside the construction range.
-    With ``rate``, the pair (log q, d_t log q) of one evaluation."""
-    out = _log_q_and_rate(t, eta, params.rho)
-    return out if rate else out[0]
+def log_q(t, eta, params: WeightParams):
+    """log q(t, eta); q = 1 for |eta| <= 1 and outside the construction range."""
+    return _log_q_and_rate(t, eta, params.rho)[0]
 
 
 def q_value(t, eta, params: WeightParams):
@@ -331,7 +329,8 @@ class MultiplierSet:
     Pure: identical inputs give bit-identical outputs, and each table equals
     its pointwise function (``log_m``, ``log_j``, ``gevrey_log_weight``, ...)
     bit for bit; the parts that do not depend on t are built once per
-    (layout, params) and q is evaluated once, on the eta row.
+    (layout, params), and q enters through ``log_q`` and ``dtq_over_q`` on
+    the eta row alone.
     """
 
     def __init__(self, grid, t: float, params: WeightParams):
@@ -341,7 +340,7 @@ class MultiplierSet:
         self.lam = lam = float(lambda_of_t(t, params))
         log1p2, mag_s, j_eta, j_k, active, ratio, atan, aks = _time_free_tables(grid, params)
         base = 0.5 * params.N * log1p2 + lam * mag_s
-        lq, dq = log_q(t, grid.ETA, params, rate=True)
+        lq, dq = log_q(t, grid.ETA, params), dtq_over_q(t, grid.ETA, params)
         self.log_jtilde = j_eta - lq
         self.log_j = np.logaddexp(self.log_jtilde, j_k)
         shift = ratio - t

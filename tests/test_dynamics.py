@@ -1,3 +1,4 @@
+import inspect
 import itertools
 from dataclasses import asdict
 
@@ -111,13 +112,14 @@ class TestSymbolCaches:
     def clear():
         shear_symbols.cache_clear()
         ptilde_correction_symbol.cache_clear()
+        dynamics._c_pair.cache_clear()
         dynamics._ptilde_rhs_symbols.cache_clear()
 
     def test_cached_tables_are_read_only(self, grid16):
         lay = grid16.compact
         tables = [*shear_symbols(lay, 0.3), ptilde_correction_symbol(lay, 1.0, 0.3),
                   *dynamics._ptilde_rhs_symbols(lay, 1.0, "derived", 0.0, 0.0, 0.3)]
-        assert len(tables) == 15
+        assert len(tables) == 11
         for tab in tables:
             assert not tab.flags.writeable
             with pytest.raises(ValueError):
@@ -125,28 +127,44 @@ class TestSymbolCaches:
 
     @pytest.mark.parametrize("variant, nu, kappa", [("derived", 0.0, 0.0),
                                                     ("mixed", 1e-3, 3e-3)])
-    def test_step_tables_are_the_per_time_tables(self, grid16, variant, nu, kappa):
-        # a step builds its three stage times at once; each table is bit for bit
-        # the per-time one, which reads as the symbol caches' expressions
+    def test_prepared_stage_times_are_entered(self, grid16, variant, nu, kappa):
+        # the integrator builds the tables of the stage times it is told of at
+        # once, with the shear symbols they are made from; each time's entry is
+        # a view of that build and bit for bit the build of its time alone
         lay = grid16.compact
         integ = PtildeIntegrator(grid16, 0.7, nu, kappa, symbol_variant=variant)
-        t, h = 0.3, 0.01
-        integ.prepare_step(t, h)
-        assert sorted(integ._stages) == [t, t + 0.5 * h, t + h]
-        for s, tables in integ._stages.items():
-            single = dynamics._ptilde_rhs_symbols(lay, 0.7, variant, nu, kappa, s)
-            assert all(np.array_equal(a, b) for a, b in zip(tables, single, strict=True))
-            assert not any(tab.flags.writeable for tab in tables)
-            m12, m21, forcing, corr, inv_lam, grad, pair = single
-            sym = shear_symbols(lay, s)
-            m = LinearModeSystem(lay.K, lay.ETA, 0.7, "ptilde", nu, kappa, variant).matrix(s)
-            assert np.array_equal(m12, m[1]) and np.array_equal(m21, m[2])
-            assert np.array_equal(corr, ptilde_correction_symbol(lay, 0.7, s))
-            assert np.array_equal(inv_lam, sym.inv_lam)
-            assert np.array_equal(grad, np.stack([sym.idyt, -sym.ikx]))
-            assert np.array_equal(pair, dynamics._c_pair(lay, s))
-            assert np.array_equal(forcing[:, 1:], np.stack([sym.inv_lam, sym.lam])[:, 1:])
-            assert np.array_equal(forcing[:, 0], [-sym.idyt[0] * sym.inv_lap[0], sym.idyt[0]])
+        times = (0.305, 0.31, 0.315, 0.32)
+        self.clear()
+        integ.prepare(times)
+        keys = {shear_symbols: (lay,), ptilde_correction_symbol: (lay, 0.7),
+                dynamics._c_pair: (lay,),
+                dynamics._ptilde_rhs_symbols: (lay, 0.7, variant, nu, kappa)}
+        for cache, key in keys.items():
+            built = cache(*key, times)
+            assert cache.cache_info().misses == 1  # built once, when told
+            for s in times:
+                tables = [cache(*key, s), inspect.unwrap(cache)(*key, s), built]
+                if isinstance(built, np.ndarray):
+                    tables = [[tab] for tab in tables]
+                entry, alone, whole = tables
+                assert all(np.array_equal(a, b) for a, b in zip(entry, alone, strict=True))
+                assert all(np.shares_memory(a, b) for a, b in zip(entry, whole))
+                assert not any(tab.flags.writeable for tab in entry)
+
+    def test_prepared_run_is_the_step_by_step_run(self):
+        # evolve tells the integrator the stage times of four uniform steps at
+        # a time; the end state is bit for bit that of steps whose tables are
+        # built one time at a time
+        st = small_state(seed=5, eps=0.05)
+        integ = PtildeIntegrator(st.grid, 1.0, 1e-3, 3e-3)
+        Y0 = integ.pack(state_to_tailored(st, 1.0))
+        _, got = evolve(integ, Y0, 0.0, 0.07, dt=0.01, cfl=None)
+        self.clear()
+        t, Y = 0.0, Y0
+        for j in range(1, 8):
+            t_next = 0.07 if j == 7 else j * 0.07 / 7
+            Y, t = integ.cleanup(lawson_rk4_step(integ, Y, t, t_next - t), t_next), t_next
+        assert np.array_equal(got, Y)
 
     def test_editing_a_returned_state_leaves_the_next_one_alone(self):
         st = small_state(seed=2)

@@ -1,3 +1,4 @@
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -286,6 +287,23 @@ class TestShearSymbols:
         sym = shear_symbols(grid16, 0.7)
         assert shear_symbols(Grid(16, 16, 1.0), 0.7) is sym
         assert shear_symbols(grid16, 0.8) is not sym
+
+    def test_a_tuple_of_times_enters_each_time(self, grid16):
+        # one build over the times; each time's entry is a view of it and bit
+        # for bit the build of that time alone, and the build is not repeated
+        lay = Grid(16, 16, 0.8).compact
+        times = (0.35, 0.4)
+        both = shear_symbols(lay, times)
+        assert both.u.shape == (2,) + lay.shape
+        misses = shear_symbols.cache_info().misses
+        for i, t in enumerate(times):
+            sym, alone = shear_symbols(lay, t), inspect.unwrap(shear_symbols)(lay, t)
+            for a, b, whole in zip(sym, alone, both, strict=True):
+                assert np.array_equal(a, b) and np.shares_memory(a, whole[i])
+                assert not a.flags.writeable
+            assert shear_symbols(lay, t) is sym
+        assert shear_symbols.cache_info().misses == misses + len(times)
+        assert shear_symbols(lay, times) is both
 
     def test_tables_read_only(self, grid16):
         sym = shear_symbols(grid16, 0.7)
