@@ -40,16 +40,16 @@ k u / Lambda_t^2 and of the per-mode 2x2 linear operator, returned as its
 four entries, which the ptilde right-hand side (through a per-time cache),
 the linear reference and the oracle read.  The energy
 identity reads S alone; the vb route, its independent check, reads none.
-Each route's right-hand side keeps one per-time cache of its coefficient
-tables, ``_vb_rhs_symbols`` on (layout, t) and ``_ptilde_rhs_symbols`` on
-(layout, alpha, variant, nu, kappa, t); the quadratic kernel that both call
-reads the pair taking its transformed products to c from ``_c_pair`` on
-(layout, t).  :func:`evolve` tells the integrator the new stage times t +
-h/2 and t + h of up to four uniform steps at once
+Each route's right-hand side keeps one ``spectral.per_time_cache`` of its
+coefficient tables, ``_vb_rhs_symbols`` on (layout, t) and
+``_ptilde_rhs_symbols`` on (layout, alpha, variant, nu, kappa, t); the
+quadratic kernel that both call reads the pair taking its transformed
+products to c from ``shear_symbols``.  :func:`evolve` tells the integrator
+the new stage times t + h/2 and t + h of up to four uniform steps at once
 (:meth:`LawsonIntegrator.prepare`), and the ptilde integrator builds their
-entries of ``_ptilde_rhs_symbols``, ``ptilde_correction_symbol``, ``_c_pair``
-and, through them, ``shear_symbols`` in one set of array operations each;
-its right-hand sides, and a sample at a step's end, read them there.
+entries of ``_ptilde_rhs_symbols``, ``ptilde_correction_symbol`` and,
+through them, ``shear_symbols`` in one set of array operations each; its
+right-hand sides, and a sample at a step's end, read them there.
 :func:`linear_mode_propagate` is the one DOP853 oracle of those systems,
 for any number of modes at once.  Both integrators share one skeleton
 (:class:`LawsonIntegrator`) and one stage sequence
@@ -82,7 +82,6 @@ d_y^t ptilde_2 stays in the explicit part.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,14 +183,6 @@ class LinearModeSystem:
 # quadratic terms
 # ---------------------------------------------------------------------------
 
-@per_time_cache
-def _c_pair(lay, t):
-    """Read-only real pair (u^2 - k^2, k u), u = eta - k t, that takes the
-    transformed products (T12, D) to c at t, on the tables of ``lay``."""
-    k, u = lay.K, shear_symbols(lay, t).u
-    return np.stack([u * u - k * k, k * u], axis=-3)
-
-
 def _products(v1, v2, b1, b2, prod):
     """Into ``prod[:3]``, in place, the kernel's padded products D = T22 -
     T11, T12 and E of the samples of (v, b), as (v1 - v2)(v1 + v2) - (b1 -
@@ -210,10 +201,10 @@ def _products(v1, v2, b1, b2, prod):
 
 def _curl_form(grid, out, t):
     """(c, E) of the transformed products ``out`` = (D, T12, E), in place:
-    c = (u^2 - k^2) T12 - k u D."""
-    a, b = _c_pair(grid, t)
-    out[1] *= a
-    out[1] -= np.multiply(out[0], b, out=out[0])
+    c = (u^2 - k^2) T12 - k u D, the pair read from ``shear_symbols``."""
+    sym = shear_symbols(grid, t)
+    out[1] *= sym.u2k2
+    out[1] -= np.multiply(out[0], sym.ku, out=out[0])
     return out[1:3]
 
 
@@ -296,7 +287,7 @@ def _clean_tables(lay: CompactLayout, Y: np.ndarray) -> np.ndarray:
     return Y
 
 
-@functools.lru_cache(maxsize=4)
+@per_time_cache
 def _vb_rhs_symbols(lay, t):
     """Read-only per-mode coefficients of the vb rhs at t, from
     ``shear_symbols``, with u = eta - k t and r = 1/Lambda_t^2 (0 at the
@@ -306,12 +297,9 @@ def _vb_rhs_symbols(lay, t):
     projected pair (perp_grad_t(c / Lambda_t^2), perp_grad_t E)."""
     sym = shear_symbols(lay, t)
     k, r = lay.K, -sym.inv_lap
-    grad = np.stack([sym.idyt, -sym.ikx])
-    tables = (np.stack([2.0 * k * k * r - 1.0, 2.0 * k * sym.u * r]),
-              np.stack([r * grad, grad]))
-    for tab in tables:
-        tab.flags.writeable = False
-    return tables
+    grad = np.stack([sym.idyt, -sym.ikx], axis=-3)
+    return (np.stack([2.0 * k * k * r - 1.0, 2.0 * k * sym.u * r], axis=-3),
+            np.stack([r[..., None, :, :] * grad, grad], axis=-4))
 
 
 class VBIntegrator(LawsonIntegrator):
@@ -378,13 +366,11 @@ class PtildeIntegrator(LawsonIntegrator):
                  kappa: float = 0.0, symbol_variant: str = "derived"):
         super().__init__(grid, alpha, nu, kappa)
         self.variant = symbol_variant
-        self._vb = np.empty((2, 2) + self.layout.shape, dtype=np.complex128)  # kept (v, b)
 
     def prepare(self, times: tuple):
         """Build the tables of the right-hand side at ``times`` at once."""
         _ptilde_rhs_symbols(self.layout, self.alpha, self.variant, self.nu, self.kappa, times)
         ptilde_correction_symbol(self.layout, self.alpha, times)
-        _c_pair(self.layout, times)
 
     def pack(self, ts: TailoredState) -> np.ndarray:
         return self.layout.pack(ts.ptilde)
@@ -393,7 +379,7 @@ class PtildeIntegrator(LawsonIntegrator):
         lay = self.layout
         m12, m21, forcing = _ptilde_rhs_symbols(lay, self.alpha, self.variant,
                                                 self.nu, self.kappa, t)
-        st = tailored_to_state(TailoredState(lay, Y, t), self.alpha, out=self._vb)
+        st = tailored_to_state(TailoredState(lay, Y, t), self.alpha)
         n1, n2 = forcing * quadratic_terms(lay, st.vb, t, self.ws)
         dY = np.empty_like(Y)
         np.multiply(m12, Y[1], out=dY[0])

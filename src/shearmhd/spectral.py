@@ -28,24 +28,24 @@ Conventions used throughout the package:
 
 Shear-frame derivative symbols: d_x -> i k, d_y^t -> i(eta - k t),
 Lambda_t = sqrt(k^2 + (eta - k t)^2), Delta_t^{-1} -> -1/Lambda_t^2.
-Five caches keep per-time tables, read-only (every caller shares them),
-for their last four keys: the stage times t, t + h/2, t + h of a Lawson-RK4
-step, which a sample at a step time shares, and one more.  They are
-:func:`shear_symbols` on (layout, t), whose entry is the named tuple
-:class:`ShearSymbols` of seven tables, Lambda_t^{-1} among them,
+Four :func:`per_time_cache` functions keep per-time tables, read-only
+(every caller shares them), for their last four keys: the stage times t,
+t + h/2, t + h of a Lawson-RK4 step, which a sample at a step time shares,
+and one more.  They are :func:`shear_symbols` on (layout, t), whose entry
+is the named tuple :class:`ShearSymbols` of nine tables, Lambda_t^{-1} and
+the quadratic kernel's curl-form pair among them,
 ``unknowns.ptilde_correction_symbol`` on (layout, alpha, t), one table,
 ``dynamics._ptilde_rhs_symbols`` on (layout, alpha, variant, nu, kappa, t),
-three tables and a column, ``dynamics._vb_rhs_symbols`` on (layout, t), two
-real and four complex tables, and ``dynamics._c_pair`` on (layout, t), two
-real tables, all built from the first: 0.88 MB in all at 64^2 (0.27, 0.06,
-0.18, 0.30 and 0.06 MB).  All but ``_vb_rhs_symbols`` are
-:func:`per_time_cache` functions, which also build over a tuple of times:
-``dynamics.evolve`` tells a ptilde integrator the new stage times of up to
-four uniform steps, and it builds those four caches' entries for them at
-once, each time's entry a view of the build; that holds at most eight
-times' tables more while the steps use them, 1.1 MB at 64^2.
-``weights.MultiplierSet`` reads its tables that do not depend on t from a
-cache on (layout, params), 54 KB an entry at 64^2.
+three tables and a column, and ``dynamics._vb_rhs_symbols`` on (layout, t),
+two real and four complex tables, all built from the first: 0.88 MB in all
+at 64^2 (0.33, 0.06, 0.18 and 0.30 MB).  Each also builds over a tuple of
+times: ``dynamics.evolve`` tells a ptilde integrator the new stage times of
+up to four uniform steps, and it builds the first three caches' entries for
+them at once, each time's entry a view of the build.  A cache keeps only
+its latest such batch for times not yet called, at most eight times'
+tables, 1.15 MB at 64^2 over the three; a run aborted between its steps
+leaves no more than that.  ``weights.MultiplierSet`` reads its tables that
+do not depend on t from a cache on (layout, params), 54 KB an entry at 64^2.
 """
 
 from __future__ import annotations
@@ -91,12 +91,13 @@ class Grid:
         return np.zeros(self.shape, dtype=np.complex128)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompactLayout:
     """The retained half-spectrum of a grid: rows k = 0..Nx//3, -(Nx//3)..-1,
     columns eta*Ly = 0..Ny//3.  ``rows`` holds the full-table row of every
     row and ``neg`` the row of -k; the eta < 0 half is the conjugate, so
-    ``mult`` counts each eta > 0 column twice."""
+    ``mult`` counts each eta > 0 column twice.  Layouts compare and hash by
+    identity, each grid's its own, so a per-time cache key hashes in C."""
 
     grid: Grid
 
@@ -129,8 +130,10 @@ class ShearSymbols(NamedTuple):
 
     Read-only arrays of the layout's shape: ``ikx`` = ik, ``idyt`` = i(eta-kt),
     ``u`` = eta - k*t, ``lam2`` = k^2+u^2, ``lam`` = sqrt(lam2), ``inv_lap`` =
-    Delta_t^{-1} symbol -1/lam2 and ``inv_lam`` = Lambda_t^{-1} = 1/lam (both 0
-    at the (0,0) mode, where inversion is undefined).
+    Delta_t^{-1} symbol -1/lam2, ``inv_lam`` = Lambda_t^{-1} = 1/lam (both 0
+    at the (0,0) mode, where inversion is undefined), and the curl-form pair
+    ``u2k2`` = u^2 - k^2, ``ku`` = k*u, which takes the transformed products
+    (T12, D) of the quadratic kernel to c = u2k2 T12 - ku D.
     """
 
     ikx: np.ndarray
@@ -140,6 +143,8 @@ class ShearSymbols(NamedTuple):
     lam: np.ndarray
     inv_lap: np.ndarray
     inv_lam: np.ndarray
+    u2k2: np.ndarray
+    ku: np.ndarray
 
 
 def per_time_cache(build):
@@ -151,6 +156,8 @@ def per_time_cache(build):
     it keeps each time's tables (views of the one build) outside the four
     entries until that time's first call, which enters them: so the stage
     times of several Lawson-RK4 steps cost one set of array operations.
+    Only the latest tuple's times are kept so: a new tuple drops the times
+    that an earlier one left uncalled (a run aborted between them).
     """
     parts = {}  # key of one time -> its tables from a tuple build, until called
 
@@ -163,6 +170,7 @@ def per_time_cache(build):
             for tab in (entry,) if isinstance(entry, np.ndarray) else entry:
                 tab.flags.writeable = False
             if isinstance(key[-1], tuple):
+                parts.clear()
                 each = entry if isinstance(entry, np.ndarray) else map(
                     getattr(type(entry), "_make", tuple), zip(*entry))
                 parts.update(((*key[:-1], t), part) for t, part in zip(key[-1], each))
@@ -177,9 +185,11 @@ def shear_symbols(grid: Grid | CompactLayout, t: float) -> ShearSymbols:
     lam2 = grid.K**2 + u**2
     lam = np.sqrt(lam2)
     nz = lam2 > 0
-    return ShearSymbols(1j * grid.K * np.ones_like(u), 1j * u, u, lam2, lam,
-                        np.where(nz, -1.0 / np.where(nz, lam2, 1.0), 0.0),
-                        np.where(nz, 1.0 / np.where(nz, lam, 1.0), 0.0))
+    with np.errstate(over="ignore"):  # -1/lam2 is -inf where lam2 > 0 is subnormal
+        inv_lap = np.where(nz, -1.0 / np.where(nz, lam2, 1.0), 0.0)
+    return ShearSymbols(1j * grid.K * np.ones_like(u), 1j * u, u, lam2, lam, inv_lap,
+                        np.where(nz, 1.0 / np.where(nz, lam, 1.0), 0.0),
+                        u * u - grid.K * grid.K, grid.K * u)
 
 
 def conj_flip(coeffs: np.ndarray) -> np.ndarray:

@@ -28,7 +28,8 @@ of its two tables.  Every operator is elementwise in modes, so states live
 on a grid or on its compact layout alike; the runs keep them on the layout.
 The conversions are the chart maps :func:`to_p`, :func:`to_ptilde` and
 :func:`from_ptilde`; they read Lambda_t^{-1} from ``spectral.shear_symbols``
-and the correction symbol from its own per-time cache.
+and the correction symbol from its own ``spectral.per_time_cache``.  Every
+operator returns fresh arrays, which the caller may edit.
 """
 
 from __future__ import annotations
@@ -86,11 +87,11 @@ def curl_t(grid: Grid, u: np.ndarray, t: float) -> np.ndarray:
     return sym.ikx * u[..., 1, :, :] - sym.idyt * u[..., 0, :, :]
 
 
-def perp_grad_t(grid: Grid, phi: np.ndarray, t: float, out=None) -> np.ndarray:
-    """(d_y^t phi, -d_x phi) of each table of phi, the components on axis -3,
-    into ``out`` when given; always divergence-free in the sheared frame."""
+def perp_grad_t(grid: Grid, phi: np.ndarray, t: float) -> np.ndarray:
+    """(d_y^t phi, -d_x phi) of each table of phi, the components on axis -3;
+    always divergence-free in the sheared frame."""
     sym = shear_symbols(grid, t)
-    out = np.empty(phi.shape[:-2] + (2,) + phi.shape[-2:], complex) if out is None else out
+    out = np.empty(phi.shape[:-2] + (2,) + phi.shape[-2:], complex)
     np.multiply(sym.idyt, phi, out=out[..., 0, :, :])
     np.multiply(-sym.ikx, phi, out=out[..., 1, :, :])
     return out
@@ -154,13 +155,12 @@ def state_to_tailored(state: MHDState, alpha: float) -> TailoredState:
     return TailoredState(g, pt, t)
 
 
-def tailored_to_state(ts: TailoredState, alpha: float, out=None) -> MHDState:
-    """The state of ``ts``, its (v, b) formed in the stack ``out`` when given."""
+def tailored_to_state(ts: TailoredState, alpha: float) -> MHDState:
     g, t, pt = ts.grid, ts.t, ts.ptilde
     p = pt.copy()  # (p1, p2) as from_ptilde forms them, k = 0 rows dropped
     p[0] -= ptilde_correction_symbol(g, alpha, t) * pt[1]
     p[:, 0] = 0.0
-    vb = perp_grad_t(g, shear_symbols(g, t).inv_lam * p, t, out)  # (v, b)
+    vb = perp_grad_t(g, shear_symbols(g, t).inv_lam * p, t)  # (v, b)
     vb[:, 0, 0] = pt[:, 0]  # the averages of v1 and b1
     return MHDState(g, vb, t)
 

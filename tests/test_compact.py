@@ -18,8 +18,7 @@ agrees to roundoff only.
 import numpy as np
 import pytest
 
-from shearmhd.dynamics import (PtildeIntegrator, VBIntegrator, _c_pair,
-                               _vb_rhs_symbols)
+from shearmhd.dynamics import PtildeIntegrator, VBIntegrator, _vb_rhs_symbols
 from shearmhd.experiments import gevrey_random_data
 from shearmhd.spectral import (Grid, ProductWorkspace, conj_flip,
                                random_hermitian_coeffs, shear_symbols)
@@ -206,9 +205,8 @@ def test_per_time_tables_are_read_only():
     lay = Grid(16, 16, 1.0).compact
     tables = _vb_rhs_symbols(lay, T)
     assert _vb_rhs_symbols(lay, T) is tables  # one entry per time
-    pair = _c_pair(lay, T)
-    assert _c_pair(lay, T) is pair
-    for tab in (*tables, pair):
+    sym = shear_symbols(lay, T)
+    for tab in (*tables, sym.u2k2, sym.ku):
         assert not tab.flags.writeable
         with pytest.raises(ValueError):
             tab[0] = 0.0

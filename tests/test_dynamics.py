@@ -108,18 +108,24 @@ class TestSymbolCaches:
     """The per-time symbol caches are pure: shared read-only tables, one
     entry per key, and results that do not depend on what was cached."""
 
+    CACHES = (shear_symbols, ptilde_correction_symbol, dynamics._ptilde_rhs_symbols,
+              dynamics._vb_rhs_symbols)
+
+    @classmethod
+    def clear(cls):
+        for cache in cls.CACHES:
+            cache.cache_clear()
+
     @staticmethod
-    def clear():
-        shear_symbols.cache_clear()
-        ptilde_correction_symbol.cache_clear()
-        dynamics._c_pair.cache_clear()
-        dynamics._ptilde_rhs_symbols.cache_clear()
+    def unentered(cache):
+        """The tables of a cache's tuple builds that wait for their time's call."""
+        return inspect.getclosurevars(cache.__wrapped__).nonlocals["parts"]
 
     def test_cached_tables_are_read_only(self, grid16):
         lay = grid16.compact
         tables = [*shear_symbols(lay, 0.3), ptilde_correction_symbol(lay, 1.0, 0.3),
                   *dynamics._ptilde_rhs_symbols(lay, 1.0, "derived", 0.0, 0.0, 0.3)]
-        assert len(tables) == 11
+        assert len(tables) == 13
         for tab in tables:
             assert not tab.flags.writeable
             with pytest.raises(ValueError):
@@ -137,7 +143,6 @@ class TestSymbolCaches:
         self.clear()
         integ.prepare(times)
         keys = {shear_symbols: (lay,), ptilde_correction_symbol: (lay, 0.7),
-                dynamics._c_pair: (lay,),
                 dynamics._ptilde_rhs_symbols: (lay, 0.7, variant, nu, kappa)}
         for cache, key in keys.items():
             built = cache(*key, times)
@@ -165,6 +170,42 @@ class TestSymbolCaches:
             t_next = 0.07 if j == 7 else j * 0.07 / 7
             Y, t = integ.cleanup(lawson_rk4_step(integ, Y, t, t_next - t), t_next), t_next
         assert np.array_equal(got, Y)
+
+    def test_prepared_run_builds_its_tables_from_tuples(self, monkeypatch):
+        # two sample intervals of 6 uniform steps: every stage time after t0
+        # is built in a batch of four steps' times (then the last two
+        # steps'), told before the first step, and t0 alone; a step whose
+        # t + h missed its prepared time, or a run that prepared nothing,
+        # builds single times
+        st = small_state(seed=6, eps=0.05)
+        integ = PtildeIntegrator(st.grid, 1.0)
+        Y0 = integ.pack(state_to_tailored(st, 1.0))
+        shapes, matrix = [], LinearModeSystem.matrix
+
+        def counting(sys, t):
+            shapes.append(np.shape(t)[:-2])
+            return matrix(sys, t)
+
+        monkeypatch.setattr(LinearModeSystem, "matrix", counting)
+        self.clear()
+        evolve(integ, Y0, 0.137, 0.137 + 12 * 0.01, dt=0.01, cfl=None, sample_dt=0.06)
+        assert shapes == [(8,), (), (4,), (8,), (4,)]
+
+    def test_aborted_runs_leave_at_most_one_batch(self, grid16):
+        # each run aborts in its first step and leaves three steps' prepared
+        # times uncalled in the three caches the integrator prepares; a
+        # later batch drops them
+        integ = PtildeIntegrator(grid16, 1.0, 1e-3, 3e-3)
+        Y0 = np.full((2,) + integ.layout.shape, np.nan + 0j)
+        for t0 in 0.2 * np.arange(6) + 0.011:
+            with pytest.raises(NumericalAbort):
+                evolve(integ, Y0, t0, t0 + 0.1, dt=0.01, cfl=None)
+        for cache in self.CACHES[:3]:
+            left = self.unentered(cache)
+            assert 0 < len(left) <= 8
+            builds = {id((tab if isinstance(tab, np.ndarray) else tab[0]).base)
+                      for tab in left.values()}
+            assert len(builds) == 1
 
     def test_editing_a_returned_state_leaves_the_next_one_alone(self):
         st = small_state(seed=2)

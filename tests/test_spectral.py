@@ -288,6 +288,17 @@ class TestShearSymbols:
         assert shear_symbols(Grid(16, 16, 1.0), 0.7) is sym
         assert shear_symbols(grid16, 0.8) is not sym
 
+    def test_layouts_are_keys_by_identity(self):
+        # equal grids have distinct layouts, each hitting its own entry
+        one, other = Grid(16, 16, 1.0), Grid(16, 16, 1.0)
+        assert one == other and one.compact != other.compact
+        sym = shear_symbols(one.compact, 0.7)
+        misses = shear_symbols.cache_info().misses
+        assert shear_symbols(one.compact, 0.7) is sym
+        assert shear_symbols.cache_info().misses == misses
+        assert shear_symbols(other.compact, 0.7) is not sym
+        assert shear_symbols.cache_info().misses == misses + 1
+
     def test_a_tuple_of_times_enters_each_time(self, grid16):
         # one build over the times; each time's entry is a view of it and bit
         # for bit the build of that time alone, and the build is not repeated
