@@ -58,8 +58,12 @@ def main(argv=None) -> int:
         if args.command == "run":
             config = _load_config(args.config)
             if args.seed is not None:
-                if config.initial["kind"] == "file":
-                    raise ConfigError("--seed does not apply to initial.kind = 'file'")
+                # initial.seed draws gevrey_random data and nl_partition's sample
+                kind = config.initial["kind"]
+                if config.experiment in ("resonance_chain", "weights_audit") or (
+                        kind != "gevrey_random" and config.experiment != "nl_partition"):
+                    raise ConfigError(f"--seed: {config.experiment} with initial.kind = "
+                                      f"{kind!r} reads no initial.seed")
                 config.initial["seed"] = args.seed
             if args.snapshots is not None:
                 config.output["snapshots"] = args.snapshots

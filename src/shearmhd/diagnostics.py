@@ -24,14 +24,19 @@ the q factor is signed because q decreases on the approach to each
 resonance.  Branch corners of q make E only piecewise-C^1, so finite
 differencing of E must avoid stencils that straddle a corner time.
 
-:func:`energy_identity_residuals` samples the identity in the run: at each
-sample time of the ptilde run it builds the multipliers, takes E (not E0)
-and, where the difference stencil allows, the terms of
-:func:`identity_sides`, and keeps no state.  ``identity_sides`` makes one
-inverse padded transform of 12 tables (v, b and the sheared gradients of
-A z+-, z+- = v +- b) and one forward of 7 (the quadratic kernel's three
-products and the two Elsasser advections), their products formed in the
-workspace's scratch.
+:func:`energy_identity_residuals` samples the identity in the run: it keeps
+a copy of the state at each of :data:`IDENTITY_BATCH` consecutive sample
+times and takes them as one batch, stacked on an axis just before the mode
+table, where the per-time tables' leading time axis meets them: one
+:class:`MultiplierSet` over the batch's times, one :func:`energy_E` (E, not
+E0) and, where the difference stencil allows at any of them, one call of
+:func:`identity_sides`.  ``identity_sides`` makes one inverse padded
+transform of 12 tables a time (v, b and the sheared gradients of A z+-, z+-
+= v +- b) and one forward of 7 (the quadratic kernel's three products and
+the two Elsasser advections), their products formed in the workspace's
+scratch; it reads S and the correction symbol from one tuple build of the
+per-time caches.  A single state at one time is a batch of one and gives
+floats.
 """
 
 from __future__ import annotations
@@ -54,21 +59,23 @@ from .dynamics import (PtildeIntegrator, _curl_form, _products, evolve, ptilde_c
 # ---------------------------------------------------------------------------
 
 def weighted_l2_log(grid: Grid | CompactLayout, log_weight: np.ndarray,
-                    *tables: np.ndarray) -> float:
-    """log of sqrt((1/Ly) sum mult exp(2*log_weight) |fhat|^2), by log-sum-exp."""
-    logs, mults = [np.empty(0)], [np.empty(0)]  # no tables give -inf
-    for c in tables:
-        mag = np.abs(c)
-        nz = mag > 0
-        logs.append(2.0 * np.broadcast_to(log_weight, c.shape)[nz] + 2.0 * np.log(mag[nz]))
-        mults.append(np.broadcast_to(grid.mult, c.shape)[nz])
-    vals, mult = np.concatenate(logs), np.concatenate(mults)
-    keep = np.isfinite(vals)
-    if not np.any(keep):
+                    *tables: np.ndarray):
+    """log of sqrt((1/Ly) sum mult exp(2*log_weight) |fhat|^2), by log-sum-exp.
+
+    Tables with a leading time axis, ``log_weight`` with the same, give an
+    array of one value per time, each as that time's tables alone give it."""
+    if not tables:
         return -np.inf
-    m = float(np.max(vals[keep]))
-    total = m + float(np.log(np.sum(mult[keep] * np.exp(vals[keep] - m))))
-    return 0.5 * (total - np.log(grid.Ly))
+    mag = np.abs(np.stack(tables, axis=-3))  # (times..., table, k, eta)
+    lw = np.expand_dims(np.broadcast_to(log_weight, tables[0].shape), -3)
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0 = -inf
+        vals = 2.0 * lw + 2.0 * np.log(mag)
+        total = []
+        rows = np.broadcast_arrays(vals, (mag > 0) & np.isfinite(vals), grid.mult)
+        for v, keep, mult in zip(*(np.reshape(a, (-1, *mag.shape[-3:])) for a in rows)):
+            m = np.max(v[keep], initial=-np.inf)  # each time's entries, in table order
+            total.append(m + np.log(np.sum(mult[keep] * np.exp(v[keep] - m))))
+    return 0.5 * (np.reshape(total, mag.shape[:-3]) - np.log(grid.Ly))[()]
 
 
 def weighted_l2(grid: Grid | CompactLayout, log_weight: np.ndarray,
@@ -90,9 +97,10 @@ def gevrey_norm(grid: Grid | CompactLayout, tables, lam: float, s: float, N: int
 # energies and bootstrap terms
 # ---------------------------------------------------------------------------
 
-def energy_E(ts: TailoredState, mset: MultiplierSet) -> float:
-    """E of the run, the A-weighted squared norm of ptilde."""
-    return float(np.exp(2.0 * weighted_l2_log(ts.grid, mset.log_A, *ts.ptilde)))
+def energy_E(ts: TailoredState, mset: MultiplierSet):
+    """E of the run, the A-weighted squared norm of ptilde; for a batch of
+    states, the list of E at each of its times."""
+    return np.exp(2.0 * weighted_l2_log(ts.grid, mset.log_A, *ts.ptilde)).tolist()
 
 
 def energy_E0(ts: TailoredState, mset: MultiplierSet) -> float:
@@ -183,22 +191,24 @@ def bootstrap_monitor(records, params: WeightParams, c_star: float = 1.0):
 # energy-derivative identity
 # ---------------------------------------------------------------------------
 
-def _pair(grid: Grid | CompactLayout, x, y) -> float:
+def _pair(grid: Grid | CompactLayout, x, y):
     """(1/Ly) Re sum mult conj(x) y accumulated over matching tables of real
-    fields: each table summed on its own (one reduction over the stack) and
-    the sums added in order."""
-    sums = np.sum(grid.mult * (np.conj(x) * y).real, axis=(-2, -1))
-    return sum(np.ravel(sums).tolist(), 0.0) / grid.Ly
+    fields, stacked on the first axis: each table summed on its own (one
+    reduction over the stack) and the sums added in order, per time of a
+    batch on the axis before the table."""
+    return sum(np.sum(grid.mult * (np.conj(x) * y).real, axis=(-2, -1)), 0.0) / grid.Ly
 
 
 def identity_sides(ts: TailoredState, mset: MultiplierSet, alpha: float,
                    ws: ProductWorkspace | None = None):
-    """All analytic terms of the energy identity at the state's time.
+    """All analytic terms of the energy identity at the state's time, or at
+    each time of a batch of states.
 
-    ``mset`` holds the multipliers at that time, on the state's layout.
-    Returns a dict with the left-side weight terms (lam_term, q_term,
-    m_term) and the right-side pairings (L_pair, NL, ONL, with S the derived
-    symbol); the identity reads
+    ``mset`` holds the multipliers at that time (or those times), on the
+    state's layout.  Returns a dict with the left-side weight terms
+    (lam_term, q_term, m_term) and the right-side pairings (L_pair, NL, ONL,
+    with S the derived symbol), each a float, or for a batch the list of
+    its values at each time; the identity reads
     dE/dt = -2*(lam_term + q_term + m_term) + 2*(L_pair + NL + ONL).
     A state on a full grid is packed (and its weights rebuilt) once.
     """
@@ -217,15 +227,16 @@ def identity_sides(ts: TailoredState, mset: MultiplierSet, alpha: float,
     # nor any pairing through S or corr: all three vanish at k = 0
     lam_s = _time_free_tables(g, params)[1]  # |k, eta|^s
     dens = g.mult * (np.abs(pt1) ** 2 + np.abs(pt2) ** 2)
-    lam_term = abs(mset.dlam) * np.sum(lam_s * A**2 * dens) / g.Ly
+    lam_term = np.abs(mset.dlam) * np.sum(lam_s * A**2 * dens, axis=(-2, -1)) / g.Ly
     AAt = np.exp(mset.log_A + mset.log_Atilde)
-    q_term = np.sum(mset.dtq_over_q * AAt * dens) / g.Ly
-    m_term = np.sum(-mset.dtm_over_m * A**2 * dens) / g.Ly
+    q_term = np.sum(mset.dtq_over_q * AAt * dens, axis=(-2, -1)) / g.Ly
+    m_term = np.sum(-mset.dtm_over_m * A**2 * dens, axis=(-2, -1)) / g.Ly
     # right side: linear pairing
     sym = shear_symbols(g, t)
     L_pair = _pair(g, [A * pt1], [ptilde_coupling(g.K, sym.u, alpha) * (A * pt2)])
-    # right side: nonlinear pairings in commutator form
-    vb = tailored_to_state(ts, alpha).vb
+    # right side: nonlinear pairings in commutator form; a batch's time axis
+    # goes just before the table, after the field and component axes
+    vb = np.moveaxis(tailored_to_state(ts, alpha).vb, -3, 1)
     Avb = A * vb
     # the advections in Elsasser pairs z+- = v +- b: with X = z-.grad_t(A z+)
     # and Y = z+.grad_t(A z-), v.grad_t(Av) - b.grad_t(Ab) = (X + Y)/2 and
@@ -235,20 +246,22 @@ def identity_sides(ts: TailoredState, mset: MultiplierSet, alpha: float,
     # kernel's products with X and Y, all formed in the workspace's scratch
     grads = np.stack([sym.ikx, sym.idyt])[None, :, None] * np.stack(
         [Avb[0] + Avb[1], Avb[0] - Avb[1]])[:, None]  # of A z+ and A z-
-    p = ws.phys(np.concatenate([vb.reshape(4, *g.shape), grads.reshape(8, *g.shape)]))
-    _products(*p[:4], ws.scratch)
+    shape = Avb.shape[2:]  # a batch's time axis, then the table
+    p = ws.phys(np.concatenate([vb.reshape(4, *shape), grads.reshape(8, *shape)]))
+    prod = ws.scratch(shape[:-2])
+    _products(*p[:4], prod)
     # the samples of the gradients: (z+ then z-, d_x then d_y^t, component)
-    gp = p[4:].reshape(2, 2, 2, ws.Mx, ws.My)
-    for form, grad, z in ((np.subtract, gp[0], ws.scratch[3:5]), (np.add, gp[1], ws.scratch[5:])):
+    gp = p[4:].reshape(2, 2, 2, *p.shape[1:])
+    for form, grad, z in ((np.subtract, gp[0], prod[3:5]), (np.add, gp[1], prod[5:])):
         form(p[:2], p[2:4], out=z)  # z- (then z+), then X (then Y) in its place
         grad *= z[:, None]
         np.add(*grad, out=z)
-    out = ws.spec(ws.scratch)
+    out = ws.spec(prod)
     c, E = _curl_form(g, out[:3], t)
     X, Y = out[3:5], out[5:]
     # the projected pair; every pairing below meets it only through fields
     # that are divergence-free mode by mode, which the projection leaves alone
-    nl = perp_grad_t(g, np.stack([-sym.inv_lap * c, E]), t)
+    nl = np.moveaxis(perp_grad_t(g, np.stack([-sym.inv_lap * c, E]), t), -3, 1)
     NL = (_pair(g, Avb[0], A * nl[0] + 0.5 * (X + Y))
           + _pair(g, Avb[1], A * nl[1] + 0.5 * (X - Y)))
     # right side: tailored corrections; corr is (1/alpha) d_y^t Lambda_t^{-2}
@@ -257,9 +270,15 @@ def identity_sides(ts: TailoredState, mset: MultiplierSet, alpha: float,
     corr = ptilde_correction_symbol(g, alpha, t)
     ONL = (_pair(g, A * (corr * vb[1]), A * nl[0])
            + _pair(g, [A * pt1], [A * (corr * (sym.lam * E))]))
-    return {"lam_term": float(lam_term), "q_term": float(q_term),
-            "m_term": float(m_term), "L_pair": float(L_pair),
-            "NL": float(NL), "ONL": float(ONL)}
+    return {"lam_term": lam_term.tolist(), "q_term": q_term.tolist(),
+            "m_term": m_term.tolist(), "L_pair": L_pair.tolist(),
+            "NL": NL.tolist(), "ONL": ONL.tolist()}
+
+
+# sample times whose states energy_identity_residuals evaluates together: the
+# steps evolve prepares at once, so per_time_cache's bound of one tuple
+# build's uncalled times (at most eight) holds for the sampler's too
+IDENTITY_BATCH = 4
 
 
 def q_corner_times(grid: Grid, t_max: float) -> np.ndarray:
@@ -289,6 +308,12 @@ def energy_identity_residuals(ts0: TailoredState, params: WeightParams,
     shorter last interval would break the uniform stencil; otherwise
     ``ValueError`` is raised.  Returns the list of (t, residual) pairs;
     residuals are relative to the identity scale.
+
+    The states of :data:`IDENTITY_BATCH` consecutive sample times are kept
+    and evaluated together: one :class:`MultiplierSet`, one :func:`energy_E`
+    and one :func:`identity_sides` a batch.  The last batch is filled up
+    with copies of its last sample, whose values are dropped, so every
+    batch has the same shape and the transforms reuse one set of buffers.
     """
     g = ts0.grid
     h = stride * dt
@@ -300,16 +325,27 @@ def energy_identity_residuals(ts0: TailoredState, params: WeightParams,
     times = [ts0.t, *sample_times(ts0.t, t_end, h)]
     # corners of every eta of the full grid, retained or not
     corners = q_corner_times(g, t_end + h)
-    energies, terms = [], {}
+    # the samples whose 5-point window lies in the run and holds no corner
+    stencil = [2 <= i < len(times) - 2 and not np.any(
+        (corners > t - 2.5 * h) & (corners < t + 2.5 * h)) for i, t in enumerate(times)]
+    energies, terms, held = [], {}, []  # held: the times of the states in batch
+    batch = np.empty((2, IDENTITY_BATCH, *integ.layout.shape), complex)
 
     def sample(t, Y):
-        # each sample is taken as the run reaches it; no state is kept
-        i = len(energies)
-        st, mset = TailoredState(integ.layout, Y, t), MultiplierSet(integ.layout, t, params)
-        energies.append(energy_E(st, mset))
-        if 2 <= i < len(times) - 2 and not np.any(
-                (corners > t - 2.5 * h) & (corners < t + 2.5 * h)):
-            terms[i] = identity_sides(st, mset, alpha, integ.ws)
+        batch[:, len(held)] = Y
+        held.append(t)
+        if len(held) < IDENTITY_BATCH and len(energies) + len(held) < len(times):
+            return
+        i0, n = len(energies), len(held)
+        batch[:, n:] = batch[:, n - 1:n]  # the last batch filled up with its last sample
+        tb = tuple(held + held[-1:] * (IDENTITY_BATCH - n))
+        st, mset = TailoredState(integ.layout, batch, tb), MultiplierSet(integ.layout, tb, params)
+        energies.extend(energy_E(st, mset)[:n])
+        if any(stencil[i0:i0 + n]):
+            sides = identity_sides(st, mset, alpha, integ.ws)
+            terms.update((i0 + j, {key: val[j] for key, val in sides.items()})
+                         for j in range(n) if stencil[i0 + j])
+        held.clear()
 
     evolve(integ, integ.pack(ts0), ts0.t, t_end, dt=dt, cfl=None, sample_dt=h,
            callback=sample)

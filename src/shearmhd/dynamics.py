@@ -228,8 +228,8 @@ def quadratic_terms(grid: Grid, vb: np.ndarray, t: float, ws: ProductWorkspace):
     The products are formed in place in the workspace's scratch tables
     (:func:`_products`).
     """
-    _products(*ws.phys(vb).reshape(4, ws.Mx, ws.My), ws.scratch)
-    return _curl_form(grid, ws.spec(ws.scratch[:3]), t)
+    _products(*ws.phys(vb).reshape(4, ws.Mx, ws.My), ws.scratch())
+    return _curl_form(grid, ws.spec(ws.scratch()[:3]), t)
 
 
 # ---------------------------------------------------------------------------

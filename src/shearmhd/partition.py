@@ -78,7 +78,7 @@ def _pairing_fft(lay: CompactLayout, A: np.ndarray, a1, a2, a3, t: float,
     """(1/Ly) Re <A a1, A(a2.grad_t a3) - a2.grad_t(A a3)> via transforms,
     on compact tables of real fields and an even weight A."""
     adv = ws.advect(shear_symbols(lay, t), a2, np.concatenate([a3, A * a3]))
-    return _pair(lay, A * a1, A * adv[:2] - adv[2:])
+    return float(_pair(lay, A * a1, A * adv[:2] - adv[2:]))
 
 
 def _pairing_direct(grid: Grid, A: np.ndarray, fields: np.ndarray, t: float):

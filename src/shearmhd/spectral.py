@@ -41,11 +41,14 @@ two real and four complex tables, all built from the first: 0.88 MB in all
 at 64^2 (0.33, 0.06, 0.18 and 0.30 MB).  Each also builds over a tuple of
 times: ``dynamics.evolve`` tells a ptilde integrator the new stage times of
 up to four uniform steps, and it builds the first three caches' entries for
-them at once, each time's entry a view of the build.  A cache keeps only
-its latest such batch for times not yet called, at most eight times'
-tables, 1.15 MB at 64^2 over the three; a run aborted between its steps
-leaves no more than that.  ``weights.MultiplierSet`` reads its tables that
-do not depend on t from a cache on (layout, params), 54 KB an entry at 64^2.
+them at once, each time's entry a view of the build; the energy identity's
+sampler (``diagnostics.energy_identity_residuals``) builds the first two
+over its batch of four sample times.  A cache keeps only its latest such
+batch for times not yet called, at most eight times' tables, 1.15 MB at
+64^2 over the three; a run aborted between its steps leaves no more than
+that, and ``cache_clear`` drops them too.  ``weights.MultiplierSet`` reads
+its tables that do not depend on t from a cache on (layout, params), 54 KB
+an entry at 64^2.
 """
 
 from __future__ import annotations
@@ -176,6 +179,12 @@ def per_time_cache(build):
                 parts.update(((*key[:-1], t), part) for t, part in zip(key[-1], each))
         return entry
 
+    def cache_clear(clear=cached.cache_clear):
+        """Empty the cache, the times a tuple build left uncalled included."""
+        parts.clear()
+        clear()
+
+    cached.cache_clear = cache_clear
     return cached
 
 
@@ -234,6 +243,7 @@ class ProductWorkspace:
         self._rows = self.layout.K[:, 0].astype(int) % self.Mx  # padded row of each k
         self._phys_buffers = {}  # stack shape -> (padded half, x-transformed, real)
         self._spec_buffers = {}  # stack shape -> (y-transformed, x-transformed)
+        self._scratch = {}  # batch shape -> real padded stack of 7 tables per entry
 
     def phys(self, coeffs: np.ndarray) -> np.ndarray:
         """Real padded samples of every compact table of ``coeffs``.
@@ -281,23 +291,30 @@ class ProductWorkspace:
         out[..., 0] = 0.5 * (col + np.conj(col[..., self.layout.neg]))
         return out
 
-    @functools.cached_property
-    def scratch(self) -> np.ndarray:
-        """A reusable real padded stack of 7 tables, for the pointwise products
-        of the quadratic kernel (its first 4) and of the energy identity to
-        hand to :meth:`spec`; it is one buffer, so fill and consume it before
-        its next use.  Tables never written are never paged in."""
-        return np.empty((7, self.Mx, self.My))
+    def scratch(self, batch: tuple = ()) -> np.ndarray:
+        """A reusable real padded stack (7, *batch, Mx, My), for the pointwise
+        products of the quadratic kernel (its first 4) and of the energy
+        identity, ``batch`` its batch of times, to hand to :meth:`spec`; it is
+        one buffer per batch shape, so fill and consume it before its next
+        use.  Tables never written are never paged in."""
+        if batch not in self._scratch:
+            self._scratch[batch] = np.empty((7, *batch, self.Mx, self.My))
+        return self._scratch[batch]
 
     def advect(self, sym: ShearSymbols, a: np.ndarray, c: np.ndarray) -> np.ndarray:
         """Dealiased (a . grad_t) c, at the time of ``sym``, for every table of c.
 
         ``a`` is a compact vector table (2, ...) and ``c`` any compact stack
-        (n, ...); one inverse transform of 2 + 2n tables and one forward of n.
+        (n, ...); one inverse transform of 2 + 2n tables and one forward of n,
+        the products formed in place in the samples of the gradients.
         """
         n = len(c)
         p = self.phys(np.concatenate([a, sym.ikx * c, sym.idyt * c]))
-        return self.spec(p[0] * p[2:2 + n] + p[1] * p[2 + n:])
+        dx, dy = p[2:2 + n], p[2 + n:]
+        dx *= p[0]
+        dy *= p[1]
+        dx += dy
+        return self.spec(dx)
 
 
 def convolution_direct(grid: Grid, f: np.ndarray, g: np.ndarray) -> np.ndarray:

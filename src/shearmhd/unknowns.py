@@ -64,7 +64,12 @@ class MHDState:
 
 @dataclass
 class TailoredState:
-    """(ptilde_1, ptilde_2) on k != 0; the k = 0 rows hold the x-averages."""
+    """(ptilde_1, ptilde_2) on k != 0; the k = 0 rows hold the x-averages.
+
+    A batch of states at a tuple of times ``t`` stacks them on an axis just
+    before the mode table, (2, n, ...), which the per-time tables' leading
+    time axis meets; :func:`tailored_to_state` takes it to a ``vb`` of
+    (2, n, 2, ...)."""
 
     grid: Grid | CompactLayout
     ptilde: np.ndarray  # (2, *grid.shape) complex; row k = 0 is (v1, b1) at k = 0
@@ -159,9 +164,9 @@ def tailored_to_state(ts: TailoredState, alpha: float) -> MHDState:
     g, t, pt = ts.grid, ts.t, ts.ptilde
     p = pt.copy()  # (p1, p2) as from_ptilde forms them, k = 0 rows dropped
     p[0] -= ptilde_correction_symbol(g, alpha, t) * pt[1]
-    p[:, 0] = 0.0
+    p[..., 0, :] = 0.0
     vb = perp_grad_t(g, shear_symbols(g, t).inv_lam * p, t)  # (v, b)
-    vb[:, 0, 0] = pt[:, 0]  # the averages of v1 and b1
+    vb[..., 0, 0, :] = pt[..., 0, :]  # the averages of v1 and b1
     return MHDState(g, vb, t)
 
 

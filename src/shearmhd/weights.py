@@ -321,37 +321,45 @@ def _time_free_tables(grid, params: WeightParams):
 
 
 class MultiplierSet:
-    """Grid-wide weight evaluation at a fixed time, cached for reuse.
+    """Grid-wide weight evaluation at a fixed time, or at each of a tuple of
+    times, cached for reuse.
 
     Provides the log tables of A and Atilde over the (k, eta) table of a
     grid or compact layout (they are even in (k, eta)), the k=0 row of Alo,
     and the analytic time-derivative factors entering the energy identity.
+    For a tuple of times every table takes a leading time axis and ``t``,
+    ``lam`` and ``dlam`` are arrays over it; for one time they are floats.
     Pure: identical inputs give bit-identical outputs, and each table equals
     its pointwise function (``log_m``, ``log_j``, ``gevrey_log_weight``, ...)
-    bit for bit; the parts that do not depend on t are built once per
-    (layout, params), and q enters through ``log_q`` and ``dtq_over_q`` on
-    the eta row alone.
+    bit for bit, at each time of a tuple too; the parts that do not depend
+    on t are built once per (layout, params), and q enters through ``log_q``
+    and ``dtq_over_q`` on the eta row alone.
     """
 
-    def __init__(self, grid, t: float, params: WeightParams):
+    def __init__(self, grid, t, params: WeightParams):
         self.grid = grid
-        self.t = t = float(t)
+        tt = np.asarray(t, dtype=float)
+        self.t = tt if tt.ndim else float(tt)
         self.params = params
-        self.lam = lam = float(lambda_of_t(t, params))
+        self.lam = lam = lambda_of_t(tt, params)
+        tc, lc = tt[..., None, None], np.asarray(lam)[..., None, None]  # along the time axis
         log1p2, mag_s, j_eta, j_k, active, ratio, atan, aks = _time_free_tables(grid, params)
-        base = 0.5 * params.N * log1p2 + lam * mag_s
-        lq, dq = log_q(t, grid.ETA, params), dtq_over_q(t, grid.ETA, params)
+        base = 0.5 * params.N * log1p2 + lc * mag_s
+        lq, dq = log_q(tc, grid.ETA, params), dtq_over_q(tc, grid.ETA, params)
         self.log_jtilde = j_eta - lq
         self.log_j = np.logaddexp(self.log_jtilde, j_k)
-        shift = ratio - t
+        shift = ratio - tc
         self.log_m = np.where(active, -(atan - np.arctan(shift)) / aks, 0.0)
         self.log_A = self.log_m + self.log_j + base
         self.log_Atilde = self.log_m + self.log_jtilde + base
         # the k = 0 row: sqrt|k| = 0 there, so log J is log_j(t, 0, eta)
-        self.log_Alo = self.log_j[0] + (0.5 * (params.N - 1) * log1p2[0] + lam * mag_s[0])
+        self.log_Alo = self.log_j[..., 0, :] + (0.5 * (params.N - 1) * log1p2
+                                                + lc * mag_s)[..., 0, :]
         self.dtq_over_q = dq * np.ones(grid.shape)
         self.dtm_over_m = np.where(active, -1.0 / (aks * (1.0 + shift**2)), 0.0)
-        self.dlam = float(dlambda_dt(t, params))
+        # time by time: a float's power is libm's, which an array's need not match
+        dlam = [float(dlambda_dt(x, params)) for x in tt.ravel()]
+        self.dlam = np.array(dlam) if tt.ndim else dlam[0]
 
     @property
     def A(self):

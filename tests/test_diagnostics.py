@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from shearmhd import diagnostics
 from shearmhd.diagnostics import (DiagnosticsRecord, bootstrap_monitor,
                                   dissipation_terms, energy_E, energy_E0,
                                   energy_identity_residuals, gevrey_norm,
                                   growth_fit, identity_sides, make_record,
                                   q_corner_times, weighted_l2)
-from shearmhd.dynamics import quadratic_terms
+from shearmhd.dynamics import PtildeIntegrator, evolve, quadratic_terms, sample_times
 from shearmhd.experiments import gevrey_random_data
 from shearmhd.spectral import (Grid, ProductWorkspace, random_hermitian_coeffs,
                                shear_symbols)
@@ -235,6 +236,73 @@ class TestEnergyIdentity:
         ts = TailoredState(grid16, np.zeros((2, 16, 16), complex), 0.0)
         with pytest.raises(OverflowError):
             identity_sides(ts, MultiplierSet(grid16, 0.0, big), 1.0)
+
+
+def per_sample_identity_run(ts0, params, alpha, t_end, dt, stride):
+    """The sampling of ``energy_identity_residuals`` one sample time at a
+    time: one MultiplierSet, energy_E and identity_sides a sample.  Returns
+    the sample times, the energies, the identity terms by sample index and
+    the (t, residual) pairs."""
+    h = stride * dt
+    integ = PtildeIntegrator(ts0.grid, alpha)
+    times = [ts0.t, *sample_times(ts0.t, t_end, h)]
+    corners = q_corner_times(ts0.grid, t_end + h)
+    energies, terms = [], {}
+
+    def sample(t, Y):
+        i = len(energies)
+        st, mset = TailoredState(integ.layout, Y, t), MultiplierSet(integ.layout, t, params)
+        energies.append(energy_E(st, mset))
+        if 2 <= i < len(times) - 2 and not np.any(
+                (corners > t - 2.5 * h) & (corners < t + 2.5 * h)):
+            terms[i] = identity_sides(st, mset, alpha, integ.ws)
+
+    evolve(integ, integ.pack(ts0), ts0.t, t_end, dt=dt, cfl=None, sample_dt=h,
+           callback=sample)
+    out = []
+    for i, tm in terms.items():
+        dE = (-energies[i + 2] + 8 * energies[i + 1]
+              - 8 * energies[i - 1] + energies[i - 2]) / (12 * h)
+        lhs = dE + 2 * (tm["lam_term"] + tm["q_term"] + tm["m_term"])
+        rhs = 2 * (tm["L_pair"] + tm["NL"] + tm["ONL"])
+        scale = max(abs(dE), 2 * abs(tm["lam_term"]) + 2 * abs(tm["q_term"])
+                    + 2 * abs(tm["m_term"]), abs(rhs), 1e-300)
+        out.append((times[i], abs(lhs - rhs) / scale))
+    return times, energies, terms, out
+
+
+def test_batched_identity_run_matches_per_sample_run(monkeypatch, grid16, small_params):
+    # 51 samples on [1.3, 1.7], so the last batch is filled up; the q
+    # corners 1.5 (eta = 2) and 5/3 (eta = 4) lie in the span
+    st = gevrey_random_data(grid16, small_params, 11, 1e-3, 1.5)
+    st.t = 1.3
+    ts0 = state_to_tailored(st, small_params.alpha)
+    args = (ts0, small_params, small_params.alpha, 1.7, 4e-3, 2)
+    energies, sides = [], {}  # what the batched run's calls return
+
+    def recorded_energy(ts, mset):
+        energies.extend(val := energy_E(ts, mset))
+        return val
+
+    def recorded_sides(ts, mset, alpha, ws=None):
+        val = identity_sides(ts, mset, alpha, ws)
+        for j, t in enumerate(ts.t):
+            sides[t] = {key: terms[j] for key, terms in val.items()}
+        return val
+
+    monkeypatch.setattr(diagnostics, "energy_E", recorded_energy)
+    monkeypatch.setattr(diagnostics, "identity_sides", recorded_sides)
+    res = energy_identity_residuals(*args)
+    monkeypatch.undo()
+    times, ref_energies, ref_terms, ref_res = per_sample_identity_run(*args)
+    assert len(times) == 51 and len(energies) == 52
+    assert np.any((q_corner_times(grid16, 1.7) > 1.3))
+    assert 0 < len(ref_terms) < len(times) - 4  # some windows skipped at a corner
+    assert energies[:51] == ref_energies
+    assert energies[51] == energies[50]  # the filled-up copy of the last sample
+    for i, terms in ref_terms.items():
+        assert sides[times[i]] == terms, times[i]
+    assert res == ref_res
 
 
 class TestDissipationTerms:

@@ -550,6 +550,45 @@ class TestCLI:
         assert "--seed" in capsys.readouterr().err
         assert not (tmp_path / "s5").exists()
 
+    @pytest.mark.parametrize("data", [
+        {"experiment": "resonance_chain", "chain": {"etas": [50.0, 200.0]}},
+        {"experiment": "weights_audit", "audit": {"eta_max": 500.0, "n_eta": 8}},
+        *({"experiment": name, "initial": {"kind": "single_mode"},
+           "evolution": {"nu": 1e-3} if name == "dissipative" else {}}
+          for name in ("linear_modes", "nonlinear_ideal", "dissipative", "norm_inflation")),
+    ], ids=["resonance_chain", "weights_audit", "single_mode-linear_modes",
+            "single_mode-nonlinear_ideal", "single_mode-dissipative",
+            "single_mode-norm_inflation"])
+    def test_seed_rejected_where_no_seed_is_read(self, tmp_path, capsys, data):
+        # the run would read no initial.seed: the chain and the audit (which
+        # reads audit.seed) draw none, and single_mode data are fixed
+        cfile = tmp_path / "c.json"
+        cfile.write_text(json.dumps({"grid": {"Nx": 16, "Ny": 16, "Ly": 1.0}, **data}))
+        assert cli.main(["validate", "--config", str(cfile)]) == 0
+        assert cli.main(["run", "--config", str(cfile), "--seed", "5",
+                         "--out", str(tmp_path / "s5")]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "--seed" in err
+        assert not (tmp_path / "s5").exists()
+
+    @pytest.mark.parametrize("data", [
+        {"experiment": "nonlinear_ideal", "evolution": {"dt": 0.02, "t_end": 1.0},
+         "monitor": {"sample_dt": 0.1}},
+        {"experiment": "nl_partition", "params": {"rho": 0.004, "lam0": 1.1, "eps": 1e-2},
+         "initial": {"eps": 1e-2}},
+    ], ids=["nonlinear_ideal", "nl_partition"])
+    def test_seed_override_changes_the_data(self, tmp_path, data):
+        cfile = tmp_path / "c.json"
+        cfile.write_text(json.dumps({"grid": {"Nx": 16, "Ny": 16, "Ly": 1.0}, **data}))
+        rows = []
+        for seed in ("1", "99"):
+            out = tmp_path / seed
+            assert cli.main(["run", "--config", str(cfile), "--seed", seed,
+                             "--out", str(out)]) == 0
+            text = (out / "diagnostics.csv").read_text()
+            rows.append([line for line in text.splitlines() if not line.startswith("#")])
+        assert rows[0][0] == rows[1][0] and rows[0][1:] != rows[1][1:]
+
     def test_audit_subcommand(self, tmp_path):
         rc = cli.main(["audit", "--out", str(tmp_path / "aud"),
                        "--eta-max", "500", "--samples", "8"])

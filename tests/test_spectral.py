@@ -316,6 +316,19 @@ class TestShearSymbols:
         assert shear_symbols.cache_info().misses == misses + len(times)
         assert shear_symbols(lay, times) is both
 
+    def test_cache_clear_drops_the_times_a_tuple_left_uncalled(self):
+        # after a clear, a time of an earlier tuple build is built afresh,
+        # not handed a view of that build
+        lay = Grid(16, 16, 1.0).compact
+        both = shear_symbols(lay, (0.5, 0.6))
+        shear_symbols.cache_clear()
+        misses = shear_symbols.cache_info().misses
+        sym = shear_symbols(lay, 0.5)
+        assert shear_symbols.cache_info().misses == misses + 1
+        for a, whole in zip(sym, both, strict=True):
+            assert not np.shares_memory(a, whole)
+            assert np.array_equal(a, whole[0])
+
     def test_tables_read_only(self, grid16):
         sym = shear_symbols(grid16, 0.7)
         with pytest.raises(ValueError):

@@ -190,25 +190,21 @@ def test_warm_vb_rhs_allocates_no_padded_table():
     assert traced_peak(lambda: integ.rhs(0.4, Y)) < 20 * int(np.prod(g.compact.shape)) * 16
 
 
-def test_warm_identity_sides_allocates_no_padded_table(monkeypatch):
-    # at 128^2 one padded real table (131 KB) is 2.25 compact tables (58 KB).
-    # After the kernel's products (in place, see the vb rhs test above) and
-    # before its forward transform, a warm call forms z+- and the advections
-    # in the workspace's scratch, allocating nothing (1.5 KB of views when
-    # measured); a fresh padded table there (a product formed as a
-    # temporary, a copy of the scratch) breaks the first bound.  The whole
-    # call holds at most 37.1 compact tables when measured, in its pairings
-    # after the forward transform (30.0 while the 12-table transform input
-    # is assembled).
-    g = Grid(128, 128, 1.0)
-    lay = g.compact
-    st = gevrey_random_data(g, PAR, seed=3, eps=1e-3, lam1=1.5)
-    ts = TailoredState(lay, lay.pack(state_to_tailored(st, PAR.alpha).ptilde), 0.4)
-    mset = MultiplierSet(lay, 0.4, PAR)
-    ws = ProductWorkspace(g)
+def batch_of(ts, n):
+    """A batch of n copies of ``ts`` at n distinct times from its own, and
+    the multipliers at those times."""
+    times = tuple(ts.t + 0.01 * j for j in range(n))
+    return (TailoredState(ts.grid, np.stack([ts.ptilde] * n, axis=1), times),
+            MultiplierSet(ts.grid, times, PAR))
+
+
+def warm_identity_sides_peaks(monkeypatch, ts, mset, ws):
+    """The peak bytes of a warm ``identity_sides`` call, and the traced
+    memory after the kernel's products and the peak before the forward
+    transform."""
     identity_sides(ts, mset, PAR.alpha, ws)  # fills the buffers and the per-time tables
     peak = traced_peak(lambda: identity_sides(ts, mset, PAR.alpha, ws))
-    marks = []  # traced memory after the kernel's products, peak before the forward transform
+    marks = []
     products, spec = diagnostics._products, ws.spec
 
     def products_then_mark(*args):
@@ -220,12 +216,72 @@ def test_warm_identity_sides_allocates_no_padded_table(monkeypatch):
         marks.append(tracemalloc.get_traced_memory()[1])
         return spec(values)
 
-    monkeypatch.setattr(diagnostics, "_products", products_then_mark)
-    ws.spec = mark_then_spec
-    traced_peak(lambda: identity_sides(ts, mset, PAR.alpha, ws))
+    with monkeypatch.context() as m:
+        m.setattr(diagnostics, "_products", products_then_mark)
+        m.setattr(ws, "spec", mark_then_spec)
+        traced_peak(lambda: identity_sides(ts, mset, PAR.alpha, ws))
+    return peak, marks
+
+
+def test_warm_identity_sides_allocates_no_padded_table(monkeypatch):
+    # at 128^2 one padded real table (131 KB) is 2.25 compact tables (58 KB).
+    # After the kernel's products (in place, see the vb rhs test above) and
+    # before its forward transform, a warm call forms z+- and the advections
+    # in the workspace's scratch, allocating nothing (1.5 KB of views when
+    # measured); a fresh padded table there (a product formed as a
+    # temporary, a copy of the scratch) breaks the first bound.  The whole
+    # call holds at most 36.6 compact tables when measured, in its pairings
+    # after the forward transform (30.0 while the 12-table transform input
+    # is assembled); a batch of 4 states holds 166.0, 41.5 a time, with the
+    # copy of (v, b) whose time axis is moved before the table.
+    g = Grid(128, 128, 1.0)
+    lay = g.compact
+    st = gevrey_random_data(g, PAR, seed=3, eps=1e-3, lam1=1.5)
+    ts = TailoredState(lay, lay.pack(state_to_tailored(st, PAR.alpha).ptilde), 0.4)
+    table = int(np.prod(lay.shape)) * 16
+    ws = ProductWorkspace(g)
+    for (ts_n, mset), per_time in (((ts, MultiplierSet(lay, 0.4, PAR)), 38),
+                                   (batch_of(ts, 4), 4 * 44)):
+        peak, marks = warm_identity_sides_peaks(monkeypatch, ts_n, mset, ws)
+        assert len(marks) == 2
+        assert marks[1] - marks[0] < ws.Mx * ws.My * 8 // 8
+        assert peak < per_time * table
+
+
+def test_warm_advect_forms_its_products_in_place():
+    # at 128^2 one padded real table is 131 KB and one compact table 58 KB.
+    # Between the inverse and the forward transform a warm call with n = 2
+    # allocates nothing: the products are formed in the samples of the
+    # gradients, where fresh ones took 524 KB (two padded pairs, their sum
+    # in the first).  The whole call holds 10.0 compact tables when
+    # measured: its compact input (6) and the gradients formed for it (4).
+    g = Grid(128, 128, 1.0)
+    lay = g.compact
+    st = gevrey_random_data(g, PAR, seed=3, eps=1e-3, lam1=1.5)
+    sym, v, b = shear_symbols(lay, 0.4), lay.pack(st.v), lay.pack(st.b)
+    ws = ProductWorkspace(g)
+    got = ws.advect(sym, v, b)  # fills the buffers
+    p = ProductWorkspace(g).phys(np.concatenate([v, sym.ikx * b, sym.idyt * b]))
+    assert np.array_equal(got, ProductWorkspace(g).spec(p[0] * p[2:4] + p[1] * p[4:]))
+    marks = []  # traced memory after the inverse transform, peak before the forward
+    phys, spec = ws.phys, ws.spec
+
+    def phys_then_mark(coeffs):
+        out = phys(coeffs)
+        tracemalloc.reset_peak()
+        marks.append(tracemalloc.get_traced_memory()[0])
+        return out
+
+    def mark_then_spec(values):
+        marks.append(tracemalloc.get_traced_memory()[1])
+        return spec(values)
+
+    peak = traced_peak(lambda: ws.advect(sym, v, b))
+    ws.phys, ws.spec = phys_then_mark, mark_then_spec
+    traced_peak(lambda: ws.advect(sym, v, b))
     assert len(marks) == 2
     assert marks[1] - marks[0] < ws.Mx * ws.My * 8 // 8
-    assert peak < 38 * int(np.prod(lay.shape)) * 16
+    assert peak < 11 * int(np.prod(lay.shape)) * 16
 
 
 def test_integrators_hand_compact_stacks_to_phys(counts, phys_shapes, state):
@@ -248,13 +304,37 @@ def test_linear_reference_does_no_integrator_work(counts, state):
 
 def test_identity_sides(counts, state):
     state.t = 0.4
-    identity_sides(state_to_tailored(state, PAR.alpha),
-                   MultiplierSet(state.grid, 0.4, PAR), PAR.alpha)
+    lay = state.grid.compact
+    ts = state_to_tailored(MHDState(lay, lay.pack(state.vb), 0.4), PAR.alpha)
+    one = identity_sides(ts, MultiplierSet(lay, 0.4, PAR), PAR.alpha)
+    four = identity_sides(*batch_of(ts, 4), PAR.alpha)
     # one inverse transform of v, b and the sheared gradients of A z+- (4 +
     # 8 tables), one forward of the kernel's 3 products and the two Elsasser
-    # advections (3 + 4 tables)
-    assert counts == {"phys": [12], "spec": [7]}
-    assert total_tables(counts) == 19
+    # advections (3 + 4 tables), for every time of a batch at once
+    assert counts == {"phys": [12, 4 * 12], "spec": [7, 4 * 7]}
+    assert total_tables(counts) == 5 * 19
+    assert all(type(one[key]) is float and len(four[key]) == 4 for key in one)
+    assert [four[key][0] for key in one] == list(one.values())
+
+
+def test_identity_run_holds_one_buffer_set_for_its_batches(monkeypatch, state):
+    # 11 samples: two batches of 4 and a last one of 3, filled up to 4
+    made = []
+
+    class Recorded(dynamics.PtildeIntegrator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(diagnostics, "PtildeIntegrator", Recorded)
+    energy_identity_residuals(state_to_tailored(state, PAR.alpha), PAR, PAR.alpha,
+                              t_end=0.08, dt=4e-3, stride=2)
+    assert diagnostics.IDENTITY_BATCH == 4
+    ws = made[0].ws
+    # the kernel's own stacks, and the identity's batch of 4
+    assert set(ws._phys_buffers) == {(2, 2), (12, 4)}
+    assert set(ws._spec_buffers) == {(3,), (7, 4)}
+    assert set(ws._scratch) == {(), (4,)}
 
 
 def test_pairing_fft(counts, state):

@@ -449,11 +449,24 @@ class TestMultiplierSet:
         expect["log_A"] = expect["log_m"] + expect["log_j"] + base
         expect["log_Atilde"] = expect["log_m"] + expect["log_jtilde"] + base
         expect["log_Alo"] = log_a_multiplier(t, 0, lay.ETA[0], p, "Alo")
+        # t inside a tuple of times, with one before every q interval and one
+        # inside that of eta = 4, gives its row of each table bit for bit
+        batch = MultiplierSet(lay, (0.0, t, 3.1), p)
         for name, table in expect.items():
             got = getattr(mset, name)
             assert got.shape == table.shape and np.array_equal(got, table), name
+            assert np.array_equal(getattr(batch, name)[1], table), name
         assert np.array_equal(expect["log_jtilde"], 8.0 * p.rho * np.sqrt(np.abs(ETA)) - lq)
-        assert (mset.lam, mset.dlam) == (lam, dlambda_dt(t, p))
+        assert (mset.t, mset.lam, mset.dlam) == (t, lam, dlambda_dt(t, p))
+        assert (batch.t[1], batch.lam[1], batch.dlam[1]) == (mset.t, mset.lam, mset.dlam)
+
+    def test_scalar_time_keeps_float_attributes(self, grid16, small_params):
+        mset = MultiplierSet(grid16.compact, np.float64(0.7), small_params)
+        assert [type(v) for v in (mset.t, mset.lam, mset.dlam)] == [float] * 3
+        batch = MultiplierSet(grid16.compact, (0.7, 0.8), small_params)
+        assert [np.shape(v) for v in (batch.t, batch.lam, batch.dlam)] == [(2,)] * 3
+        assert batch.log_A.shape == (2, *grid16.compact.shape)
+        assert batch.log_Alo.shape == (2, grid16.compact.shape[1])
 
     def test_bit_identical(self, grid16, small_params):
         a = MultiplierSet(grid16, 0.7, small_params)
