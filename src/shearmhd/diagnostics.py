@@ -48,8 +48,7 @@ import numpy as np
 from .spectral import CompactLayout, Grid, ProductWorkspace, shear_symbols
 from .unknowns import (MHDState, TailoredState, perp_grad_t, ptilde_correction_symbol,
                        tailored_to_state, vorticity_current_norms)
-from .weights import (MultiplierSet, WeightParams, _time_free_tables, gevrey_log_weight,
-                      q_endpoint)
+from .weights import MultiplierSet, WeightParams, gevrey_log_weight, q_endpoint
 from .dynamics import (PtildeIntegrator, _curl_form, _products, evolve, ptilde_coupling,
                        sample_times)
 
@@ -225,7 +224,7 @@ def identity_sides(ts: TailoredState, mset: MultiplierSet, alpha: float,
     pt1, pt2 = ts.ptilde
     # left-side weight terms; the k = 0 rows (the averages) take no m term,
     # nor any pairing through S or corr: all three vanish at k = 0
-    lam_s = _time_free_tables(g, params)[1]  # |k, eta|^s
+    lam_s = (g.K**2 + g.ETA**2) ** (0.5 * params.s)  # |k, eta|^s
     dens = g.mult * (np.abs(pt1) ** 2 + np.abs(pt2) ** 2)
     lam_term = np.abs(mset.dlam) * np.sum(lam_s * A**2 * dens, axis=(-2, -1)) / g.Ly
     AAt = np.exp(mset.log_A + mset.log_Atilde)

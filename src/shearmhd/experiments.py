@@ -26,7 +26,7 @@ from .resonance import ChainConfig, chain_handoff_trajectory, chain_sweep_fit, c
 from .spectral import Grid, l2_norm, random_hermitian_coeffs
 from .unknowns import (MHDState, curl_t, hminus1_norm, leray_project_t,
                        perp_grad_t, state_to_tailored, to_p)
-from .weights import WeightParams
+from .weights import WeightParams, gevrey_log_weight
 from .weights_audit import AuditRow, run_weights_audit
 
 EXPERIMENTS = ("linear_modes", "nonlinear_ideal", "dissipative",
@@ -117,6 +117,10 @@ class ExperimentConfig:
                               "and read by no other experiment")
         if self.monitor["sample_dt"] <= 0:
             raise ConfigError("monitor.sample_dt must be > 0")
+        for section, key in (("initial", "seed"), ("audit", "seed"), ("initial", "lam1"),
+                             ("monitor", "lam2"), ("audit", "n_eta"), ("output", "snapshots")):
+            if getattr(self, section)[key] < 0:
+                raise ConfigError(f"{section}.{key} must be >= 0")
         if self.output["snapshots"] and self.experiment not in ("nonlinear_ideal",
                                                                 "dissipative"):
             raise ConfigError("output.snapshots is read only by nonlinear_ideal "
@@ -127,9 +131,12 @@ class ExperimentConfig:
             if self.initial["component"] not in ("v", "b"):
                 raise ConfigError("initial.component must be 'v' or 'b'")
             # the mode's table index, as single_mode_state takes it
-            if (int(self.initial["k"]) % int(self.grid["Nx"]) == 0
-                    and int(self.initial["eta_index"]) % int(self.grid["Ny"]) == 0):
+            i = int(self.initial["k"]) % int(self.grid["Nx"])
+            j = int(self.initial["eta_index"]) % int(self.grid["Ny"])
+            if i == 0 and j == 0:
                 raise ConfigError("initial (k, eta_index) is the mean mode (0, 0)")
+            if not self.make_grid().dealias_keep[i, j]:  # dealiasing would zero the data
+                raise ConfigError("initial (k, eta_index) lies outside the retained modes")
         if self.experiment in ("nonlinear_ideal", "dissipative", "norm_inflation"):
             if not (0 < self.initial["eps"] < self.params["c0"]):
                 raise ConfigError("stability experiments require 0 < eps < c0")
@@ -192,9 +199,7 @@ def gevrey_random_data(grid: Grid, params: WeightParams, seed: int, eps: float,
                        lam1: float) -> MHDState:
     """Random Hermitian data under a Gevrey envelope, divergence- and
     mean-free, rescaled to ||(v,b)||_{G^lam1} = eps exactly."""
-    mag2 = grid.K**2 + grid.ETA**2
-    envelope = np.exp(-lam1 * mag2 ** (0.5 * params.s)
-                      - 0.5 * (params.N + 2) * np.log1p(mag2))
+    envelope = np.exp(-gevrey_log_weight(grid.K, grid.ETA, lam1, params.s, params.N + 2))
     state = _random_state(grid, np.random.default_rng(seed), envelope, 0.0)
     norm = gevrey_norm(grid, [*state.v, *state.b], lam1, params.s, params.N)
     if norm == 0:

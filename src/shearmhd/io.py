@@ -94,11 +94,17 @@ def read_state_snapshot(path: str) -> MHDState:
         grid = Grid(header["Nx"], header["Ny"], header["Ly"])
         vb = np.zeros((2, 2, *grid.shape), dtype=np.complex128)
         tables = dict(zip(COMPONENTS, (*vb[0], *vb[1])))  # views into vb
+        seen = set()
         for line in fh:
             name, k, n, re, im = line.strip().split(",")
-            i = int(k) % grid.Nx
-            j = int(n) % grid.Ny
-            tables[name][i, j] = float(re) + 1j * float(im)
+            k, n = int(k), int(n)
+            # the writer's range, each row once: anything else would alias
+            if not (-grid.Nx // 2 <= k < grid.Nx // 2 and -grid.Ny // 2 <= n < grid.Ny // 2):
+                raise ValueError(f"mode (k, eta_index) = ({k}, {n}) is not on the grid")
+            if (name, k, n) in seen:
+                raise ValueError(f"repeated row for {name} at (k, eta_index) = ({k}, {n})")
+            seen.add((name, k, n))
+            tables[name][k % grid.Nx, n % grid.Ny] = float(re) + 1j * float(im)
     return MHDState(grid, vb, float(header["t"]))
 
 

@@ -46,9 +46,7 @@ sampler (``diagnostics.energy_identity_residuals``) builds the first two
 over its batch of four sample times.  A cache keeps only its latest such
 batch for times not yet called, at most eight times' tables, 1.15 MB at
 64^2 over the three; a run aborted between its steps leaves no more than
-that, and ``cache_clear`` drops them too.  ``weights.MultiplierSet`` reads
-its tables that do not depend on t from a cache on (layout, params), 54 KB
-an entry at 64^2.
+that, and ``cache_clear`` drops them too.
 """
 
 from __future__ import annotations

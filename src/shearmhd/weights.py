@@ -247,8 +247,12 @@ def lambda_of_t(t, params: WeightParams):
 
 
 def dlambda_dt(t, params: WeightParams):
-    t = np.asarray(t, dtype=float)
-    return -params.rho * (1.0 + t * t) ** (-0.5 * (0.75 + 0.5 * params.s))
+    """dlambda/dt = -rho <t>^{-(3/4 + s/2)}, elementwise.  The power is numpy's
+    ufunc on the 0-d or n-d array alike, so a scalar t and the same t inside
+    an array give bit-identical values."""
+    tt = np.asarray(t, dtype=float)
+    out = -params.rho * np.power(1.0 + tt * tt, -0.5 * (0.75 + 0.5 * params.s))
+    return out if tt.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +265,13 @@ def log_jtilde(t, k, eta, params: WeightParams):
     return 8.0 * params.rho * np.sqrt(np.abs(eta)) - log_q(t, eta, params)
 
 
+def _log_j_of_jtilde(log_jtilde_value, k, rho):
+    """log J = log(Jtilde + e^{8 rho sqrt|k|}) from log Jtilde."""
+    return np.logaddexp(log_jtilde_value, 8.0 * rho * np.sqrt(np.abs(k)))
+
+
 def log_j(t, k, eta, params: WeightParams):
-    k = np.asarray(k, dtype=float)
-    return np.logaddexp(log_jtilde(t, k, eta, params),
-                        8.0 * params.rho * np.sqrt(np.abs(k)))
+    return _log_j_of_jtilde(log_jtilde(t, k, eta, params), k, params.rho)
 
 
 def j_value(t, k, eta, params: WeightParams):
@@ -305,21 +312,6 @@ def a_multiplier(t, k, eta, params: WeightParams, kind: str = "A"):
     return np.exp(log_a_multiplier(t, k, eta, params, kind))
 
 
-@functools.lru_cache(maxsize=8)
-def _time_free_tables(grid, params: WeightParams):
-    """The tables of :class:`MultiplierSet` that do not depend on t, shared by
-    every build on (grid, params) and never handed out: the two parts of the
-    Gevrey log-weight (log1p |k,eta|^2 and |k,eta|^s), 8 rho sqrt|eta| and 8
-    rho sqrt|k|, the active set of m, eta/k with its arctan, and alpha |k| (k
-    = 0 read as 1), formed as the pointwise functions form them, each on the
-    full table shape."""
-    K, ETA, full = grid.K, grid.ETA, np.ones(grid.shape)
-    mag2, ksafe, rho8 = K**2 + ETA**2, np.where(K == 0, 1.0, K), 8.0 * params.rho
-    return (np.log1p(mag2), mag2 ** (0.5 * params.s), rho8 * np.sqrt(np.abs(ETA)) * full,
-            rho8 * np.sqrt(np.abs(K)) * full, _m_active(K, ETA, params), ETA / ksafe,
-            np.arctan(ETA / ksafe), params.alpha * np.abs(ksafe) * full)
-
-
 class MultiplierSet:
     """Grid-wide weight evaluation at a fixed time, or at each of a tuple of
     times, cached for reuse.
@@ -329,11 +321,11 @@ class MultiplierSet:
     and the analytic time-derivative factors entering the energy identity.
     For a tuple of times every table takes a leading time axis and ``t``,
     ``lam`` and ``dlam`` are arrays over it; for one time they are floats.
-    Pure: identical inputs give bit-identical outputs, and each table equals
-    its pointwise function (``log_m``, ``log_j``, ``gevrey_log_weight``, ...)
-    bit for bit, at each time of a tuple too; the parts that do not depend
-    on t are built once per (layout, params), and q enters through ``log_q``
-    and ``dtq_over_q`` on the eta row alone.
+    Each table is its pointwise function (``log_m``, ``log_jtilde``,
+    ``gevrey_log_weight``, ``dtm_over_m``, ...) evaluated on the layout's
+    ``K`` and ``ETA`` with the time axis broadcast against them, so it
+    equals that function bit for bit, at each time of a tuple too; q enters
+    through ``log_q`` and ``dtq_over_q`` on the eta row alone.
     """
 
     def __init__(self, grid, t, params: WeightParams):
@@ -342,24 +334,20 @@ class MultiplierSet:
         self.t = tt if tt.ndim else float(tt)
         self.params = params
         self.lam = lam = lambda_of_t(tt, params)
+        self.dlam = dlambda_dt(tt, params)
         tc, lc = tt[..., None, None], np.asarray(lam)[..., None, None]  # along the time axis
-        log1p2, mag_s, j_eta, j_k, active, ratio, atan, aks = _time_free_tables(grid, params)
-        base = 0.5 * params.N * log1p2 + lc * mag_s
-        lq, dq = log_q(tc, grid.ETA, params), dtq_over_q(tc, grid.ETA, params)
-        self.log_jtilde = j_eta - lq
-        self.log_j = np.logaddexp(self.log_jtilde, j_k)
-        shift = ratio - tc
-        self.log_m = np.where(active, -(atan - np.arctan(shift)) / aks, 0.0)
+        K, ETA, full = grid.K, grid.ETA, np.ones(grid.shape)
+        base = gevrey_log_weight(K, ETA, lc, params.s, params.N)
+        self.log_jtilde = log_jtilde(tc, K, ETA, params) * full
+        self.log_j = _log_j_of_jtilde(self.log_jtilde, K, params.rho)
+        self.log_m = log_m(tc, K, ETA, params)
         self.log_A = self.log_m + self.log_j + base
         self.log_Atilde = self.log_m + self.log_jtilde + base
-        # the k = 0 row: sqrt|k| = 0 there, so log J is log_j(t, 0, eta)
-        self.log_Alo = self.log_j[..., 0, :] + (0.5 * (params.N - 1) * log1p2
-                                                + lc * mag_s)[..., 0, :]
-        self.dtq_over_q = dq * np.ones(grid.shape)
-        self.dtm_over_m = np.where(active, -1.0 / (aks * (1.0 + shift**2)), 0.0)
-        # time by time: a float's power is libm's, which an array's need not match
-        dlam = [float(dlambda_dt(x, params)) for x in tt.ravel()]
-        self.dlam = np.array(dlam) if tt.ndim else dlam[0]
+        # the k = 0 row, row 0 of every layout
+        self.log_Alo = self.log_j[..., 0, :] + gevrey_log_weight(
+            K[0], ETA[0], lc[..., 0], params.s, params.N - 1)
+        self.dtq_over_q = dtq_over_q(tc, ETA, params) * full
+        self.dtm_over_m = dtm_over_m(tc, K, ETA, params)
 
     @property
     def A(self):

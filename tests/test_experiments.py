@@ -22,6 +22,9 @@ from shearmhd.unknowns import divergence_residual, hminus1_norm
 from shearmhd.weights import WeightParams
 
 PAR = WeightParams(rho=0.004, lam0=1.1, s=0.6)
+G16 = {"Nx": 16, "Ny": 16, "Ly": 1.0}
+SNAP16 = ('# shearmhd-field-snapshot v1\n# {"Nx": 16, "Ny": 16, "Ly": 1.0, "t": 0.0, '
+          '"components": ["v1", "v2", "b1", "b2"]}\ncomponent,k,eta_index,re,im\n')
 
 
 class TestConfig:
@@ -471,10 +474,21 @@ class TestCLI:
         {"experiment": "nonlinear_ideal", "grid": {"Nx": 16, "Ny": 16, "Ly": 1.0},
          "evolution": {"dt": 0.02, "t_end": 2.0}},
         {"experiment": "linear_modes", "evolution": {"t_end": 0.0}},
-    ], ids=["too_few_samples", "empty_span"])
+        {"experiment": "nonlinear_ideal", "grid": G16, "initial": {"seed": -1}},
+        {"experiment": "weights_audit", "audit": {"seed": -1}},
+        {"experiment": "nonlinear_ideal", "grid": G16, "initial": {"lam1": -0.5}},
+        {"experiment": "nonlinear_ideal", "grid": G16, "monitor": {"lam2": -0.5}},
+        {"experiment": "weights_audit", "audit": {"n_eta": -3}},
+        {"experiment": "linear_modes", "grid": G16, "evolution": {"t_end": 1.0},
+         "initial": {"kind": "single_mode", "k": 7, "eta_index": 0}},
+        {"experiment": "nonlinear_ideal", "grid": G16, "output": {"snapshots": -2}},
+    ], ids=["too_few_samples", "empty_span", "initial_seed", "audit_seed", "lam1", "lam2",
+            "n_eta", "mode_not_retained", "snapshots"])
     def test_validate_refuses_what_run_refuses(self, tmp_path, capsys, data):
         # generated data start at t = 0, so validation applies the run's
-        # horizon rule: t0 < t_end and, for the growth fit, 10 samples
+        # horizon rule: t0 < t_end and, for the growth fit, 10 samples; the
+        # others ended in a traceback (a 16^2 table keeps |k| <= 5 only) or,
+        # for the snapshots, ran as if positive
         cfile = tmp_path / "c.json"
         cfile.write_text(json.dumps(data))
         assert cli.main(["validate", "--config", str(cfile)]) == 1
@@ -496,9 +510,11 @@ class TestCLI:
         'component,k,eta_index,re,im\nv1,1,0,1.0,0.0\n',
         '# shearmhd-field-snapshot v1\n# {"Nx": 16, "Ny": 16, "Ly": 1.0, "t": 0.0, '
         '"components": ["v1", "v2"]}\n'
-        'component,k,eta_index,re,im\nv1,1,0,1.0,0.0\n'],
+        'component,k,eta_index,re,im\nv1,1,0,1.0,0.0\n',
+        SNAP16 + 'v1,17,0,1.0,0.0\n',
+        SNAP16 + 'v1,1,0,1.0,0.0\nv1,1,0,2.0,0.0\n'],
         ids=["missing", "not_a_snapshot", "unknown_component", "no_components",
-             "other_components"])
+             "other_components", "k_off_the_grid", "repeated_row"])
     def test_unreadable_snapshot_is_a_config_error(self, tmp_path, capsys, content):
         path = tmp_path / "snap.txt"
         if content is not None:

@@ -316,6 +316,17 @@ class TestLambdaOfT:
         num = (lambda_of_t(t + 1e-5, p) - lambda_of_t(t - 1e-5, p)) / 2e-5
         assert np.isclose(num, float(dlambda_dt(t, p)), rtol=1e-6)
 
+    @pytest.mark.parametrize("s", [0.6, 0.8, 1.0])
+    def test_derivative_scalar_equals_array_entry(self, s):
+        # a float's ** takes libm's pow and an array numpy's power loop, which
+        # differ in the last bit at about one t in twenty; one path serves both
+        p = WeightParams(rho=0.01, lam0=3.0, s=s)
+        ts = np.linspace(0.0, 60.0, 20001)
+        vals = dlambda_dt(ts, p)
+        scalars = [dlambda_dt(t, p) for t in ts.tolist()]
+        assert all(type(v) is float for v in scalars)
+        assert np.array_equal(scalars, vals)
+
     @pytest.mark.parametrize("s", [0.5001, 0.501, 0.51, 0.6, 0.8, 1.0])
     def test_closed_form_matches_quadrature(self, s):
         # reference: adaptive quadrature, with the slowly decaying tail past
