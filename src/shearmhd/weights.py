@@ -321,11 +321,12 @@ class MultiplierSet:
     and the analytic time-derivative factors entering the energy identity.
     For a tuple of times every table takes a leading time axis and ``t``,
     ``lam`` and ``dlam`` are arrays over it; for one time they are floats.
-    Each table is its pointwise function (``log_m``, ``log_jtilde``,
-    ``gevrey_log_weight``, ``dtm_over_m``, ...) evaluated on the layout's
-    ``K`` and ``ETA`` with the time axis broadcast against them, so it
-    equals that function bit for bit, at each time of a tuple too; q enters
-    through ``log_q`` and ``dtq_over_q`` on the eta row alone.
+    Pure: identical inputs give bit-identical outputs.  Each table is its
+    pointwise function (``log_m``, ``log_jtilde``, ``gevrey_log_weight``,
+    ``dtm_over_m``, ...) evaluated on the layout's ``K`` and ``ETA`` with
+    the time axis broadcast against them, so it equals that function bit
+    for bit, at each time of a tuple too; q enters through ``log_q`` and
+    ``dtq_over_q`` on the eta row alone.
     """
 
     def __init__(self, grid, t, params: WeightParams):
@@ -343,7 +344,7 @@ class MultiplierSet:
         self.log_m = log_m(tc, K, ETA, params)
         self.log_A = self.log_m + self.log_j + base
         self.log_Atilde = self.log_m + self.log_jtilde + base
-        # the k = 0 row, row 0 of every layout
+        # the k = 0 row (row 0 of every layout), where log J is log_j(t, 0, eta)
         self.log_Alo = self.log_j[..., 0, :] + gevrey_log_weight(
             K[0], ETA[0], lc[..., 0], params.s, params.N - 1)
         self.dtq_over_q = dtq_over_q(tc, ETA, params) * full
