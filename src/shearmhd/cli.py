@@ -58,12 +58,9 @@ def main(argv=None) -> int:
         if args.command == "run":
             config = _load_config(args.config)
             if args.seed is not None:
-                # initial.seed draws gevrey_random data and nl_partition's sample
-                kind = config.initial["kind"]
-                if config.experiment in ("resonance_chain", "weights_audit") or (
-                        kind != "gevrey_random" and config.experiment != "nl_partition"):
+                if not config.reads("initial", "seed"):
                     raise ConfigError(f"--seed: {config.experiment} with initial.kind = "
-                                      f"{kind!r} reads no initial.seed")
+                                      f"{config.initial['kind']!r} reads no initial.seed")
                 config.initial["seed"] = args.seed
             if args.snapshots is not None:
                 config.output["snapshots"] = args.snapshots
@@ -71,15 +68,11 @@ def main(argv=None) -> int:
             print(json.dumps(payload["summary"], indent=2, sort_keys=True,
                              default=str))
             return 0
-        # audit
-        config = _load_config(args.config) if args.config else ExperimentConfig()
-        config.experiment = "weights_audit"
-        if args.eta_max is not None:
-            config.audit["eta_max"] = args.eta_max
-        if args.samples is not None:
-            config.audit["n_eta"] = args.samples
-        if args.seed is not None:
-            config.audit["seed"] = args.seed
+        # audit: the file's params and audit sections, whatever its experiment
+        base = _load_config(args.config) if args.config else ExperimentConfig()
+        flags = {"eta_max": args.eta_max, "n_eta": args.samples, "seed": args.seed}
+        config = ExperimentConfig("weights_audit", params=base.params, audit={
+            **base.audit, **{k: v for k, v in flags.items() if v is not None}})
         payload = run(config, args.out)
         failures = payload["summary"].get("hard_failures", [])
         print(json.dumps(payload["summary"], indent=2, sort_keys=True))

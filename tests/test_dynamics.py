@@ -670,7 +670,8 @@ class TestLinearBound:
         """The summary of a norm_inflation run of small_state(16, seed=3)."""
         cfg = ExperimentConfig.from_dict({
             "experiment": "norm_inflation", "grid": {"Nx": 16, "Ny": 16, "Ly": 1.0},
-            "params": {**asdict(PAR), "alpha": alpha},
+            "params": {k: v for k, v in {**asdict(PAR), "alpha": alpha}.items()
+                       if k != "lam0"},  # norm_inflation reads no lam0
             "evolution": {"dt": 0.02, "t_end": t_end, "symbol_variant": variant},
             "initial": {"kind": "gevrey_random", "seed": 3, "eps": 1e-3, "lam1": 1.5},
             "monitor": {"sample_dt": 1.0}})

@@ -118,8 +118,11 @@ class TestConfig:
             data = {**single, "initial": {**single["initial"], **bad}}
             with pytest.raises(ConfigError, match=match):
                 ExperimentConfig.from_dict(data)
-        for ok in ({"component": "b"}, {"k": 0, "eta_index": 1}):
-            ExperimentConfig.from_dict({**single, "initial": {**single["initial"], **ok}})
+        ExperimentConfig.from_dict({**single, "initial": {**single["initial"],
+                                                           "component": "b"}})
+        # a k = 0 mode is run by nonlinear_ideal; linear_modes compares k != 0 only
+        ExperimentConfig.from_dict({**single, "experiment": "nonlinear_ideal", "initial": {
+            **single["initial"], "k": 0, "eta_index": 1}})
 
     @pytest.mark.parametrize("bad,match", [
         ({"chain": {"c0": 1.5}}, "chain.c0"),
@@ -139,9 +142,10 @@ class TestConfig:
 
     def test_chain_and_audit_edges_accepted(self):
         cfg = ExperimentConfig.from_dict({"experiment": "weights_audit",
-                                          "audit": {"eta_max": 9.0},
-                                          "chain": {"c0": 0.99, "etas": [1.0, 2.0]}})
+                                          "audit": {"eta_max": 9.0}})
         assert cfg.audit["eta_max"] == 9.0
+        ExperimentConfig.from_dict({"experiment": "resonance_chain",
+                                    "chain": {"c0": 0.99, "etas": [1.0, 2.0]}})
 
     def test_evolution_form_rejected(self):
         # every trajectory runner uses the vb integrator; the key is not accepted
@@ -460,9 +464,16 @@ class TestCLI:
         {"experiment": "resonance_chain", "chain": {"etas": 100.0}},
         {"experiment": "weights_audit", "audit": {"eta_max": "1e4"}},
         {"experiment": "resonance_chain", "chain": 5},
-    ], ids=["etas_float", "eta_max_string", "section_not_object"])
+        {"experiment": "resonance_chain", "chain": {"bridge": "no"}},
+        {"experiment": "nonlinear_ideal", "grid": {"Nx": 16.5, "Ny": 16, "Ly": 1.0}},
+        {"experiment": "nonlinear_ideal", "params": {"N": 5.7}},
+        {"experiment": "nonlinear_ideal", "output": {"snapshots": 2.5}},
+        {"experiment": "weights_audit", "audit": {"seed": 0.5}},
+    ], ids=["etas_float", "eta_max_string", "section_not_object", "bridge_string",
+            "Nx_float", "N_float", "snapshots_float", "audit_seed_float"])
     def test_wrong_value_type_is_a_config_error(self, tmp_path, capsys, data):
-        # each raised a bare TypeError from the checks before
+        # the first three raised a bare TypeError from the checks before, the
+        # others were coerced: bridge "no" ran the handoff, Nx 16.5 ran at 16
         with pytest.raises(ConfigError, match="wrong type"):
             ExperimentConfig.from_dict(data)
         cfile = tmp_path / "c.json"
@@ -482,13 +493,23 @@ class TestCLI:
         {"experiment": "linear_modes", "grid": G16, "evolution": {"t_end": 1.0},
          "initial": {"kind": "single_mode", "k": 7, "eta_index": 0}},
         {"experiment": "nonlinear_ideal", "grid": G16, "output": {"snapshots": -2}},
+        {"experiment": "linear_modes", "grid": G16, "evolution": {"t_end": 1.0},
+         "initial": {"amplitude": 0.0}},
+        *({"experiment": name, "grid": G16, "evolution": {"t_end": 5.0, "nu": nu},
+           "initial": {"kind": "single_mode", "k": 16, "eta_index": 1}}
+          for name, nu in (("linear_modes", 0.0), ("norm_inflation", 0.0),
+                           ("dissipative", 1e-3))),
     ], ids=["too_few_samples", "empty_span", "initial_seed", "audit_seed", "lam1", "lam2",
-            "n_eta", "mode_not_retained", "snapshots"])
+            "n_eta", "mode_not_retained", "snapshots", "zero_amplitude",
+            "k0_mode-linear_modes", "k0_mode-norm_inflation", "k0_mode-dissipative"])
     def test_validate_refuses_what_run_refuses(self, tmp_path, capsys, data):
         # generated data start at t = 0, so validation applies the run's
         # horizon rule: t0 < t_end and, for the growth fit, 10 samples; the
-        # others ended in a traceback (a 16^2 table keeps |k| <= 5 only) or,
-        # for the snapshots, ran as if positive
+        # others ended in a traceback (a 16^2 table keeps |k| <= 5 only; a
+        # zero amplitude or a k = 0 mode divided by zero in linear_modes'
+        # scaling exponents, and the mode's tailored state vanished in
+        # norm_inflation), ran as if positive (the snapshots) or, in
+        # dissipative, compared no mode in the decay check
         cfile = tmp_path / "c.json"
         cfile.write_text(json.dumps(data))
         assert cli.main(["validate", "--config", str(cfile)]) == 1
@@ -569,7 +590,8 @@ class TestCLI:
     @pytest.mark.parametrize("data", [
         {"experiment": "resonance_chain", "chain": {"etas": [50.0, 200.0]}},
         {"experiment": "weights_audit", "audit": {"eta_max": 500.0, "n_eta": 8}},
-        *({"experiment": name, "initial": {"kind": "single_mode"},
+        *({"experiment": name, "grid": {"Nx": 16, "Ny": 16, "Ly": 1.0},
+           "initial": {"kind": "single_mode"},
            "evolution": {"nu": 1e-3} if name == "dissipative" else {}}
           for name in ("linear_modes", "nonlinear_ideal", "dissipative", "norm_inflation")),
     ], ids=["resonance_chain", "weights_audit", "single_mode-linear_modes",
@@ -579,7 +601,7 @@ class TestCLI:
         # the run would read no initial.seed: the chain and the audit (which
         # reads audit.seed) draw none, and single_mode data are fixed
         cfile = tmp_path / "c.json"
-        cfile.write_text(json.dumps({"grid": {"Nx": 16, "Ny": 16, "Ly": 1.0}, **data}))
+        cfile.write_text(json.dumps(data))
         assert cli.main(["validate", "--config", str(cfile)]) == 0
         assert cli.main(["run", "--config", str(cfile), "--seed", "5",
                          "--out", str(tmp_path / "s5")]) == 1
@@ -610,6 +632,23 @@ class TestCLI:
                        "--eta-max", "500", "--samples", "8"])
         assert rc == 0
         assert (tmp_path / "aud" / "diagnostics.csv").exists()
+
+    @pytest.mark.parametrize("data", [
+        {"experiment": "dissipative", "evolution": {"nu": 1e-3}},
+        {"experiment": "norm_inflation", "evolution": {"symbol_variant": "mixed"}},
+    ], ids=["dissipative", "norm_inflation_mixed"])
+    def test_audit_reads_params_and_audit_of_any_valid_config(self, tmp_path, data):
+        # the audit runs the file's params and audit sections; the rest of a
+        # valid config is not the audit's to refuse
+        cfile = tmp_path / "c.json"
+        cfile.write_text(json.dumps({**data, "params": {"alpha": 2.0}}))
+        assert cli.main(["audit", "--config", str(cfile), "--out", str(tmp_path / "aud"),
+                         "--eta-max", "500", "--samples", "8"]) == 0
+        with open(tmp_path / "aud" / "config.json") as fh:
+            stored = json.load(fh)["config"]
+        assert stored["experiment"] == "weights_audit"
+        assert stored["params"]["alpha"] == 2.0 and stored["audit"]["n_eta"] == 8
+        assert stored["evolution"] == ExperimentConfig().evolution
 
 
 def test_runs_import_no_scipy(tmp_path):

@@ -395,7 +395,9 @@ def test_trajectory_run_unpacks_once_per_snapshot(unpacks, tmp_path, snapshots, 
 
 
 def test_norm_inflation_run_unpacks_nothing(unpacks, tmp_path):
-    run(config16("norm_inflation"), str(tmp_path))
+    run(config16("norm_inflation", params={"rho": PAR.rho, "s": PAR.s, "N": PAR.N,
+                                           "alpha": PAR.alpha, "c0": PAR.c0,
+                                           "eps": PAR.eps}), str(tmp_path))
     assert (tmp_path / "diagnostics.csv").exists()
     assert unpacks == []
 
