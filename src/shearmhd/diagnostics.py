@@ -6,7 +6,8 @@ helpers return log-values for ranges where the plain value overflows.
 
 Every norm, energy and pairing reads the multiplicity ``mult`` of its
 layout (:mod:`shearmhd.spectral`), so the same functions take the compact
-tables the runs sample and the full tables of the public API.
+tables the runs sample and the full tables of the public API;
+:func:`identity_sides` takes compact tables only.
 
 The energy-derivative identity implemented in :func:`identity_sides` is the
 exact time derivative of E = ||A ptilde||^2, the k = 0 rows of ptilde being
@@ -203,24 +204,17 @@ def identity_sides(ts: TailoredState, mset: MultiplierSet, alpha: float,
     """All analytic terms of the energy identity at the state's time, or at
     each time of a batch of states.
 
-    ``mset`` holds the multipliers at that time (or those times), on the
-    state's layout.  Returns a dict with the left-side weight terms
-    (lam_term, q_term, m_term) and the right-side pairings (L_pair, NL, ONL,
-    with S the derived symbol), each a float, or for a batch the list of
-    its values at each time; the identity reads
+    ``ts`` is on a compact layout, and ``mset`` holds the multipliers at
+    that time (or those times) on it.  Returns a dict with the left-side
+    weight terms (lam_term, q_term, m_term) and the right-side pairings
+    (L_pair, NL, ONL, with S the derived symbol), each a float, or for a
+    batch the list of its values at each time; the identity reads
     dE/dt = -2*(lam_term + q_term + m_term) + 2*(L_pair + NL + ONL).
-    A state on a full grid is packed (and its weights rebuilt) once.
     """
     g, t, params = ts.grid, ts.t, mset.params
-    if isinstance(g, Grid):
-        g = g.compact
-        ts = TailoredState(g, g.pack(ts.ptilde), t)
-        mset = MultiplierSet(g, t, params)
-    if float(np.max(mset.log_A)) > 300.0:
-        raise OverflowError("weights too large for direct pairing; reduce lam0/rho")
+    A = mset.A
     if ws is None:
         ws = ProductWorkspace(g.grid)
-    A = mset.A
     pt1, pt2 = ts.ptilde
     # left-side weight terms; the k = 0 rows (the averages) take no m term,
     # nor any pairing through S or corr: all three vanish at k = 0

@@ -55,9 +55,10 @@ for any number of modes at once.  Both integrators share one skeleton
 (:class:`LawsonIntegrator`) and one stage sequence
 (:func:`lawson_rk4_step`; an ideal run's decay factors are 1.0), and
 :func:`evolve` is the one marching loop: every run and the dissipative
-decay check step through it, and it samples on the time grid
-t0 + m * sample_dt.  The grid-wide linear reference
-:func:`propagate_linear_grid` does not: the linear ptilde flow is diagonal
+decay check step through it, and it samples on the time grid t0 + m *
+sample_dt, each interval in equal steps of at most ``dt`` (and of the CFL
+limit, taken once per interval, in a CFL run).  The grid-wide linear
+reference :func:`propagate_linear_grid` does not: the linear ptilde flow is diagonal
 in modes, so it takes sixth-order Magnus steps of its own on compact
 ptilde column pairs, each step the closed-form exponential of a traceless
 2x2 matrix per mode, with no integrator, transforms or per-step cleanup;
@@ -71,8 +72,8 @@ start, and samples read the compact stacks as states on the layout.  The
 vb integrator steps the state's own (2, 2, ...) stack ``MHDState.vb``, field
 (v, b) then component, and the ptilde integrator the (2, ...) stack of
 ``TailoredState.ptilde``.  The per-step cleanup projects (vb, one call on
-the whole stack), averages each eta = 0 column with its -k partner and
-zeroes the mean.
+the whole stack), averages each eta = 0 column with its -k partner
+(``CompactLayout.hermitize_column``) and zeroes the mean.
 
 Dissipation nu*Delta_t / kappa*Delta_t is integrated exactly through
 per-mode integrating factors exp(-nu * int Lambda_t^2 dt) inside a Lawson
@@ -281,9 +282,7 @@ class LawsonIntegrator:
 
 def _clean_tables(lay: CompactLayout, Y: np.ndarray) -> np.ndarray:
     """In place: average every eta = 0 column with its -k partner, zero the means."""
-    col = Y[..., 0]
-    Y[..., 0] = 0.5 * (col + np.conj(col[..., lay.neg]))
-    Y[..., 0, 0] = 0.0
+    lay.hermitize_column(Y)[..., 0, 0] = 0.0
     return Y
 
 
@@ -409,6 +408,7 @@ def lawson_rk4_step(integ, Y: np.ndarray, t: float, h: float) -> np.ndarray:
 
 
 def cfl_dt(integ, Y: np.ndarray, t: float, cfl: float = 0.5) -> float:
+    """The CFL step limit of the state Y, with the shear term k t at time t."""
     g = integ.grid
     kmax = g.Nx / 3.0
     emax = g.Ny / (3.0 * g.Ly)
@@ -433,27 +433,24 @@ def evolve(integ, Y0: np.ndarray, t0: float, t_end: float, dt: float = 0.02,
     """March Y from t0 to t_end; returns (t, Y) at t = t_end.
 
     ``callback(t, Y)`` fires at t0 and at every time of :func:`sample_times`,
-    with t exactly that time.  No step crosses a sample time.  With
-    ``cfl=None`` each interval between samples takes ceil(length / dt)
-    uniform steps; otherwise a step is ``dt``, also held to the CFL limit of
-    the current state, and a step clipped by the next sample time lands on
-    it exactly.
+    with t exactly that time.  Each interval [a, b] between samples takes n
+    = ceil((b - a) / h) equal steps, ending at a + j (b - a) / n and at b.
+    h is ``dt``, or with ``cfl`` set min(dt, :func:`cfl_dt`), the limit
+    taken once per interval at its start state and its largest |t|.
     """
     t, Y = float(t0), Y0.copy()
     if callback is not None:
         callback(t, Y)
     for t_b in sample_times(t, t_end, sample_dt):
-        n, i = int(np.ceil((t_b - t) / dt * (1 - 1e-9))), 0
-        ends = [t + j * (t_b - t) / n for j in range(1, n)] + [t_b] if cfl is None else []
-        while t < t_b:
-            if cfl is None:
-                if i % 4 == 0:  # the new stage times of the next four steps, as stepped
-                    steps = zip([t, *ends[i:i + 3]], ends[i:i + 4])
-                    integ.prepare(tuple(s for a, b in steps for s in (a + 0.5 * (b - a), b)))
-                t_next, i = ends[i], i + 1
-            else:
-                h = min(dt, cfl_dt(integ, Y, t, cfl))
-                t_next = t_b if t + h * (1 + 1e-9) >= t_b else t + h
+        h = dt if cfl is None else min(dt, cfl_dt(integ, Y, max(abs(t), abs(t_b)), cfl))
+        t_a, n = t, int(np.ceil((t_b - t) / h * (1 - 1e-9)))
+        for j in range(1, n + 1):
+            if j % 4 == 1:  # the new stage times of this step and the next three
+                ends = [t_a + i * (t_b - t_a) / n if i < n else t_b
+                        for i in range(j, min(j + 4, n + 1))]
+                integ.prepare(tuple(s for a, b in zip([t, *ends], ends)
+                                    for s in (a + 0.5 * (b - a), b)))
+            t_next = ends[(j - 1) % 4]
             Y = integ.cleanup(lawson_rk4_step(integ, Y, t, t_next - t), t_next)
             if not np.isfinite(Y.view(float)).all():
                 raise NumericalAbort(t)

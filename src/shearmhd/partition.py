@@ -131,13 +131,11 @@ def nl_partition_check(state: MHDState, params: WeightParams,
     Works on the commutator-form pairing with the full A weight; the state's
     four bilinear terms :data:`TERMS` are accumulated with their signs.  The
     transform side pairs the state packed once; the quadruple sum reads the
-    full tables.  Returns a report dict; raises nothing (caller asserts).
+    full tables.  Returns a report dict, whose ``passes`` the caller asserts;
+    weights above e^300 raise ``OverflowError`` (:attr:`MultiplierSet.A`).
     """
     g, t = state.grid, state.t
-    mset = MultiplierSet(g, t, params)
-    if float(np.max(mset.log_A)) > 300.0:
-        raise OverflowError("weights too large for direct pairing")
-    A = mset.A
+    A = MultiplierSet(g, t, params).A
     ws = ProductWorkspace(g)
     lay = ws.layout
     comp = lay.pack(state.vb)

@@ -37,16 +37,10 @@ the quadratic kernel's curl-form pair among them,
 ``unknowns.ptilde_correction_symbol`` on (layout, alpha, t), one table,
 ``dynamics._ptilde_rhs_symbols`` on (layout, alpha, variant, nu, kappa, t),
 three tables and a column, and ``dynamics._vb_rhs_symbols`` on (layout, t),
-two real and four complex tables, all built from the first: 0.88 MB in all
-at 64^2 (0.33, 0.06, 0.18 and 0.30 MB).  Each also builds over a tuple of
-times: ``dynamics.evolve`` tells a ptilde integrator the new stage times of
-up to four uniform steps, and it builds the first three caches' entries for
-them at once, each time's entry a view of the build; the energy identity's
-sampler (``diagnostics.energy_identity_residuals``) builds the first two
-over its batch of four sample times.  A cache keeps only its latest such
-batch for times not yet called, at most eight times' tables, 1.15 MB at
-64^2 over the three; a run aborted between its steps leaves no more than
-that, and ``cache_clear`` drops them too.
+two real and four complex tables, all built from the first.  Each also
+builds over a tuple of times (:func:`per_time_cache`): the first three over
+the stage times of the next uniform steps of ``dynamics.evolve``, the first
+two over the energy identity's batch of sample times.
 """
 
 from __future__ import annotations
@@ -116,6 +110,12 @@ class CompactLayout:
     def pack(self, full: np.ndarray) -> np.ndarray:
         """Compact copy of full tables (..., Nx, Ny); other modes are dropped."""
         return full[..., self.rows, :self.shape[1]]
+
+    def hermitize_column(self, comp: np.ndarray) -> np.ndarray:
+        """In place, a real field's rule: each eta = 0 column averaged with its -k partner."""
+        col = comp[..., 0]
+        comp[..., 0] = 0.5 * (col + np.conj(col[..., self.neg]))
+        return comp
 
     def unpack(self, comp: np.ndarray) -> np.ndarray:
         """Full Hermitian tables of compact ones; modes not retained are 0."""
@@ -284,10 +284,8 @@ class ProductWorkspace:
         half, mixed = bufs
         np.fft.rfft(values, axis=-1, norm="forward", out=half)
         np.fft.fft(half[..., :self.layout.shape[1]], axis=-2, norm="forward", out=mixed)
-        out = np.take(mixed, self._rows, axis=-2)  # C-contiguous, unlike mixed[..., rows, :]
-        col = out[..., 0]
-        out[..., 0] = 0.5 * (col + np.conj(col[..., self.layout.neg]))
-        return out
+        # np.take gives a C-contiguous copy, unlike mixed[..., rows, :]
+        return self.layout.hermitize_column(np.take(mixed, self._rows, axis=-2))
 
     def scratch(self, batch: tuple = ()) -> np.ndarray:
         """A reusable real padded stack (7, *batch, Mx, My), for the pointwise

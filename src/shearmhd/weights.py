@@ -53,6 +53,10 @@ class WeightParams:
             raise ValueError("alpha must be nonzero")
         if not (0 < self.eps < self.c0 < 1):
             raise ValueError("need 0 < eps < c0 < 1")
+
+    def check_lam0(self):
+        """``ValueError`` unless lam0 >= rho (250 + 2/(s - 1/2)), the floor
+        that binds the multipliers' readers (:class:`MultiplierSet`, the audit)."""
         if self.lam0 < self.rho * (250.0 + 2.0 / (self.s - 0.5)) - 1e-12:
             raise ValueError("lam0 must satisfy lam0 >= rho*(250 + 2/(s-1/2))")
 
@@ -330,6 +334,7 @@ class MultiplierSet:
     """
 
     def __init__(self, grid, t, params: WeightParams):
+        params.check_lam0()
         self.grid = grid
         tt = np.asarray(t, dtype=float)
         self.t = tt if tt.ndim else float(tt)
@@ -352,4 +357,7 @@ class MultiplierSet:
 
     @property
     def A(self):
+        """exp(log_A); ``OverflowError`` where it passes e^300."""
+        if float(np.max(self.log_A)) > 300.0:
+            raise OverflowError("weights too large for direct pairing; reduce lam0/rho")
         return np.exp(self.log_A)

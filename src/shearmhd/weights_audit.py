@@ -369,6 +369,7 @@ def run_weights_audit(params: WeightParams | None = None, eta_max: float = 1e4,
                       n_eta: int = 24, seed: int = 0):
     """All lemma checks; returns (rows, summary)."""
     params = params or WeightParams()
+    params.check_lam0()
     rng = np.random.default_rng(seed)
     etas = _eta_samples(eta_max, n_eta)
     rows: list[AuditRow] = []

@@ -186,9 +186,9 @@ class TestEnergyIdentity:
 
     def test_terms_all_active(self, grid32, small_params):
         st = gevrey_random_data(grid32, small_params, 11, 1e-3, 1.5)
-        st.t = 1.8
-        ts = state_to_tailored(st, small_params.alpha)
-        terms = identity_sides(ts, MultiplierSet(grid32, st.t, small_params),
+        lay = grid32.compact
+        ts = state_to_tailored(MHDState(lay, lay.pack(st.vb), 1.8), small_params.alpha)
+        terms = identity_sides(ts, MultiplierSet(lay, ts.t, small_params),
                                small_params.alpha)
         for key in ("lam_term", "m_term", "L_pair", "NL"):
             assert terms[key] != 0.0
@@ -233,9 +233,10 @@ class TestEnergyIdentity:
 
     def test_overflow_guard(self, grid16):
         big = WeightParams(rho=0.05, lam0=200.0, s=0.6)
-        ts = TailoredState(grid16, np.zeros((2, 16, 16), complex), 0.0)
+        lay = grid16.compact
+        ts = TailoredState(lay, np.zeros((2, *lay.shape), complex), 0.0)
         with pytest.raises(OverflowError):
-            identity_sides(ts, MultiplierSet(grid16, 0.0, big), 1.0)
+            identity_sides(ts, MultiplierSet(lay, 0.0, big), 1.0)
 
 
 def per_sample_identity_run(ts0, params, alpha, t_end, dt, stride):

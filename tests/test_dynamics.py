@@ -369,7 +369,7 @@ def record_run(monkeypatch, integ, Y0, t_end, **kwargs):
 
 class TestTimeGrid:
     def test_cfl_shortened_run_samples_on_grid(self, monkeypatch):
-        # l1 amplitude about 0.37: the CFL limit falls from 0.069 to 0.054
+        # l1 amplitude about 0.37: the interval limits fall from 0.064 to 0.053
         st = small_state(16, seed=3, eps=0.5)
         integ = VBIntegrator(st.grid, 1.0)
         limits = []
@@ -384,6 +384,30 @@ class TestTimeGrid:
         assert min(limits) < 0.08
         assert times == [m * 0.3 for m in range(4)] + [1.0]
         assert max(steps) <= 0.08
+
+    def test_cfl_bound_intervals_take_equal_steps_under_their_limit(self, monkeypatch):
+        # at alpha = 4 the Alfven term alone holds the limit near 0.023 < dt
+        st = small_state(16)
+        integ = VBIntegrator(st.grid, 4.0)
+        starts, steps = {}, []  # the state where each interval starts; (t, h)
+
+        def stepping(integ, Y, t, h):
+            steps.append((t, h))
+            return lawson_rk4_step(integ, Y, t, h)
+
+        monkeypatch.setattr(dynamics, "lawson_rk4_step", stepping)
+        evolve(integ, integ.pack(st), 0.0, 1.0, dt=0.05, sample_dt=0.3,
+               callback=lambda t, Y: starts.setdefault(t, Y.copy()))
+        times = list(starts)
+        assert times == [m * 0.3 for m in range(4)] + [1.0]
+        for a, b in zip(times, times[1:]):
+            hs = [h for t, h in steps if a <= t < b]
+            # the limit at the start state and the largest |t| holds throughout
+            limit = cfl_dt(integ, starts[a], max(abs(a), abs(b)))
+            assert limit < 0.05
+            assert hs == pytest.approx([(b - a) / len(hs)] * len(hs), rel=1e-12)
+            assert max(hs) <= limit * (1 + 1e-12) < (b - a) / (len(hs) - 1)
+        assert sum(h for _, h in steps) == pytest.approx(1.0, rel=1e-14)
 
     def test_fixed_steps_land_on_sample_times(self, monkeypatch, grid16):
         integ = VBIntegrator(grid16, 1.0)

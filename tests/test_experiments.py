@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import shearmhd
-from shearmhd import cli
+from shearmhd import cli, experiments
 from shearmhd.diagnostics import gevrey_norm
 from shearmhd.experiments import (ConfigError, ExperimentConfig,
                                   build_initial_state, gevrey_random_data,
@@ -146,6 +146,19 @@ class TestConfig:
         assert cfg.audit["eta_max"] == 9.0
         ExperimentConfig.from_dict({"experiment": "resonance_chain",
                                     "chain": {"c0": 0.99, "etas": [1.0, 2.0]}})
+
+    def test_lam0_floor_binds_only_its_readers(self, tmp_path):
+        # at s = 0.55 the floor rho (250 + 2/(s - 1/2)) is 1.16, above the
+        # default lam0 = 1.1; the runs that read s alone are not bound by it
+        for name in ("norm_inflation", "linear_modes"):
+            cfg = ExperimentConfig.from_dict({"experiment": name, "grid": G16,
+                                              "params": {"s": 0.55},
+                                              "evolution": {"t_end": 1.0}})
+            run(cfg, str(tmp_path / name))
+        data = {"experiment": "nonlinear_ideal", "grid": G16, "params": {"s": 0.55}}
+        with pytest.raises(ConfigError, match="lam0"):
+            ExperimentConfig.from_dict(data)
+        ExperimentConfig.from_dict({**data, "params": {"s": 0.55, "lam0": 1.2}})
 
     def test_evolution_form_rejected(self):
         # every trajectory runner uses the vb integrator; the key is not accepted
@@ -334,6 +347,42 @@ class TestRunner:
         check = run(cfg, str(tmp_path / "d"))["summary"]["decay_check"]
         assert (check["nu"], check["kappa"], check["dt"]) == (1e-3, 2e-3, 0.02)
         assert check["within_1pct"] and check["max_rel_mode_error"] <= 1e-4
+
+    def test_dissipative_builds_its_data_once(self, tmp_path, monkeypatch):
+        # the decay check reads the run's own initial state
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return build_initial_state(*args)
+
+        monkeypatch.setattr(experiments, "build_initial_state", counted)
+        cfg = ExperimentConfig.from_dict({
+            "experiment": "dissipative", "grid": G16,
+            "evolution": {"dt": 0.02, "t_end": 1.0, "nu": 1e-3},
+            "monitor": {"sample_dt": 0.1}})
+        assert run(cfg, str(tmp_path / "d"))["summary"]["decay_check"]["within_1pct"]
+        assert len(calls) == 1
+
+    MODE = {"kind": "single_mode", "k": 1, "eta_index": 1}
+
+    @pytest.mark.parametrize("initial,measured", [
+        ({**MODE, "component": "v"}, False), ({**MODE, "component": "b"}, False),
+        ({"kind": "gevrey_random"}, True)], ids=["mode_v", "mode_b", "gevrey"])
+    def test_exponent_only_for_deviations_above_roundoff(self, tmp_path, initial, measured):
+        # a single Fourier mode solves the nonlinear equations: it deviates
+        # from the linearized flow by 0 or by roundoff, below 1e-6 amp^2;
+        # generated data deviate by about amp^2
+        cfg = ExperimentConfig.from_dict({
+            "experiment": "linear_modes", "grid": {"Nx": 8, "Ny": 8, "Ly": 1.0},
+            "evolution": {"t_end": 1.0}, "initial": initial})
+        s = run(cfg, str(tmp_path / "o"))["summary"]
+        assert [d >= 1e-6 * float(a) ** 2 for a, d in s["deviations"].items()] == [measured] * 3
+        if measured:
+            assert s["scaling_exponents"] == [pytest.approx(2.0, abs=0.05)] * 2
+            assert s["mean_exponent"] == pytest.approx(2.0, abs=0.05)
+        else:
+            assert s["scaling_exponents"] == [None, None] and s["mean_exponent"] is None
 
     @staticmethod
     def csv_rows(path):

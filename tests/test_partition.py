@@ -71,6 +71,12 @@ class TestPartitionIdentity:
         assert rep["NL"] == 0.0 and rep["sum_of_pieces"] == 0.0
         assert rep["passes"]
 
+    def test_weights_above_e300_overflow(self, grid16):
+        # 200 |k, eta|^0.6 reaches 670 at 16^2: A does not fit a float
+        st = MHDState(grid16, np.zeros((2, 2, 16, 16), complex), 0.0)
+        with pytest.raises(OverflowError):
+            nl_partition_check(st, WeightParams(rho=0.05, lam0=200.0, s=0.6))
+
     @pytest.mark.parametrize("t,seed", [(0.0, 1), (1.3, 2), (3.7, 3)])
     def test_random_states(self, t, seed):
         g = Grid(16, 16, 1.0)

@@ -505,12 +505,3 @@ def test_sample_function_same_on_compact_and_full(compact_and_full, name):
         assert ref != 0.0, key
         tol = 1e-12 * (scale if key in ("NL", "ONL") else abs(ref))
         assert abs(got - ref) <= tol, (key, got, ref)
-
-
-def test_identity_sides_packs_full_input(state):
-    state.t = 0.4
-    ts = state_to_tailored(state, PAR.alpha)
-    lay = state.grid.compact
-    compact = TailoredState(lay, lay.pack(ts.ptilde), ts.t)
-    assert (identity_sides(ts, MultiplierSet(state.grid, ts.t, PAR), PAR.alpha)
-            == identity_sides(compact, MultiplierSet(lay, ts.t, PAR), PAR.alpha))

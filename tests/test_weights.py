@@ -80,14 +80,21 @@ class TestWeightParams:
         {"eps": 0.2, "c0": 0.1}, {"c0": 1.5}, {"lam0": 0.1},
     ])
     def test_invalid(self, kwargs):
+        # lam0 alone passes construction and fails its floor (check_lam0)
         with pytest.raises(ValueError):
-            WeightParams(**kwargs)
+            WeightParams(**kwargs).check_lam0()
 
     def test_lam0_constraint(self):
-        # lam0 >= rho (250 + 2/(s - 1/2))
-        WeightParams(rho=0.01, lam0=0.01 * (250 + 2 / 0.1), s=0.6)
-        with pytest.raises(ValueError):
-            WeightParams(rho=0.01, lam0=2.69, s=0.6)
+        # lam0 >= rho (250 + 2/(s - 1/2)), checked where the multipliers are built
+        lay = Grid(8, 8).compact
+        ok = WeightParams(rho=0.01, lam0=0.01 * (250 + 2 / 0.1), s=0.6)
+        ok.check_lam0()
+        MultiplierSet(lay, 0.0, ok)
+        low = WeightParams(rho=0.01, lam0=2.69, s=0.6)  # data may carry it
+        for build in (low.check_lam0, lambda: MultiplierSet(lay, 0.0, low),
+                      lambda: run_weights_audit(low, n_eta=2)):
+            with pytest.raises(ValueError, match="lam0"):
+                build()
 
 
 class TestQWeight:
@@ -478,6 +485,15 @@ class TestMultiplierSet:
         assert [np.shape(v) for v in (batch.t, batch.lam, batch.dlam)] == [(2,)] * 3
         assert batch.log_A.shape == (2, *grid16.compact.shape)
         assert batch.log_Alo.shape == (2, grid16.compact.shape[1])
+
+    def test_A_overflows_above_e300(self, grid16, small_params):
+        # 200 |k, eta|^0.6 reaches 670 at 16^2; log A stays finite
+        big = MultiplierSet(grid16.compact, 0.0, WeightParams(rho=0.05, lam0=200.0, s=0.6))
+        assert 300.0 < np.max(big.log_A) < np.inf
+        with pytest.raises(OverflowError):
+            big.A
+        ok = MultiplierSet(grid16.compact, 0.0, small_params)
+        assert np.array_equal(ok.A, np.exp(ok.log_A))
 
     def test_bit_identical(self, grid16, small_params):
         a = MultiplierSet(grid16, 0.7, small_params)
