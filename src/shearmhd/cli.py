@@ -1,6 +1,7 @@
 """Command-line entry point: run / validate / audit.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical abort.
+Exit codes: 0 success, 1 configuration error, 2 numerical abort or a failed
+hard audit row.
 """
 
 from __future__ import annotations
@@ -64,19 +65,14 @@ def main(argv=None) -> int:
                 config.initial["seed"] = args.seed
             if args.snapshots is not None:
                 config.output["snapshots"] = args.snapshots
-            payload = run(config, args.out)
-            print(json.dumps(payload["summary"], indent=2, sort_keys=True,
-                             default=str))
-            return 0
-        # audit: the file's params and audit sections, whatever its experiment
-        base = _load_config(args.config) if args.config else ExperimentConfig()
-        flags = {"eta_max": args.eta_max, "n_eta": args.samples, "seed": args.seed}
-        config = ExperimentConfig("weights_audit", params=base.params, audit={
-            **base.audit, **{k: v for k, v in flags.items() if v is not None}})
-        payload = run(config, args.out)
-        failures = payload["summary"].get("hard_failures", [])
-        print(json.dumps(payload["summary"], indent=2, sort_keys=True))
-        return 0 if not failures else 2
+        else:  # audit: the file's params and audit sections, whatever its experiment
+            base = _load_config(args.config) if args.config else ExperimentConfig()
+            flags = {"eta_max": args.eta_max, "n_eta": args.samples, "seed": args.seed}
+            config = ExperimentConfig("weights_audit", params=base.params, audit={
+                **base.audit, **{k: v for k, v in flags.items() if v is not None}})
+        summary = run(config, args.out)["summary"]
+        print(json.dumps(summary, indent=2, sort_keys=True, default=str))
+        return 2 if summary.get("hard_failures") else 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

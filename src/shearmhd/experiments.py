@@ -26,9 +26,9 @@ from .dynamics import (SYMBOL_VARIANTS, LinearModeSystem, VBIntegrator,
                        sample_times)
 from .partition import nl_partition_check, partition_exactness_sample
 from .resonance import ChainConfig, chain_handoff_trajectory, chain_sweep_fit, chain_total_growth
-from .spectral import Grid, l2_norm, random_hermitian_coeffs
-from .unknowns import (MHDState, curl_t, hminus1_norm, leray_project_t,
-                       perp_grad_t, state_to_tailored, to_p)
+from .spectral import Grid, conj_flip, l2_norm, random_hermitian_coeffs
+from .unknowns import (MHDState, curl_t, divergence_residual, hminus1_norm,
+                       leray_project_t, perp_grad_t, state_to_tailored, to_p)
 from .weights import WeightParams, gevrey_log_weight
 from .weights_audit import AuditRow, run_weights_audit
 
@@ -69,8 +69,9 @@ KEYS = {
     "initial": {
         "kind": Key("gevrey_random", {**_EVOLVING, "nl_partition": (*_GEVREY, *_FILE)},
                     (KINDS.__contains__, f"one of {KINDS}")),
-        # generated data's draw, and nl_partition's indicator sample
-        "seed": Key(7, {**_by(*_DATA, kinds=_GEVREY), **_by("nl_partition")}, _NONNEG),
+        # generated data's draw; nl_partition's indicator sample reads it too,
+        # but its three values do not move with the seed
+        "seed": Key(7, _by(*_DATA, kinds=_GEVREY), _NONNEG),
         # generated data's size, the gates and norm_inflation's horizon
         "eps": Key(1e-3, {**_by("nl_partition", kinds=_GEVREY), **_STABILITY}, _POS),
         "lam1": Key(1.2, _by(*_DATA, kinds=_GEVREY), _NONNEG),
@@ -280,6 +281,15 @@ def build_initial_state(config: ExperimentConfig, grid: Grid,
         raise ConfigError(f"cannot read initial.path {ini['path']!r}: {exc}") from exc
     if state.grid != grid:
         raise ConfigError("snapshot grid does not match configured grid")
+    # a run keeps the retained, mean-free modes of a real field: refuse data
+    # that packing would change, and data that are not divergence-free
+    vb = state.vb
+    if np.any(vb[..., ~grid.dealias_keep]) or np.any(vb[..., 0, 0]):
+        raise ConfigError("the snapshot has modes outside the retained band or at the mean")
+    if np.max(np.abs(vb - conj_flip(vb))) > 1e-12 * np.max(np.abs(vb)):
+        raise ConfigError("the snapshot is not Hermitian (not a real field)")
+    if divergence_residual(state) > 1e-12:
+        raise ConfigError(f"the snapshot is not divergence-free at its t = {state.t}")
     return state
 
 
@@ -443,9 +453,7 @@ def run_linear_modes(config: ExperimentConfig, outdir: str):
     amps = [amp, amp / 2, amp / 4]
     for a in amps:
         sc = a / amp
-        nl = VBIntegrator(grid, alpha)
-        Y0 = nl.pack(state0) * sc
-        _, Ya = evolve(nl, Y0, t0, t_short, dt=0.01, cfl=None)
+        _, Ya = evolve(integ, integ.pack(state0) * sc, t0, t_short, dt=0.01, cfl=None)
         devs.append(MHDState(grid.compact, Ya - sc * Ylin, t_short).norm())
     # a deviation below 1e-6 amp^2 is roundoff, not nonlinearity (a single
     # Fourier mode solves the nonlinear equations), and gives no exponent

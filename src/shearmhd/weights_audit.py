@@ -3,10 +3,13 @@
 Row conventions:
 
 * lemmas with an explicit claimed constant (the J sandwich, the m and
-  mtilde bounds, plateau/dip equalities) are hard checks:
-  ``max_violation_ratio`` is observed/claimed and ``passes`` requires <= 1;
-* comparability lemmas stated with unspecified constants record the
-  empirical constant over the sample and pass whenever it is finite;
+  mtilde bounds, plateau/dip equalities) are hard checks, built by
+  :func:`_hard`: ``max_violation_ratio`` is observed/claimed and ``passes``
+  requires observed <= claimed plus a stated slack;
+* comparability lemmas stated with unspecified constants, built by
+  :func:`_finite`, record the empirical constant and pass while it is finite;
+* every exponential goes through :func:`_exp_max`: a sample that overflows
+  a float makes its row's constant inf, and the row fails;
 * known internal discrepancies among the stated multiplier properties
   (the m bound convention, the zero-time q asymptotics under the
   plateau-equal construction) are reported with explanatory notes instead
@@ -20,7 +23,7 @@ evaluates each weight over all of them in one array call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import numpy.ma  # np.unique imports it on first use; load it with the package
@@ -38,6 +41,18 @@ class AuditRow:
     max_violation_ratio: float
     passes: bool
     note: str = ""
+
+
+def _hard(lemma, n, value, claimed, slack=0.0, note="") -> AuditRow:
+    """A lemma's row with a claimed constant: ratio value/claimed, passing
+    at value <= claimed + slack."""
+    return AuditRow(lemma, n, value, value / claimed, value <= claimed + slack, note)
+
+
+def _finite(lemma, n, value, ratio=0.0, note="") -> AuditRow:
+    """A lemma's row with an unspecified constant: passing while the
+    empirical constant is finite."""
+    return AuditRow(lemma, n, value, ratio, math.isfinite(value), note)
 
 
 def _eta_samples(eta_max: float, n: int) -> np.ndarray:
@@ -84,9 +99,8 @@ def _draws(rng, n, draw):
 
 def _exp_max(x) -> float:
     """max(exp(x)) as exp(max(x)), inf where that overflows a float."""
-    top = float(np.max(x))
     try:
-        return math.exp(top)
+        return math.exp(float(np.max(x)))
     except OverflowError:
         return math.inf
 
@@ -99,12 +113,8 @@ def audit_q_plateau_and_dip(params: WeightParams, etas) -> list[AuditRow]:
     worst_plateau = float(np.max(np.abs(qk - qk1), initial=0.0))
     worst_dip = float(np.max(np.abs(dip - (k * k / eta) ** params.rho), initial=0.0))
     n = len(k)
-    return [
-        AuditRow("q_plateau_equality", n, worst_plateau, worst_plateau / 1e-10,
-                 worst_plateau <= 1e-10),
-        AuditRow("q_resonance_dip", n, worst_dip, worst_dip / 1e-10,
-                 worst_dip <= 1e-10),
-    ]
+    return [_hard("q_plateau_equality", n, worst_plateau, 1e-10),
+            _hard("q_resonance_dip", n, worst_dip, 1e-10)]
 
 
 def audit_q_symmetry(params: WeightParams, etas) -> AuditRow:
@@ -112,8 +122,7 @@ def audit_q_symmetry(params: WeightParams, etas) -> AuditRow:
     eta = np.asarray(etas)[i]
     worst = float(np.max(np.abs(log_q(t, eta, params) - log_q(t, -eta, params)),
                          initial=0.0))
-    return AuditRow("q_symmetry", len(t), worst, worst / 1e-14 if worst else 0.0,
-                    worst <= 1e-12)
+    return _hard("q_symmetry", len(t), worst, 1e-12)
 
 
 def audit_q_growth(params: WeightParams, etas) -> list[AuditRow]:
@@ -151,8 +160,8 @@ def audit_q_growth(params: WeightParams, etas) -> list[AuditRow]:
                  np.isfinite(hi) and lo > 0,
                  note=f"two-sided constants [{lo:.3g}, {hi:.3g}]; sign of d_t q "
                       "alternates within each interval, |.| tested"),
-        AuditRow("q_dt_crosscheck", n, worst_num, worst_num / 1e-5,
-                 worst_num <= 1e-5, note="analytic vs centered difference"),
+        _hard("q_dt_crosscheck", n, worst_num, 1e-5,
+              note="analytic vs centered difference"),
     ]
 
 
@@ -165,10 +174,10 @@ def audit_q_asymptotics(params: WeightParams, eta_max: float) -> AuditRow:
     full = cc(eta_max)
     half = cc(eta_max / 2.0)
     stability = full / half if half > 0 else np.inf
-    return AuditRow("q_zero_time_asymptotics", 60, math.exp(min(full, 700.0)), stability, np.isfinite(full),
-                    note="two-sided comparability of 1/q(0) with eta^-rho*exp(8 rho sqrt(eta)) "
-                         "does not hold under the plateau-equal construction; "
-                         "log(C/c) and its range-doubling growth are recorded")
+    return _finite("q_zero_time_asymptotics", 60, _exp_max(full), stability,
+                   note="two-sided comparability of 1/q(0) with eta^-rho*exp(8 rho sqrt(eta)) "
+                        "does not hold under the plateau-equal construction; "
+                        "log(C/c) and its range-doubling growth are recorded")
 
 
 def audit_q_ratio_exp_bound(params: WeightParams, etas, rng) -> AuditRow:
@@ -178,12 +187,10 @@ def audit_q_ratio_exp_bound(params: WeightParams, etas, rng) -> AuditRow:
     eta, xi = pairs[i].T
     val = (log_q(t, xi, params) - log_q(t, eta, params)
            - 8.0 * params.rho * np.sqrt(np.abs(eta - xi)))
-    worst = _exp_max(val)
-    return AuditRow("q_ratio_exp_bound", len(t), worst, 0.0, np.isfinite(worst))
+    return _finite("q_ratio_exp_bound", len(t), _exp_max(val))
 
 
-def audit_q_growth_frequency_change(params: WeightParams, etas, rng) -> AuditRow:
-    del rng
+def audit_q_growth_frequency_change(params: WeightParams, etas) -> AuditRow:
     eta, frac = (a.ravel() for a in np.meshgrid(etas, (0.55, 0.8, 1.25, 1.9),
                                                 indexing="ij"))
     xi = frac * eta
@@ -197,8 +204,8 @@ def audit_q_growth_frequency_change(params: WeightParams, etas, rng) -> AuditRow
            * np.hypot(1.0, eta - xi))
     ok = rhs > 0
     worst = float(np.max(lhs[ok] / rhs[ok], initial=0.0))
-    return AuditRow("q_growth_frequency_change", int(np.count_nonzero(ok)), worst,
-                    0.0, np.isfinite(worst), note="|d_t q| used for both sides")
+    return _finite("q_growth_frequency_change", int(np.count_nonzero(ok)), worst,
+                   note="|d_t q| used for both sides")
 
 
 def _mode_lattice(eta_max: float, rng, n: int = 300):
@@ -213,21 +220,15 @@ def audit_j_bounds(params: WeightParams, eta_max: float, rng) -> list[AuditRow]:
     k, eta = ks[i].astype(float), etas[i]
     lj = log_j(t, k, eta, params)
     bound = math.log(2.0) + 8.0 * params.rho * (k * k + eta * eta) ** 0.25
-    worst = max(_exp_max(lj - bound), _exp_max(-lj))
-    n = len(t)
+    sandwich = _hard("J_sandwich", len(t), max(_exp_max(lj - bound), _exp_max(-lj)),
+                     1.0, 1e-12, note="1 <= J <= 2 exp(8 rho |k,eta|^(1/2)); needs "
+                                      "rho*log(eta_max) <= log 2 on the sampled range")
     k, l, eta, xi, t = _draws(rng, 400, lambda r: (
         *r.integers(-30, 31, size=2), *r.uniform(-eta_max, eta_max, size=2),
         r.uniform(0.0, 2.2 * eta_max)))
     val = (log_j(t, k, eta, params) - log_j(t, l, xi, params)
            - math.log(2.0) - 8.0 * params.rho * np.hypot(k - l, eta - xi) ** 0.5)
-    ratio_worst = _exp_max(val)
-    return [
-        AuditRow("J_sandwich", n, worst, worst, worst <= 1.0 + 1e-12,
-                 note="1 <= J <= 2 exp(8 rho |k,eta|^(1/2)); needs "
-                      "rho*log(eta_max) <= log 2 on the sampled range"),
-        AuditRow("J_ratio_bound", len(t), ratio_worst, ratio_worst,
-                 ratio_worst <= 1.0 + 1e-12),
-    ]
+    return [sandwich, _hard("J_ratio_bound", len(t), _exp_max(val), 1.0, 1e-12)]
 
 
 def audit_j_vs_jtilde(params: WeightParams, eta_max: float, rng) -> AuditRow:
@@ -238,9 +239,8 @@ def audit_j_vs_jtilde(params: WeightParams, eta_max: float, rng) -> AuditRow:
     eta, k, t = _draws(rng, 300, draw)
     val = (log_j(t, k, eta, params) - math.log(2.0)
            - log_jtilde(t, k, eta, params))
-    worst = _exp_max(val)
-    return AuditRow("J_vs_Jtilde_low_k", len(t), worst, worst, worst <= 1.0 + 1e-12,
-                    note="J <= 2 Jtilde on 4|k| <= |eta|")
+    return _hard("J_vs_Jtilde_low_k", len(t), _exp_max(val), 1.0, 1e-12,
+                 note="J <= 2 Jtilde on 4|k| <= |eta|")
 
 
 def audit_j_commutator_small_time(params: WeightParams, eta_max: float, rng) -> AuditRow:
@@ -258,8 +258,7 @@ def audit_j_commutator_small_time(params: WeightParams, eta_max: float, rng) -> 
     log_rhs = (np.log(np.hypot(1.0, np.hypot(eta - xi, k - l)))
                + 100.0 * params.rho * np.abs(eta - xi) ** 0.5
                - 0.5 * np.log(eta + xi + np.abs(k) + np.abs(l)))
-    worst = _exp_max(log_lhs - log_rhs)
-    return AuditRow("J_commutator_small_time", len(t), worst, 0.0, np.isfinite(worst))
+    return _finite("J_commutator_small_time", len(t), _exp_max(log_lhs - log_rhs))
 
 
 def audit_j_commutator_high_k(params: WeightParams, rng) -> AuditRow:
@@ -273,25 +272,29 @@ def audit_j_commutator_high_k(params: WeightParams, rng) -> AuditRow:
     lhs = np.abs(np.exp(log_j(t, k, eta, params) - log_j(t, l, xi, params)) - 1.0)
     rhs = (np.hypot(1.0, k - l) / (params.rho * np.sqrt(np.abs(k)))
            * np.exp(8.0 * params.rho * np.abs(k - l) ** 0.5))
-    worst = float(np.max(lhs / rhs))
-    return AuditRow("J_commutator_high_k", len(t), worst, 0.0, np.isfinite(worst))
+    return _finite("J_commutator_high_k", len(t), float(np.max(lhs / rhs)))
 
 
-def audit_m(params: WeightParams, eta_max: float, rng) -> list[AuditRow]:
+def _m_draws(rng, n: int, eta_max: float):
+    """(k, eta, t) of the m and mtilde rows: 1 <= |k| < 40, |eta| <= eta_max
+    and 0 <= t <= 3|eta| + 10."""
     def draw(r):
         k = int(_sign(r) * r.integers(1, 40))
         eta = r.uniform(-eta_max, eta_max)
         return k, eta, r.uniform(0.0, 3.0 * abs(eta) + 10.0)
 
-    k, eta, t = _draws(rng, 500, draw)
+    return _draws(rng, n, draw)
+
+
+def audit_m(params: WeightParams, eta_max: float, rng) -> list[AuditRow]:
+    k, eta, t = _m_draws(rng, 500, eta_max)
     m = m_value(t, k, eta, params)
     lower = np.exp(-math.pi / (params.alpha * np.abs(k)))
     worst = float(max(np.max(m - 1.0), np.max(lower - m), 0.0))
     mn, mx = float(np.min(m)), float(np.max(m))
     n = len(m)
-    rows = [AuditRow("m_bounds", n, worst, max(worst, 0.0) / 1e-12 if worst > 0 else 0.0,
-                     worst <= 1e-12,
-                     note="exp(-pi/(alpha|k|)) <= m <= 1 per the implemented definition"),
+    rows = [_hard("m_bounds", n, worst, 1e-12,
+                  note="exp(-pi/(alpha|k|)) <= m <= 1 per the implemented definition"),
             AuditRow("m_bound_convention", n, mx, 0.0, True,
                      note=f"a companion bound claims 1 <= m <= e^pi but the implemented integrand "
                           f"gives m in [{mn:.3g}, {mx:.3g}] <= 1; discrepancy flagged, "
@@ -309,27 +312,20 @@ def audit_m(params: WeightParams, eta_max: float, rng) -> list[AuditRow]:
     diff = np.abs(m_value(t, k, eta, params) - m_value(t, l, xi, params))
     worst_diff = float(np.max(diff * np.minimum(np.abs(k), np.abs(l)) / np.abs(k - l),
                               initial=0.0))
-    rows.append(AuditRow("m_difference_bound", len(t), worst_diff, 0.0,
-                         np.isfinite(worst_diff)))
+    rows.append(_finite("m_difference_bound", len(t), worst_diff))
     return rows
 
 
 def audit_mtilde(params: WeightParams, eta_max: float, rng) -> AuditRow:
-    c1 = math.exp(math.pi / (2.0 * params.alpha))
-
-    def draw(r):
-        k = int(_sign(r) * r.integers(1, 40))
-        eta = r.uniform(-eta_max, eta_max)
-        return k, eta, r.uniform(0.0, 3.0 * abs(eta) + 10.0)
-
-    k, eta, t = _draws(rng, 400, draw)
+    k, eta, t = _m_draws(rng, 400, eta_max)
     mt = mtilde_value(t, k, eta, params)
+    c1 = _exp_max(math.pi / (2.0 * params.alpha))
     worst = float(max(np.max(mt / c1), np.max(1.0 / mt), 0.0))
-    return AuditRow("mtilde_bound", len(t), worst, worst, worst <= 1.0 + 1e-12,
-                    note="1 <= mtilde <= exp(pi/(2 alpha))")
+    return _hard("mtilde_bound", len(t), worst, 1.0, 1e-12,
+                 note="1 <= mtilde <= exp(pi/(2 alpha))")
 
 
-def audit_q_asymptotics1(params: WeightParams, eta_max: float, rng) -> AuditRow:
+def audit_atilde_triangle(params: WeightParams, eta_max: float, rng) -> AuditRow:
     k, eta, xi, t = _draws(rng, 300, lambda r: (
         int(_sign(r) * r.integers(1, 20)), r.uniform(-eta_max, eta_max),
         r.uniform(-eta_max, eta_max), r.uniform(0.0, 1.5 * eta_max)))
@@ -338,8 +334,7 @@ def audit_q_asymptotics1(params: WeightParams, eta_max: float, rng) -> AuditRow:
     lb = log_a_multiplier(t, k, eta - xi, params, "Atilde")
     tail = np.logaddexp(-0.5 * params.N * np.log1p(k * k + eta * eta),
                         -0.5 * params.N * np.log1p(k * k + xi * xi))
-    worst = math.exp(min(float(np.max(lhs - la - lb - tail)), 700.0))
-    return AuditRow("Atilde_triangle_bound", len(t), worst, 0.0, np.isfinite(worst))
+    return _finite("Atilde_triangle_bound", len(t), _exp_max(lhs - la - lb - tail))
 
 
 def audit_average_weight(params: WeightParams, eta_max: float, rng) -> list[AuditRow]:
@@ -349,19 +344,17 @@ def audit_average_weight(params: WeightParams, eta_max: float, rng) -> list[Audi
     lhs = np.log(np.maximum(np.abs(eta), 1e-300)) + log_a_multiplier(
         t, 0, eta, params, "Alo")
     rhs = log_a_multiplier(t, k, eta, params, "Atilde")
-    worst = math.exp(min(float(np.max(lhs - rhs)), 700.0))
-    rhs_nom = rhs - log_m(t, k, eta, params)
-    worst_nom = math.exp(min(float(np.max(lhs - rhs_nom)), 700.0))
+    worst = _exp_max(lhs - rhs)
+    worst_nom = _exp_max(lhs - (rhs - log_m(t, k, eta, params)))
     n = len(t)
     return [
-        AuditRow("average_weight_domination", n, worst, worst, np.isfinite(worst),
-                 note="|eta| Alo(eta) <= C Atilde(k,eta); C exceeds 1 by up to "
-                      "exp(pi/alpha) because the implemented m is <= 1 while the "
-                      "bound presumes the m >= 1 convention; recorded, not asserted"),
-        AuditRow("average_weight_domination_m_stripped", n, worst_nom, worst_nom,
-                 np.isfinite(worst_nom),
-                 note="same pairing with the m factor removed from Atilde; "
-                      "confirms the violation above is the m convention"),
+        _finite("average_weight_domination", n, worst, worst,
+                note="|eta| Alo(eta) <= C Atilde(k,eta); C exceeds 1 by up to "
+                     "exp(pi/alpha) because the implemented m is <= 1 while the "
+                     "bound presumes the m >= 1 convention; recorded, not asserted"),
+        _finite("average_weight_domination_m_stripped", n, worst_nom, worst_nom,
+                note="same pairing with the m factor removed from Atilde; "
+                     "confirms the violation above is the m convention"),
     ]
 
 
@@ -381,20 +374,18 @@ def run_weights_audit(params: WeightParams | None = None, eta_max: float = 1e4,
         rows += audit_q_growth(params, etas[::2])
         rows.append(audit_q_asymptotics(params, eta_max))
         rows.append(audit_q_ratio_exp_bound(params, etas[::2], rng))
-        rows.append(audit_q_growth_frequency_change(params, etas[::2], rng))
+        rows.append(audit_q_growth_frequency_change(params, etas[::2]))
         rows += audit_j_bounds(params, eta_max, rng)
         rows.append(audit_j_vs_jtilde(params, eta_max, rng))
         rows.append(audit_j_commutator_small_time(params, eta_max, rng))
         rows.append(audit_j_commutator_high_k(params, rng))
         rows += audit_m(params, eta_max, rng)
         rows.append(audit_mtilde(params, eta_max, rng))
-        rows.append(audit_q_asymptotics1(params, min(eta_max, 200.0), rng))
+        rows.append(audit_atilde_triangle(params, min(eta_max, 200.0), rng))
         rows += audit_average_weight(params, min(eta_max, 200.0), rng)
     summary = {
         "eta_max": eta_max,
-        "params": {"rho": params.rho, "lam0": params.lam0, "s": params.s,
-                   "N": params.N, "alpha": params.alpha, "c0": params.c0,
-                   "eps": params.eps},
+        "params": asdict(params),
         "all_finite": bool(all(np.isfinite(r.empirical_constant) for r in rows)),
         "hard_failures": [r.lemma_id for r in rows if not r.passes],
     }

@@ -52,8 +52,6 @@ INERT = {
         "m = 1 at t = 0, the time of generated data; a snapshot at t > 0 shows it",
     ("nl_partition", "gevrey_random", "params.c0"):
         "m's cutoff 10 c0/eps >= 10 is above every retained sqrt|eta|",
-    ("nl_partition", "file", "initial.seed"):
-        "the indicator sample reads it, but returns the same three values",
 }
 
 

@@ -18,7 +18,7 @@ from shearmhd.experiments import (ConfigError, ExperimentConfig,
 from shearmhd.io import (config_hash, read_state_snapshot,
                          write_state_snapshot)
 from shearmhd.spectral import Grid, l2_norm
-from shearmhd.unknowns import divergence_residual, hminus1_norm
+from shearmhd.unknowns import divergence_residual, hminus1_norm, leray_project_t
 from shearmhd.weights import WeightParams
 
 PAR = WeightParams(rho=0.004, lam0=1.1, s=0.6)
@@ -224,6 +224,30 @@ class TestInitialData:
         with pytest.raises(ConfigError, match="snapshot grid"):
             build_initial_state(cfg, cfg.make_grid(), cfg.weight_params())
 
+    @pytest.mark.parametrize("defect, match", [
+        ("outside_band", "outside the retained band"), ("mean", "at the mean"),
+        ("not_hermitian", "not Hermitian"), ("divergent", "not divergence-free")])
+    def test_file_data_the_run_would_change_are_refused(self, tmp_path, defect, match):
+        # packing would drop a mode outside |k| <= Nx/3, the mean, or the
+        # imaginary part of a table that is not Hermitian; each defect alone
+        g = Grid(16, 16, 1.0)
+        st = single_mode_state(g, 1, 1, 1e-3, "v")
+        if defect == "outside_band":
+            st.vb[1, 1, 7, 0] = st.vb[1, 1, -7, 0] = 1e-3  # b2 of a real pair at k = 7
+        elif defect == "mean":
+            st.vb[0, 0, 0, 0] = 1e-3
+        elif defect == "not_hermitian":
+            st.vb[0, :, -1, -1] = 0.0  # the partner of (1, 1)
+        else:
+            st.t = 1.0  # divergence-free at t = 0 only
+        path = str(tmp_path / "snap.txt")
+        write_state_snapshot(path, st)
+        cfg = ExperimentConfig.from_dict({
+            "experiment": "nl_partition", "grid": {"Nx": 16, "Ny": 16, "Ly": 1.0},
+            "params": {"rho": 0.004, "lam0": 1.1}, "initial": {"kind": "file", "path": path}})
+        with pytest.raises(ConfigError, match=match):
+            build_initial_state(cfg, g, PAR)
+
 
 class TestSnapshots:
     def test_roundtrip(self, tmp_path):
@@ -415,7 +439,7 @@ class TestRunner:
         g = Grid(16, 16, 1.0)
         path = str(tmp_path / "snap.txt")
         st = single_mode_state(g, 1, 0, 1e-3, "v")
-        st.t = 2.0
+        st.vb, st.t = leray_project_t(g, st.vb, 2.0), 2.0  # divergence-free at its t
         write_state_snapshot(path, st)
         for experiment in ("linear_modes", "nonlinear_ideal", "norm_inflation"):
             cfg = ExperimentConfig.from_dict({
@@ -438,7 +462,7 @@ class TestRunner:
             ExperimentConfig.from_dict(data)
         path = str(tmp_path / "snap.txt")
         st = single_mode_state(Grid(16, 16, 1.0), 1, 0, 1e-3, "v")
-        st.t = 1.0
+        st.vb, st.t = leray_project_t(st.grid, st.vb, 1.0), 1.0  # divergence-free at its t
         write_state_snapshot(path, st)
         cfg = ExperimentConfig.from_dict({**data, "evolution": {"dt": 0.02, "t_end": 5.0},
                                           "initial": {"kind": "file", "path": path}})
@@ -582,9 +606,11 @@ class TestCLI:
         '"components": ["v1", "v2"]}\n'
         'component,k,eta_index,re,im\nv1,1,0,1.0,0.0\n',
         SNAP16 + 'v1,17,0,1.0,0.0\n',
-        SNAP16 + 'v1,1,0,1.0,0.0\nv1,1,0,2.0,0.0\n'],
+        SNAP16 + 'v1,1,0,1.0,0.0\nv1,1,0,2.0,0.0\n',
+        SNAP16 + 'v1,1,1,1e-3,0.0\nb2,7,0,1e-3,0.0\n'],
         ids=["missing", "not_a_snapshot", "unknown_component", "no_components",
-             "other_components", "k_off_the_grid", "repeated_row"])
+             "other_components", "k_off_the_grid", "repeated_row",
+             "unpaired_and_unretained"])
     def test_unreadable_snapshot_is_a_config_error(self, tmp_path, capsys, content):
         path = tmp_path / "snap.txt"
         if content is not None:
@@ -681,6 +707,29 @@ class TestCLI:
                        "--eta-max", "500", "--samples", "8"])
         assert rc == 0
         assert (tmp_path / "aud" / "diagnostics.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run", "audit"])
+    def test_failed_hard_row_exits_2(self, tmp_path, capsys, command):
+        # at rho = 0.2 the J sandwich's 2 exp(8 rho |k,eta|^(1/2)) does not
+        # hold on eta <= 1e4: both commands print the summary and exit 2
+        cfile = tmp_path / "c.json"
+        cfile.write_text(json.dumps({"experiment": "weights_audit",
+                                     "params": {"rho": 0.2, "lam0": 60.0}}))
+        assert cli.main([command, "--config", str(cfile), "--out", str(tmp_path / "o")]) == 2
+        assert "J_sandwich" in json.loads(capsys.readouterr().out)["hard_failures"]
+
+    def test_audit_overflow_exits_2(self, tmp_path, capsys):
+        # exp(pi/(2 alpha)) overflows a float at alpha = 0.002: the rows whose
+        # exponentials overflow fail, and the audit still writes every row
+        cfile = tmp_path / "c.json"
+        cfile.write_text(json.dumps({"experiment": "weights_audit",
+                                     "params": {"alpha": 0.002}}))
+        assert cli.main(["audit", "--config", str(cfile), "--out", str(tmp_path / "o")]) == 2
+        out, err = capsys.readouterr()
+        assert json.loads(out)["hard_failures"] == [
+            "mtilde_bound", "Atilde_triangle_bound", "average_weight_domination"]
+        assert err == ""
+        assert len(TestRunner.csv_rows(tmp_path / "o" / "diagnostics.csv")) == 20
 
     @pytest.mark.parametrize("data", [
         {"experiment": "dissipative", "evolution": {"nu": 1e-3}},

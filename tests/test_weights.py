@@ -544,6 +544,42 @@ class TestWeightsAudit:
         assert "two-sided constants [0.844, 2.27]" in growth.note
         assert summary["all_finite"] and not summary["hard_failures"]
 
+    # the rows with a claimed constant: (claimed, slack)
+    HARD = {"q_plateau_equality": (1e-10, 0.0), "q_resonance_dip": (1e-10, 0.0),
+            "q_symmetry": (1e-12, 0.0), "q_dt_crosscheck": (1e-5, 0.0),
+            "m_bounds": (1e-12, 0.0), "J_sandwich": (1.0, 1e-12),
+            "J_ratio_bound": (1.0, 1e-12), "J_vs_Jtilde_low_k": (1.0, 1e-12),
+            "mtilde_bound": (1.0, 1e-12)}
+
+    @pytest.mark.parametrize("params", [WeightParams(), WeightParams(rho=0.2, lam0=60.0)],
+                             ids=["default", "rho_0.2"])
+    def test_hard_rows_report_observed_over_claimed(self, params):
+        rows = {r.lemma_id: r for r in run_weights_audit(params, 1e4, 24, 0)[0]}
+        assert self.HARD.keys() <= rows.keys()
+        for name, (claimed, slack) in self.HARD.items():
+            row = rows[name]
+            assert math.isclose(row.max_violation_ratio * claimed, row.empirical_constant,
+                                rel_tol=1e-15), name
+            assert row.passes == (row.empirical_constant <= claimed + slack), name
+        # rho = 0.2 breaks the sandwich, which tests the failing side too
+        assert rows["J_sandwich"].passes == (params.rho == 0.05)
+
+    def test_overflow_is_inf_and_fails(self):
+        # at alpha = 0.004 the two rows' exponentials overflow a float: they
+        # read inf and fail
+        rows, summary = run_weights_audit(WeightParams(alpha=0.004), 1e4, 24, 0)
+        for name in ("Atilde_triangle_bound", "average_weight_domination"):
+            row = next(r for r in rows if r.lemma_id == name)
+            assert row.empirical_constant == math.inf and not row.passes, name
+        assert not summary["all_finite"]
+        assert summary["hard_failures"] == ["Atilde_triangle_bound",
+                                            "average_weight_domination"]
+        # at alpha = 0.002 even exp(pi/(2 alpha)) overflows: still every row
+        rows, summary = run_weights_audit(WeightParams(alpha=0.002), 1e4, 24, 0)
+        assert len(rows) == 20
+        assert summary["hard_failures"] == ["mtilde_bound", "Atilde_triangle_bound",
+                                            "average_weight_domination"]
+
     @pytest.mark.parametrize("seed", [0, 1, 104, 12345])
     def test_sign_draw_is_choice_draw(self, seed):
         # _sign replaces rng.choice([-1, 1]) in the audit; the golden rows
